@@ -9,7 +9,6 @@ use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
 use rb_provision::localctl::LocalCtl;
 use rb_provision::{airkiss, smartconfig, WifiCredentials};
-use rb_wire::codec::CodecKind;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::DevId;
 use rb_wire::messages::{BindPayload, ControlAction, DenyReason, Message, Response, UnbindPayload};
@@ -186,8 +185,6 @@ pub struct AppAgent {
     /// Shared metrics registry (a private default until the harness wires
     /// in the world-wide one via [`AppAgent::set_telemetry`]).
     telemetry: Telemetry,
-    /// Wire format spoken with the cloud (classic by default).
-    codec: CodecKind,
     /// Open `app_setup` span: flow start until the binding lands. Give-ups
     /// leave it open, so `span_ticks{name="app_setup"}` holds only
     /// converged setups.
@@ -257,7 +254,6 @@ impl AppAgent {
             cur_delay,
             aborted: false,
             telemetry: Telemetry::new(),
-            codec: CodecKind::default(),
             setup_span: None,
             corr: 0,
             control_queue: VecDeque::new(),
@@ -274,12 +270,6 @@ impl AppAgent {
     /// starts so every counter lands in the world-wide snapshot.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Selects the wire format for cloud traffic. Must match the cloud's;
-    /// `WorldBuilder::with_codec` threads one choice through every agent.
-    pub fn set_codec(&mut self, codec: CodecKind) {
-        self.codec = codec;
     }
 
     /// Whether the setup flow completed and the binding is (still) held.
@@ -393,10 +383,7 @@ impl AppAgent {
         self.corr += 1;
         let corr = CorrId(self.corr);
         let env = Envelope::Request { corr, msg };
-        ctx.send(
-            Dest::Unicast(self.config.cloud),
-            env.encode_with(self.codec).to_vec(),
-        );
+        ctx.send(Dest::Unicast(self.config.cloud), env.encode());
         self.last_send_at = ctx.now();
         corr
     }
@@ -677,14 +664,9 @@ impl Actor for AppAgent {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
-        let payload = bytes::Bytes::copy_from_slice(payload);
-        self.on_packet_bytes(ctx, from, &payload);
-    }
-
-    fn on_packet_bytes(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
         if from == self.config.cloud {
-            match Envelope::decode_with(self.codec, payload) {
+            match Envelope::decode(payload) {
                 Ok(Envelope::Response {
                     corr: CorrId(0),
                     rsp,

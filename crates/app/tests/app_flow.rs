@@ -4,6 +4,7 @@
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use bytes::Bytes;
 use rb_app::{AppAgent, AppConfig};
 use rb_core::vendors;
 use rb_netsim::{Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Simulation, Tick};
@@ -29,7 +30,7 @@ struct MockCloud {
 }
 
 impl Actor for MockCloud {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
             return;
         };
@@ -59,7 +60,7 @@ impl Actor for MockCloud {
         };
         ctx.send(
             Dest::Unicast(from),
-            Envelope::Response { corr, rsp }.encode().to_vec(),
+            Envelope::Response { corr, rsp }.encode(),
         );
     }
 }
@@ -68,7 +69,7 @@ impl Actor for MockCloud {
 struct FakeDevice;
 
 impl Actor for FakeDevice {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         // Answer every search: the mock stands in for any vendor.
         if SearchRequest::decode(payload).is_ok() {
             let rsp = SearchResponse {

@@ -63,10 +63,9 @@ impl Adversary {
         self.corr += 1;
         let corr = CorrId(self.corr);
         let cloud = world.cloud;
-        let codec = world.codec();
         world.attacker_mut().queue(
             Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode_with(codec).to_vec(),
+            Envelope::Request { corr, msg }.encode(),
         );
         world.run_for(wait);
         self.drain(world, Some(corr))
@@ -83,10 +82,9 @@ impl Adversary {
         self.corr += 1;
         let corr = CorrId(self.corr);
         let cloud = world.cloud;
-        let codec = world.codec();
         world.attacker_mut().queue(
             Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode_with(codec).to_vec(),
+            Envelope::Request { corr, msg }.encode(),
         );
         corr
     }
@@ -96,10 +94,8 @@ impl Adversary {
     pub fn drain(&mut self, world: &mut World, want: Option<CorrId>) -> Option<Response> {
         let mut found = None;
         let mut others = Vec::new();
-        let codec = world.codec();
         for (_, bytes) in world.attacker_mut().take_inbox() {
-            let bytes = bytes::Bytes::from(bytes);
-            if let Ok(Envelope::Response { corr, rsp }) = Envelope::decode_with(codec, &bytes) {
+            if let Ok(Envelope::Response { corr, rsp }) = Envelope::decode(&bytes) {
                 if corr == CorrId(0) {
                     self.pushes.push(rsp);
                 } else if Some(corr) == want && found.is_none() {

@@ -1,6 +1,7 @@
 //! Network-simulator throughput: events per second through the scheduler
 //! under a ping-pong load and a broadcast fan-out load.
 
+use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rb_netsim::{Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Simulation};
 
@@ -15,7 +16,7 @@ impl Actor for PingPong {
             ctx.send(Dest::Unicast(peer), vec![0u8; 32]);
         }
     }
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         ctx.send(Dest::Unicast(from), payload.to_vec());
     }
 }

@@ -11,6 +11,8 @@
 //! cargo run -p rb-bench --bin exp_attack_window [seeds-per-point]
 //! ```
 
+use std::sync::{Mutex, PoisonError};
+
 use rb_attack::Adversary;
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
@@ -108,12 +110,12 @@ fn main() {
     // Fan the (window, design, seed) grid out across threads; every cell is
     // an independent deterministic world.
     let windows = [500u64, 2_000, 5_000, 15_000, 60_000];
-    let results = parking_lot::Mutex::new(std::collections::BTreeMap::new());
-    let scope_result = crossbeam::thread::scope(|scope| {
+    let results = Mutex::new(std::collections::BTreeMap::new());
+    std::thread::scope(|scope| {
         for (wi, &window) in windows.iter().enumerate() {
             for (di, (_, design)) in designs.iter().enumerate() {
                 let results = &results;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // One registry per grid cell: the monitor's alert
                     // counters accumulate across the cell's seeds, so the
                     // detectability table below is a snapshot lookup, not
@@ -128,15 +130,15 @@ fn main() {
                     // `cloud_alerts` series over one setup window — the
                     // `Telemetry::rate` helper, not hand-divided totals.
                     let burst = telemetry.rate("cloud_alerts", window.max(1));
-                    results.lock().insert((wi, di), (wins, alerts, burst));
+                    results
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert((wi, di), (wins, alerts, burst));
                 });
             }
         }
     });
-    if scope_result.is_err() {
-        unreachable!("sweep threads never panic; the grid is deterministic");
-    }
-    let results = results.into_inner();
+    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut rows = Vec::new();
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];

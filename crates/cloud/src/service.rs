@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use rb_core::design::{BindScheme, CloudChecks, DeviceAuthScheme, UnbindSupport, VendorDesign};
 use rb_core::shadow::ShadowState;
 use rb_netsim::{Actor, Ctx, Dest, NodeId, Profiler, SimRng, Telemetry, Tick};
-use rb_wire::codec::CodecKind;
 use rb_wire::envelope::Envelope;
 use rb_wire::ids::DevId;
 use rb_wire::messages::{
@@ -138,8 +137,6 @@ pub struct CloudService {
     /// recording handle tallies the codec round-trip and dispatch under
     /// the simulation's open `sim.deliver` phase.
     profiler: Profiler,
-    /// Wire format spoken on the simulated network (classic by default).
-    codec: CodecKind,
     forensics: bool,
     forensic_marks: Vec<String>,
 }
@@ -163,7 +160,6 @@ impl CloudService {
             monitor: Monitor::new(),
             telemetry: Telemetry::new(),
             profiler: Profiler::disabled(),
-            codec: CodecKind::default(),
             forensics: false,
             forensic_marks: Vec::new(),
         }
@@ -235,13 +231,6 @@ impl CloudService {
     /// nest under the open `sim.deliver` phase).
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
-    }
-
-    /// Selects the wire format this cloud encodes and decodes. All parties
-    /// in a world must agree; `WorldBuilder::with_codec` threads one choice
-    /// through every agent.
-    pub fn set_codec(&mut self, codec: CodecKind) {
-        self.codec = codec;
     }
 
     /// The telemetry handle this cloud records into.
@@ -1368,16 +1357,11 @@ impl Actor for CloudService {
         ctx.set_timer(self.config.heartbeat_timeout / 2, TIMER_EXPIRE);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
-        let payload = bytes::Bytes::copy_from_slice(payload);
-        self.on_packet_bytes(ctx, from, &payload);
-    }
-
-    fn on_packet_bytes(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
         // One tally per wire-level decode attempt, garbage included: the
         // codec leg of the request round-trip.
         self.profiler.tally("cloud.decode", 0);
-        let Ok(Envelope::Request { corr, msg }) = Envelope::decode_with(self.codec, payload) else {
+        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
             // Responses and garbage are ignored; a real cloud would log.
             return;
         };
@@ -1409,15 +1393,11 @@ impl Actor for CloudService {
                 corr,
                 rsp: outcome.reply,
             }
-            .encode_with(self.codec)
-            .to_vec(),
+            .encode(),
         );
         for (node, rsp) in outcome.pushes {
             self.profiler.tally("cloud.encode", 0);
-            ctx.send(
-                Dest::Unicast(node),
-                Envelope::push(rsp).encode_with(self.codec).to_vec(),
-            );
+            ctx.send(Dest::Unicast(node), Envelope::push(rsp).encode());
         }
     }
 

@@ -8,7 +8,6 @@ use rb_provision::label::DeviceLabel;
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
 use rb_provision::{airkiss, smartconfig};
-use rb_wire::codec::CodecKind;
 use rb_wire::crypto::sign_dev_id;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::DevId;
@@ -110,8 +109,6 @@ pub struct DeviceAgent {
     /// Shared metrics registry (a private default until the harness wires
     /// in the world-wide one via [`DeviceAgent::set_telemetry`]).
     telemetry: Telemetry,
-    /// Wire format spoken with the cloud (classic by default).
-    codec: CodecKind,
     /// Public counters.
     pub stats: DeviceStats,
 }
@@ -141,7 +138,6 @@ impl DeviceAgent {
             bind_retry: Retry::new(RetryPolicy::new(25, 800)),
             bind_tries_this_cycle: 0,
             telemetry: Telemetry::new(),
-            codec: CodecKind::default(),
             stats: DeviceStats::default(),
         }
     }
@@ -150,12 +146,6 @@ impl DeviceAgent {
     /// starts so every counter lands in the world-wide snapshot.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Selects the wire format for cloud traffic. Must match the cloud's;
-    /// `WorldBuilder::with_codec` threads one choice through every agent.
-    pub fn set_codec(&mut self, codec: CodecKind) {
-        self.codec = codec;
     }
 
     /// The unit's printed label (the ID-leak channel of the adversary
@@ -288,10 +278,7 @@ impl DeviceAgent {
             corr: CorrId(self.corr),
             msg,
         };
-        ctx.send(
-            Dest::Unicast(self.config.cloud),
-            env.encode_with(self.codec).to_vec(),
-        );
+        ctx.send(Dest::Unicast(self.config.cloud), env.encode());
     }
 
     fn send_status(&mut self, ctx: &mut Ctx<'_>, kind: StatusKind) {
@@ -503,15 +490,10 @@ impl Actor for DeviceAgent {
         );
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
-        let payload = bytes::Bytes::copy_from_slice(payload);
-        self.on_packet_bytes(ctx, from, &payload);
-    }
-
-    fn on_packet_bytes(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
         // Cloud traffic.
         if from == self.config.cloud {
-            if let Ok(Envelope::Response { rsp, .. }) = Envelope::decode_with(self.codec, payload) {
+            if let Ok(Envelope::Response { rsp, .. }) = Envelope::decode(payload) {
                 self.handle_cloud_response(ctx, rsp);
             }
             return;

@@ -10,6 +10,7 @@
 //! attack on the hub's binding transitively hits all paired children, which
 //! is the amplification the extension experiment measures.
 
+use bytes::Bytes;
 use rb_core::design::DeviceKind;
 use rb_netsim::{Actor, Ctx, Dest, NodeId, TimerKey};
 use rb_wire::telemetry::TelemetryFrame;
@@ -170,7 +171,7 @@ impl Actor for HubAgent {
         self.device.on_start(ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         if let Some(frame) = ChildFrame::decode(payload) {
             self.latest.insert(frame.child_id, frame.to_telemetry());
             self.child_frames += 1;

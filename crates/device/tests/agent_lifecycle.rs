@@ -6,6 +6,7 @@
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use bytes::Bytes;
 use rb_core::vendors;
 use rb_device::{DeviceAgent, DeviceConfig, ProvisioningMode};
 use rb_netsim::{Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Simulation, Tick};
@@ -41,7 +42,7 @@ impl MockCloud {
 }
 
 impl Actor for MockCloud {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
             return;
         };
@@ -58,7 +59,7 @@ impl Actor for MockCloud {
         self.requests.push(msg);
         ctx.send(
             Dest::Unicast(from),
-            Envelope::Response { corr, rsp }.encode().to_vec(),
+            Envelope::Response { corr, rsp }.encode(),
         );
     }
 }
@@ -256,7 +257,7 @@ fn discovery_answers_matching_searches_only() {
             let _ = self.dev;
             ctx.send(Dest::Broadcast(LAN), SearchRequest { target }.encode());
         }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, payload: &[u8]) {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, payload: &Bytes) {
             if let Ok(rsp) = SearchResponse::decode(payload) {
                 self.responses.push(rsp);
             }
@@ -304,7 +305,7 @@ fn control_pushes_change_appliance_state() {
                 action,
                 session: None,
             });
-            ctx.send(Dest::Unicast(self.dev), env.encode().to_vec());
+            ctx.send(Dest::Unicast(self.dev), env.encode());
         }
     }
     let mut sim = Simulation::with_quality(2, LinkQuality::perfect(), LinkQuality::perfect());

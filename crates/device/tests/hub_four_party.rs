@@ -3,6 +3,7 @@
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use bytes::Bytes;
 use rb_core::design::DeviceKind;
 use rb_core::vendors;
 use rb_device::hub::{HubAgent, ZigbeeChild};
@@ -23,7 +24,7 @@ struct RecordingCloud {
 }
 
 impl Actor for RecordingCloud {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
             return;
         };
@@ -35,7 +36,7 @@ impl Actor for RecordingCloud {
         let rsp = Response::StatusAccepted { session: None };
         ctx.send(
             Dest::Unicast(from),
-            Envelope::Response { corr, rsp }.encode().to_vec(),
+            Envelope::Response { corr, rsp }.encode(),
         );
     }
 }

@@ -83,7 +83,7 @@ impl Console {
         let cloud = world.cloud;
         self.endpoint(world).queue(
             Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode().to_vec(),
+            Envelope::Request { corr, msg }.encode(),
         );
         world.run_for(2_000);
         for (_, bytes) in self.endpoint(world).take_inbox() {

@@ -26,19 +26,11 @@ pub trait Actor: Any {
     }
 
     /// Called when a packet addressed to this node (or broadcast on its
-    /// LAN) is delivered.
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    /// LAN) is delivered. The payload is the shared buffer the simulator
+    /// routed, so decoders can slice it (a refcount bump) instead of
+    /// copying; it derefs to `&[u8]` for actors that only read it.
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
         let _ = (ctx, from, payload);
-    }
-
-    /// Zero-copy variant of [`Actor::on_packet`]: the payload arrives as
-    /// the shared [`Bytes`] buffer the simulator routed, so decoders can
-    /// slice it (a refcount bump) instead of copying. The simulator calls
-    /// this entry point; the default forwards to [`Actor::on_packet`], so
-    /// actors that don't care about allocation behaviour implement only
-    /// the slice form.
-    fn on_packet_bytes(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-        self.on_packet(ctx, from, payload);
     }
 
     /// Called when a timer set via [`Ctx::set_timer`] fires.
@@ -56,7 +48,7 @@ pub trait Actor: Any {
 /// Effects requested by an actor during one callback.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    Send { dest: Dest, payload: Vec<u8> },
+    Send { dest: Dest, payload: Bytes },
     Timer { fire_at: Tick, key: TimerKey },
     Mark { text: String },
 }
@@ -89,9 +81,13 @@ impl<'a> Ctx<'a> {
     }
 
     /// Queues a packet for delivery. Whether it arrives — and when — is
-    /// decided by the network (connectivity, latency, loss).
-    pub fn send(&mut self, dest: Dest, payload: Vec<u8>) {
-        self.effects.push(Effect::Send { dest, payload });
+    /// decided by the network (connectivity, latency, loss). Broadcasts,
+    /// duplicates and the delivery event all share this one buffer.
+    pub fn send(&mut self, dest: Dest, payload: impl Into<Bytes>) {
+        self.effects.push(Effect::Send {
+            dest,
+            payload: payload.into(),
+        });
     }
 
     /// Schedules [`Actor::on_timer`] after `delay` ticks.
@@ -154,7 +150,7 @@ mod tests {
             effects: &mut effects,
         };
         a.on_start(&mut ctx);
-        a.on_packet(&mut ctx, NodeId(1), b"x");
+        a.on_packet(&mut ctx, NodeId(1), &Bytes::from(b"x".to_vec()));
         a.on_timer(&mut ctx, 1);
         a.on_power(&mut ctx, false);
         assert!(effects.is_empty());

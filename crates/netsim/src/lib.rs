@@ -25,11 +25,12 @@
 //! ## Example
 //!
 //! ```rust
+//! use bytes::Bytes;
 //! use rb_netsim::{Actor, Ctx, Dest, NodeConfig, Simulation, Tick};
 //!
 //! struct Echo;
 //! impl Actor for Echo {
-//!     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: rb_netsim::NodeId, payload: &[u8]) {
+//!     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: rb_netsim::NodeId, payload: &Bytes) {
 //!         let mut reply = payload.to_vec();
 //!         reply.reverse();
 //!         ctx.send(Dest::Unicast(from), reply);
@@ -41,7 +42,7 @@
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
 //!         ctx.send(Dest::Unicast(self.peer), b"ping".to_vec());
 //!     }
-//!     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: rb_netsim::NodeId, payload: &[u8]) {
+//!     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: rb_netsim::NodeId, payload: &Bytes) {
 //!         self.got = Some(payload.to_vec());
 //!     }
 //! }

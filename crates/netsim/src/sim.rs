@@ -576,7 +576,7 @@ impl Simulation {
                     });
                 }
                 self.with_actor(to, Some(ctx), |actor, actor_ctx| {
-                    actor.on_packet_bytes(actor_ctx, from, &payload);
+                    actor.on_packet(actor_ctx, from, &payload);
                 });
             }
             EventKind::Timer { node, key } => {
@@ -687,10 +687,7 @@ impl Simulation {
         }
     }
 
-    fn route(&mut self, from: NodeId, dest: Dest, payload: Vec<u8>, trace_id: u64, parent: u64) {
-        // One allocation per send: broadcasts, retransmitted duplicates and
-        // the delivery event all share this buffer from here on.
-        let payload = Bytes::from(payload);
+    fn route(&mut self, from: NodeId, dest: Dest, payload: Bytes, trace_id: u64, parent: u64) {
         match dest {
             Dest::Unicast(to) => self.route_unicast(from, to, payload, trace_id, parent),
             Dest::Broadcast(lan) => {
@@ -956,7 +953,7 @@ mod tests {
     }
 
     impl Actor for Sink {
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
             self.received.push((from, payload.to_vec()));
         }
         fn on_timer(&mut self, _ctx: &mut Ctx<'_>, key: TimerKey) {
@@ -1280,7 +1277,7 @@ mod tests {
     fn nat_return_path_opens_after_outbound_traffic() {
         struct EchoServer;
         impl Actor for EchoServer {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
                 ctx.send(Dest::Unicast(from), payload.to_vec());
             }
         }
@@ -1294,7 +1291,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.send(Dest::Unicast(self.server), vec![1]);
             }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &[u8]) {
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
                 self.replies += 1;
             }
         }

@@ -4,6 +4,7 @@
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use rb_netsim::{
     Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Retry, RetryPolicy, SimRng,
@@ -25,7 +26,7 @@ impl Actor for Chatter {
             }
         }
     }
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &[u8]) {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
         self.received += 1;
     }
 }

@@ -5,6 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use bytes::Bytes;
 use rb_netsim::{NodeId, Tick, TraceCtx, TraceEntry, TraceEvent};
 
 fn ctx(trace_id: u64, span_id: u64, parent_span_id: u64) -> TraceCtx {
@@ -278,7 +279,7 @@ fn live_sim_trace_round_trips_through_json() {
                 ctx.send(Dest::Unicast(peer), vec![0xAB; 16]);
             }
         }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, _payload: &[u8]) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
             ctx.mark("got one");
         }
     }
@@ -322,7 +323,7 @@ fn causal_propagation_builds_request_reply_trees() {
 
     struct Echo;
     impl Actor for Echo {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
             ctx.send(Dest::Unicast(from), payload.to_vec());
         }
     }

@@ -55,23 +55,7 @@ pub fn capture(world: &World) -> Capture {
 /// causal tracing on, and returns the capture. Pure function of
 /// `(design, seed, profile)`.
 pub fn trace_run(design: &VendorDesign, seed: u64, profile: Option<ChaosProfile>) -> Capture {
-    trace_run_with_codec(design, seed, profile, rb_wire::codec::CodecKind::default())
-}
-
-/// Like [`trace_run`], with the world speaking an explicit wire codec.
-/// The resulting traces differ from the classic ones only in their
-/// `bytes` payload-size annotations — the event sequence, timing, and
-/// causal structure are codec-invariant.
-pub fn trace_run_with_codec(
-    design: &VendorDesign,
-    seed: u64,
-    profile: Option<ChaosProfile>,
-    codec: rb_wire::codec::CodecKind,
-) -> Capture {
-    let mut world = WorldBuilder::new(design.clone(), seed)
-        .trace()
-        .with_codec(codec)
-        .build();
+    let mut world = WorldBuilder::new(design.clone(), seed).trace().build();
     if let Some(profile) = profile {
         let plan = profile.plan(&world, seed);
         world.apply_fault_plan(&plan);

@@ -23,11 +23,8 @@ mod raw;
 mod world;
 
 pub use chaos::ChaosProfile;
-pub use forensic::{capture, trace_run, trace_run_with_codec};
-pub use observe::{
-    defended_metrics_run, metrics_run, metrics_run_with, metrics_run_with_codec, monitor_run,
-    MonitorRun,
-};
+pub use forensic::{capture, trace_run};
+pub use observe::{defended_metrics_run, metrics_run, metrics_run_with, monitor_run, MonitorRun};
 pub use prof::{prof_run, ProfRun};
 pub use raw::RawEndpoint;
 pub use world::{Home, World, WorldBuilder};

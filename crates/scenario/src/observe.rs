@@ -59,23 +59,6 @@ pub fn defended_metrics_run(
     lifecycle_run(&mut world, seed, profile)
 }
 
-/// Like [`metrics_run`], with the world speaking an explicit wire codec.
-///
-/// The simulation is codec-invariant — link latency is drawn independently
-/// of payload size — so everything except the `bytes` annotations in traces
-/// and the `sim_packet_bytes_*` counters is identical under either codec
-/// (pinned by `tests/codec_invariance.rs`).
-pub fn metrics_run_with_codec(
-    design: &VendorDesign,
-    seed: u64,
-    codec: rb_wire::codec::CodecKind,
-) -> Telemetry {
-    let mut world = WorldBuilder::new(design.clone(), seed)
-        .with_codec(codec)
-        .build();
-    lifecycle_run(&mut world, seed, None)
-}
-
 /// Drives the canonical binding life cycle on an already-built world.
 fn lifecycle_run(world: &mut World, seed: u64, profile: Option<ChaosProfile>) -> Telemetry {
     if let Some(profile) = profile {
@@ -141,20 +124,17 @@ pub struct MonitorRun {
 /// waits for the matching reply.
 fn attacker_request(world: &mut World, corr: u64, msg: Message, wait: u64) -> Option<Response> {
     let cloud = world.cloud;
-    let codec = world.codec();
     world.attacker_mut().queue(
         Dest::Unicast(cloud),
         Envelope::Request {
             corr: CorrId(corr),
             msg,
         }
-        .encode_with(codec)
-        .to_vec(),
+        .encode(),
     );
     world.run_for(wait);
     for (_, bytes) in world.attacker_mut().take_inbox() {
-        let bytes = bytes::Bytes::from(bytes);
-        if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode_with(codec, &bytes) {
+        if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode(&bytes) {
             if c == CorrId(corr) {
                 return Some(rsp);
             }

@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 
+use bytes::Bytes;
 use rb_netsim::{Actor, Ctx, Dest, NodeId, TimerKey};
 
 const TIMER_DRAIN: TimerKey = 1;
@@ -16,9 +17,9 @@ const TIMER_DRAIN: TimerKey = 1;
 /// and records whatever arrives.
 #[derive(Debug, Default)]
 pub struct RawEndpoint {
-    outbox: VecDeque<(Dest, Vec<u8>)>,
+    outbox: VecDeque<(Dest, Bytes)>,
     /// Everything received: `(sender, payload)`.
-    pub inbox: Vec<(NodeId, Vec<u8>)>,
+    pub inbox: Vec<(NodeId, Bytes)>,
 }
 
 impl RawEndpoint {
@@ -28,12 +29,12 @@ impl RawEndpoint {
     }
 
     /// Queues a frame for transmission on the next tick.
-    pub fn queue(&mut self, dest: Dest, payload: Vec<u8>) {
-        self.outbox.push_back((dest, payload));
+    pub fn queue(&mut self, dest: Dest, payload: impl Into<Bytes>) {
+        self.outbox.push_back((dest, payload.into()));
     }
 
     /// Drains and returns the inbox.
-    pub fn take_inbox(&mut self) -> Vec<(NodeId, Vec<u8>)> {
+    pub fn take_inbox(&mut self) -> Vec<(NodeId, Bytes)> {
         std::mem::take(&mut self.inbox)
     }
 }
@@ -43,8 +44,8 @@ impl Actor for RawEndpoint {
         ctx.set_timer(1, TIMER_DRAIN);
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
-        self.inbox.push((from, payload.to_vec()));
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        self.inbox.push((from, payload.clone()));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
@@ -67,8 +68,8 @@ mod tests {
         let mut sim = Simulation::with_quality(1, LinkQuality::perfect(), LinkQuality::perfect());
         struct Echo;
         impl Actor for Echo {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
-                ctx.send(Dest::Unicast(from), payload.to_vec());
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+                ctx.send(Dest::Unicast(from), payload.clone());
             }
         }
         let echo = sim.add_node(NodeConfig::wan_only("echo"), Box::new(Echo));
@@ -79,7 +80,7 @@ mod tests {
         sim.run_until(Tick(100));
         let endpoint = sim.actor_mut::<RawEndpoint>(raw).unwrap();
         let inbox = endpoint.take_inbox();
-        assert_eq!(inbox, vec![(echo, vec![1, 2, 3])]);
+        assert_eq!(inbox, vec![(echo, Bytes::from(vec![1, 2, 3]))]);
         assert!(endpoint.inbox.is_empty(), "take_inbox drains");
     }
 }

@@ -9,7 +9,7 @@ use rb_netsim::{
     FaultPlan, LanId, LinkQuality, NodeConfig, NodeId, Profiler, SimRng, Simulation, Telemetry,
     Tick,
 };
-use rb_wire::codec::CodecKind;
+use rb_wire::envelope::WireFormat;
 use rb_wire::ids::DevId;
 use rb_wire::tokens::{UserId, UserPw};
 
@@ -49,7 +49,6 @@ pub struct WorldBuilder {
     profiler: Profiler,
     defense: DefensePolicy,
     stream_tap: bool,
-    codec: CodecKind,
 }
 
 impl WorldBuilder {
@@ -73,7 +72,6 @@ impl WorldBuilder {
             profiler: Profiler::disabled(),
             defense: DefensePolicy::disabled(),
             stream_tap: false,
-            codec: CodecKind::default(),
         }
     }
 
@@ -108,15 +106,6 @@ impl WorldBuilder {
     /// without one adds a single branch per event.
     pub fn with_profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = profiler;
-        self
-    }
-
-    /// Selects the wire format every party in this world speaks (classic
-    /// by default). Simulation outcomes are codec-invariant — link latency
-    /// is drawn independently of payload size — so any scenario can run
-    /// under either format; only the bytes on the wire differ.
-    pub fn with_codec(mut self, codec: CodecKind) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -206,7 +195,6 @@ impl WorldBuilder {
         // Forensic marks only make sense when there is a trace to attach
         // them to; untraced worlds skip the string formatting entirely.
         cloud_service.set_forensics(self.trace);
-        cloud_service.set_codec(self.codec);
         cloud_service.provision_account(
             UserId::new("attacker@evil.example"),
             UserPw::new("attacker-pw"),
@@ -260,7 +248,6 @@ impl WorldBuilder {
                 bind_delay: 2,
             });
             device_agent.set_telemetry(self.telemetry.clone());
-            device_agent.set_codec(self.codec);
             let device = sim.add_node(
                 NodeConfig::dual(format!("device{i}"), lan),
                 Box::new(device_agent),
@@ -283,7 +270,6 @@ impl WorldBuilder {
             }
             let mut app_agent = AppAgent::new(app_config);
             app_agent.set_telemetry(self.telemetry.clone());
-            app_agent.set_codec(self.codec);
             let app = sim.add_node(
                 NodeConfig::dual(format!("app{i}"), lan),
                 Box::new(app_agent),
@@ -340,7 +326,6 @@ impl WorldBuilder {
             attacker,
             seed: self.seed,
             telemetry: self.telemetry,
-            codec: self.codec,
         }
     }
 }
@@ -361,8 +346,6 @@ pub struct World {
     seed: u64,
     /// The metrics registry shared by every layer of this world.
     telemetry: Telemetry,
-    /// The wire format every party in this world speaks.
-    codec: CodecKind,
 }
 
 impl World {
@@ -378,11 +361,10 @@ impl World {
         &self.telemetry
     }
 
-    /// The wire format this world was built with. Adversaries forge their
-    /// packets with the same codec, exactly as a real attacker mimics the
-    /// vendor's observed wire format.
-    pub fn codec(&self) -> CodecKind {
-        self.codec
+    /// The one wire format every world speaks. It selects nothing: it
+    /// exists only so the benchmark package in `perfbench/` still builds.
+    pub fn codec(&self) -> WireFormat {
+        WireFormat
     }
 
     /// The cloud service (immutable).

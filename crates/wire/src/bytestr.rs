@@ -1,7 +1,7 @@
 //! [`ByteStr`]: an immutable UTF-8 string view over a shared [`Bytes`]
 //! buffer.
 //!
-//! The compact wire codec decodes string fields as *sub-slices of the
+//! The wire codec decodes string fields as *sub-slices of the
 //! arriving packet* — a refcount bump instead of a heap allocation per
 //! field. `ByteStr` is the type that carries that borrow: it wraps a
 //! [`Bytes`] handle whose contents are guaranteed valid UTF-8, and it
@@ -43,7 +43,7 @@ impl ByteStr {
     }
 
     /// Wraps a [`Bytes`] buffer after validating it is UTF-8 — the
-    /// zero-copy path used by the compact codec's decoder.
+    /// zero-copy path used by the wire decoder.
     pub fn from_utf8(bytes: Bytes) -> Result<Self, std::str::Utf8Error> {
         std::str::from_utf8(&bytes)?;
         Ok(ByteStr(bytes))

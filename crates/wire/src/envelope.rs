@@ -5,10 +5,10 @@
 //! [`Message`] it sent, and a direction discriminator so one byte stream can
 //! carry both.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{decode_message, decode_response, encode_message, encode_response, CodecKind};
+use crate::codec::{decode_envelope, encode_envelope};
 use crate::error::WireError;
 use crate::messages::{Message, Response};
 
@@ -35,9 +35,6 @@ pub enum Envelope {
         rsp: Response,
     },
 }
-
-const DIR_REQUEST: u8 = 0x01;
-const DIR_RESPONSE: u8 = 0x02;
 
 impl Envelope {
     /// Correlation id of the envelope.
@@ -67,78 +64,42 @@ impl Envelope {
         )
     }
 
-    /// Serializes the envelope.
+    /// Serializes the envelope (`WIRE-FORMAT.md` §1).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        match self {
-            Envelope::Request { corr, msg } => {
-                buf.put_u8(DIR_REQUEST);
-                buf.put_u64(corr.0);
-                buf.put_slice(&encode_message(msg));
-            }
-            Envelope::Response { corr, rsp } => {
-                buf.put_u8(DIR_RESPONSE);
-                buf.put_u64(corr.0);
-                buf.put_slice(&encode_response(rsp));
-            }
-        }
-        buf.freeze()
+        encode_envelope(self)
     }
 
-    /// Deserializes an envelope.
+    /// Deserializes an envelope. String fields borrow `bytes`, so the
+    /// caller hands over the shared packet buffer rather than a slice.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if the frame is malformed.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < 9 {
-            return Err(WireError::Truncated {
-                context: "Envelope header",
-            });
-        }
-        let dir = bytes[0];
-        let Ok(corr_bytes) = <[u8; 8]>::try_from(&bytes[1..9]) else {
-            return Err(WireError::Truncated {
-                context: "Envelope header",
-            });
-        };
-        let corr = CorrId(u64::from_be_bytes(corr_bytes));
-        let body = &bytes[9..];
-        match dir {
-            DIR_REQUEST => Ok(Envelope::Request {
-                corr,
-                msg: decode_message(body)?,
-            }),
-            DIR_RESPONSE => Ok(Envelope::Response {
-                corr,
-                rsp: decode_response(body)?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                context: "Envelope direction",
-                tag,
-            }),
-        }
+    pub fn decode(bytes: &Bytes) -> Result<Self, WireError> {
+        decode_envelope(bytes)
     }
 
-    /// Serializes the envelope with the given codec.
-    ///
-    /// `CodecKind::Classic` produces the same bytes as [`Envelope::encode`].
-    pub fn encode_with(&self, kind: CodecKind) -> Bytes {
-        kind.codec().encode_envelope(self)
+    /// Same as [`Envelope::encode`]; `format` selects nothing.
+    pub fn encode_with(&self, _format: WireFormat) -> Bytes {
+        self.encode()
     }
 
-    /// Deserializes an envelope with the given codec.
-    ///
-    /// Zero-copy codecs borrow string fields from `bytes`, so the caller
-    /// hands over the shared buffer rather than a plain slice.
+    /// Same as [`Envelope::decode`]; `format` selects nothing.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] if the frame is malformed for that codec.
-    pub fn decode_with(kind: CodecKind, bytes: &Bytes) -> Result<Self, WireError> {
-        kind.codec().decode_envelope(bytes)
+    /// Returns a [`WireError`] if the frame is malformed.
+    pub fn decode_with(_format: WireFormat, bytes: &Bytes) -> Result<Self, WireError> {
+        Self::decode(bytes)
     }
 }
+
+/// The one wire format, as a value. It has no variants and selects
+/// nothing: it exists only so the benchmark package in `perfbench/`,
+/// which names `World::codec`, [`Envelope::encode_with`] and
+/// [`Envelope::decode_with`], still builds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireFormat;
 
 #[cfg(test)]
 mod tests {
@@ -176,31 +137,27 @@ mod tests {
     }
 
     #[test]
-    fn encode_with_dispatches_per_codec() {
+    fn wire_format_marker_changes_nothing() {
         let env = Envelope::Request {
             corr: CorrId(12),
             msg: Message::QueryShadow { dev_id: dev_id() },
         };
-        // Classic via the trait is byte-identical to the inherent encoding.
-        assert_eq!(env.encode_with(CodecKind::Classic), env.encode());
-        for kind in CodecKind::ALL {
-            let bytes = env.encode_with(kind);
-            assert_eq!(Envelope::decode_with(kind, &bytes).unwrap(), env);
-        }
+        let bytes = env.encode_with(WireFormat);
+        assert_eq!(bytes, env.encode());
+        assert_eq!(Envelope::decode_with(WireFormat, &bytes).unwrap(), env);
     }
 
     #[test]
     fn short_frames_fail_cleanly() {
-        for len in 0..9 {
-            let buf = vec![DIR_REQUEST; len];
+        for len in 0..2 {
+            let buf = Bytes::from(vec![0xC1; len]);
             assert!(Envelope::decode(&buf).is_err());
         }
     }
 
     #[test]
     fn unknown_direction_fails() {
-        let mut buf = vec![0x55];
-        buf.extend_from_slice(&0u64.to_be_bytes());
+        let buf = Bytes::from(vec![0x55, 0x00]);
         assert!(matches!(
             Envelope::decode(&buf),
             Err(WireError::UnknownTag {

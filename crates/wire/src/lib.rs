@@ -23,13 +23,11 @@
 //! * the primitive message vocabulary exchanged between device, app, and
 //!   cloud ([`messages`]),
 //! * request/response envelopes with correlation ids ([`envelope`]),
-//! * a pluggable [`codec::Codec`] trait with two interchangeable binary wire
-//!   formats — the self-describing big-endian classic format
-//!   ([`codec::ClassicCodec`]) and a varint/TLV format with zero-copy decode
-//!   ([`compact::CompactCodec`]) — so that "forging a message" in the attack
-//!   crates means constructing real bytes, exactly as the paper's authors did
-//!   with Postman and raw sockets. See `WIRE-FORMAT.md` for the byte-level
-//!   specification of both formats.
+//! * the wire format ([`codec`]): varint/TLV framing with a zero-copy
+//!   decode path, so that "forging a message" in the attack crates means
+//!   constructing real bytes, exactly as the paper's authors did with
+//!   Postman and raw sockets. See `WIRE-FORMAT.md` for the byte-level
+//!   specification.
 //!
 //! # Example
 //!
@@ -53,7 +51,6 @@
 
 pub mod bytestr;
 pub mod codec;
-pub mod compact;
 pub mod crypto;
 pub mod envelope;
 pub mod error;

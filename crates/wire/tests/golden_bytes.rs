@@ -1,17 +1,14 @@
-//! Golden hex fixtures pinning the byte output of every codec.
+//! Golden hex fixtures pinning the byte output of the wire format.
 //!
-//! The classic fixtures freeze the pre-trait wire format: if any of them
-//! change, old captures and forged-packet experiments silently break, so a
-//! failure here is a wire-compatibility break, not a test to "update".
-//! The compact fixtures pin the varint/TLV layout documented in
-//! `WIRE-FORMAT.md` §3. Each fixture must decode back to the source value
-//! under its own codec and must be *rejected* by the other codec's
-//! envelope decoder (the direction bytes are disjoint by design).
+//! The fixtures pin the varint/TLV layout documented in `WIRE-FORMAT.md`:
+//! if any of them change, old captures and forged-packet experiments
+//! silently break, so a failure here is a wire-compatibility break, not a
+//! test to "update". Each fixture must also decode back to its source
+//! value.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::Bytes;
-use rb_wire::codec::CodecKind;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::{DevId, MacAddr};
 use rb_wire::messages::{BindPayload, ControlAction, DenyReason, Message, Response};
@@ -88,72 +85,28 @@ fn fixtures() -> Vec<(&'static str, Envelope)> {
     ]
 }
 
-/// `(fixture name, codec, expected hex)` — regenerate ONLY for the compact
-/// codec, and only with a spec change to `WIRE-FORMAT.md`; classic entries
-/// are frozen forever.
-const GOLDEN: &[(&str, CodecKind, &str)] = &[
+/// `(fixture name, expected hex)` — regenerate only with a spec change to
+/// `WIRE-FORMAT.md`.
+const GOLDEN: &[(&str, &str)] = &[
     (
         "login",
-        CodecKind::Classic,
-        "010000000000000001100011616c696365406578616d706c652e636f6d000768756e74657232",
-    ),
-    (
-        "login",
-        CodecKind::Compact,
         "c1011011616c696365406578616d706c652e636f6d0768756e74657232",
     ),
     (
         "bind_acl_app",
-        CodecKind::Classic,
-        "01000000000000000214010194103e01020307070707070707070707070707070707",
-    ),
-    (
-        "bind_acl_app",
-        CodecKind::Compact,
         "c10214010194103e01020307070707070707070707070707070707",
     ),
     (
         "bind_capability",
-        CodecKind::Classic,
-        "010000000000000003140309090909090909090909090909090909",
-    ),
-    (
-        "bind_capability",
-        CodecKind::Compact,
         "c103140309090909090909090909090909090909",
     ),
     (
         "control",
-        CodecKind::Classic,
-        "010000000000000004160194103e010203070707070707070707070707070707070001",
-    ),
-    (
-        "control",
-        CodecKind::Compact,
         "c104160194103e0102030707070707070707070707070707070701",
     ),
-    (
-        "login_ok",
-        CodecKind::Classic,
-        "0200000000000000012007070707070707070707070707070707",
-    ),
-    (
-        "login_ok",
-        CodecKind::Compact,
-        "c2012007070707070707070707070707070707",
-    ),
-    (
-        "bound_push",
-        CodecKind::Classic,
-        "020000000000000000240103030303030303030303030303030303",
-    ),
-    (
-        "bound_push",
-        CodecKind::Compact,
-        "c20024011003030303030303030303030303030303",
-    ),
-    ("denied", CodecKind::Classic, "0200000000000000052b05"),
-    ("denied", CodecKind::Compact, "c2052b05"),
+    ("login_ok", "c2012007070707070707070707070707070707"),
+    ("bound_push", "c20024011003030303030303030303030303030303"),
+    ("denied", "c2052b05"),
 ];
 
 fn to_hex(bytes: &[u8]) -> String {
@@ -177,71 +130,32 @@ fn fixture(name: &str) -> Envelope {
 }
 
 #[test]
-fn every_fixture_has_goldens_for_every_codec() {
+fn every_fixture_has_a_golden() {
     for (name, _) in fixtures() {
-        for kind in CodecKind::ALL {
-            assert!(
-                GOLDEN.iter().any(|(n, k, _)| *n == name && *k == kind),
-                "missing golden for {name}/{kind}"
-            );
-        }
+        assert!(
+            GOLDEN.iter().any(|(n, _)| *n == name),
+            "missing golden for {name}"
+        );
     }
 }
 
 #[test]
 fn encoding_matches_golden_bytes() {
-    for (name, kind, hex) in GOLDEN {
+    for (name, hex) in GOLDEN {
         let env = fixture(name);
-        assert_eq!(
-            to_hex(&env.encode_with(*kind)),
-            *hex,
-            "{name}/{kind}: wire format drifted"
-        );
+        assert_eq!(to_hex(&env.encode()), *hex, "{name}: wire format drifted");
     }
 }
 
 #[test]
 fn golden_bytes_decode_to_fixture() {
-    for (name, kind, hex) in GOLDEN {
+    for (name, hex) in GOLDEN {
         let env = fixture(name);
         let bytes = from_hex(hex);
         assert_eq!(
-            Envelope::decode_with(*kind, &bytes).expect("golden must decode"),
+            Envelope::decode(&bytes).expect("golden must decode"),
             env,
-            "{name}/{kind}"
-        );
-    }
-}
-
-#[test]
-fn goldens_are_rejected_by_the_other_codec() {
-    for (name, kind, hex) in GOLDEN {
-        let other = match kind {
-            CodecKind::Classic => CodecKind::Compact,
-            CodecKind::Compact => CodecKind::Classic,
-        };
-        let bytes = from_hex(hex);
-        assert!(
-            Envelope::decode_with(other, &bytes).is_err(),
-            "{name}: {other} accepted a {kind} frame"
-        );
-    }
-}
-
-#[test]
-fn compact_goldens_are_never_larger_than_classic() {
-    for (name, _) in fixtures() {
-        let classic = GOLDEN
-            .iter()
-            .find(|(n, k, _)| *n == name && *k == CodecKind::Classic)
-            .expect("classic golden");
-        let compact = GOLDEN
-            .iter()
-            .find(|(n, k, _)| *n == name && *k == CodecKind::Compact)
-            .expect("compact golden");
-        assert!(
-            compact.2.len() <= classic.2.len(),
-            "{name}: compact frame larger than classic"
+            "{name}"
         );
     }
 }

@@ -1,9 +1,8 @@
-//! Property-based roundtrip and robustness tests for the wire codecs.
+//! Property-based roundtrip and robustness tests for the wire format.
 //!
-//! Every generated message/response/envelope must round-trip through BOTH
-//! codecs behind the [`Codec`] trait, the classic trait impl must agree
-//! byte-for-byte with the free functions, and the compact decoder must
-//! survive garbage, truncation, and mutation without panicking.
+//! Every generated message/response/envelope must round-trip, and the
+//! decoder must survive garbage, truncation, and mutation without
+//! panicking.
 
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -11,10 +10,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use rb_wire::codec::{
-    decode_message, decode_response, encode_message, encode_response, Codec, CodecKind,
-};
-use rb_wire::compact::CompactCodec;
+use rb_wire::codec::{decode_message, decode_response, encode_message, encode_response};
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::{DevId, MacAddr};
 use rb_wire::messages::{
@@ -288,122 +284,55 @@ proptest! {
     }
 
     #[test]
-    fn envelope_roundtrip(corr in any::<u64>(), msg in arb_message()) {
-        let env = Envelope::Request { corr: CorrId(corr), msg };
-        prop_assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
+    fn envelope_roundtrip(corr in any::<u64>(), msg in arb_message(), rsp in arb_response()) {
+        let req = Envelope::Request { corr: CorrId(corr), msg };
+        prop_assert_eq!(Envelope::decode(&req.encode()).unwrap(), req);
+        let rsp = Envelope::Response { corr: CorrId(corr), rsp };
+        prop_assert_eq!(Envelope::decode(&rsp.encode()).unwrap(), rsp);
     }
 
+    /// Fuzz-style robustness: arbitrary bytes must produce Ok or Err,
+    /// never a panic.
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Fuzz-style robustness: arbitrary bytes must produce Ok or Err,
-        // never a panic.
+        let bytes = Bytes::from(bytes);
         let _ = decode_message(&bytes);
         let _ = decode_response(&bytes);
         let _ = Envelope::decode(&bytes);
     }
 
+    /// Truncating a frame anywhere either fails cleanly or yields a
+    /// canonical shorter message (omit-default tails make some prefixes
+    /// legal) — it never panics and never decodes non-canonically.
     #[test]
     fn truncation_never_panics(msg in arb_message(), cut_frac in 0.0f64..1.0) {
         let bytes = encode_message(&msg);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        let _ = decode_message(&bytes[..cut]);
-    }
-
-    #[test]
-    fn encoding_is_deterministic(msg in arb_message()) {
-        prop_assert_eq!(encode_message(&msg), encode_message(&msg));
-    }
-}
-
-proptest! {
-    /// Every value round-trips through every codec behind the trait.
-    #[test]
-    fn all_codecs_roundtrip_messages(msg in arb_message()) {
-        for kind in CodecKind::ALL {
-            let codec = kind.codec();
-            let bytes = codec.encode_message(&msg);
-            let back = codec.decode_message(&bytes).expect("well-formed message must decode");
-            prop_assert_eq!(&back, &msg, "codec {}", kind);
-        }
-    }
-
-    #[test]
-    fn all_codecs_roundtrip_responses(rsp in arb_response()) {
-        for kind in CodecKind::ALL {
-            let codec = kind.codec();
-            let bytes = codec.encode_response(&rsp);
-            let back = codec.decode_response(&bytes).expect("well-formed response must decode");
-            prop_assert_eq!(&back, &rsp, "codec {}", kind);
-        }
-    }
-
-    #[test]
-    fn all_codecs_roundtrip_envelopes(corr in any::<u64>(), msg in arb_message()) {
-        let env = Envelope::Request { corr: CorrId(corr), msg };
-        for kind in CodecKind::ALL {
-            let bytes = env.encode_with(kind);
-            let back = Envelope::decode_with(kind, &bytes).expect("envelope must decode");
-            prop_assert_eq!(&back, &env, "codec {}", kind);
-        }
-    }
-
-    /// The classic trait impl IS the free-function format, byte for byte —
-    /// the pin that keeps every pre-trait golden valid.
-    #[test]
-    fn classic_trait_matches_free_functions(msg in arb_message(), rsp in arb_response()) {
-        let classic = CodecKind::Classic.codec();
-        prop_assert_eq!(classic.encode_message(&msg).as_ref(), encode_message(&msg).as_ref());
-        prop_assert_eq!(classic.encode_response(&rsp).as_ref(), encode_response(&rsp).as_ref());
-    }
-
-    /// Fuzz-style robustness for the compact decoder: arbitrary bytes must
-    /// produce Ok or Err, never a panic.
-    #[test]
-    fn compact_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let bytes = Bytes::from(bytes);
-        let _ = CompactCodec.decode_message(&bytes);
-        let _ = CompactCodec.decode_response(&bytes);
-        let _ = CompactCodec.decode_envelope(&bytes);
-    }
-
-    /// Truncating a compact frame anywhere either fails cleanly or yields
-    /// a canonical shorter message (omit-default tails make some prefixes
-    /// legal) — it never panics and never decodes non-canonically.
-    #[test]
-    fn compact_truncation_never_panics(msg in arb_message(), cut_frac in 0.0f64..1.0) {
-        let bytes = CompactCodec.encode_message(&msg);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let prefix = bytes.slice(..cut);
-        if let Ok(decoded) = CompactCodec.decode_message(&prefix) {
-            prop_assert_eq!(CompactCodec.encode_message(&decoded), prefix);
+        if let Ok(decoded) = decode_message(&prefix) {
+            prop_assert_eq!(encode_message(&decoded), prefix);
         }
     }
 
-    /// Flipping any single byte of a compact frame must never panic, and
-    /// if it still decodes, re-encoding must be canonical.
+    /// Flipping any single byte of a frame must never panic.
     #[test]
-    fn compact_single_byte_mutation_never_panics(
+    fn single_byte_mutation_never_panics(
         msg in arb_message(),
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let bytes = CompactCodec.encode_message(&msg);
-        let mut mutated = bytes.to_vec();
+        let mut mutated = encode_message(&msg).to_vec();
         let pos = ((mutated.len() as f64) * pos_frac) as usize;
         let pos = pos.min(mutated.len().saturating_sub(1));
         if !mutated.is_empty() {
             mutated[pos] ^= flip;
         }
-        let mutated = Bytes::from(mutated);
-        let _ = CompactCodec.decode_message(&mutated);
+        let _ = decode_message(&Bytes::from(mutated));
     }
 
     #[test]
-    fn compact_encoding_is_deterministic(msg in arb_message()) {
-        prop_assert_eq!(
-            CompactCodec.encode_message(&msg),
-            CompactCodec.encode_message(&msg)
-        );
+    fn encoding_is_deterministic(msg in arb_message()) {
+        prop_assert_eq!(encode_message(&msg), encode_message(&msg));
     }
 }
 

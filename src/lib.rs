@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`telemetry`] | `rb-telemetry` | deterministic metrics, spans, exporters |
 //! | [`prof`] | `rb-prof` | deterministic phase profiler + counting allocator |
-//! | [`wire`] | `rb-wire` | identifiers, tokens, messages, binary codec |
+//! | [`wire`] | `rb-wire` | identifiers, tokens, messages, the wire format |
 //! | [`netsim`] | `rb-netsim` | deterministic discrete-event network |
 //! | [`provision`] | `rb-provision` | SmartConfig/Airkiss/AP-mode/labels/SSDP |
 //! | [`core_model`] | `rb-core` | state machine, design space, analyzer |

@@ -1,15 +1,12 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Implements the surface this workspace consumes: a reference-counted,
-//! sliceable [`Bytes`] (the real crate's zero-copy semantics: `clone` and
-//! [`Bytes::slice`] share one backing allocation), a `Vec`-backed
-//! [`BytesMut`] whose [`BytesMut::freeze`] wraps the accumulated buffer
-//! without copying it, big-endian [`Buf`] reads over `&[u8]` (advancing the
-//! slice in place, like the real crate), and [`BufMut`] writes on
-//! [`BytesMut`].
+//! sliceable [`Bytes`] with the real crate's zero-copy semantics —
+//! `From<Vec<u8>>` wraps the vector without copying it, and `clone` and
+//! [`Bytes::slice`] share one backing allocation.
 //!
 //! The zero-copy behaviour matters: `rb-netsim` delivers every packet as a
-//! [`Bytes`] handle, and `rb-wire`'s `CompactCodec` decodes string fields
+//! [`Bytes`] handle, and `rb-wire`'s decoder returns string fields
 //! as sub-slices of the arriving packet — a refcount bump instead of an
 //! allocation per field.
 
@@ -154,200 +151,9 @@ impl PartialEq<[u8]> for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`]. Dereferences to
-/// `Vec<u8>`, so `push`, `extend_from_slice`, and `len` come for free.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut(Vec::new())
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    /// Converts the accumulated bytes into an immutable [`Bytes`],
-    /// wrapping (not copying) the underlying allocation.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = Vec<u8>;
-    fn deref(&self) -> &Vec<u8> {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.0
-    }
-}
-
-/// Big-endian cursor reads. Implemented for `&[u8]`, advancing the slice in
-/// place exactly like the real crate.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// The unread bytes.
-    fn chunk(&self) -> &[u8];
-    /// Skips `cnt` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `cnt` bytes remain — the caller is expected to
-    /// check [`Buf::remaining`] first, as `rb-wire`'s `Reader` does.
-    fn advance(&mut self, cnt: usize);
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Reads a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut raw = [0u8; 2];
-        self.copy_to_slice(&mut raw);
-        u16::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        self.copy_to_slice(&mut raw);
-        u32::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        self.copy_to_slice(&mut raw);
-        u64::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `u128`.
-    fn get_u128(&mut self) -> u128 {
-        let mut raw = [0u8; 16];
-        self.copy_to_slice(&mut raw);
-        u128::from_be_bytes(raw)
-    }
-
-    /// Fills `dst` from the front of the buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `dst.len()` bytes remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Copies the next `len` bytes out as an owned [`Bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `len` bytes remain.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-}
-
-/// Big-endian appends. Implemented for [`BytesMut`].
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u128`.
-    fn put_u128(&mut self, v: u128) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_all_widths() {
-        let mut buf = BytesMut::with_capacity(8);
-        buf.put_u8(0xAB);
-        buf.put_u16(0x1234);
-        buf.put_u32(0xDEAD_BEEF);
-        buf.put_u64(0x0102_0304_0506_0708);
-        buf.put_u128(7);
-        buf.put_slice(b"xyz");
-        let frozen = buf.freeze();
-        let mut r: &[u8] = &frozen;
-        assert_eq!(r.get_u8(), 0xAB);
-        assert_eq!(r.get_u16(), 0x1234);
-        assert_eq!(r.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64(), 0x0102_0304_0506_0708);
-        assert_eq!(r.get_u128(), 7);
-        assert_eq!(r.remaining(), 3);
-        let tail = r.copy_to_bytes(3);
-        assert_eq!(&tail[..], b"xyz");
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn copy_to_slice_advances() {
-        let data = [1u8, 2, 3, 4];
-        let mut r: &[u8] = &data;
-        let mut out = [0u8; 2];
-        r.copy_to_slice(&mut out);
-        assert_eq!(out, [1, 2]);
-        assert_eq!(r, &[3, 4]);
-    }
 
     #[test]
     fn slice_shares_the_backing_allocation() {
@@ -374,13 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn freeze_does_not_copy() {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_slice(b"hello");
-        let ptr = buf.as_ptr() as usize;
-        let frozen = buf.freeze();
-        assert_eq!(frozen.as_slice().as_ptr() as usize, ptr);
-        assert_eq!(&frozen[..], b"hello");
+    fn from_vec_does_not_copy() {
+        let v = b"hello".to_vec();
+        let ptr = v.as_ptr() as usize;
+        let bytes = Bytes::from(v);
+        assert_eq!(bytes.as_slice().as_ptr() as usize, ptr);
+        assert_eq!(&bytes[..], b"hello");
     }
 
     #[test]

@@ -136,7 +136,7 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let mut tick = 0u64;
         for frame in frames {
-            if let Ok(msg) = decode_message(&frame) {
+            if let Ok(msg) = decode_message(&frame.into()) {
                 tick += 1;
                 let _ = cloud.handle_message(NodeId(9), Tick(tick), &msg, &mut rng);
             }

@@ -15,8 +15,6 @@ use rb_wire::messages::{BindPayload, ControlAction, DenyReason, Message, Respons
 use rb_wire::telemetry::TelemetryFrame;
 use rb_wire::tokens::{BindToken, DevToken, SessionToken, UserId, UserPw, UserToken};
 
-const TIMER_TICK: TimerKey = 1;
-
 /// How the app broadcasts Wi-Fi credentials during provisioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WifiBroadcast {
@@ -47,7 +45,11 @@ pub struct AppConfig {
     /// Human delay between device setup and completing the binding in the
     /// app — the A4-2 window.
     pub user_bind_delay: u64,
-    /// Progress-loop period.
+    /// The grid the app acts on: a step is (re)sent, a wait window ends, or
+    /// a queued user action goes out only at `start + k * poll_every`,
+    /// where `start` is the last start or power-on. The app arms one timer
+    /// for the next grid point at which something is due, and none while
+    /// idle.
     pub poll_every: u64,
     /// Resend period for unanswered steps (the backoff base).
     pub retry_every: u64,
@@ -65,7 +67,7 @@ pub struct AppConfig {
 
 impl AppConfig {
     /// A configuration with sensible defaults (5 s human delay, 20-tick
-    /// poll loop).
+    /// action grid).
     pub fn new(
         design: VendorDesign,
         cloud: NodeId,
@@ -180,8 +182,17 @@ pub struct AppAgent {
     /// Current resend timeout (grows with the backoff schedule).
     cur_delay: u64,
     /// Set when the retry budget ran out: the flow has cleanly aborted and
-    /// the poll loop is stopped.
+    /// no timer is armed.
     aborted: bool,
+    /// Origin of the action grid (the last start or power-on).
+    grid_origin: Tick,
+    /// The last grid point [`AppAgent::poll`] ran at.
+    polled_at: Tick,
+    /// Fire time of the one live deadline timer, if any.
+    armed: Option<Tick>,
+    /// Key of the live deadline timer; re-arming bumps it, so a timer
+    /// superseded before it fires is ignored.
+    timer_gen: TimerKey,
     /// Shared metrics registry (a private default until the harness wires
     /// in the world-wide one via [`AppAgent::set_telemetry`]).
     telemetry: Telemetry,
@@ -253,6 +264,10 @@ impl AppAgent {
             retry,
             cur_delay,
             aborted: false,
+            grid_origin: Tick::ZERO,
+            polled_at: Tick::ZERO,
+            armed: None,
+            timer_gen: 0,
             telemetry: Telemetry::new(),
             setup_span: None,
             corr: 0,
@@ -322,8 +337,9 @@ impl AppAgent {
     }
 
     /// Restarts the setup flow from the top — the user tapping "add
-    /// device" again after a revocation. Credentials and discovery results
-    /// are re-acquired from scratch.
+    /// device" again after a revocation or a give-up. Credentials and
+    /// discovery results are re-acquired from scratch, starting at the next
+    /// grid point after the wake this mutation schedules.
     pub fn restart_setup(&mut self) {
         self.step_idx = 0;
         self.awaiting = Await::None;
@@ -333,7 +349,7 @@ impl AppAgent {
         self.reset_retry();
         self.aborted = false;
         // Abandon (don't close) the previous attempt's span: an unclosed
-        // span marks a setup that never converged, and the poll loop opens
+        // span marks a setup that never converged, and the next poll opens
         // a fresh one for the new attempt.
         self.setup_span = None;
     }
@@ -613,14 +629,7 @@ impl AppAgent {
                 self.send_request(ctx, msg);
             }
         }
-        // Controls on the paired device wait until our own binding exists;
-        // controls on an explicitly named (shared) device only need a login.
-        let ready = match self.control_queue.front() {
-            Some((None, _)) => self.bound,
-            Some((Some(_), _)) => true,
-            None => false,
-        };
-        if ready {
+        if self.control_ready() {
             if let Some((target, action)) = self.control_queue.pop_front() {
                 let dev_id = target.or_else(|| self.dev_id.clone());
                 if let (Some(user_token), Some(dev_id)) = (self.user_token, dev_id) {
@@ -637,34 +646,141 @@ impl AppAgent {
             }
         }
     }
-}
 
-impl Actor for AppAgent {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.entered_step_at = ctx.now();
-        self.begin_setup_span(ctx.now());
-        self.enter_step(ctx);
-        ctx.set_timer(self.config.poll_every, TIMER_TICK);
-    }
-
-    fn on_power(&mut self, ctx: &mut Ctx<'_>, powered: bool) {
-        if powered {
-            if self.aborted {
-                // The flow already gave up; a reboot does not resurrect it
-                // (only `restart_setup` does).
-                return;
-            }
-            // Phone back on: resume (or start) the flow. A timer dropped
-            // while powered off would otherwise end the poll loop.
-            self.entered_step_at = ctx.now();
-            self.reset_retry();
-            self.begin_setup_span(ctx.now());
-            self.enter_step(ctx);
-            ctx.set_timer(self.config.poll_every, TIMER_TICK);
+    /// Controls on the paired device wait until our own binding exists;
+    /// controls on an explicitly named (shared) device only need a login.
+    fn control_ready(&self) -> bool {
+        match self.control_queue.front() {
+            Some((None, _)) => self.bound,
+            Some((Some(_), _)) => true,
+            None => false,
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+    /// The earliest tick at which [`AppAgent::poll`] would act, or `None`
+    /// when it would do nothing at any grid point until a packet, a wake or
+    /// a power-on changes the state.
+    fn next_due(&self, now: Tick) -> Option<Tick> {
+        if self.aborted {
+            return None;
+        }
+        if self.setup_span.is_none() && !self.bound && !self.setup_complete() {
+            // The poll opens the span of a restarted attempt.
+            return Some(now);
+        }
+        match self.current_step() {
+            Step::Done => {
+                let unbind =
+                    self.unbind_queued && self.user_token.is_some() && self.dev_id.is_some();
+                (unbind || !self.share_queue.is_empty() || self.control_ready()).then_some(now)
+            }
+            Step::WaitWindow => Some(
+                self.entered_step_at
+                    .saturating_add(self.config.user_bind_delay),
+            ),
+            _ if self.awaiting == Await::None || self.last_send_at == Tick::ZERO => Some(now),
+            _ => Some(self.last_send_at.saturating_add(self.cur_delay)),
+        }
+    }
+
+    /// The first grid point at or after `t` (grid points lie strictly after
+    /// the origin).
+    fn grid_point_at_or_after(&self, t: Tick) -> Tick {
+        let every = self.config.poll_every.max(1);
+        let since = (t - self.grid_origin).max(1);
+        self.grid_origin
+            .saturating_add(since.div_ceil(every).saturating_mul(every))
+    }
+
+    /// Re-anchors the action grid at `now`: a start or power-on.
+    fn start_grid(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        self.grid_origin = now;
+        self.entered_step_at = now;
+        self.begin_setup_span(now);
+        self.enter_step(ctx);
+        self.schedule(ctx);
+    }
+
+    /// Arms the deadline timer for the first grid point at which the poll
+    /// would act, keeps it if it is already armed there, and disarms it
+    /// when nothing is due. Called after every callback that can change
+    /// what is due.
+    fn schedule(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let next = self.next_due(now).map(|due| {
+            // A timer still pending at `now` keeps this grid point's poll
+            // ahead; otherwise the poll at `now` has run or was not needed.
+            let earliest = if self.armed == Some(now) {
+                now
+            } else {
+                now + 1
+            };
+            self.grid_point_at_or_after(due.max(earliest))
+        });
+        if next == self.armed {
+            return;
+        }
+        self.timer_gen += 1;
+        self.armed = next;
+        if let Some(at) = next {
+            ctx.set_timer(at - now, self.timer_gen);
+        }
+    }
+
+    /// The progress step run at a grid point: (re)sends the current step,
+    /// ends a wait window, or sends one round of queued user actions. It
+    /// does nothing when nothing is due, so running it at any grid point is
+    /// safe; the deadline timer fires only where it acts.
+    fn poll(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        self.polled_at = now;
+        if self.aborted {
+            return;
+        }
+        // A restart after a give-up re-enters here with no span running.
+        self.begin_setup_span(now);
+        match self.current_step() {
+            Step::Done => self.pump_user_actions(ctx),
+            Step::WaitWindow => {
+                if now - self.entered_step_at >= self.config.user_bind_delay {
+                    self.advance(now);
+                    self.enter_step(ctx);
+                }
+            }
+            _ => {
+                if self.awaiting == Await::None {
+                    // Not waiting on an answer (fresh step, or the last
+                    // answer told us to try again): send at grid cadence.
+                    self.enter_step(ctx);
+                } else {
+                    let stale = self.last_send_at == Tick::ZERO
+                        || now - self.last_send_at >= self.cur_delay;
+                    if stale {
+                        // Unanswered past the current timeout: resend with
+                        // backoff, or give up when the budget is spent.
+                        match self.retry.next(ctx.rng()) {
+                            Some(delay) => {
+                                self.cur_delay = delay;
+                                self.telemetry.incr("app_retries_total");
+                                self.telemetry.rate_event("app_retries", now.as_u64());
+                                self.enter_step(ctx);
+                            }
+                            None => {
+                                // Clean abort: no timer is re-armed, the
+                                // actor goes silent, and the sim can quiesce.
+                                self.aborted = true;
+                                self.telemetry.incr("app_giveups_total");
+                                self.events.push(AppEvent::GaveUp);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn handle_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
         if from == self.config.cloud {
             match Envelope::decode(payload) {
                 Ok(Envelope::Response {
@@ -726,56 +842,50 @@ impl Actor for AppAgent {
             }
         }
     }
+}
+
+impl Actor for AppAgent {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.start_grid(ctx);
+    }
+
+    fn on_power(&mut self, ctx: &mut Ctx<'_>, powered: bool) {
+        if powered {
+            if self.aborted {
+                // The flow already gave up; a reboot does not resurrect it
+                // (only `restart_setup` does).
+                return;
+            }
+            // Phone back on: resume (or start) the flow on a fresh grid. A
+            // timer dropped while powered off is superseded here.
+            self.reset_retry();
+            self.start_grid(ctx);
+        }
+    }
+
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+        self.handle_packet(ctx, from, payload);
+        self.schedule(ctx);
+    }
+
+    fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+        // Something was queued or restarted from outside. If this tick is a
+        // grid point whose poll has not run, this wake is that poll.
+        let now = ctx.now();
+        let on_grid = now > self.grid_origin && self.grid_point_at_or_after(now) == now;
+        if on_grid && self.polled_at != now && self.armed != Some(now) {
+            self.poll(ctx);
+        }
+        self.schedule(ctx);
+    }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
-        if key != TIMER_TICK {
+        if key != self.timer_gen {
+            // Superseded by a later re-arm.
             return;
         }
-        if self.aborted {
-            // Clean abort: the poll loop stops (no reschedule), the actor
-            // goes silent, and the sim can quiesce.
-            return;
-        }
-        let now = ctx.now();
-        // A restart after a give-up re-enters here with no span running.
-        self.begin_setup_span(now);
-        match self.current_step() {
-            Step::Done => self.pump_user_actions(ctx),
-            Step::WaitWindow => {
-                if now - self.entered_step_at >= self.config.user_bind_delay {
-                    self.advance(now);
-                    self.enter_step(ctx);
-                }
-            }
-            _ => {
-                if self.awaiting == Await::None {
-                    // Not waiting on an answer (fresh step, or the last
-                    // answer told us to try again): send at poll cadence.
-                    self.enter_step(ctx);
-                } else {
-                    let stale = self.last_send_at == Tick::ZERO
-                        || now - self.last_send_at >= self.cur_delay;
-                    if stale {
-                        // Unanswered past the current timeout: resend with
-                        // backoff, or give up when the budget is spent.
-                        match self.retry.next(ctx.rng()) {
-                            Some(delay) => {
-                                self.cur_delay = delay;
-                                self.telemetry.incr("app_retries_total");
-                                self.telemetry.rate_event("app_retries", now.as_u64());
-                                self.enter_step(ctx);
-                            }
-                            None => {
-                                self.aborted = true;
-                                self.telemetry.incr("app_giveups_total");
-                                self.events.push(AppEvent::GaveUp);
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ctx.set_timer(self.config.poll_every, TIMER_TICK);
+        self.armed = None;
+        self.poll(ctx);
+        self.schedule(ctx);
     }
 }

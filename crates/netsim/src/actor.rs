@@ -17,8 +17,11 @@ pub type TimerKey = u64;
 /// attacker.
 ///
 /// Actors are driven entirely by callbacks; all effects (sends, timers) go
-/// through the [`Ctx`]. Implementations must be deterministic given the
-/// callback sequence and the RNG draws they make.
+/// through the [`Ctx`]. An actor runs only when something is due: a packet
+/// arrives, one of its own timers fires, or code outside the simulation
+/// changed it through [`crate::Simulation::actor_mut`] (a wake). Nothing
+/// polls. Implementations must be deterministic given the callback sequence
+/// and the RNG draws they make.
 pub trait Actor: Any {
     /// Called once when the simulation starts (before any packet flows).
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -36,6 +39,14 @@ pub trait Actor: Any {
     /// Called when a timer set via [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: TimerKey) {
         let _ = (ctx, key);
+    }
+
+    /// Called one tick after code outside the simulation mutated this actor
+    /// through [`crate::Simulation::actor_mut`] — queued a frame, a user
+    /// action, a restart. Mutations made in one gap between runs share one
+    /// wake. The default does nothing.
+    fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+        let _ = ctx;
     }
 
     /// Called when the node's power state changes (powered off devices stop
@@ -152,6 +163,7 @@ mod tests {
         a.on_start(&mut ctx);
         a.on_packet(&mut ctx, NodeId(1), &Bytes::from(b"x".to_vec()));
         a.on_timer(&mut ctx, 1);
+        a.on_wake(&mut ctx);
         a.on_power(&mut ctx, false);
         assert!(effects.is_empty());
     }

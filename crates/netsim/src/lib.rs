@@ -18,6 +18,10 @@
 //!   [`Ctx`]; the network applies per-domain latency, jitter, and loss from
 //!   [`LinkQuality`], all drawn from one seeded RNG, so a given seed always
 //!   produces the identical execution.
+//! * An actor runs only when something is due: a packet arrives, one of its
+//!   timers ([`Ctx::set_timer`]) fires, or code outside the simulation
+//!   changed it through [`Simulation::actor_mut`], which schedules
+//!   [`Actor::on_wake`] one tick later. Nothing needs to poll.
 //! * Node connectivity ([`NodeConfig`]) defines LAN membership and WAN
 //!   access; [`Simulation::set_power`] and [`Simulation::partition_wan`]
 //!   model power-offs and connection disruptions.

@@ -76,6 +76,9 @@ struct Node {
     config: NodeConfig,
     powered: bool,
     wan_partitioned: bool,
+    /// A wake is scheduled and has not fired yet: further
+    /// [`Simulation::actor_mut`] calls in the same gap share it.
+    wake_pending: bool,
     actor: Box<dyn Actor>,
 }
 
@@ -96,6 +99,9 @@ enum EventKind {
     Timer {
         node: NodeId,
         key: TimerKey,
+    },
+    Wake {
+        node: NodeId,
     },
     Inject {
         fault: Fault,
@@ -282,6 +288,7 @@ impl Simulation {
             config,
             powered: true,
             wan_partitioned: false,
+            wake_pending: false,
             actor,
         });
         let at = self.now;
@@ -311,13 +318,26 @@ impl Simulation {
     }
 
     /// Mutable access to a node's actor, downcast to its concrete type.
+    ///
+    /// This is the one way code outside the simulation changes an actor,
+    /// so it also schedules [`Actor::on_wake`] at `now + 1`: whatever the
+    /// caller queued gets acted on without the actor polling for it. Calls
+    /// in one gap between runs share a single wake.
     pub fn actor_mut<T: Actor>(&mut self, id: NodeId) -> Option<&mut T> {
-        let a: &mut dyn Actor = self.nodes.get_mut(id.0 as usize)?.actor.as_mut();
+        self.actor::<T>(id)?;
+        let node = &mut self.nodes[id.0 as usize];
+        if !node.wake_pending {
+            node.wake_pending = true;
+            let at = self.now.saturating_add(1);
+            self.push_event(at, EventKind::Wake { node: id });
+        }
+        let a: &mut dyn Actor = self.nodes[id.0 as usize].actor.as_mut();
         (a as &mut dyn Any).downcast_mut::<T>()
     }
 
-    /// Powers a node on or off. Powered-off nodes receive no packets or
-    /// timers; pending deliveries to them are dropped at delivery time.
+    /// Powers a node on or off. Powered-off nodes receive no packets,
+    /// timers or wakes; pending deliveries to them are dropped at delivery
+    /// time.
     pub fn set_power(&mut self, id: NodeId, powered: bool) {
         let node = &mut self.nodes[id.0 as usize];
         if node.powered == powered {
@@ -511,6 +531,7 @@ impl Simulation {
             EventKind::Start { .. } => "sim.start",
             EventKind::Deliver { .. } => "sim.deliver",
             EventKind::Timer { .. } => "sim.timer",
+            EventKind::Wake { .. } => "sim.wake",
             EventKind::Inject { .. } => "sim.inject",
         };
         let now = self.now.as_u64();
@@ -584,6 +605,13 @@ impl Simulation {
                     self.with_actor(node, None, |actor, ctx| actor.on_timer(ctx, key));
                 }
             }
+            EventKind::Wake { node } => {
+                let n = &mut self.nodes[node.0 as usize];
+                n.wake_pending = false;
+                if n.powered {
+                    self.with_actor(node, None, |actor, ctx| actor.on_wake(ctx));
+                }
+            }
             EventKind::Inject { fault } => self.inject(fault),
         }
     }
@@ -594,10 +622,10 @@ impl Simulation {
     /// Causal propagation happens here: when the callback handles a
     /// delivered packet (`cause` is `Some`), every send it requests becomes
     /// a child span of that packet and every mark carries the packet's
-    /// context verbatim. Callbacks with no cause (start, timers, power)
-    /// lazily open a fresh trace on their first effect, so a heartbeat tick,
-    /// a queued user action, or an attacker's injected frame each roots its
-    /// own causal tree.
+    /// context verbatim. Callbacks with no cause (start, timers, wakes,
+    /// power) lazily open a fresh trace on their first effect, so a
+    /// heartbeat tick, a queued user action, or an attacker's injected
+    /// frame each roots its own causal tree.
     fn with_actor(
         &mut self,
         id: NodeId,
@@ -1471,6 +1499,90 @@ mod tests {
             sim.trace().iter().map(|e| e.to_string()).collect()
         }
         assert_eq!(run(false), run(true));
+    }
+
+    /// Records the ticks it was woken at.
+    struct Sleeper {
+        woke: Vec<Tick>,
+    }
+
+    impl Actor for Sleeper {
+        fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+            self.woke.push(ctx.now());
+        }
+    }
+
+    #[test]
+    fn actor_mut_calls_in_one_gap_share_one_wake_at_now_plus_one() {
+        let mut sim = perfect_sim(40);
+        let n = sim.add_node(
+            NodeConfig::wan_only("n"),
+            Box::new(Sleeper { woke: Vec::new() }),
+        );
+        sim.set_profiler(Profiler::new());
+        sim.run_until(Tick(10));
+        let events_before = sim.telemetry().counter("sim_events_total");
+        for _ in 0..3 {
+            sim.actor_mut::<Sleeper>(n).unwrap();
+        }
+        sim.run_until(Tick(50));
+        assert_eq!(sim.actor::<Sleeper>(n).unwrap().woke, vec![Tick(11)]);
+        assert_eq!(
+            sim.telemetry().counter("sim_events_total") - events_before,
+            1
+        );
+        let wakes: Vec<(String, u64)> = sim
+            .profiler()
+            .snapshot()
+            .entries()
+            .into_iter()
+            .filter(|e| e.path.ends_with("sim.wake"))
+            .map(|e| (e.path, e.count))
+            .collect();
+        assert_eq!(wakes, vec![("sim.wake".to_string(), 1)]);
+        // The wake has fired, so the next gap schedules a fresh one.
+        sim.actor_mut::<Sleeper>(n).unwrap();
+        sim.run_until(Tick(60));
+        assert_eq!(
+            sim.actor::<Sleeper>(n).unwrap().woke,
+            vec![Tick(11), Tick(51)]
+        );
+        // A failed downcast is not a mutation: no wake.
+        assert!(sim.actor_mut::<Sink>(n).is_none());
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn powered_off_node_is_not_woken() {
+        let mut sim = perfect_sim(41);
+        let n = sim.add_node(
+            NodeConfig::wan_only("n"),
+            Box::new(Sleeper { woke: Vec::new() }),
+        );
+        sim.run_until(Tick(5));
+        sim.set_power(n, false);
+        sim.actor_mut::<Sleeper>(n).unwrap();
+        sim.run_until(Tick(20));
+        assert!(sim.actor::<Sleeper>(n).unwrap().woke.is_empty());
+        // The dropped wake does not block the next one.
+        sim.set_power(n, true);
+        sim.actor_mut::<Sleeper>(n).unwrap();
+        sim.run_until(Tick(30));
+        assert_eq!(sim.actor::<Sleeper>(n).unwrap().woke, vec![Tick(21)]);
+    }
+
+    #[test]
+    fn default_wake_does_nothing() {
+        let mut sim = perfect_sim(42);
+        sim.enable_trace();
+        let sink = sim.add_node(NodeConfig::wan_only("sink"), Box::new(Sink::new()));
+        sim.run_until(Tick(5));
+        sim.actor_mut::<Sink>(sink).unwrap();
+        sim.run_until(Tick(20));
+        let s = sim.actor::<Sink>(sink).unwrap();
+        assert!(s.received.is_empty() && s.timer_fired.is_empty());
+        assert!(sim.trace().is_empty(), "a default wake has no effects");
+        assert!(sim.is_idle());
     }
 
     #[test]

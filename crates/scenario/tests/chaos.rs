@@ -178,6 +178,26 @@ fn unreachable_cloud_aborts_cleanly() {
     assert!(world.app(0).events.contains(&rb_app::AppEvent::GaveUp));
 }
 
+/// A give-up is not final: once the path heals, `restart_setup` (the user
+/// tapping "add device" again) resumes the flow, which then converges.
+#[test]
+fn restart_after_give_up_resumes_setup() {
+    let design = vendors::d_link();
+    let mut world = WorldBuilder::new(design, 7).build();
+    let app = world.homes[0].app;
+    world.sim.partition_wan(app, true);
+    assert!(!world.try_run_setup(SETUP_HORIZON));
+    assert!(world.app(0).gave_up());
+    world.sim.partition_wan(app, false);
+    world.app_mut(0).restart_setup();
+    assert!(
+        world.try_run_setup(300_000),
+        "the restarted flow must converge once the cloud is reachable"
+    );
+    assert!(!world.app(0).gave_up());
+    assert!(world.app(0).is_bound());
+}
+
 /// Golden trace: one canonical chaos run's full `TraceEntry` log is
 /// pinned byte-for-byte, so engine refactors cannot silently change event
 /// ordering, fault application, or delivery scheduling. Regenerate with

@@ -262,7 +262,6 @@ fn cmd_prof(
     let scope = rb_prof::AllocScope::start();
     let run = rb_scenario::prof_run(design, seed);
     let alloc = scope.finish();
-    alloc.export_gauges(&run.telemetry);
 
     let mut report = rb_bench::report::BenchReport::new("rbsim_prof");
     report

@@ -1,8 +1,8 @@
 //! # rb-bench
 //!
-//! Experiment binaries and criterion benchmarks regenerating every table
-//! and figure of the paper. See `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured records.
+//! Experiment binaries regenerating every table and figure of the paper.
+//! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
+//! paper-vs-measured records.
 //!
 //! Binaries (each prints its artifact to stdout):
 //!

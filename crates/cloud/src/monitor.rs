@@ -6,10 +6,9 @@
 //! cloud, fed by the service handlers on every request and shadow
 //! transition as the world runs (no post-hoc trace scans). It keeps
 //! per-source / per-device sliding-window state, raises typed
-//! [`SecurityAlert`]s onto a tick-stamped alert log, measures detection
-//! latency in simulation ticks, and publishes every alert onto the
-//! [`rb_telemetry`] streaming bus for outside subscribers (`rbsim
-//! monitor`, the defense bench).
+//! [`SecurityAlert`]s onto a tick-stamped alert log, and measures detection
+//! latency in simulation ticks. `rbsim monitor` and the defense bench read
+//! the log ([`Monitor::alert_log`], [`Monitor::render_alert_stream`]).
 //!
 //! Detection alone is the passive half. The active half is a per-vendor
 //! [`DefensePolicy`]: the service drains newly raised alerts after every
@@ -147,8 +146,7 @@ impl SecurityAlert {
     }
 
     /// One deterministic line describing the alert: `kind key=value …`.
-    /// This is the byte-stable body published onto the streaming bus and
-    /// rendered into the alert stream.
+    /// This is the byte-stable body rendered into the alert stream.
     pub fn describe(&self) -> String {
         match self {
             SecurityAlert::ForeignUnbind {
@@ -262,12 +260,14 @@ impl DefensePolicy {
 }
 
 /// The streaming monitor: fed observations by the service handlers as the
-/// world runs, keeps bounded per-source sliding-window statistics, and
-/// accumulates a tick-stamped alert log.
+/// world runs, keeps per-source statistics, and accumulates a tick-stamped
+/// alert log.
+///
+/// The per-source tables are not bounded: `touched` and `first_touch` keep
+/// every distinct device ID and first-touch tick a source ever addressed,
+/// so an enumerating attacker grows them linearly.
 #[derive(Debug)]
 pub struct Monitor {
-    /// Actionable alert queue (drained by [`Monitor::take_alerts`]).
-    alerts: Vec<SecurityAlert>,
     /// The cumulative tick-stamped alert log, in raise order. Never
     /// drained; this is the byte-stable alert stream.
     log: Vec<(Tick, SecurityAlert)>,
@@ -305,8 +305,8 @@ pub struct Monitor {
     pub contested_threshold: u32,
     /// Metrics sink: every raised alert also bumps
     /// `cloud_alerts_total{kind="…"}`, feeds the
-    /// `monitor_detection_latency_ticks{kind="…"}` histogram, records the
-    /// `cloud_alerts` rate series, and publishes onto the streaming bus.
+    /// `monitor_detection_latency_ticks{kind="…"}` histogram, and records
+    /// the `cloud_alerts` rate series.
     telemetry: Telemetry,
 }
 
@@ -315,7 +315,6 @@ impl Monitor {
     /// per 10 000-tick window, 3 denials).
     pub fn new() -> Self {
         Monitor {
-            alerts: Vec::new(),
             log: Vec::new(),
             defense_cursor: 0,
             touched: HashMap::new(),
@@ -342,9 +341,9 @@ impl Monitor {
         self.telemetry = telemetry;
     }
 
-    /// All alerts raised so far and not yet taken.
-    pub fn alerts(&self) -> &[SecurityAlert] {
-        &self.alerts
+    /// All alerts raised so far, in raise order (the log without ticks).
+    pub fn alerts(&self) -> Vec<&SecurityAlert> {
+        self.log.iter().map(|(_, alert)| alert).collect()
     }
 
     /// The cumulative tick-stamped alert log (never drained).
@@ -352,15 +351,9 @@ impl Monitor {
         &self.log
     }
 
-    /// Alerts of one kind over the whole run (counted on the log, so
-    /// [`Monitor::take_alerts`] does not reset it).
+    /// Alerts of one kind over the whole run.
     pub fn count(&self, kind: &str) -> usize {
         self.log.iter().filter(|(_, a)| a.kind() == kind).count()
-    }
-
-    /// Drains the actionable alert queue.
-    pub fn take_alerts(&mut self) -> Vec<SecurityAlert> {
-        std::mem::take(&mut self.alerts)
     }
 
     /// The byte-stable rendering of the alert stream: one
@@ -404,7 +397,7 @@ impl Monitor {
     /// Raises `alert` at `now` with detection evidence dating back to
     /// `evidence_at`: bumps the per-kind counter, feeds the detection
     /// latency histogram, records the `cloud_alerts` rate series, and
-    /// publishes the alert onto the streaming bus.
+    /// appends the alert to the log.
     pub(crate) fn raise_with_evidence(
         &mut self,
         now: Tick,
@@ -420,11 +413,8 @@ impl Monitor {
                 now.as_u64().saturating_sub(evidence_at.as_u64()),
             );
             self.telemetry.rate_event("cloud_alerts", now.as_u64());
-            self.telemetry
-                .publish(now.as_u64(), "alert", &alert.describe());
         }
-        self.log.push((now, alert.clone()));
-        self.alerts.push(alert);
+        self.log.push((now, alert));
     }
 
     /// Raises an alert whose evidence is the raising observation itself
@@ -732,6 +722,8 @@ mod tests {
 
     #[test]
     fn take_alerts_drains_the_queue_not_the_log() {
+        // The only queue left is the defense cursor over the log; draining
+        // it leaves the log, `alerts()` and the per-kind counts intact.
         let mut m = Monitor::new();
         m.raise(
             Tick(3),
@@ -740,8 +732,9 @@ mod tests {
                 from_ip: 5,
             },
         );
-        assert_eq!(m.take_alerts().len(), 1);
-        assert!(m.alerts().is_empty());
+        assert_eq!(m.drain_defense_alerts().len(), 1);
+        assert!(m.drain_defense_alerts().is_empty());
+        assert_eq!(m.alerts().len(), 1);
         assert_eq!(m.alert_log().len(), 1, "the log is cumulative");
         assert_eq!(m.count("bare-unbind"), 1);
     }
@@ -905,16 +898,14 @@ mod tests {
             tele.counter("cloud_alerts_total{kind=\"foreign-unbind\"}"),
             1
         );
-        // Draining alerts does not reset the counters: the registry is the
-        // cumulative record, the alert list is the actionable queue.
-        let drained = m.take_alerts();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(tele.counter("cloud_alerts_total{kind=\"bare-unbind\"}"), 2);
-        // Every raise also lands on the streaming bus and the rate series.
-        let (_, events) = tele.events_since(0);
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].topic, "alert");
-        assert!(events[0].body.starts_with("bare-unbind"));
+        // Every raise also lands on the cumulative log, in raise order,
+        // and on the rate series.
+        let log = m.alert_log();
+        assert_eq!(log.len(), 3);
+        assert_eq!(log[0].0, Tick(1));
+        assert!(log[0].1.describe().starts_with("bare-unbind"));
+        assert_eq!(m.alerts().len(), 3);
+        assert_eq!(m.count("bare-unbind"), 2);
         assert_eq!(tele.rate("cloud_alerts", 10), 3);
     }
 

@@ -421,19 +421,14 @@ impl CloudService {
     }
 
     /// Records one mitigation: the `cloud_mitigations_total{action="…"}`
-    /// counter, the `cloud_mitigations` rate series, a `defense` event on
-    /// the streaming bus, and (under forensics) a FAULT-style
-    /// `defense action=… … trigger=…` mark tied to the causing request.
+    /// counter, the `cloud_mitigations` rate series, and (under forensics)
+    /// a FAULT-style `defense action=… … trigger=…` mark tied to the
+    /// causing request.
     fn record_mitigation(&mut self, now: Tick, action: &str, detail: &str, trigger: &str) {
         if self.telemetry.is_enabled() {
             self.telemetry
                 .incr(&format!("cloud_mitigations_total{{action=\"{action}\"}}"));
             self.telemetry.rate_event("cloud_mitigations", now.as_u64());
-            self.telemetry.publish(
-                now.as_u64(),
-                "defense",
-                &format!("{action} {detail} trigger={trigger}"),
-            );
         }
         if self.forensics {
             self.forensic_marks.push(format!(

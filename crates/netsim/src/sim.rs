@@ -170,10 +170,6 @@ pub struct Simulation {
     /// never draws randomness or schedules events, so it cannot perturb
     /// the event stream.
     profiler: Profiler,
-    /// When set, actor marks and injected faults are also published onto
-    /// the telemetry streaming bus (topics `mark` / `fault`) so online
-    /// subscribers can watch the run live without collecting a trace.
-    stream_tap: bool,
 }
 
 impl Simulation {
@@ -215,17 +211,7 @@ impl Simulation {
             next_span_id: 1,
             telemetry: Telemetry::new(),
             profiler: Profiler::disabled(),
-            stream_tap: false,
         }
-    }
-
-    /// Enables the event-stream tap: every actor mark and injected fault is
-    /// mirrored onto the telemetry streaming bus as it happens (topic
-    /// `mark` / `fault`), independent of whether tracing is enabled. Off by
-    /// default; the stream never appears in the rendered exporters, so
-    /// enabling the tap cannot perturb metric goldens.
-    pub fn enable_stream_tap(&mut self) {
-        self.stream_tap = true;
     }
 
     /// The simulation's telemetry handle (clone it to share the registry
@@ -439,10 +425,6 @@ impl Simulation {
     fn inject(&mut self, fault: Fault) {
         self.telemetry.incr("sim_faults_injected_total");
         let at = self.now;
-        if self.stream_tap {
-            self.telemetry
-                .publish(at.as_u64(), "fault", &fault.to_string());
-        }
         if let Some(t) = self.trace.as_mut() {
             t.push(TraceEntry {
                 at,
@@ -679,9 +661,6 @@ impl Simulation {
                         }
                     };
                     let at = self.now;
-                    if self.stream_tap {
-                        self.telemetry.publish(at.as_u64(), "mark", &text);
-                    }
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEntry {
                             at,
@@ -1006,39 +985,6 @@ mod tests {
 
     fn perfect_sim(seed: u64) -> Simulation {
         Simulation::with_quality(seed, LinkQuality::perfect(), LinkQuality::perfect())
-    }
-
-    #[test]
-    fn stream_tap_mirrors_marks_and_faults_onto_the_bus() {
-        struct Marker;
-        impl Actor for Marker {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.mark("probe observed");
-            }
-        }
-        let mut sim = perfect_sim(5);
-        sim.enable_stream_tap();
-        let node = sim.add_node(NodeConfig::wan_only("m"), Box::new(Marker));
-        sim.apply_fault_plan(&crate::FaultPlan::new().at(3, Fault::Crash { node }));
-        sim.run_until(Tick(10));
-        let (_, events) = sim.telemetry().events_since(0);
-        let rendered: Vec<String> = events
-            .iter()
-            .map(|e| format!("{}:{}:{}", e.at, e.topic, e.body))
-            .collect();
-        assert_eq!(
-            rendered,
-            vec![
-                "0:mark:probe observed".to_string(),
-                "3:fault:crash n0".to_string()
-            ]
-        );
-        // Without the tap, the bus stays silent.
-        let mut quiet = perfect_sim(5);
-        let node = quiet.add_node(NodeConfig::wan_only("m"), Box::new(Marker));
-        quiet.apply_fault_plan(&crate::FaultPlan::new().at(3, Fault::Crash { node }));
-        quiet.run_until(Tick(10));
-        assert_eq!(quiet.telemetry().events_since(0).1.len(), 0);
     }
 
     #[test]

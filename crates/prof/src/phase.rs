@@ -15,8 +15,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use rb_telemetry::{SpanId, Telemetry};
-
 /// Accumulated cost of one phase path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStat {
@@ -62,7 +60,6 @@ struct OpenPhase {
     path: String,
     start: u64,
     wall: Option<Instant>,
-    span: Option<SpanId>,
 }
 
 /// The shared profiler state behind a [`Profiler`] handle.
@@ -95,18 +92,14 @@ impl TreeState {
 }
 
 /// A cheap `Clone + Send + Sync` handle onto one phase tree, mirroring the
-/// [`Telemetry`] handle pattern: a [`Profiler::disabled`] handle costs one
-/// branch per call, so instrumented hot paths (the sim event loop, the
-/// cloud dispatcher) stay free when nobody is measuring.
+/// `rb_telemetry::Telemetry` handle pattern: a [`Profiler::disabled`]
+/// handle costs one branch per call, so instrumented hot paths (the sim
+/// event loop, the cloud dispatcher) stay free when nobody is measuring.
 #[derive(Clone, Debug)]
 pub struct Profiler {
     inner: Arc<Mutex<TreeState>>,
     enabled: bool,
     wall: bool,
-    /// Span mirror: phases entered at stack depth below the limit also
-    /// open a telemetry span (with an explicit parent), so the folded
-    /// stacks and the span machinery agree on hierarchy.
-    tele: Option<(Telemetry, usize)>,
 }
 
 impl Default for Profiler {
@@ -115,7 +108,6 @@ impl Default for Profiler {
             inner: Arc::default(),
             enabled: true,
             wall: false,
-            tele: None,
         }
     }
 }
@@ -145,15 +137,6 @@ impl Profiler {
         self
     }
 
-    /// Mirrors phases entered at stack depth `< max_depth` as telemetry
-    /// spans with explicit parents. Depth-limited so per-event phases in
-    /// the sim loop do not flood the span table.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry, max_depth: usize) -> Self {
-        self.tele = Some((telemetry, max_depth));
-        self
-    }
-
     /// Whether this handle records at all.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -175,19 +158,11 @@ impl Profiler {
         let wall = self.wall.then(Instant::now);
         self.with(|t| {
             let path = t.child_path(name);
-            let span = match &self.tele {
-                Some((tele, max_depth)) if t.stack.len() < *max_depth => {
-                    let parent = t.stack.last().and_then(|open| open.span);
-                    Some(tele.start_span_with_parent(name, &[], now, parent))
-                }
-                _ => None,
-            };
             let depth = t.stack.len();
             t.stack.push(OpenPhase {
                 path,
                 start: now,
                 wall,
-                span,
             });
             PhaseToken { depth }
         })
@@ -221,9 +196,6 @@ impl Profiler {
                     .map(|w| u64::try_from(w.elapsed().as_nanos()).unwrap_or(u64::MAX))
                     .unwrap_or(0);
                 t.add(&open.path, 1, ticks, wall_nanos);
-                if let (Some((tele, _)), Some(span)) = (&self.tele, open.span) {
-                    tele.end_span(span, now);
-                }
             }
         });
     }
@@ -451,21 +423,6 @@ mod tests {
         let p = Profiler::new();
         p.tally("bad;name", 1);
         assert_eq!(p.snapshot().folded(), "bad_name 1\n");
-    }
-
-    #[test]
-    fn span_mirror_respects_depth_limit_and_parents() {
-        let tele = Telemetry::new();
-        let p = Profiler::new().with_telemetry(tele.clone(), 1);
-        let outer = p.enter("scenario.setup", 0);
-        let inner = p.enter("sim.deliver", 3); // depth 1: no span
-        p.exit(inner, 4);
-        p.exit(outer, 9);
-        let snap = tele.snapshot();
-        assert_eq!(snap.spans().len(), 1, "depth limit caps the mirror");
-        assert_eq!(snap.spans()[0].name, "scenario.setup");
-        assert_eq!(snap.spans()[0].parent, None);
-        assert_eq!(snap.spans()[0].end, Some(9));
     }
 
     #[test]

@@ -3,19 +3,15 @@
 //!
 //! [`capture`] freezes a traced world into a [`Capture`] (trace + role
 //! map); [`trace_run`] drives the canonical benign binding life cycle —
-//! the same phases as [`crate::metrics_run`] — with tracing and cloud
+//! the same script as [`crate::metrics_run`] — with tracing and cloud
 //! forensic marks enabled, producing the benign ground-truth capture the
 //! classifier must stay silent on.
 
 use rb_core::design::VendorDesign;
 use rb_forensics::{Capture, HomeRoles, RoleMap};
-use rb_wire::messages::ControlAction;
 
+use crate::lifecycle::run_lifecycle;
 use crate::{ChaosProfile, World, WorldBuilder};
-
-/// How long each post-setup phase of the canonical traced scenario runs
-/// (matches `metrics_run`).
-const PHASE_TICKS: u64 = 10_000;
 
 /// Snapshots the world's trace and role assignments as a [`Capture`].
 /// The world must have been built with [`WorldBuilder::trace`], or the
@@ -56,21 +52,6 @@ pub fn capture(world: &World) -> Capture {
 /// `(design, seed, profile)`.
 pub fn trace_run(design: &VendorDesign, seed: u64, profile: Option<ChaosProfile>) -> Capture {
     let mut world = WorldBuilder::new(design.clone(), seed).trace().build();
-    if let Some(profile) = profile {
-        let plan = profile.plan(&world, seed);
-        world.apply_fault_plan(&plan);
-    }
-    let converged = world.try_run_setup(300_000);
-    if converged {
-        world.app_mut(0).queue_control(ControlAction::TurnOn);
-        world.run_for(PHASE_TICKS);
-        world.app_mut(0).queue_unbind();
-        world.run_for(PHASE_TICKS);
-        world.device_mut(0).queue_reset();
-        world.run_for(PHASE_TICKS);
-        world.app_mut(0).restart_setup();
-        world.try_run_setup(300_000);
-    }
-    world.run_for(PHASE_TICKS);
+    run_lifecycle(&mut world, seed, profile);
     capture(&world)
 }

@@ -17,6 +17,7 @@
 
 mod chaos;
 mod forensic;
+mod lifecycle;
 mod observe;
 mod prof;
 mod raw;

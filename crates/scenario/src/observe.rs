@@ -1,14 +1,18 @@
-//! The canonical observability scenario.
+//! The canonical observability scenarios.
 //!
-//! [`metrics_run`] drives one home through the full binding life cycle —
-//! setup, a control round-trip, an unbind, a re-bind, and a quiesce period
-//! — with every layer (sim engine, cloud, app, device) recording into one
-//! shared [`Telemetry`] registry. `rbsim metrics`, the pinned Prometheus
-//! golden, and the `exp_observability` bench all consume this exact
-//! scenario, so a metric that drifts shows up identically in all three.
+//! [`metrics_run`] drives one home through the canonical binding life
+//! cycle ([`crate::lifecycle`]: setup, a control round-trip, an unbind, a
+//! factory reset, a re-bind, and a quiesce period) with every layer (sim
+//! engine, cloud, app, device) recording into one shared [`Telemetry`]
+//! registry. `rbsim metrics`, the pinned Prometheus golden, and the
+//! `exp_observability` bench all consume this exact scenario, so a metric
+//! that drifts shows up identically in all three.
 //!
-//! Determinism: the run is a pure function of `(design, seed, profile)`.
-//! Two invocations with the same arguments produce byte-identical JSON and
+//! [`monitor_run`] is the monitor-enabled counterpart: one benign home
+//! plus a scripted WAN attacker under the hardened defense policy.
+//!
+//! Determinism: each run is a pure function of its arguments. Two
+//! invocations with the same arguments produce byte-identical JSON and
 //! Prometheus exports (asserted in `tests/telemetry.rs`).
 
 use rb_cloud::DefensePolicy;
@@ -16,18 +20,16 @@ use rb_core::design::{BindScheme, VendorDesign};
 use rb_netsim::{Dest, Telemetry};
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::messages::{
-    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
-    UnbindPayload,
+    BindPayload, DeviceAttributes, Message, Response, StatusAuth, StatusPayload, UnbindPayload,
 };
 use rb_wire::tokens::{UserId, UserPw, UserToken};
 
+use crate::lifecycle::{run_lifecycle, PHASE_TICKS};
 use crate::{ChaosProfile, World, WorldBuilder};
 
-/// How long each post-setup phase of the canonical scenario runs.
-const PHASE_TICKS: u64 = 10_000;
-
-/// Runs the canonical binding-life-cycle scenario on a pristine world and
-/// returns the shared metrics registry.
+/// Runs the canonical binding life cycle (setup, control, unbind, factory
+/// reset, re-bind, quiesce) on a pristine world and returns the shared
+/// metrics registry.
 pub fn metrics_run(design: &VendorDesign, seed: u64) -> Telemetry {
     metrics_run_with(design, seed, None)
 }
@@ -56,50 +58,7 @@ pub fn defended_metrics_run(
     let mut world = WorldBuilder::new(design.clone(), seed)
         .defense(policy)
         .build();
-    lifecycle_run(&mut world, seed, profile)
-}
-
-/// Drives the canonical binding life cycle on an already-built world.
-fn lifecycle_run(world: &mut World, seed: u64, profile: Option<ChaosProfile>) -> Telemetry {
-    if let Some(profile) = profile {
-        let plan = profile.plan(world, seed);
-        world.apply_fault_plan(&plan);
-    }
-    // Phase 1: setup. Under chaos this may legitimately not converge;
-    // the registry then records the give-ups and retries instead.
-    let converged = world.try_run_setup(300_000);
-    world
-        .telemetry()
-        .gauge_set("scenario_setup_converged", i64::from(converged));
-
-    if converged {
-        // Phase 2: one control round-trip (Bound → Control transition and
-        // a device command).
-        world.app_mut(0).queue_control(ControlAction::TurnOn);
-        world.run_for(PHASE_TICKS);
-
-        // Phase 3: unbind ("remove device" in the app) ...
-        world.app_mut(0).queue_unbind();
-        world.run_for(PHASE_TICKS);
-
-        // Phase 4: ... and re-bind, populating the unbind-to-rebind
-        // window histogram. The device is factory-reset first — a
-        // cloud-side unbind does not make a device-bind design re-send
-        // its Bind, so "remove device, reset it, add it again" is the
-        // realistic re-pairing flow for every design.
-        world.device_mut(0).queue_reset();
-        // The reset executes on the device's next heartbeat tick; let it
-        // land before the user re-opens the app, or the fresh pairing
-        // material would be wiped mid-provisioning.
-        world.run_for(PHASE_TICKS);
-        world.app_mut(0).restart_setup();
-        world.try_run_setup(300_000);
-    }
-
-    // Phase 5: quiesce — heartbeats keep flowing so steady-state counters
-    // separate from the setup burst.
-    world.run_for(PHASE_TICKS);
-
+    run_lifecycle(&mut world, seed, profile);
     world.telemetry().clone()
 }
 
@@ -144,8 +103,7 @@ fn attacker_request(world: &mut World, corr: u64, msg: Message, wait: u64) -> Op
 }
 
 /// The canonical monitor-enabled scenario: one benign home plus a scripted
-/// WAN attacker, with the hardened [`DefensePolicy`] installed and the
-/// netsim stream tap on.
+/// WAN attacker, with the hardened [`DefensePolicy`] installed.
 ///
 /// The attacker walks the ID space (enumeration), forges a device
 /// registration (session move / impossible transition on register-reset
@@ -156,7 +114,6 @@ fn attacker_request(world: &mut World, corr: u64, msg: Message, wait: u64) -> Op
 pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
     let mut world = WorldBuilder::new(design.clone(), seed)
         .defense(DefensePolicy::hardened())
-        .stream_tap()
         .build();
     let converged = world.try_run_setup(300_000);
     let dev_id = world.homes[0].dev_id.clone();

@@ -14,23 +14,16 @@
 //! `tp_link_folded.txt` golden.
 
 use rb_core::design::VendorDesign;
-use rb_netsim::Telemetry;
 use rb_prof::{PhaseProfile, Profiler};
-use rb_wire::messages::ControlAction;
 
-use crate::{World, WorldBuilder};
-
-/// How long each post-setup phase runs (matches the metrics scenario).
-const PHASE_TICKS: u64 = 10_000;
+use crate::lifecycle::run_lifecycle;
+use crate::WorldBuilder;
 
 /// The artifacts of one [`prof_run`].
 #[derive(Debug, Clone)]
 pub struct ProfRun {
     /// The accumulated phase tree (scenario phases at the root).
     pub profile: PhaseProfile,
-    /// The shared metrics registry the run recorded into (scenario-phase
-    /// spans live here too, parented explicitly by the profiler).
-    pub telemetry: Telemetry,
     /// Whether setup converged within the tick budget.
     pub converged: bool,
     /// Simulated time when the run finished.
@@ -38,66 +31,16 @@ pub struct ProfRun {
 }
 
 /// Runs the canonical binding life cycle with profiling on and returns
-/// the phase tree plus the metrics registry.
+/// the phase tree.
 pub fn prof_run(design: &VendorDesign, seed: u64) -> ProfRun {
-    let telemetry = Telemetry::new();
-    // Depth limit 1: the six scenario phases mirror into the span table
-    // (explicit parents), per-event sim phases stay tree-only.
-    let profiler = Profiler::new().with_telemetry(telemetry.clone(), 1);
+    let profiler = Profiler::new();
     let mut world = WorldBuilder::new(design.clone(), seed)
-        .with_telemetry(telemetry.clone())
         .with_profiler(profiler.clone())
         .build();
-
-    fn now(world: &World) -> u64 {
-        world.now().as_u64()
-    }
-
-    // Phase 1: setup. Under a non-converging design the registry records
-    // the give-ups; the phase still brackets the whole attempt.
-    let tok = profiler.enter("scenario.setup", now(&world));
-    let converged = world.try_run_setup(300_000);
-    profiler.exit(tok, now(&world));
-    world
-        .telemetry()
-        .gauge_set("scenario_setup_converged", i64::from(converged));
-
-    if converged {
-        // Phase 2: one control round-trip.
-        let tok = profiler.enter("scenario.control", now(&world));
-        world.app_mut(0).queue_control(ControlAction::TurnOn);
-        world.run_for(PHASE_TICKS);
-        profiler.exit(tok, now(&world));
-
-        // Phase 3: unbind ("remove device" in the app).
-        let tok = profiler.enter("scenario.unbind", now(&world));
-        world.app_mut(0).queue_unbind();
-        world.run_for(PHASE_TICKS);
-        profiler.exit(tok, now(&world));
-
-        // Phase 4: factory reset, letting it land on the next heartbeat.
-        let tok = profiler.enter("scenario.reset", now(&world));
-        world.device_mut(0).queue_reset();
-        world.run_for(PHASE_TICKS);
-        profiler.exit(tok, now(&world));
-
-        // Phase 5: re-bind from scratch.
-        let tok = profiler.enter("scenario.rebind", now(&world));
-        world.app_mut(0).restart_setup();
-        world.try_run_setup(300_000);
-        profiler.exit(tok, now(&world));
-    }
-
-    // Phase 6: quiesce — steady-state heartbeats, no user actions.
-    let tok = profiler.enter("scenario.quiesce", now(&world));
-    world.run_for(PHASE_TICKS);
-    profiler.exit(tok, now(&world));
-
-    let end_tick = now(&world);
+    let converged = run_lifecycle(&mut world, seed, None);
     ProfRun {
         profile: profiler.snapshot(),
-        telemetry: world.telemetry().clone(),
         converged,
-        end_tick,
+        end_tick: world.now().as_u64(),
     }
 }

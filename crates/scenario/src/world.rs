@@ -48,7 +48,6 @@ pub struct WorldBuilder {
     telemetry: Telemetry,
     profiler: Profiler,
     defense: DefensePolicy,
-    stream_tap: bool,
 }
 
 impl WorldBuilder {
@@ -71,7 +70,6 @@ impl WorldBuilder {
             telemetry: Telemetry::new(),
             profiler: Profiler::disabled(),
             defense: DefensePolicy::disabled(),
-            stream_tap: false,
         }
     }
 
@@ -81,14 +79,6 @@ impl WorldBuilder {
     /// built without this call.
     pub fn defense(mut self, policy: DefensePolicy) -> Self {
         self.defense = policy;
-        self
-    }
-
-    /// Mirrors actor marks and injected faults onto the telemetry
-    /// streaming bus as the world runs (the netsim event-stream tap), so
-    /// online observers can follow the run without a trace.
-    pub fn stream_tap(mut self) -> Self {
-        self.stream_tap = true;
         self
     }
 
@@ -182,9 +172,6 @@ impl WorldBuilder {
         sim.set_profiler(self.profiler.clone());
         if self.trace {
             sim.enable_trace();
-        }
-        if self.stream_tap {
-            sim.enable_stream_tap();
         }
         let mut rng = SimRng::new(self.seed ^ 0x5eed_5eed);
 

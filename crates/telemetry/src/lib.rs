@@ -34,7 +34,7 @@ mod histogram;
 mod registry;
 
 pub use histogram::{Histogram, TICK_BUCKETS};
-pub use registry::{Registry, SpanId, SpanRecord, StreamEvent};
+pub use registry::{Registry, SpanId, SpanRecord};
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -187,23 +187,6 @@ impl Telemetry {
         }
     }
 
-    /// Opens a span with an explicit parent (`None` = root), bypassing
-    /// stack inference; see [`Registry::start_span_with_parent`]. On a
-    /// disabled handle no span is stored and the returned id is dead.
-    pub fn start_span_with_parent(
-        &self,
-        name: &str,
-        attrs: &[(&str, String)],
-        now: u64,
-        parent: Option<SpanId>,
-    ) -> SpanId {
-        if self.enabled {
-            self.with(|r| r.start_span_with_parent(name, attrs, now, parent))
-        } else {
-            SpanId::default()
-        }
-    }
-
     /// Closes a span; see [`Registry::end_span`].
     pub fn end_span(&self, id: SpanId, now: u64) {
         if self.enabled {
@@ -230,24 +213,6 @@ impl Telemetry {
     /// see [`Registry::rate_at`].
     pub fn rate_at(&self, name: &str, window_ticks: u64, now: u64) -> u64 {
         self.with(|r| r.rate_at(name, window_ticks, now))
-    }
-
-    /// Publishes an event onto the streaming bus; see [`Registry::publish`].
-    pub fn publish(&self, at: u64, topic: &str, body: &str) {
-        if self.enabled {
-            self.with(|r| r.publish(at, topic, body));
-        }
-    }
-
-    /// Copies out the events published after `cursor` plus the cursor to
-    /// resume from; see [`Registry::events_since`]. This is the polling
-    /// half of the subscriber API: online consumers (the cloud monitor
-    /// CLI, live dashboards) call it between simulation slices.
-    pub fn events_since(&self, cursor: usize) -> (usize, Vec<StreamEvent>) {
-        self.with(|r| {
-            let (next, events) = r.events_since(cursor);
-            (next, events.to_vec())
-        })
     }
 
     /// A deep copy of the registry at this instant — the unit benches and
@@ -351,33 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_parents_override_stack_inference() {
-        let t = Telemetry::new();
-        // Two interleaved "homes": stack inference would nest the second
-        // setup under the first; explicit parents keep both roots.
-        let home0 = t.start_span_with_parent("setup", &[], 0, None);
-        let home1 = t.start_span_with_parent("setup", &[], 2, None);
-        let bind = t.start_span_with_parent("bind", &[], 5, Some(home1));
-        t.end_span(bind, 7);
-        t.end_span(home1, 8);
-        t.end_span(home0, 9);
-        let snap = t.snapshot();
-        assert_eq!(snap.spans()[0].parent, None);
-        assert_eq!(snap.spans()[1].parent, None);
-        assert_eq!(snap.spans()[2].parent, Some(home1.0));
-        // Explicit-parent spans feed the same duration histograms.
-        let hist = snap.histogram("span_ticks{name=\"setup\"}").unwrap();
-        assert_eq!((hist.count(), hist.sum()), (2, 6 + 9));
-        // …and the stack-inference path is unperturbed for later spans.
-        let outer = span!(t, 10, "outer");
-        let inner = span!(t, 11, "inner");
-        let snap = t.snapshot();
-        assert_eq!(snap.spans()[4].parent, Some(outer.0));
-        t.end_span(inner, 12);
-        t.end_span(outer, 13);
-    }
-
-    #[test]
     fn identical_sequences_export_identically() {
         let run = || {
             let t = Telemetry::new();
@@ -393,21 +331,16 @@ mod tests {
     }
 
     #[test]
-    fn rate_and_stream_respect_the_enabled_switch() {
+    fn rate_respects_the_enabled_switch() {
         let on = Telemetry::new();
         on.rate_event("binds", 10);
         on.rate_event("binds", 20);
-        on.publish(20, "alert", "x");
         assert_eq!(on.rate("binds", 15), 2);
         assert_eq!(on.rate_at("binds", 5, 20), 1);
-        let (cursor, events) = on.events_since(0);
-        assert_eq!((cursor, events.len()), (1, 1));
 
         let off = Telemetry::disabled();
         off.rate_event("binds", 10);
-        off.publish(10, "alert", "x");
         assert_eq!(off.rate("binds", 100), 0);
-        assert_eq!(off.events_since(0), (0, vec![]));
     }
 
     #[test]

@@ -7,21 +7,6 @@ use std::fmt::Write as _;
 use crate::histogram::Histogram;
 use crate::json;
 
-/// One event published onto the in-registry streaming bus: a tick-stamped
-/// `(topic, body)` pair consumed by online subscribers (the cloud monitor,
-/// `rbsim monitor`) through [`Registry::events_since`]. Stream events are
-/// deliberately *not* part of the JSON/Prometheus exports, so publishing
-/// never perturbs the pinned goldens.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamEvent {
-    /// Simulation tick the event was published at.
-    pub at: u64,
-    /// Coarse routing key (`"alert"`, `"defense"`, `"net"`, …).
-    pub topic: String,
-    /// Rendered event body (deterministic, byte-stable).
-    pub body: String,
-}
-
 /// Opaque identifier of a span within one registry (creation-ordered).
 /// The `Default` id (`0`) is the dead id a disabled handle returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,8 +56,6 @@ pub struct Registry {
     /// Tick-stamped event series behind the sliding-window [`Registry::rate`]
     /// helper, keyed by series name. Kept sorted by tick.
     rates: BTreeMap<String, Vec<u64>>,
-    /// The streaming bus: publish-ordered events for online subscribers.
-    stream: Vec<StreamEvent>,
 }
 
 impl Registry {
@@ -140,31 +123,8 @@ impl Registry {
 
     /// Opens a span at `now`. The innermost still-open span becomes its
     /// parent, which is how spans nest over the flat `TraceEvent` stream.
-    ///
-    /// Stack inference is right for call-shaped nesting within one
-    /// component but mis-nests interleaved spans from unrelated components
-    /// (two homes' setups overlap in time without one containing the
-    /// other); callers that know the true hierarchy should pass it via
-    /// [`Registry::start_span_with_parent`].
     pub fn start_span(&mut self, name: &str, attrs: &[(&str, String)], now: u64) -> SpanId {
         let parent = self.open_spans.last().copied();
-        self.push_span(name, attrs, now, parent)
-    }
-
-    /// Opens a span at `now` with an explicit parent — `None` forces a
-    /// root span even while other spans are open. The recorded parent is
-    /// exactly what the caller states, so hierarchical instrumentation
-    /// (the `rb-prof` phase tree, the Perfetto export) agrees with the
-    /// span table byte for byte. Closing an explicit-parent span feeds
-    /// the same `span_ticks{name="…"}` histogram as a stack-inferred one.
-    pub fn start_span_with_parent(
-        &mut self,
-        name: &str,
-        attrs: &[(&str, String)],
-        now: u64,
-        parent: Option<SpanId>,
-    ) -> SpanId {
-        let parent = parent.map(|p| p.0);
         self.push_span(name, attrs, now, parent)
     }
 
@@ -313,35 +273,10 @@ impl Registry {
         self.rates.get(series).map_or(0, |t| t.len() as u64)
     }
 
-    // ----- streaming bus ----------------------------------------------------
-
-    /// Publishes one event onto the streaming bus. Subscribers poll with
-    /// [`Registry::events_since`]; exporters never see the stream.
-    pub fn publish(&mut self, at: u64, topic: &str, body: &str) {
-        self.stream.push(StreamEvent {
-            at,
-            topic: topic.to_string(),
-            body: body.to_string(),
-        });
-    }
-
-    /// The events published after `cursor`, plus the new cursor to resume
-    /// from. A subscriber that stores the returned cursor and polls again
-    /// sees every event exactly once, in publish order.
-    pub fn events_since(&self, cursor: usize) -> (usize, &[StreamEvent]) {
-        let start = cursor.min(self.stream.len());
-        (self.stream.len(), &self.stream[start..])
-    }
-
-    /// The whole published stream in publish order.
-    pub fn stream(&self) -> &[StreamEvent] {
-        &self.stream
-    }
-
     /// Folds `other`'s counters and histograms into this registry (used by
     /// benches to aggregate across seeds). Gauges take `other`'s value;
-    /// rate series merge (resorted by tick); spans, lifecycle state, and
-    /// the event stream are not merged.
+    /// rate series merge (resorted by tick); spans and lifecycle state are
+    /// not merged.
     pub fn merge_from(&mut self, other: &Registry) {
         for (name, value) in &other.counters {
             self.counter_add(name, *value);
@@ -780,31 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn stream_cursor_sees_every_event_exactly_once() {
+    fn rates_never_leak_into_exports() {
         let mut r = Registry::new();
-        r.publish(5, "alert", "contested dev=d1");
-        let (cursor, batch) = r.events_since(0);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].at, 5);
-        assert_eq!(batch[0].topic, "alert");
-        r.publish(9, "defense", "rotate-token dev=d1");
-        let (cursor2, batch2) = r.events_since(cursor);
-        assert_eq!(batch2.len(), 1);
-        assert_eq!(batch2[0].body, "rotate-token dev=d1");
-        let (_, empty) = r.events_since(cursor2);
-        assert!(empty.is_empty());
-        // A stale cursor past the end is clamped, not a panic.
-        assert!(r.events_since(usize::MAX).1.is_empty());
-        assert_eq!(r.stream().len(), 2);
-    }
-
-    #[test]
-    fn stream_and_rates_never_leak_into_exports() {
-        let mut r = Registry::new();
-        r.publish(1, "alert", "x");
         r.rate_event("s", 1);
         assert!(r.to_json().contains("\"counters\": {}"));
-        assert!(!r.to_json().contains("alert"));
         assert_eq!(r.to_prometheus(), "");
     }
 

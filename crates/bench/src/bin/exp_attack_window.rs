@@ -11,12 +11,11 @@
 //! cargo run -p rb-bench --bin exp_attack_window [seeds-per-point]
 //! ```
 
-use std::sync::{Mutex, PoisonError};
-
 use rb_attack::Adversary;
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
 use rb_core::design::VendorDesign;
+use rb_core::par::{available_threads, par_map};
 use rb_core::vendors;
 use rb_netsim::Telemetry;
 use rb_scenario::WorldBuilder;
@@ -107,43 +106,35 @@ fn main() {
         ("TP-LINK (device bind)", vendors::tp_link()),
     ];
 
-    // Fan the (window, design, seed) grid out across threads; every cell is
-    // an independent deterministic world.
+    // Map the (window, design) grid over the detected cores; every cell is
+    // an independent deterministic world, and results come back in grid
+    // order (window-major).
     let windows = [500u64, 2_000, 5_000, 15_000, 60_000];
-    let results = Mutex::new(std::collections::BTreeMap::new());
-    std::thread::scope(|scope| {
-        for (wi, &window) in windows.iter().enumerate() {
-            for (di, (_, design)) in designs.iter().enumerate() {
-                let results = &results;
-                scope.spawn(move || {
-                    // One registry per grid cell: the monitor's alert
-                    // counters accumulate across the cell's seeds, so the
-                    // detectability table below is a snapshot lookup, not
-                    // a trace re-scan.
-                    let telemetry = Telemetry::new();
-                    let wins = (0..seeds)
-                        .filter(|&s| race(design, window, 250, 0xA42 + s * 31 + window, &telemetry))
-                        .count();
-                    let alerts =
-                        telemetry.counter("cloud_alerts_total{kind=\"contested-binding\"}");
-                    // Alert burst: the sliding-window rate of the monitor's
-                    // `cloud_alerts` series over one setup window — the
-                    // `Telemetry::rate` helper, not hand-divided totals.
-                    let burst = telemetry.rate("cloud_alerts", window.max(1));
-                    results
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert((wi, di), (wins, alerts, burst));
-                });
-            }
-        }
+    let grid: Vec<(u64, &VendorDesign)> = windows
+        .iter()
+        .flat_map(|&window| designs.iter().map(move |(_, design)| (window, design)))
+        .collect();
+    let results = par_map(&grid, available_threads(), |&(window, design)| {
+        // One registry per grid cell: the monitor's alert counters
+        // accumulate across the cell's seeds, so the detectability table
+        // below is a snapshot lookup, not a trace re-scan.
+        let telemetry = Telemetry::new();
+        let wins = (0..seeds)
+            .filter(|&s| race(design, window, 250, 0xA42 + s * 31 + window, &telemetry))
+            .count();
+        let alerts = telemetry.counter("cloud_alerts_total{kind=\"contested-binding\"}");
+        // Alert burst: the sliding-window rate of the monitor's
+        // `cloud_alerts` series over one setup window — the
+        // `Telemetry::rate` helper, not hand-divided totals.
+        let burst = telemetry.rate("cloud_alerts", window.max(1));
+        (wins, alerts, burst)
     });
-    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let cell = |wi: usize, di: usize| results[wi * designs.len() + di];
     let mut rows = Vec::new();
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
         for di in 0..designs.len() {
-            let (wins, _, _) = results[&(wi, di)];
+            let (wins, _, _) = cell(wi, di);
             row.push(format!("{wins}/{seeds}"));
         }
         rows.push(row);
@@ -159,7 +150,7 @@ fn main() {
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
         for di in 0..designs.len() {
-            let (_, alerts, burst) = results[&(wi, di)];
+            let (_, alerts, burst) = cell(wi, di);
             row.push(format!("{alerts} (burst {burst}/win)"));
         }
         alert_rows.push(row);
@@ -178,7 +169,7 @@ fn main() {
     report.meta("seeds_per_point", seeds);
     for (wi, &window) in windows.iter().enumerate() {
         for (di, (name, _)) in designs.iter().enumerate() {
-            let (wins, alerts, burst) = results[&(wi, di)];
+            let (wins, alerts, burst) = cell(wi, di);
             let key =
                 |stat: &str| format!("{}.win_{window}ms.{stat}", name.replace([' ', '/'], "_"));
             report

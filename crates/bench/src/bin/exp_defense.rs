@@ -35,6 +35,7 @@ use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
 use rb_cloud::DefensePolicy;
 use rb_core::attacks::{AttackId, Feasibility};
+use rb_core::par::par_map;
 use rb_core::vendors::{self, vendor_designs};
 use rb_netsim::{Telemetry, TraceEvent};
 use rb_scenario::{defended_metrics_run, monitor_run, ChaosProfile};
@@ -125,47 +126,23 @@ fn defended_grid(designs: &[rb_core::design::VendorDesign]) -> (Vec<CellRun>, f6
     (cells, started.elapsed().as_secs_f64())
 }
 
-/// Leg 4: the monitor-enabled sweep at `threads` workers (slot-indexed
-/// merge over a work-stealing cursor), one byte-stable artifact per cell.
+/// Leg 4: the monitor-enabled sweep at `threads` workers (in-order
+/// [`par_map`]), one byte-stable artifact per cell.
 fn monitor_sweep(threads: usize) -> Vec<String> {
     let cells: Vec<_> = [vendors::tp_link(), vendors::e_link(), vendors::ozwi()]
         .into_iter()
         .flat_map(|d| [7u64, 11].map(|s| (d.clone(), s)))
         .collect();
-    let n = cells.len();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<String>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (design, seed) = &cells[i];
-                let run = monitor_run(design, *seed);
-                let artifact = format!(
-                    "== {} seed={seed}\n{}\n{}\n{}",
-                    design.vendor,
-                    run.alert_stream,
-                    run.state,
-                    run.telemetry.to_prometheus()
-                );
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(artifact);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_default()
-        })
-        .collect()
+    par_map(&cells, threads, |(design, seed)| {
+        let run = monitor_run(design, *seed);
+        format!(
+            "== {} seed={seed}\n{}\n{}\n{}",
+            design.vendor,
+            run.alert_stream,
+            run.state,
+            run.telemetry.to_prometheus()
+        )
+    })
 }
 
 fn main() {

@@ -8,7 +8,9 @@
 //!
 //! * `cells_per_sec` / `homes_per_sec` — sweep throughput (parallel run),
 //! * `cell_p50_ms` / `cell_p95_ms` — per-cell wall latency quantiles,
-//! * `speedup` — serial wall time over parallel wall time,
+//! * `speedup` — serial wall time over parallel wall time, printed with
+//!   the worker count and the detected core count (`--threads` defaults
+//!   to the latter; the BENCH meta records both),
 //! * `peak_alloc_bytes` / `peak_bytes_per_home` — the counting
 //!   allocator's window over the parallel pass,
 //! * the merged phase tree (`fleet.cell` → `sim.*` ticks), and
@@ -31,6 +33,7 @@
 //! ```
 
 use rb_bench::report::{emit, BenchReport};
+use rb_core::par::available_threads;
 use rb_fleet::{run_fleet_profiled, FleetSpec};
 use rb_prof::{AllocScope, CountingAlloc};
 
@@ -40,7 +43,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
     let mut homes = 1000usize;
-    let mut threads = 8usize;
+    let cores = available_threads();
+    let mut threads = cores;
     let mut out_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter();
@@ -107,7 +111,7 @@ fn main() {
         "throughput: {:.1} cells/s, {homes_per_sec:.0} homes/s | cell p50 {p50_ms:.1}ms p95 {p95_ms:.1}ms",
         parallel_t.cells_per_sec()
     );
-    println!("speedup vs serial: {speedup:.2}x at {threads} threads");
+    println!("speedup vs serial: {speedup:.2}x at {threads} threads on {cores} cores");
     println!(
         "alloc (parallel pass): peak live {} bytes ({peak_bytes_per_home:.0} bytes/home), {} allocations",
         alloc.peak_live_bytes, alloc.allocs_total
@@ -127,6 +131,7 @@ fn main() {
         .meta("seeds", spec.seeds.len())
         .meta("homes_per_cell", spec.homes_per_cell)
         .meta("threads", threads)
+        .meta("available_parallelism", cores)
         .metric_u64("cells", cells as u64)
         .metric_u64("homes_total", homes_total as u64)
         .metric_u64("converged", parallel_report.converged() as u64)

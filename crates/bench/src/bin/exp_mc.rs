@@ -19,22 +19,24 @@
 //! cargo run --release -p rb-bench --bin exp_mc -- --threads 4 out.json
 //! ```
 //!
-//! Throughput (`states_per_sec`, `designs_per_sec`) is wall-clock and
-//! machine-dependent; `deterministic`, `disagreements`, and
-//! `replay_failures` are the fields with pinned expectations (true / 0 /
-//! 0). Exits nonzero if any gate fails.
+//! The sweep maps over the designs on `--threads` workers (default: the
+//! detected core count). Throughput (`states_per_sec`, `designs_per_sec`)
+//! is wall-clock and machine-dependent; `deterministic`, `disagreements`,
+//! and `replay_failures` are the fields with pinned expectations (true /
+//! 0 / 0). Exits nonzero if any gate fails.
 
 use std::time::Instant;
 
 use rb_bench::report::{emit, BenchReport};
 use rb_core::design::VendorDesign;
 use rb_core::explore::all_designs;
+use rb_core::par::{available_threads, par_map};
 use rb_core::vendors::vendor_designs;
 use rb_mc::diag::verify_design;
 use rb_mc::explore::{explore, Property};
 use rb_mc::replay::replay;
 
-/// Per-sweep accumulator, merged deterministically by design index.
+/// Per-design verdict counts, summed in design order.
 #[derive(Default, Clone)]
 struct SweepTotals {
     states: usize,
@@ -58,30 +60,28 @@ impl SweepTotals {
     }
 }
 
-/// Verifies one chunk of the space serially (the explorer itself runs
-/// single-threaded here; parallelism comes from chunking the designs).
-fn sweep_chunk(designs: &[VendorDesign]) -> SweepTotals {
-    let mut t = SweepTotals::default();
-    for design in designs {
-        let v = verify_design(design, 1);
-        t.states += v.mc.reachable;
-        t.transitions += v.mc.transitions;
-        for (i, property) in Property::ALL.into_iter().enumerate() {
-            if v.mc.witness(property).is_some() {
-                t.violations[i] += 1;
-            }
+/// Verifies one design (the explorer itself runs single-threaded here;
+/// parallelism comes from mapping over the designs).
+fn verify_totals(design: &VendorDesign) -> SweepTotals {
+    let v = verify_design(design, 1);
+    let mut t = SweepTotals {
+        states: v.mc.reachable,
+        transitions: v.mc.transitions,
+        secure: usize::from(v.mc.is_secure()),
+        disagreements: v.disagreements.len(),
+        shadow_coverage_sum: v.mc.shadow_coverage_percent(),
+        ..SweepTotals::default()
+    };
+    for (i, property) in Property::ALL.into_iter().enumerate() {
+        if v.mc.witness(property).is_some() {
+            t.violations[i] += 1;
         }
-        if v.mc.is_secure() {
-            t.secure += 1;
-        }
-        t.disagreements += v.disagreements.len();
-        t.shadow_coverage_sum += v.mc.shadow_coverage_percent();
     }
     t
 }
 
 fn main() {
-    let mut threads = 8usize;
+    let mut threads = available_threads();
     let mut vendors_only = false;
     let mut out_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -123,20 +123,10 @@ fn main() {
         designs.len()
     );
     let started = Instant::now();
-    let chunk_len = designs.len().div_ceil(threads);
-    let chunk_totals: Vec<SweepTotals> = std::thread::scope(|scope| {
-        let handles: Vec<_> = designs
-            .chunks(chunk_len.max(1))
-            .map(|chunk| scope.spawn(move || sweep_chunk(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| panic!("sweep worker panicked")))
-            .collect()
-    });
+    let per_design = par_map(&designs, threads, verify_totals);
     let sweep_secs = started.elapsed().as_secs_f64();
     let mut totals = SweepTotals::default();
-    for t in &chunk_totals {
+    for t in &per_design {
         totals.absorb(t);
     }
     let states_per_sec = totals.states as f64 / sweep_secs.max(1e-9);

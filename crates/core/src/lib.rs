@@ -31,6 +31,9 @@
 //!   ([`spec::cross_check`]), and the exhaustive model checker (`rb-mc`)
 //!   all emit the same `Diagnostic`/`LintReport` shapes, so one SARIF log
 //!   carries all three.
+//! * [`par`] — the workspace's one **deterministic parallel map**, used
+//!   wherever independent units (fleet cells, designs, BFS frontier
+//!   states) are spread over threads; output order is input order.
 //!
 //! # Example
 //!
@@ -53,6 +56,7 @@ pub mod attacks;
 pub mod design;
 pub mod diagnostic;
 pub mod explore;
+pub mod par;
 pub mod recommend;
 pub mod shadow;
 pub mod spec;

@@ -18,12 +18,13 @@
 //!
 //! ## Execution
 //!
-//! [`run_fleet`] drives a work-stealing pool: `std::thread::scope` workers
-//! pull cell indices from a shared atomic cursor (an injector queue — no
-//! per-thread pre-partitioning, so stragglers never idle the pool). Results
-//! land in a slot vector *indexed by cell*, which makes the merged
-//! [`FleetReport`] byte-identical whatever the thread count or completion
-//! order: `--threads 1` and `--threads 8` render the same bytes.
+//! [`run_fleet`] maps the cells through [`rb_core::par::par_map`]: workers
+//! pull cell indices from a shared atomic cursor (no per-thread
+//! pre-partitioning, so stragglers never idle the pool) and the results
+//! come back *in cell order*, which makes the merged [`FleetReport`]
+//! byte-identical whatever the thread count or completion order:
+//! `--threads 1` and `--threads 8` render the same bytes. At one thread
+//! the cells run inline on the caller.
 //!
 //! Wall-clock timings are collected on the side in [`FleetTimings`] — they
 //! are machine-dependent by nature and therefore never appear in the
@@ -38,11 +39,10 @@
 //! assert_eq!(serial.render(), parallel.render());
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use rb_core::design::VendorDesign;
+use rb_core::par::par_map;
 use rb_core::vendors::vendor_designs;
 use rb_prof::{PhaseProfile, Profiler};
 use rb_scenario::{ChaosProfile, WorldBuilder};
@@ -355,11 +355,8 @@ impl FleetTimings {
 /// workers. Returns the deterministic merged report plus the wall-clock
 /// timings.
 ///
-/// Each worker claims the next unclaimed cell from a shared atomic cursor
-/// (injector-queue semantics: no static partitioning, so a slow cell never
-/// strands work behind it) and deposits the result into the cell's slot.
-/// The merge is therefore a plain in-order collection and the report is
-/// byte-identical to a serial run.
+/// The cells go through [`par_map`], so the merge is a plain in-order
+/// collection and the report is byte-identical to a serial run.
 pub fn run_fleet(spec: &FleetSpec) -> (FleetReport, FleetTimings) {
     let cells = spec.cells();
     let (reports, timings) = run_pool(&cells, spec.threads, run_cell);
@@ -384,51 +381,22 @@ pub fn run_fleet_profiled(spec: &FleetSpec) -> (FleetReport, PhaseProfile, Fleet
     (FleetReport { cells: reports }, merged, timings)
 }
 
-/// The shared work-stealing pool: workers claim cell indices from an
-/// atomic cursor and deposit `run(cell)` into the cell's slot, so the
-/// collected vector is in cell order regardless of completion order.
+/// Maps `run` over the cells with [`par_map`], timing each cell inside
+/// its worker. Results and per-cell timings are in cell order; a panic in
+/// `run` reaches the caller with its own payload.
 fn run_pool<R: Send>(
     cells: &[Cell],
     threads: usize,
     run: impl Fn(&Cell) -> R + Sync,
 ) -> (Vec<R>, FleetTimings) {
     let threads = threads.max(1).min(cells.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<(R, u64)>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(cells.len()).collect());
     let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::SeqCst);
-                let Some(cell) = cells.get(i) else { break };
-                let cell_started = Instant::now();
-                let result = run(cell);
-                let nanos = u64::try_from(cell_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some((result, nanos));
-                }
-            });
-        }
+    let timed = par_map(cells, threads, |cell| {
+        let cell_started = Instant::now();
+        (run(cell), nanos_since(cell_started))
     });
-
-    let total_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let filled = match slots.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut results = Vec::with_capacity(filled.len());
-    let mut cell_nanos = Vec::with_capacity(filled.len());
-    for (i, slot) in filled.into_iter().enumerate() {
-        match slot {
-            Some((result, nanos)) => {
-                results.push(result);
-                cell_nanos.push(nanos);
-            }
-            None => unreachable!("cell {i} was claimed but never reported"),
-        }
-    }
+    let total_nanos = nanos_since(started);
+    let (results, cell_nanos) = timed.into_iter().unzip();
     (
         results,
         FleetTimings {
@@ -437,6 +405,10 @@ fn run_pool<R: Send>(
             threads,
         },
     )
+}
+
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

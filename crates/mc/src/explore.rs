@@ -1,12 +1,14 @@
 //! The explicit-state explorer: deterministic parallel BFS over the
 //! product machine, property evaluation, and minimal counterexamples.
 //!
-//! The frontier of each BFS level is expanded by a pool of scoped worker
-//! threads pulling indices off an atomic cursor and depositing successor
-//! lists into per-index slots; the slots are then merged **in frontier
-//! order**, so discovery order — and with it every witness trace, count,
-//! and coverage set — is identical at any thread count. `exp_mc` gates on
-//! byte-identical reports at 1, 4, and 8 threads.
+//! The frontier of each BFS level is expanded through
+//! [`rb_core::par::par_map`], which returns the successor lists **in
+//! frontier order**; the merge then walks them in that order, so discovery
+//! order — and with it every witness trace, count, and coverage set — is
+//! identical at any thread count. At `threads = 1` (how `verify_design`
+//! is called by every design sweep) the expansion runs inline on the
+//! caller and spawns nothing. `exp_mc` gates on byte-identical reports at
+//! 1, 4, and 8 threads.
 //!
 //! Properties:
 //!
@@ -27,13 +29,12 @@
 use crate::model::{self, McAct, PState, KEY_SPACE};
 use rb_core::design::VendorDesign;
 use rb_core::diagnostic::RuleId;
+use rb_core::par::par_map;
 use rb_core::shadow::{Primitive, ShadowState};
 use rb_core::spec::{self, Party};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The properties rb-mc decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -267,7 +268,6 @@ fn expand(design: &VendorDesign, key: u16) -> Vec<(McAct, u16)> {
 /// threads. The report is **byte-identical for every thread count** — the
 /// level-synchronous frontier is merged in deterministic order.
 pub fn explore(design: &VendorDesign, threads: usize) -> McReport {
-    let threads = threads.max(1);
     let initial = PState::initial();
 
     let mut visited = vec![false; KEY_SPACE];
@@ -315,34 +315,16 @@ pub fn explore(design: &VendorDesign, threads: usize) -> McReport {
 
     let mut frontier = vec![initial.key()];
     while !frontier.is_empty() {
-        // Expand the whole level in parallel; slots keep frontier order.
-        let slots: Vec<Option<Vec<(McAct, u16)>>> = {
-            let slots = Mutex::new(vec![None; frontier.len()]);
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(frontier.len()) {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= frontier.len() {
-                            break;
-                        }
-                        let succs = expand(design, frontier[i]);
-                        let mut guard = slots.lock().unwrap_or_else(|p| p.into_inner());
-                        guard[i] = Some(succs);
-                    });
-                }
-            });
-            slots.into_inner().unwrap_or_else(|p| p.into_inner())
-        };
+        // Expand the whole level; the results come back in frontier order.
+        let succs = par_map(&frontier, threads, |&key| expand(design, key));
 
         // Deterministic merge: frontier order, then action order.
         let mut next = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let key = frontier[i];
+        for (&key, succs) in frontier.iter().zip(succs) {
             let Some(pre) = PState::from_key(key) else {
                 continue;
             };
-            for (act, child) in slot.unwrap_or_default() {
+            for (act, child) in succs {
                 transitions += 1;
                 shadow_edges.insert((shadow_of(pre), primitive_of(act)));
                 if user_disconnect.is_none()

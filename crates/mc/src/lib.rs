@@ -11,9 +11,9 @@
 //!   (device-channel binds ride registration, honest unbinding uses only
 //!   realizable channels, session staleness is tracked).
 //! * [`explore`] — the **deterministic parallel explorer**: a
-//!   level-synchronous BFS whose frontier is expanded by scoped worker
-//!   threads and merged in frontier order, so reports are byte-identical
-//!   at any thread count. Decides the three safety properties plus the
+//!   level-synchronous BFS whose frontier is expanded through
+//!   `rb_core::par::par_map` (inline at one thread) and merged in
+//!   frontier order, so reports are byte-identical at any thread count. Decides the three safety properties plus the
 //!   NO-STALE-ACCEPT invariant and REBIND-LIVELOCK liveness (under
 //!   fairness of honest actions), each with a minimal witness, and
 //!   accounts shadow-machine edge coverage.

@@ -5,6 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use rb_core::par::par_map;
 use rb_core::vendors;
 use rb_scenario::monitor_run;
 
@@ -20,38 +21,19 @@ fn matrix() -> Vec<(rb_core::design::VendorDesign, u64)> {
     cells
 }
 
-/// Runs the matrix on `threads` workers (slot-indexed merge, work-stealing
-/// cursor) and returns one byte-stable artifact per cell.
+/// Runs the matrix on `threads` workers (in-order `par_map`) and returns
+/// one byte-stable artifact per cell.
 fn sweep(threads: usize) -> Vec<String> {
-    let cells = matrix();
-    let n = cells.len();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<String>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (design, seed) = &cells[i];
-                let run = monitor_run(design, *seed);
-                let artifact = format!(
-                    "== {} seed={seed}\n{}\n{}\n{}",
-                    design.vendor,
-                    run.alert_stream,
-                    run.state,
-                    run.telemetry.to_prometheus()
-                );
-                *slots[i].lock().unwrap() = Some(artifact);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every cell ran"))
-        .collect()
+    par_map(&matrix(), threads, |(design, seed)| {
+        let run = monitor_run(design, *seed);
+        format!(
+            "== {} seed={seed}\n{}\n{}\n{}",
+            design.vendor,
+            run.alert_stream,
+            run.state,
+            run.telemetry.to_prometheus()
+        )
+    })
 }
 
 #[test]

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use rb_core::analyzer::{analyze, AnalysisReport};
 use rb_core::attacks::{AttackFamily, AttackId, Feasibility};
 use rb_core::design::VendorDesign;
+use rb_core::par::{available_threads, par_map};
 use rb_core::vendors;
 
 use crate::exec::{run_attack, run_attack_opts, AttackOpts, AttackRun};
@@ -144,33 +145,20 @@ pub fn run_all(base_seed: u64) -> Vec<VendorCampaign> {
         .collect()
 }
 
-/// Like [`run_all`], but fans the ten vendors out across threads. Each
-/// campaign owns an independent deterministic world, so the results are
-/// identical to the sequential run — only the wall clock changes.
+/// Like [`run_all`], but fans the ten vendors out across
+/// [`available_threads`] workers. Each campaign owns an independent
+/// deterministic world, so the results are identical to the sequential
+/// run — only the wall clock changes.
 pub fn run_all_parallel(base_seed: u64) -> Vec<VendorCampaign> {
     let designs = vendors::vendor_designs();
-    let mut out: Vec<Option<VendorCampaign>> = Vec::new();
-    out.resize_with(designs.len(), || None);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, design) in designs.iter().enumerate() {
-            let seed = base_seed.wrapping_add(i as u64 * 17);
-            handles.push((i, scope.spawn(move |_| run_campaign(design, seed))));
-        }
-        for (i, handle) in handles {
-            out[i] = Some(
-                handle
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-    });
-    if scope_result.is_err() {
-        unreachable!("all campaign threads are joined inside the scope");
-    }
-    out.into_iter()
-        .map(|c| c.unwrap_or_else(|| unreachable!("every campaign slot is filled above")))
-        .collect()
+    let jobs: Vec<(u64, &VendorDesign)> = designs
+        .iter()
+        .enumerate()
+        .map(|(i, d)| (base_seed.wrapping_add(i as u64 * 17), d))
+        .collect();
+    par_map(&jobs, available_threads(), |&(seed, design)| {
+        run_campaign(design, seed)
+    })
 }
 
 /// Runs the campaign against the secure reference designs (the extension

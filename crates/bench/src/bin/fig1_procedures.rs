@@ -8,12 +8,13 @@
 //! ```
 
 use rb_core::vendors;
+use rb_netsim::TraceEvent;
 use rb_scenario::WorldBuilder;
 
 fn main() {
     println!("Figure 1: procedures of remote binding (executed on the Belkin-style design)\n");
 
-    let mut world = WorldBuilder::new(vendors::belkin(), 1).build();
+    let mut world = WorldBuilder::new(vendors::belkin(), 1).trace().build();
 
     println!("phase 1-3: user authentication, local configuration, binding creation");
     world.run_setup();
@@ -27,26 +28,40 @@ fn main() {
         }
     }
 
-    // The cloud's audit log is the cloud-side view.
+    // The cloud's `rpc` marks are the cloud-side view. Each mark shares its
+    // span with the delivered request that caused it, which names the
+    // requester.
     println!("\ncloud-side message sequence (first 12 non-heartbeat entries):");
     let app_node = world.homes[0].app;
     let device_node = world.homes[0].device;
+    let trace = world.sim.trace();
+    let requester = |span: u64| {
+        trace.iter().find_map(|e| match e.event {
+            TraceEvent::Delivered { from, to, ctx, .. }
+                if to == world.cloud && ctx.span_id == span =>
+            {
+                Some(from)
+            }
+            _ => None,
+        })
+    };
     let mut shown = 0;
-    for entry in world.cloud().audit().entries() {
-        if entry.request == "Status" && shown > 3 {
+    for entry in trace {
+        let TraceEvent::Mark { node, text, ctx } = &entry.event else {
+            continue;
+        };
+        let Some(rpc) = text.strip_prefix("rpc ") else {
+            continue;
+        };
+        if *node != world.cloud || (rpc.starts_with("status:") && shown > 3) {
             continue; // compress the heartbeat stream
         }
-        let who = if entry.from == app_node {
-            "app   "
-        } else if entry.from == device_node {
-            "device"
-        } else {
-            "other "
+        let who = match requester(ctx.span_id) {
+            Some(n) if n == app_node => "app   ",
+            Some(n) if n == device_node => "device",
+            _ => "other ",
         };
-        println!(
-            "  {} {} -> cloud: {:16} => {}",
-            entry.at, who, entry.request, entry.outcome
-        );
+        println!("  {} {who} -> cloud: {rpc}", entry.at);
         shown += 1;
         if shown >= 12 {
             break;

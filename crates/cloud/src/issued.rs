@@ -1,22 +1,17 @@
 //! Issued `DevToken`s and `BindToken` capabilities.
 
+use std::collections::HashMap;
+
 use rb_netsim::SimRng;
 use rb_wire::messages::DenyReason;
 use rb_wire::tokens::{BindToken, DevToken, UserId};
 
-use crate::sharded::ShardedMap;
-
 /// Tracks which user requested each issued `DevToken` — the linkage that
 /// keys a device's cloud session to its legitimate owner and defeats
 /// hijack-then-control on `DevToken` designs.
-///
-/// Issued tokens are stored in a [`ShardedMap`] keyed by token prefix: a
-/// long-lived cloud accumulates one token per provisioning, so the ledger
-/// grows with the population and benefits from sharded rehashing just like
-/// the device registry.
 #[derive(Debug, Default)]
 pub struct DevTokenLedger {
-    issued: ShardedMap<DevToken, UserId>,
+    issued: HashMap<DevToken, UserId>,
 }
 
 impl DevTokenLedger {
@@ -53,11 +48,10 @@ impl DevTokenLedger {
 }
 
 /// Tracks `BindToken` capabilities: issued to a user, consumed exactly once
-/// when the device submits them back. Sharded by token prefix like
-/// [`DevTokenLedger`].
+/// when the device submits them back.
 #[derive(Debug, Default)]
 pub struct BindTokenLedger {
-    issued: ShardedMap<BindToken, (UserId, bool)>,
+    issued: HashMap<BindToken, (UserId, bool)>,
 }
 
 impl BindTokenLedger {

@@ -17,23 +17,24 @@
 //! * [`state`] — device sessions and shadow records (the live
 //!   [`rb_core::shadow::Shadow`] plus schedules, telemetry, and binding
 //!   session tokens);
-//! * [`audit`] — an append-only audit log consumed by experiments;
-//! * [`sharded`] — prefix-sharded hash maps backing the registry and the
-//!   token ledgers at fleet scale;
+//! * [`monitor`] — the streaming security monitor and the opt-in
+//!   [`DefensePolicy`] it drives;
 //! * [`service`] — [`service::CloudService`]: the message handlers and the
 //!   [`rb_netsim::Actor`] implementation.
 //!
 //! The service can be driven two ways: through the network simulator (the
 //! scenario crate does this), or directly via
 //! [`service::CloudService::handle_message`] for protocol-level unit tests.
+//! Either way, each decision is counted in the
+//! `cloud_{requests,denials}_total{kind=…}` telemetry counters and, with
+//! forensics on, recorded as an `rpc <primitive> dev=… outcome=…` mark
+//! (see [`service::CloudService::take_forensic_marks`]).
 
 pub mod accounts;
-pub mod audit;
 pub mod issued;
 pub mod monitor;
 pub mod registry;
 pub mod service;
-pub mod sharded;
 pub mod state;
 
 pub use monitor::{DefensePolicy, Monitor, SecurityAlert};

@@ -9,8 +9,6 @@ use std::collections::HashMap;
 
 use rb_wire::ids::DevId;
 
-use crate::sharded::ShardedMap;
-
 /// Simulated public-key signature over a device ID; see
 /// [`rb_wire::crypto::sign_dev_id`].
 pub fn sign(secret: u128, dev_id: &DevId) -> u128 {
@@ -28,14 +26,9 @@ pub struct DeviceRecord {
 }
 
 /// The registry of devices the vendor has manufactured.
-///
-/// Device records live in a [`ShardedMap`] keyed by device-id prefix, so a
-/// vendor-scale population (the fleet engine simulates thousands of homes
-/// per cell) spreads across 16 independent tables instead of rehashing one
-/// monolith. Key-id lookups stay a flat map — key ids are dense `u64`s.
 #[derive(Debug, Default)]
 pub struct DeviceRegistry {
-    devices: ShardedMap<DevId, DeviceRecord>,
+    devices: HashMap<DevId, DeviceRecord>,
     keys: HashMap<u64, u128>,
 }
 
@@ -71,7 +64,7 @@ impl DeviceRegistry {
         }
     }
 
-    /// Number of registered devices (summed across shards).
+    /// Number of registered devices.
     pub fn len(&self) -> usize {
         self.devices.len()
     }
@@ -79,11 +72,6 @@ impl DeviceRegistry {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
-    }
-
-    /// Iterates over registered device IDs.
-    pub fn iter_ids(&self) -> impl Iterator<Item = &DevId> {
-        self.devices.keys()
     }
 }
 
@@ -112,7 +100,6 @@ mod tests {
         assert_eq!(reg.factory_secret(&id(1)), Some(42));
         assert_eq!(reg.factory_secret(&id(2)), None);
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.iter_ids().count(), 1);
     }
 
     #[test]

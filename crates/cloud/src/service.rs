@@ -19,7 +19,6 @@ use rb_wire::messages::{
 use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
 
 use crate::accounts::AccountStore;
-use crate::audit::{AuditEntry, AuditLog};
 use crate::issued::{BindTokenLedger, DevTokenLedger};
 use crate::monitor::{DefensePolicy, Monitor, SecurityAlert};
 use crate::registry::{DeviceRecord, DeviceRegistry};
@@ -59,8 +58,6 @@ pub struct CloudConfig {
     /// Window (ticks) within which a reported button press counts as a
     /// local-presence proof (Philips Hue: 30 seconds).
     pub button_window: u64,
-    /// Audit-log capacity.
-    pub audit_cap: usize,
     /// Optional per-source rate limit (off by default — none of the studied
     /// vendors deployed one, which is what makes enumeration viable).
     pub rate_limit: Option<RateLimit>,
@@ -78,7 +75,6 @@ impl CloudConfig {
             design,
             heartbeat_timeout: 30_000,
             button_window: 30_000,
-            audit_cap: 65_536,
             rate_limit: None,
             defense: DefensePolicy::disabled(),
         }
@@ -125,7 +121,6 @@ pub struct CloudService {
     dev_tokens: DevTokenLedger,
     bind_tokens: BindTokenLedger,
     state: DeviceState,
-    audit: AuditLog,
     nat: HashMap<NodeId, u32>,
     rules: HashMap<rb_wire::tokens::UserId, Vec<AutomationRule>>,
     rate: HashMap<NodeId, (Tick, u32)>,
@@ -144,7 +139,6 @@ pub struct CloudService {
 impl CloudService {
     /// Creates a cloud for one vendor design.
     pub fn new(config: CloudConfig) -> Self {
-        let audit = AuditLog::new(config.audit_cap);
         CloudService {
             config,
             accounts: AccountStore::new(),
@@ -152,7 +146,6 @@ impl CloudService {
             dev_tokens: DevTokenLedger::new(),
             bind_tokens: BindTokenLedger::new(),
             state: DeviceState::new(),
-            audit,
             nat: HashMap::new(),
             rules: HashMap::new(),
             rate: HashMap::new(),
@@ -283,19 +276,9 @@ impl CloudService {
         self.nat.get(&node).copied().unwrap_or(0xffff_0000 | node.0)
     }
 
-    /// The audit log.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
     /// The passive security monitor.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
-    }
-
-    /// Mutable access to the monitor (drain alerts, tune thresholds).
-    pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
     }
 
     /// Installs an active-response policy. The default policy is disabled;
@@ -352,16 +335,13 @@ impl CloudService {
             let pushes = self.apply_defenses(now, rng);
             outcome.pushes.extend(pushes);
         }
-        let rendered = outcome.reply.to_string();
-        // The audit log and the metrics registry observe the same
-        // request/outcome stream: the log keeps bounded per-request
-        // records, the registry keeps unbounded per-kind counters. The
-        // key formatting is skipped entirely when recording is off.
+        // Per-kind request and denial counters; the key formatting is
+        // skipped entirely when recording is off.
         if self.telemetry.is_enabled() {
             self.telemetry.with(|r| {
                 let kind = msg.kind_str();
                 r.counter_add(&format!("cloud_requests_total{{kind=\"{kind}\"}}"), 1);
-                if rendered.starts_with("Denied") {
+                if matches!(outcome.reply, Response::Denied { .. }) {
                     r.counter_add(&format!("cloud_denials_total{{kind=\"{kind}\"}}"), 1);
                 }
             });
@@ -371,16 +351,11 @@ impl CloudService {
                 .dev_id()
                 .map_or_else(|| "-".to_string(), ToString::to_string);
             self.forensic_marks.push(format!(
-                "rpc {} dev={dev} outcome={rendered}",
-                msg.primitive_str()
+                "rpc {} dev={dev} outcome={}",
+                msg.primitive_str(),
+                outcome.reply
             ));
         }
-        self.audit.push(AuditEntry {
-            at: now,
-            from,
-            request: msg.kind_str(),
-            outcome: rendered,
-        });
         outcome
     }
 
@@ -1415,7 +1390,6 @@ impl std::fmt::Debug for CloudService {
         f.debug_struct("CloudService")
             .field("vendor", &self.config.design.vendor)
             .field("devices", &self.registry.len())
-            .field("audit_entries", &self.audit.len())
             .finish()
     }
 }

@@ -115,11 +115,6 @@ impl DeviceState {
         self.sessions.get(dev_id)
     }
 
-    /// Mutable session access.
-    pub fn session_mut(&mut self, dev_id: &DevId) -> Option<&mut DeviceSession> {
-        self.sessions.get_mut(dev_id)
-    }
-
     /// Records an authenticated status source. Returns the displaced nodes
     /// (empty when none, or when concurrency is tolerated).
     pub fn touch_session(

@@ -1021,12 +1021,27 @@ fn heartbeat_does_not_reset_binding_even_on_tp_link() {
 }
 
 #[test]
-fn audit_log_records_decisions() {
+fn decisions_reach_counters_and_rpc_marks() {
     let mut h = Harness::new(vendors::d_link());
     setup_bound(&mut h);
-    h.bind_as(ATTACKER_NODE, UserToken::from_entropy(1)); // denied
-    assert!(h.cloud.audit().len() >= 3);
-    assert!(h.cloud.audit().denials() >= 1);
+    h.cloud.set_forensics(true);
+    let r = h.bind_as(ATTACKER_NODE, UserToken::from_entropy(1));
+    assert_eq!(
+        r.reply,
+        Response::Denied {
+            reason: DenyReason::InvalidUserToken
+        }
+    );
+    let telemetry = h.cloud.telemetry();
+    assert_eq!(telemetry.counter("cloud_denials_total{kind=\"Bind\"}"), 1);
+    assert_eq!(telemetry.counter("cloud_requests_total{kind=\"Bind\"}"), 2);
+    let marks = h.cloud.take_forensic_marks();
+    let rpc = marks
+        .iter()
+        .rfind(|m| m.starts_with("rpc "))
+        .expect("the denied bind leaves an rpc mark");
+    let reason = DenyReason::InvalidUserToken;
+    assert!(rpc.ends_with(&format!("outcome=Denied({reason})")), "{rpc}");
 }
 
 // ---------------------------------------------------------------------------

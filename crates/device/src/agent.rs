@@ -164,11 +164,6 @@ impl DeviceAgent {
         self.registered
     }
 
-    /// Whether the device believes it is bound.
-    pub fn believes_bound(&self) -> bool {
-        self.bound_hint
-    }
-
     /// Relay/light state.
     pub fn is_on(&self) -> bool {
         self.on

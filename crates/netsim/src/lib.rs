@@ -77,7 +77,7 @@ pub use rng::SimRng;
 pub use sim::{Dest, NodeConfig, Simulation};
 pub use time::Tick;
 pub use topology::{LanId, NodeId};
-pub use trace::{TraceCtx, TraceEntry, TraceEvent, TraceParseError};
+pub use trace::{TraceCtx, TraceEntry, TraceEvent};
 
 // Re-exported so actors and harnesses can record into the simulation's
 // registry without naming the telemetry crate themselves.

@@ -340,11 +340,6 @@ impl Simulation {
         self.with_actor(id, None, |actor, ctx| actor.on_power(ctx, powered));
     }
 
-    /// Whether a node is currently powered.
-    pub fn is_powered(&self, id: NodeId) -> bool {
-        self.nodes[id.0 as usize].powered
-    }
-
     /// Cuts (or restores) a node's WAN uplink without touching its LAN —
     /// models the "connection disruption" consequence of the paper's A3
     /// attacks, and ISP outages for failure injection.

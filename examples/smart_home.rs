@@ -88,9 +88,17 @@ fn main() {
         world.cloud().bound_user(&world.homes[2].dev_id)
     );
 
-    println!(
-        "\ncloud audit log: {} entries, {} denials",
-        world.cloud().audit().len(),
-        world.cloud().audit().denials()
-    );
+    let (requests, denials) = world.telemetry().with(|r| {
+        let total = |prefix: &str| {
+            r.counters()
+                .filter(|(name, _)| name.starts_with(prefix))
+                .map(|(_, n)| n)
+                .sum::<u64>()
+        };
+        (
+            total("cloud_requests_total{"),
+            total("cloud_denials_total{"),
+        )
+    });
+    println!("\ncloud: {requests} requests, {denials} denials");
 }

@@ -51,15 +51,20 @@ pub struct AppConfig {
     /// for the next grid point at which something is due, and none while
     /// idle.
     pub poll_every: u64,
-    /// Resend period for unanswered steps (the backoff base).
+    /// The backoff base: the resend period for an unanswered step, and the
+    /// wait before the first resend of a denied one. Each further resend
+    /// of a denied step waits twice as long as the last.
     pub retry_every: u64,
-    /// Upper bound on the backed-off resend period.
+    /// Upper bound on the backed-off resend period, for unanswered and
+    /// denied steps alike.
     pub retry_cap: u64,
-    /// Jitter on resend delays, in per-mille of the delay.
+    /// Jitter on the resend delays of unanswered steps, in per-mille of the
+    /// delay. Denied steps back off without jitter.
     pub retry_jitter_per_mille: u16,
     /// Consecutive unanswered resends of one step before the app gives up
     /// ([`AppEvent::GaveUp`]) instead of wedging. Answered steps — even
-    /// denials — reset the count.
+    /// denials — reset the count, so a denied step is resent forever on
+    /// its backoff schedule and never gives up.
     pub retry_budget: u32,
     /// Which length-encoding the provisioning broadcast uses.
     pub wifi_broadcast: WifiBroadcast,
@@ -156,6 +161,8 @@ enum Await {
     Response(CorrId),
     Discovery,
     ProvisionReply,
+    /// The last send was denied: resend once `cur_delay` has passed.
+    Backoff,
 }
 
 /// The companion-app actor. See the [crate docs](crate) for the flow.
@@ -553,8 +560,8 @@ impl AppAgent {
                 self.events.push(AppEvent::Denied(*reason));
                 self.stats.denials += 1;
                 self.telemetry.incr("app_denials_total");
-                // Retry the step on its next poll.
-                self.awaiting = Await::None;
+                // Resend the step once the backoff delay has passed.
+                self.awaiting = Await::Backoff;
             }
             _ => {}
         }
@@ -751,12 +758,19 @@ impl AppAgent {
             _ => {
                 if self.awaiting == Await::None {
                     // Not waiting on an answer (fresh step, or the last
-                    // answer told us to try again): send at grid cadence.
+                    // answer told us to poll again): send at grid cadence.
                     self.enter_step(ctx);
                 } else {
                     let stale = self.last_send_at == Tick::ZERO
                         || now - self.last_send_at >= self.cur_delay;
-                    if stale {
+                    if stale && self.awaiting == Await::Backoff {
+                        // Denied: resend after `cur_delay`, doubling it up
+                        // to the cap. A denial is an answer, so this spends
+                        // no budget and never gives up.
+                        self.cur_delay =
+                            self.cur_delay.saturating_mul(2).min(self.config.retry_cap);
+                        self.enter_step(ctx);
+                    } else if stale {
                         // Unanswered past the current timeout: resend with
                         // backoff, or give up when the budget is spent.
                         match self.retry.next(ctx.rng()) {
@@ -792,8 +806,14 @@ impl AppAgent {
                 Ok(Envelope::Response { corr, rsp }) => {
                     if self.awaiting == Await::Response(corr) {
                         // An answer — even a denial — means the path works;
-                        // only consecutive silence burns the retry budget.
-                        self.reset_retry();
+                        // only consecutive silence burns the retry budget. A
+                        // denial keeps the backoff delay, which grows on
+                        // each resend of the denied step.
+                        if matches!(rsp, Response::Denied { .. }) {
+                            self.retry.reset();
+                        } else {
+                            self.reset_retry();
+                        }
                         self.on_step_response(ctx, &rsp);
                     } else {
                         match rsp {
@@ -887,5 +907,157 @@ impl Actor for AppAgent {
         self.armed = None;
         self.poll(ctx);
         self.schedule(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // Test code: panicking on unexpected state is the correct failure mode.
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use rb_core::vendors;
+    use rb_netsim::{LinkQuality, NodeConfig, Simulation};
+
+    const LAN: LanId = LanId(0);
+    const VENDOR: &str = "MockVendor";
+
+    fn label() -> DevId {
+        DevId::Uuid(0xB0B)
+    }
+
+    /// Logs every user in and denies the first `deny_binds` binds as
+    /// already bound (every bind when `None`), recording when each bind
+    /// arrived.
+    struct DenyingCloud {
+        deny_binds: Option<usize>,
+        bind_ticks: Vec<u64>,
+    }
+
+    impl Actor for DenyingCloud {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+            let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
+                return;
+            };
+            let rsp = match msg {
+                Message::Login { .. } => Response::LoginOk {
+                    user_token: UserToken::from_entropy(1),
+                },
+                Message::Bind(_) => {
+                    self.bind_ticks.push(ctx.now().as_u64());
+                    if self.deny_binds.is_none_or(|n| self.bind_ticks.len() <= n) {
+                        Response::Denied {
+                            reason: DenyReason::AlreadyBound,
+                        }
+                    } else {
+                        Response::Bound { session: None }
+                    }
+                }
+                _ => return,
+            };
+            ctx.send(
+                Dest::Unicast(from),
+                Envelope::Response { corr, rsp }.encode(),
+            );
+        }
+    }
+
+    /// Answers discovery and accepts provisioning, so a flow that gets past
+    /// its bind runs to the end.
+    struct LanDevice;
+
+    impl Actor for LanDevice {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+            if SearchRequest::decode(payload).is_ok() {
+                let rsp = SearchResponse {
+                    vendor: VENDOR.into(),
+                    model: "unit".into(),
+                    dev_id: label(),
+                };
+                ctx.send(Dest::Unicast(from), rsp.encode());
+            } else if ProvisionRequest::decode(payload).is_ok() {
+                let reply = ProvisionReply::Accepted {
+                    device_info: "ok".into(),
+                };
+                ctx.send(Dest::Unicast(from), reply.encode());
+            }
+        }
+    }
+
+    /// Runs a D-LINK-style flow (log in, then bind the printed label first)
+    /// against a cloud that denies `deny_binds` binds, until `until`, and
+    /// hands the app and the cloud's bind arrival ticks to `check`.
+    fn run(
+        deny_binds: Option<usize>,
+        retry_budget: u32,
+        until: u64,
+        check: impl FnOnce(&AppAgent, &[u64]),
+    ) {
+        let mut design = vendors::d_link();
+        design.vendor = VENDOR.into();
+        let mut sim = Simulation::with_quality(9, LinkQuality::perfect(), LinkQuality::perfect());
+        let cloud = sim.add_node(
+            NodeConfig::wan_only("cloud"),
+            Box::new(DenyingCloud {
+                deny_binds,
+                bind_ticks: Vec::new(),
+            }),
+        );
+        sim.add_node(NodeConfig::dual("device", LAN), Box::new(LanDevice));
+        let mut config = AppConfig::new(design, cloud, LAN, UserId::new("u"), UserPw::new("p"));
+        config.known_label = Some(label());
+        config.retry_budget = retry_budget;
+        let app = sim.add_node(
+            NodeConfig::dual("app", LAN),
+            Box::new(AppAgent::new(config)),
+        );
+        sim.run_until(Tick(until));
+        let binds = &sim.actor::<DenyingCloud>(cloud).unwrap().bind_ticks;
+        check(sim.actor::<AppAgent>(app).unwrap(), binds);
+    }
+
+    fn gaps(ticks: &[u64]) -> Vec<u64> {
+        ticks.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    #[test]
+    fn denied_resends_double_from_retry_every_up_to_retry_cap() {
+        run(None, 24, 30_000, |app, binds| {
+            let (every, cap) = (app.config.retry_every, app.config.retry_cap);
+            assert_eq!(cap, every * 8, "the schedule below assumes the defaults");
+            let expected = [every, 2 * every, 4 * every, cap, cap, cap, cap];
+            assert!(binds.len() > expected.len(), "{binds:?}");
+            assert_eq!(gaps(binds)[..expected.len()], expected[..], "{binds:?}");
+            assert!(gaps(binds).iter().all(|&g| g <= cap), "{binds:?}");
+            assert_eq!(app.stats.denials, binds.len() as u64);
+        });
+    }
+
+    #[test]
+    fn denials_spend_no_retry_budget_and_never_give_up() {
+        // A budget of one would abort after a single unanswered resend.
+        run(None, 1, 200_000, |app, binds| {
+            assert!(!app.gave_up());
+            assert!(!app.events.contains(&AppEvent::GaveUp));
+            assert_eq!(app.retry.attempts(), 0);
+            assert!(!app.is_bound());
+            // Still retrying at the end: the last bind went out within one
+            // capped period of the horizon.
+            let last = *binds.last().unwrap();
+            assert!(200_000 - last <= app.config.retry_cap, "{binds:?}");
+        });
+    }
+
+    #[test]
+    fn a_bound_answer_resets_the_backoff() {
+        run(Some(3), 24, 30_000, |app, binds| {
+            let every = app.config.retry_every;
+            assert_eq!(gaps(binds), [every, 2 * every, 4 * every], "{binds:?}");
+            assert!(app.is_bound());
+            assert!(app.setup_complete(), "{:?}", app.events);
+            assert_eq!(app.cur_delay, every);
+            assert_eq!(app.retry.attempts(), 0);
+            assert_eq!(app.stats.denials, 3);
+        });
     }
 }

@@ -24,6 +24,42 @@ pub enum WifiBroadcast {
     Airkiss,
 }
 
+/// The grid the app acts on: a step is (re)sent, a wait window ends, or a
+/// queued user action goes out only at `start + k * POLL_EVERY`, where
+/// `start` is the last start or power-on. The app arms one timer for the
+/// next grid point at which something is due, and none while idle.
+pub const POLL_EVERY: u64 = 20;
+
+/// The backoff base: the resend period for an unanswered step, and the wait
+/// before the first resend of a denied one. Each further resend of a denied
+/// step waits twice as long as the last.
+pub const RETRY_EVERY: u64 = 400;
+
+/// Upper bound on the backed-off resend period, for unanswered and denied
+/// steps alike.
+pub const RETRY_CAP: u64 = 3_200;
+
+/// Jitter on the resend delays of unanswered steps, in per-mille of the
+/// delay. Denied steps back off without jitter.
+pub const RETRY_JITTER_PER_MILLE: u16 = 250;
+
+/// Consecutive unanswered resends of one step before the app gives up
+/// ([`AppEvent::GaveUp`]) instead of wedging. Answered steps — even denials
+/// — reset the count, so a denied step is resent forever on its backoff
+/// schedule and never gives up.
+pub const RETRY_BUDGET: u32 = 24;
+
+/// Home Wi-Fi credentials the app provisions into the device.
+fn home_wifi() -> WifiCredentials {
+    WifiCredentials::new("HomeNet", "home-psk-123")
+}
+
+fn retry_policy() -> RetryPolicy {
+    RetryPolicy::new(RETRY_EVERY, RETRY_CAP)
+        .jitter(RETRY_JITTER_PER_MILLE)
+        .budget(RETRY_BUDGET)
+}
+
 /// Static configuration of one app instance.
 #[derive(Debug, Clone)]
 pub struct AppConfig {
@@ -37,42 +73,19 @@ pub struct AppConfig {
     pub user_id: UserId,
     /// Account password.
     pub user_pw: UserPw,
-    /// Home Wi-Fi credentials to provision into the device.
-    pub wifi: WifiCredentials,
     /// Device ID read off the printed label, for designs whose setup binds
     /// before the device is online (`SetupOrder::BindFirst`).
     pub known_label: Option<DevId>,
     /// Human delay between device setup and completing the binding in the
     /// app — the A4-2 window.
     pub user_bind_delay: u64,
-    /// The grid the app acts on: a step is (re)sent, a wait window ends, or
-    /// a queued user action goes out only at `start + k * poll_every`,
-    /// where `start` is the last start or power-on. The app arms one timer
-    /// for the next grid point at which something is due, and none while
-    /// idle.
-    pub poll_every: u64,
-    /// The backoff base: the resend period for an unanswered step, and the
-    /// wait before the first resend of a denied one. Each further resend
-    /// of a denied step waits twice as long as the last.
-    pub retry_every: u64,
-    /// Upper bound on the backed-off resend period, for unanswered and
-    /// denied steps alike.
-    pub retry_cap: u64,
-    /// Jitter on the resend delays of unanswered steps, in per-mille of the
-    /// delay. Denied steps back off without jitter.
-    pub retry_jitter_per_mille: u16,
-    /// Consecutive unanswered resends of one step before the app gives up
-    /// ([`AppEvent::GaveUp`]) instead of wedging. Answered steps — even
-    /// denials — reset the count, so a denied step is resent forever on
-    /// its backoff schedule and never gives up.
-    pub retry_budget: u32,
     /// Which length-encoding the provisioning broadcast uses.
     pub wifi_broadcast: WifiBroadcast,
 }
 
 impl AppConfig {
-    /// A configuration with sensible defaults (5 s human delay, 20-tick
-    /// action grid).
+    /// A configuration with sensible defaults (5 s human delay, SmartConfig
+    /// broadcast, no known label).
     pub fn new(
         design: VendorDesign,
         cloud: NodeId,
@@ -86,22 +99,10 @@ impl AppConfig {
             lan,
             user_id,
             user_pw,
-            wifi: WifiCredentials::new("HomeNet", "home-psk-123"),
             known_label: None,
             user_bind_delay: 5_000,
-            poll_every: 20,
-            retry_every: 400,
-            retry_cap: 3_200,
-            retry_jitter_per_mille: 250,
-            retry_budget: 24,
             wifi_broadcast: WifiBroadcast::SmartConfig,
         }
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::new(self.retry_every, self.retry_cap)
-            .jitter(self.retry_jitter_per_mille)
-            .budget(self.retry_budget)
     }
 }
 
@@ -252,8 +253,6 @@ impl AppAgent {
             }
         }
         steps.push(Step::Done);
-        let retry = Retry::new(config.retry_policy());
-        let cur_delay = config.retry_every;
         AppAgent {
             config,
             steps,
@@ -268,8 +267,8 @@ impl AppAgent {
             device_node: None,
             dev_id: None,
             bound: false,
-            retry,
-            cur_delay,
+            retry: Retry::new(retry_policy()),
+            cur_delay: RETRY_EVERY,
             aborted: false,
             grid_origin: Tick::ZERO,
             polled_at: Tick::ZERO,
@@ -387,7 +386,7 @@ impl AppAgent {
     /// counts only *consecutive* unanswered sends) or a new step starts.
     fn reset_retry(&mut self) {
         self.retry.reset();
-        self.cur_delay = self.config.retry_every;
+        self.cur_delay = RETRY_EVERY;
     }
 
     fn current_step(&self) -> Step {
@@ -461,9 +460,10 @@ impl AppAgent {
                 };
                 // The wifi credentials ride on broadcast datagram lengths
                 // (SmartConfig or Airkiss, per vendor ecosystem).
+                let wifi = home_wifi();
                 let lengths = match self.config.wifi_broadcast {
-                    WifiBroadcast::SmartConfig => smartconfig::encode(&self.config.wifi),
-                    WifiBroadcast::Airkiss => airkiss::encode(&self.config.wifi),
+                    WifiBroadcast::SmartConfig => smartconfig::encode(&wifi),
+                    WifiBroadcast::Airkiss => airkiss::encode(&wifi),
                 };
                 for len in lengths {
                     ctx.send(
@@ -471,10 +471,7 @@ impl AppAgent {
                         vec![0u8; usize::from(len)],
                     );
                 }
-                let req = ProvisionRequest {
-                    wifi: self.config.wifi.clone(),
-                    pairing,
-                };
+                let req = ProvisionRequest { wifi, pairing };
                 ctx.send(Dest::Unicast(device_node), req.encode());
                 self.last_send_at = ctx.now();
                 self.awaiting = Await::ProvisionReply;
@@ -693,10 +690,9 @@ impl AppAgent {
     /// The first grid point at or after `t` (grid points lie strictly after
     /// the origin).
     fn grid_point_at_or_after(&self, t: Tick) -> Tick {
-        let every = self.config.poll_every.max(1);
         let since = (t - self.grid_origin).max(1);
         self.grid_origin
-            .saturating_add(since.div_ceil(every).saturating_mul(every))
+            .saturating_add(since.div_ceil(POLL_EVERY).saturating_mul(POLL_EVERY))
     }
 
     /// Re-anchors the action grid at `now`: a start or power-on.
@@ -767,8 +763,7 @@ impl AppAgent {
                         // Denied: resend after `cur_delay`, doubling it up
                         // to the cap. A denial is an answer, so this spends
                         // no budget and never gives up.
-                        self.cur_delay =
-                            self.cur_delay.saturating_mul(2).min(self.config.retry_cap);
+                        self.cur_delay = self.cur_delay.saturating_mul(2).min(RETRY_CAP);
                         self.enter_step(ctx);
                     } else if stale {
                         // Unanswered past the current timeout: resend with
@@ -987,12 +982,7 @@ mod tests {
     /// Runs a D-LINK-style flow (log in, then bind the printed label first)
     /// against a cloud that denies `deny_binds` binds, until `until`, and
     /// hands the app and the cloud's bind arrival ticks to `check`.
-    fn run(
-        deny_binds: Option<usize>,
-        retry_budget: u32,
-        until: u64,
-        check: impl FnOnce(&AppAgent, &[u64]),
-    ) {
+    fn run(deny_binds: Option<usize>, until: u64, check: impl FnOnce(&AppAgent, &[u64])) {
         let mut design = vendors::d_link();
         design.vendor = VENDOR.into();
         let mut sim = Simulation::with_quality(9, LinkQuality::perfect(), LinkQuality::perfect());
@@ -1006,7 +996,6 @@ mod tests {
         sim.add_node(NodeConfig::dual("device", LAN), Box::new(LanDevice));
         let mut config = AppConfig::new(design, cloud, LAN, UserId::new("u"), UserPw::new("p"));
         config.known_label = Some(label());
-        config.retry_budget = retry_budget;
         let app = sim.add_node(
             NodeConfig::dual("app", LAN),
             Box::new(AppAgent::new(config)),
@@ -1022,9 +1011,9 @@ mod tests {
 
     #[test]
     fn denied_resends_double_from_retry_every_up_to_retry_cap() {
-        run(None, 24, 30_000, |app, binds| {
-            let (every, cap) = (app.config.retry_every, app.config.retry_cap);
-            assert_eq!(cap, every * 8, "the schedule below assumes the defaults");
+        run(None, 30_000, |app, binds| {
+            let (every, cap) = (RETRY_EVERY, RETRY_CAP);
+            assert_eq!(cap, every * 8, "the schedule below assumes these values");
             let expected = [every, 2 * every, 4 * every, cap, cap, cap, cap];
             assert!(binds.len() > expected.len(), "{binds:?}");
             assert_eq!(gaps(binds)[..expected.len()], expected[..], "{binds:?}");
@@ -1035,8 +1024,11 @@ mod tests {
 
     #[test]
     fn denials_spend_no_retry_budget_and_never_give_up() {
-        // A budget of one would abort after a single unanswered resend.
-        run(None, 1, 200_000, |app, binds| {
+        run(None, 200_000, |app, binds| {
+            // Were denials spending the budget, the app would have given
+            // up after `RETRY_BUDGET` resends.
+            let resends = binds.len() - 1;
+            assert!(resends > RETRY_BUDGET as usize, "{binds:?}");
             assert!(!app.gave_up());
             assert!(!app.events.contains(&AppEvent::GaveUp));
             assert_eq!(app.retry.attempts(), 0);
@@ -1044,14 +1036,14 @@ mod tests {
             // Still retrying at the end: the last bind went out within one
             // capped period of the horizon.
             let last = *binds.last().unwrap();
-            assert!(200_000 - last <= app.config.retry_cap, "{binds:?}");
+            assert!(200_000 - last <= RETRY_CAP, "{binds:?}");
         });
     }
 
     #[test]
     fn a_bound_answer_resets_the_backoff() {
-        run(Some(3), 24, 30_000, |app, binds| {
-            let every = app.config.retry_every;
+        run(Some(3), 30_000, |app, binds| {
+            let every = RETRY_EVERY;
             assert_eq!(gaps(binds), [every, 2 * every, 4 * every], "{binds:?}");
             assert!(app.is_bound());
             assert!(app.setup_complete(), "{:?}", app.events);

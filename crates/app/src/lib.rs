@@ -20,4 +20,7 @@
 
 mod agent;
 
-pub use agent::{AppAgent, AppConfig, AppEvent, AppStats, WifiBroadcast};
+pub use agent::{
+    AppAgent, AppConfig, AppEvent, AppStats, WifiBroadcast, POLL_EVERY, RETRY_BUDGET, RETRY_CAP,
+    RETRY_EVERY, RETRY_JITTER_PER_MILLE,
+};

@@ -158,7 +158,7 @@ ID acquisition per studied vendor (paper §VI-A):"
     // limiting re-prices the whole table.
     println!(
         "
-with a 10 req/s per-source rate limit (rb-cloud supports one; no studied vendor used it):"
+with a 10 req/s per-source rate limit (priced analytically; no studied vendor used one):"
     );
     for (name, scheme) in [
         ("6-digit ID", IdScheme::ShortDigits { width: 6 }),

@@ -37,5 +37,7 @@ pub mod registry;
 pub mod service;
 pub mod state;
 
-pub use monitor::{DefensePolicy, Monitor, SecurityAlert};
-pub use service::{CloudConfig, CloudService, Outcome, RateLimit};
+pub use monitor::{
+    DefensePolicy, Monitor, RateLimit, SecurityAlert, CONTESTED_THRESHOLD, ENUMERATION_THRESHOLD,
+};
+pub use service::{CloudConfig, CloudService, Outcome, BUTTON_WINDOW, HEARTBEAT_TIMEOUT};

@@ -5,10 +5,10 @@
 //! module is the defensive counterpart — an **online** monitor inside the
 //! cloud, fed by the service handlers on every request and shadow
 //! transition as the world runs (no post-hoc trace scans). It keeps
-//! per-source / per-device sliding-window state, raises typed
-//! [`SecurityAlert`]s onto a tick-stamped alert log, and measures detection
-//! latency in simulation ticks. `rbsim monitor` and the defense bench read
-//! the log ([`Monitor::alert_log`], [`Monitor::render_alert_stream`]).
+//! per-source / per-device counters, raises typed [`SecurityAlert`]s onto
+//! a tick-stamped alert log, and measures detection latency in simulation
+//! ticks. `rbsim monitor` and the defense bench read the log
+//! ([`Monitor::alert_log`], [`Monitor::render_alert_stream`]).
 //!
 //! Detection alone is the passive half. The active half is a per-vendor
 //! [`DefensePolicy`]: the service drains newly raised alerts after every
@@ -26,7 +26,6 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
-use crate::service::RateLimit;
 use rb_netsim::{NodeId, Telemetry, Tick};
 use rb_wire::ids::DevId;
 use rb_wire::tokens::{SessionToken, UserId};
@@ -73,9 +72,8 @@ pub enum SecurityAlert {
         /// New public IP.
         new_ip: u32,
     },
-    /// One source touched many distinct device IDs (the enumeration /
-    /// scalable-DoS signature of §V-C), either in total or as a burst
-    /// inside the sliding window.
+    /// One source touched [`ENUMERATION_THRESHOLD`] distinct device IDs
+    /// (the enumeration / scalable-DoS signature of §V-C).
     EnumerationSuspected {
         /// The probing source.
         source: NodeId,
@@ -211,6 +209,16 @@ impl SecurityAlert {
     }
 }
 
+/// A fixed-window per-source request limit: at most `max` requests from
+/// one source node per `window` ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RateLimit {
+    /// Window length in ticks.
+    pub window: u64,
+    /// Maximum requests per source node per window.
+    pub max: u32,
+}
+
 /// Per-vendor active-response knobs. The default policy is fully disabled:
 /// the monitor observes and alerts but the service never intervenes, so
 /// Table III outcomes and every pinned golden are unchanged unless a world
@@ -221,9 +229,9 @@ pub struct DefensePolicy {
     /// (binding-replaced, session-moved, stale-token-replay) names a bound
     /// device, invalidating any stolen session.
     pub rotate_tokens: bool,
-    /// Sliding-window rate limit applied to `Bind` requests per source
-    /// node (on top of any vendor-wide [`RateLimit`]); throttles bind
-    /// races and re-bind storms.
+    /// Fixed-window rate limit applied to `Bind` requests per source node;
+    /// throttles bind races and re-bind storms. None of the studied
+    /// vendors limits any request, which is what makes enumeration viable.
     pub bind_limit: Option<RateLimit>,
     /// Quarantine window in ticks. When an occupation-shaped alert
     /// (contested-binding, remote-only-bind, impossible-transition,
@@ -259,13 +267,22 @@ impl DefensePolicy {
     }
 }
 
+/// Distinct device IDs one source may address before it is flagged for
+/// enumeration.
+pub const ENUMERATION_THRESHOLD: usize = 8;
+
+/// `AlreadyBound` denials per (device, challenger) before the pair is
+/// flagged as a contested binding.
+pub const CONTESTED_THRESHOLD: u32 = 3;
+
 /// The streaming monitor: fed observations by the service handlers as the
 /// world runs, keeps per-source statistics, and accumulates a tick-stamped
 /// alert log.
 ///
-/// The per-source tables are not bounded: `touched` and `first_touch` keep
-/// every distinct device ID and first-touch tick a source ever addressed,
-/// so an enumerating attacker grows them linearly.
+/// A source's distinct-ID set stops growing once it holds
+/// [`ENUMERATION_THRESHOLD`] IDs (the source is then flagged), but the
+/// table still holds one entry per source, and `retired` one entry per
+/// retired token: neither is bounded.
 #[derive(Debug)]
 pub struct Monitor {
     /// The cumulative tick-stamped alert log, in raise order. Never
@@ -273,11 +290,9 @@ pub struct Monitor {
     log: Vec<(Tick, SecurityAlert)>,
     /// Position in `log` up to which defenses have already reacted.
     defense_cursor: usize,
-    /// Distinct device IDs touched per source.
-    touched: HashMap<NodeId, HashSet<DevId>>,
-    /// Ticks at which each source first touched a *new* device ID, in
-    /// observation order (the enumeration sliding window).
-    first_touch: HashMap<NodeId, Vec<u64>>,
+    /// Per source: the tick it first addressed a device ID, and the
+    /// distinct IDs it addressed until it was flagged.
+    touched: HashMap<NodeId, (Tick, HashSet<DevId>)>,
     /// Sources already flagged for enumeration (flag once).
     flagged: HashSet<NodeId>,
     /// Device public IPs observed from device sessions.
@@ -294,15 +309,6 @@ pub struct Monitor {
     replay_flagged: HashSet<(DevId, SessionToken)>,
     /// Quarantined devices and the tick their quarantine expires.
     quarantined: HashMap<DevId, Tick>,
-    /// Threshold of distinct IDs per source before flagging.
-    pub enumeration_threshold: usize,
-    /// Distinct *new* IDs inside [`Monitor::enumeration_window`] before
-    /// flagging (the burst detector; same flag-once as the total).
-    pub enumeration_rate_threshold: usize,
-    /// Sliding-window length in ticks for the enumeration burst detector.
-    pub enumeration_window: u64,
-    /// AlreadyBound denials per (device, challenger) before flagging.
-    pub contested_threshold: u32,
     /// Metrics sink: every raised alert also bumps
     /// `cloud_alerts_total{kind="…"}`, feeds the
     /// `monitor_detection_latency_ticks{kind="…"}` histogram, and records
@@ -311,14 +317,12 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor with the default thresholds (8 distinct IDs in total or
-    /// per 10 000-tick window, 3 denials).
+    /// An empty monitor with no alerts raised.
     pub fn new() -> Self {
         Monitor {
             log: Vec::new(),
             defense_cursor: 0,
             touched: HashMap::new(),
-            first_touch: HashMap::new(),
             flagged: HashSet::new(),
             device_ips: HashMap::new(),
             contested: HashMap::new(),
@@ -327,10 +331,6 @@ impl Monitor {
             retired: HashMap::new(),
             replay_flagged: HashSet::new(),
             quarantined: HashMap::new(),
-            enumeration_threshold: 8,
-            enumeration_rate_threshold: 8,
-            enumeration_window: 10_000,
-            contested_threshold: 3,
             telemetry: Telemetry::new(),
         }
     }
@@ -424,38 +424,30 @@ impl Monitor {
     }
 
     /// Records that `source` addressed `dev_id`; raises the enumeration
-    /// alert when the per-source distinct-ID count crosses the absolute
-    /// threshold *or* the count of new IDs inside the sliding window
-    /// crosses the rate threshold.
+    /// alert, once, when the source's distinct-ID count reaches
+    /// [`ENUMERATION_THRESHOLD`]. Latency is measured from the source's
+    /// first touch. A flagged source's set is not grown further.
     pub(crate) fn observe_target(&mut self, source: NodeId, dev_id: &DevId, now: Tick) {
-        let set = self.touched.entry(source).or_default();
-        if !set.insert(dev_id.clone()) {
+        if self.flagged.contains(&source) {
             return;
         }
-        let ticks = self.first_touch.entry(source).or_default();
-        ticks.push(now.as_u64());
-        let window_start = now.as_u64().saturating_sub(self.enumeration_window);
-        let in_window = ticks.partition_point(|&t| t <= window_start);
-        let windowed = ticks.len() - in_window;
-        let total = self.touched.get(&source).map_or(0, HashSet::len);
-        let hit_total = total >= self.enumeration_threshold;
-        let hit_window = windowed >= self.enumeration_rate_threshold;
-        if (hit_total || hit_window) && self.flagged.insert(source) {
-            let ticks = self.first_touch.get(&source).cloned().unwrap_or_default();
-            let evidence = if hit_window {
-                ticks.get(in_window).copied().unwrap_or(now.as_u64())
-            } else {
-                ticks.first().copied().unwrap_or(now.as_u64())
-            };
-            self.raise_with_evidence(
-                now,
-                Tick(evidence),
-                SecurityAlert::EnumerationSuspected {
-                    source,
-                    distinct_ids: total,
-                },
-            );
+        let (first_at, ids) = self
+            .touched
+            .entry(source)
+            .or_insert_with(|| (now, HashSet::new()));
+        if !ids.insert(dev_id.clone()) || ids.len() < ENUMERATION_THRESHOLD {
+            return;
         }
+        let (evidence, distinct_ids) = (*first_at, ids.len());
+        self.flagged.insert(source);
+        self.raise_with_evidence(
+            now,
+            evidence,
+            SecurityAlert::EnumerationSuspected {
+                source,
+                distinct_ids,
+            },
+        );
     }
 
     /// Records the public IP a device session spoke from; raises
@@ -496,7 +488,7 @@ impl Monitor {
         let n = self.contested.entry(key.clone()).or_default();
         *n += 1;
         let denials = *n;
-        if denials >= self.contested_threshold && self.contested_flagged.insert(key.clone()) {
+        if denials >= CONTESTED_THRESHOLD && self.contested_flagged.insert(key.clone()) {
             let evidence = self.contested_first.get(&key).copied().unwrap_or(now);
             self.raise_with_evidence(
                 now,
@@ -606,58 +598,49 @@ mod tests {
         DevId::Mac(MacAddr::new([n, 0, 0, 0, 0, 0]))
     }
 
+    fn probe(n: u32) -> DevId {
+        DevId::Digits { value: n, width: 6 }
+    }
+
     #[test]
     fn enumeration_flags_once_at_threshold() {
         let mut m = Monitor::new();
-        m.enumeration_threshold = 3;
-        for i in 0..5 {
-            m.observe_target(NodeId(9), &id(i), Tick(1));
+        let below = ENUMERATION_THRESHOLD as u32 - 1;
+        for i in 0..below {
+            m.observe_target(NodeId(9), &probe(i), Tick(1));
+            // Re-touching a known ID adds nothing.
+            m.observe_target(NodeId(9), &probe(i), Tick(1));
+        }
+        assert_eq!(m.count("enumeration"), 0, "{:?}", m.alerts());
+        for i in below..below + 3 {
+            m.observe_target(NodeId(9), &probe(i), Tick(1));
         }
         assert_eq!(m.count("enumeration"), 1, "{:?}", m.alerts());
         // A second source has its own counter.
-        m.observe_target(NodeId(8), &id(0), Tick(2));
+        m.observe_target(NodeId(8), &probe(0), Tick(2));
         assert_eq!(m.count("enumeration"), 1);
     }
 
     #[test]
-    fn enumeration_burst_flags_inside_the_window() {
-        let mut m = Monitor::new();
-        // Absolute threshold far away; the burst detector must fire alone.
-        m.enumeration_threshold = 100;
-        m.enumeration_rate_threshold = 3;
-        m.enumeration_window = 1_000;
-        // Two touches long ago, outside the eventual window.
-        m.observe_target(NodeId(9), &id(1), Tick(10));
-        m.observe_target(NodeId(9), &id(2), Tick(20));
-        assert_eq!(m.count("enumeration"), 0);
-        // Three fresh IDs inside one window: flag.
-        m.observe_target(NodeId(9), &id(3), Tick(5_000));
-        m.observe_target(NodeId(9), &id(4), Tick(5_100));
-        assert_eq!(m.count("enumeration"), 0, "two in window is below 3");
-        m.observe_target(NodeId(9), &id(5), Tick(5_200));
-        assert_eq!(m.count("enumeration"), 1);
-        // Re-touching known IDs never re-flags.
-        m.observe_target(NodeId(9), &id(6), Tick(5_300));
-        assert_eq!(m.count("enumeration"), 1);
-    }
-
-    #[test]
-    fn enumeration_latency_measures_from_the_window_start() {
+    fn an_enumerating_source_is_flagged_once_and_holds_threshold_ids() {
         let tele = Telemetry::new();
         let mut m = Monitor::new();
         m.set_telemetry(tele.clone());
-        m.enumeration_threshold = 100;
-        m.enumeration_rate_threshold = 3;
-        m.enumeration_window = 1_000;
-        m.observe_target(NodeId(9), &id(1), Tick(5_000));
-        m.observe_target(NodeId(9), &id(2), Tick(5_100));
-        m.observe_target(NodeId(9), &id(3), Tick(5_250));
+        for i in 0..10_000u32 {
+            m.observe_target(NodeId(9), &probe(i), Tick(100 + u64::from(i)));
+        }
+        assert_eq!(
+            m.render_alert_stream(),
+            format!("t={} enumeration source=n9 distinct_ids=8\n", 100 + 7)
+        );
         let snap = tele.snapshot();
         let hist = snap
             .histogram("monitor_detection_latency_ticks{kind=\"enumeration\"}")
             .expect("latency histogram");
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.sum(), 250, "evidence = first touch in the window");
+        assert_eq!((hist.count(), hist.sum()), (1, 7), "from the first touch");
+        let held = m.touched.get(&NodeId(9)).map_or(0, |(_, ids)| ids.len());
+        assert!(held <= ENUMERATION_THRESHOLD, "{held} IDs held");
+        assert!(m.render_state().contains("sources_tracked=1"));
     }
 
     #[test]
@@ -829,10 +812,9 @@ mod tests {
     #[test]
     fn contested_binding_flags_once_at_threshold_per_challenger() {
         let mut m = Monitor::new();
-        m.contested_threshold = 3;
         let holder = UserId::new("owner");
         let mallory = UserId::new("mallory");
-        for _ in 0..2 {
+        for _ in 1..CONTESTED_THRESHOLD {
             m.observe_bind_denial(&id(1), &holder, &mallory, Tick(10));
         }
         assert_eq!(m.count("contested-binding"), 0, "below threshold");
@@ -842,7 +824,7 @@ mod tests {
         assert_eq!(m.count("contested-binding"), 1, "flagged exactly once");
         // A different challenger on the same device gets its own counter.
         let eve = UserId::new("eve");
-        for _ in 0..3 {
+        for _ in 0..CONTESTED_THRESHOLD {
             m.observe_bind_denial(&id(1), &holder, &eve, Tick(30));
         }
         assert_eq!(m.count("contested-binding"), 2);
@@ -853,7 +835,7 @@ mod tests {
         let tele = Telemetry::new();
         let mut m = Monitor::new();
         m.set_telemetry(tele.clone());
-        m.contested_threshold = 3;
+        assert_eq!(CONTESTED_THRESHOLD, 3, "three denials below");
         let holder = UserId::new("owner");
         let mallory = UserId::new("mallory");
         m.observe_bind_denial(&id(1), &holder, &mallory, Tick(100));
@@ -914,9 +896,9 @@ mod tests {
         let tele = Telemetry::new();
         let mut m = Monitor::new();
         m.set_telemetry(tele.clone());
-        m.enumeration_threshold = 2;
-        m.observe_target(NodeId(9), &id(1), Tick(1));
-        m.observe_target(NodeId(9), &id(2), Tick(1));
+        for i in 0..ENUMERATION_THRESHOLD as u32 {
+            m.observe_target(NodeId(9), &probe(i), Tick(1));
+        }
         assert_eq!(tele.counter("cloud_alerts_total{kind=\"enumeration\"}"), 1);
         m.observe_device_ip(&id(1), 100, Tick(2));
         m.observe_device_ip(&id(1), 200, Tick(3));

@@ -24,16 +24,6 @@ use crate::monitor::{DefensePolicy, Monitor, SecurityAlert};
 use crate::registry::{DeviceRecord, DeviceRegistry};
 use crate::state::DeviceState;
 
-/// Per-source request rate limiting — the defense that prices remote ID
-/// enumeration out of the §I "within an hour" regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateLimit {
-    /// Window length in ticks.
-    pub window: u64,
-    /// Maximum requests per source node per window.
-    pub max: u32,
-}
-
 /// The `Copy` control-flow knobs of a [`VendorDesign`], snapshotted per
 /// request. Handlers used to clone the whole design (including its heap
 /// `String` vendor name) on every message; this copies four plain enums
@@ -47,20 +37,19 @@ struct DesignKnobs {
     unbind: UnbindSupport,
 }
 
+/// Ticks without a status message before a device is considered offline
+/// (30 s at 1 tick = 1 ms).
+pub const HEARTBEAT_TIMEOUT: u64 = 30_000;
+
+/// Window (ticks) within which a reported button press counts as a
+/// local-presence proof (Philips Hue: 30 seconds).
+pub const BUTTON_WINDOW: u64 = 30_000;
+
 /// Cloud configuration.
 #[derive(Debug, Clone)]
 pub struct CloudConfig {
     /// The vendor design that parameterizes every handler.
     pub design: VendorDesign,
-    /// Ticks without a status message before a device is considered
-    /// offline.
-    pub heartbeat_timeout: u64,
-    /// Window (ticks) within which a reported button press counts as a
-    /// local-presence proof (Philips Hue: 30 seconds).
-    pub button_window: u64,
-    /// Optional per-source rate limit (off by default — none of the studied
-    /// vendors deployed one, which is what makes enumeration viable).
-    pub rate_limit: Option<RateLimit>,
     /// Active-response policy driven by the streaming monitor's alerts.
     /// Disabled by default: the monitor observes but the service never
     /// intervenes, keeping default-world behavior byte-identical.
@@ -68,14 +57,10 @@ pub struct CloudConfig {
 }
 
 impl CloudConfig {
-    /// A configuration with realistic defaults (30 s heartbeat timeout,
-    /// 30 s button window at 1 tick = 1 ms).
+    /// A configuration with the defense policy disabled.
     pub fn new(design: VendorDesign) -> Self {
         CloudConfig {
             design,
-            heartbeat_timeout: 30_000,
-            button_window: 30_000,
-            rate_limit: None,
             defense: DefensePolicy::disabled(),
         }
     }
@@ -123,7 +108,6 @@ pub struct CloudService {
     state: DeviceState,
     nat: HashMap<NodeId, u32>,
     rules: HashMap<rb_wire::tokens::UserId, Vec<AutomationRule>>,
-    rate: HashMap<NodeId, (Tick, u32)>,
     /// Per-source `Bind` windows for the defense policy's bind limiter.
     bind_rate: HashMap<NodeId, (Tick, u32)>,
     monitor: Monitor,
@@ -148,7 +132,6 @@ impl CloudService {
             state: DeviceState::new(),
             nat: HashMap::new(),
             rules: HashMap::new(),
-            rate: HashMap::new(),
             bind_rate: HashMap::new(),
             monitor: Monitor::new(),
             telemetry: Telemetry::new(),
@@ -180,31 +163,26 @@ impl CloudService {
         if before == after {
             return;
         }
-        if !self.telemetry.is_enabled() {
-            if self.forensics {
-                self.forensic_marks
-                    .push(format!("shadow dev={dev_id} from={before} to={after}"));
-            }
-            return;
+        if self.telemetry.is_enabled() {
+            self.telemetry.with(|r| {
+                r.counter_add(
+                    &format!("cloud_shadow_transitions_total{{from=\"{before}\",to=\"{after}\"}}"),
+                    1,
+                );
+                let dev = dev_id.to_string();
+                let now = now.as_u64();
+                match (before.is_online(), after.is_online()) {
+                    (false, true) => r.lifecycle_online(&dev, now),
+                    (true, false) => r.lifecycle_offline(&dev),
+                    _ => {}
+                }
+                match (before.is_bound(), after.is_bound()) {
+                    (false, true) => r.lifecycle_bound(&dev, now),
+                    (true, false) => r.lifecycle_unbound(&dev, now),
+                    _ => {}
+                }
+            });
         }
-        self.telemetry.with(|r| {
-            r.counter_add(
-                &format!("cloud_shadow_transitions_total{{from=\"{before}\",to=\"{after}\"}}"),
-                1,
-            );
-            let dev = dev_id.to_string();
-            let now = now.as_u64();
-            match (before.is_online(), after.is_online()) {
-                (false, true) => r.lifecycle_online(&dev, now),
-                (true, false) => r.lifecycle_offline(&dev),
-                _ => {}
-            }
-            match (before.is_bound(), after.is_bound()) {
-                (false, true) => r.lifecycle_bound(&dev, now),
-                (true, false) => r.lifecycle_unbound(&dev, now),
-                _ => {}
-            }
-        });
         if self.forensics {
             self.forensic_marks
                 .push(format!("shadow dev={dev_id} from={before} to={after}"));
@@ -322,11 +300,7 @@ impl CloudService {
         msg: &Message,
         rng: &mut SimRng,
     ) -> Outcome {
-        let mut outcome = if self.rate_limited(from, now) {
-            Outcome::deny(DenyReason::RateLimited)
-        } else {
-            self.dispatch(from, now, msg, rng)
-        };
+        let mut outcome = self.dispatch(from, now, msg, rng);
         // Active responses run on the request path, right after the
         // handler: whatever alerts this request raised are reacted to
         // before the reply leaves, and any defensive revocation push rides
@@ -363,20 +337,6 @@ impl CloudService {
     /// unless [`CloudService::set_forensics`] enabled them).
     pub fn take_forensic_marks(&mut self) -> Vec<String> {
         std::mem::take(&mut self.forensic_marks)
-    }
-
-    /// Whether this request from `from` exceeds the configured rate limit
-    /// (and counts it against the window).
-    fn rate_limited(&mut self, from: NodeId, now: Tick) -> bool {
-        let Some(limit) = self.config.rate_limit else {
-            return false;
-        };
-        let entry = self.rate.entry(from).or_insert((now, 0));
-        if now - entry.0 >= limit.window {
-            *entry = (now, 0);
-        }
-        entry.1 += 1;
-        entry.1 > limit.max
     }
 
     // -- Active defense ------------------------------------------------------
@@ -512,13 +472,8 @@ impl CloudService {
     /// shadows left `Online`/`Control` without a live session. Normally
     /// driven by the actor timer; exposed for direct-drive tests.
     pub fn expire(&mut self, now: Tick) -> Vec<DevId> {
-        let mut expired = self
-            .state
-            .expire_sessions(now, self.config.heartbeat_timeout);
-        expired.extend(
-            self.state
-                .expire_half_open(now, self.config.heartbeat_timeout),
-        );
+        let mut expired = self.state.expire_sessions(now, HEARTBEAT_TIMEOUT);
+        expired.extend(self.state.expire_half_open(now, HEARTBEAT_TIMEOUT));
         for dev_id in &expired {
             // Expiry always moves an online shadow offline; the post-state
             // tells us whether it was Online→Initial or Control→Bound.
@@ -847,9 +802,7 @@ impl CloudService {
         if design.checks.bind_requires_local_proof {
             let requester_ip = self.public_ip(from);
             let record = self.state.record_mut(&dev_id);
-            let fresh_button = record
-                .button_at
-                .is_some_and(|at| now - at <= self.config.button_window);
+            let fresh_button = record.button_at.is_some_and(|at| now - at <= BUTTON_WINDOW);
             let same_ip = record.button_ip == Some(requester_ip);
             if !(fresh_button && same_ip) {
                 return Outcome::deny(DenyReason::OwnershipProofFailed);
@@ -1324,7 +1277,7 @@ impl CloudService {
 
 impl Actor for CloudService {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.config.heartbeat_timeout / 2, TIMER_EXPIRE);
+        ctx.set_timer(HEARTBEAT_TIMEOUT / 2, TIMER_EXPIRE);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
@@ -1380,7 +1333,7 @@ impl Actor for CloudService {
             for text in self.take_forensic_marks() {
                 ctx.mark(text);
             }
-            ctx.set_timer(self.config.heartbeat_timeout / 2, TIMER_EXPIRE);
+            ctx.set_timer(HEARTBEAT_TIMEOUT / 2, TIMER_EXPIRE);
         }
     }
 }

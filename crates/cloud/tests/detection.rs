@@ -440,6 +440,32 @@ fn bind_rate_limiter_prices_out_bind_floods() {
             .counter("cloud_mitigations_total{action=\"rate-limit-bind\"}"),
         5
     );
+    let limited = Response::Denied {
+        reason: rb_wire::messages::DenyReason::RateLimited,
+    };
+    // Another source is unaffected.
+    let victim = h.login(USER_NODE, "victim", "v");
+    let r = h.send(
+        USER_NODE,
+        Message::Bind(BindPayload::AclApp {
+            dev_id: dev_id(),
+            user_token: victim,
+        }),
+    );
+    assert_ne!(r, limited);
+    // And the window resets.
+    h.now += 10_000;
+    let r = h.send(
+        ATTACKER_NODE,
+        Message::Bind(BindPayload::AclApp {
+            dev_id: DevId::Digits {
+                value: 99,
+                width: 6,
+            },
+            user_token: attacker,
+        }),
+    );
+    assert_ne!(r, limited);
 }
 
 #[test]

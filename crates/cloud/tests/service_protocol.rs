@@ -1043,55 +1043,3 @@ fn decisions_reach_counters_and_rpc_marks() {
     let reason = DenyReason::InvalidUserToken;
     assert!(rpc.ends_with(&format!("outcome=Denied({reason})")), "{rpc}");
 }
-
-// ---------------------------------------------------------------------------
-// Rate limiting (anti-enumeration defense; not deployed by any studied
-// vendor, which is what makes EXP-ID's sweeps viable).
-// ---------------------------------------------------------------------------
-
-#[test]
-fn rate_limit_throttles_a_probing_source() {
-    let mut config = rb_cloud::CloudConfig::new(vendors::d_link());
-    config.rate_limit = Some(rb_cloud::RateLimit {
-        window: 1_000,
-        max: 5,
-    });
-    let mut cloud = CloudService::new(config);
-    cloud.manufacture(dev_id(), 0, None);
-    let mut rng = SimRng::new(1);
-    // Six probes in one window: the sixth is refused.
-    for i in 0..6u64 {
-        let r = cloud.handle_message(
-            ATTACKER_NODE,
-            Tick(10 + i),
-            &Message::QueryShadow { dev_id: dev_id() },
-            &mut rng,
-        );
-        if i < 5 {
-            assert!(r.reply.is_ok(), "probe {i}: {}", r.reply);
-        } else {
-            assert_eq!(
-                r.reply,
-                Response::Denied {
-                    reason: DenyReason::RateLimited
-                }
-            );
-        }
-    }
-    // A different source is unaffected.
-    let r = cloud.handle_message(
-        USER_NODE,
-        Tick(20),
-        &Message::QueryShadow { dev_id: dev_id() },
-        &mut rng,
-    );
-    assert!(r.reply.is_ok());
-    // And the window resets.
-    let r = cloud.handle_message(
-        ATTACKER_NODE,
-        Tick(2_000),
-        &Message::QueryShadow { dev_id: dev_id() },
-        &mut rng,
-    );
-    assert!(r.reply.is_ok());
-}

@@ -24,6 +24,14 @@ const TIMER_HEARTBEAT: TimerKey = 1;
 const TIMER_REGISTER: TimerKey = 2;
 const TIMER_DEVICE_BIND: TimerKey = 3;
 
+/// Heartbeat period in ticks.
+pub const HEARTBEAT_EVERY: u64 = 2_000;
+
+/// Delay in ticks between registration and the device-sent bind
+/// (`AclDevice` and `Capability` designs). TP-LINK binds essentially
+/// immediately.
+pub const BIND_DELAY: u64 = 2;
+
 /// How the device acquires its Wi-Fi credentials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProvisioningMode {
@@ -52,11 +60,6 @@ pub struct DeviceConfig {
     pub lan: LanId,
     /// Provisioning mode.
     pub mode: ProvisioningMode,
-    /// Heartbeat period in ticks.
-    pub heartbeat_every: u64,
-    /// Delay between registration and the device-sent bind (AclDevice
-    /// designs). TP-LINK binds essentially immediately.
-    pub bind_delay: u64,
 }
 
 /// Counters exposed for experiments.
@@ -392,10 +395,10 @@ impl DeviceAgent {
         }
         match self.config.design.bind {
             BindScheme::AclDevice if self.user_creds.is_some() => {
-                ctx.set_timer(self.config.bind_delay.max(1), TIMER_DEVICE_BIND);
+                ctx.set_timer(BIND_DELAY, TIMER_DEVICE_BIND);
             }
             BindScheme::Capability if self.bind_token.is_some() => {
-                ctx.set_timer(self.config.bind_delay.max(1), TIMER_DEVICE_BIND);
+                ctx.set_timer(BIND_DELAY, TIMER_DEVICE_BIND);
             }
             _ => {}
         }
@@ -479,10 +482,7 @@ impl DeviceAgent {
 
 impl Actor for DeviceAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(
-            self.config.heartbeat_every,
-            TIMER_HEARTBEAT | (self.hb_gen << 8),
-        );
+        ctx.set_timer(HEARTBEAT_EVERY, TIMER_HEARTBEAT | (self.hb_gen << 8));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
@@ -573,10 +573,7 @@ impl Actor for DeviceAgent {
                         self.send_status(ctx, StatusKind::Register);
                     }
                 }
-                ctx.set_timer(
-                    self.config.heartbeat_every,
-                    TIMER_HEARTBEAT | (self.hb_gen << 8),
-                );
+                ctx.set_timer(HEARTBEAT_EVERY, TIMER_HEARTBEAT | (self.hb_gen << 8));
             }
             TIMER_REGISTER if self.fully_provisioned() && !self.registered => {
                 self.send_status(ctx, StatusKind::Register);
@@ -607,10 +604,7 @@ impl Actor for DeviceAgent {
             // off would otherwise kill it permanently).
             self.registered = false;
             self.hb_gen += 1;
-            ctx.set_timer(
-                self.config.heartbeat_every,
-                TIMER_HEARTBEAT | (self.hb_gen << 8),
-            );
+            ctx.set_timer(HEARTBEAT_EVERY, TIMER_HEARTBEAT | (self.hb_gen << 8));
         }
     }
 }

@@ -28,4 +28,4 @@ pub mod agent;
 pub mod hub;
 pub mod telemetry_gen;
 
-pub use agent::{DeviceAgent, DeviceConfig, ProvisioningMode};
+pub use agent::{DeviceAgent, DeviceConfig, ProvisioningMode, BIND_DELAY, HEARTBEAT_EVERY};

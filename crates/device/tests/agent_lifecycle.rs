@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use rb_core::vendors;
-use rb_device::{DeviceAgent, DeviceConfig, ProvisioningMode};
+use rb_device::{DeviceAgent, DeviceConfig, ProvisioningMode, HEARTBEAT_EVERY};
 use rb_netsim::{Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Simulation, Tick};
 use rb_provision::apmode::{PairingMaterial, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
@@ -94,8 +94,6 @@ fn device_config(design: rb_core::design::VendorDesign, cloud: NodeId) -> Device
         cloud,
         lan: LAN,
         mode: ProvisioningMode::ApMode,
-        heartbeat_every: 100,
-        bind_delay: 1,
     }
 }
 
@@ -125,7 +123,7 @@ fn ap_mode_provision_register_and_heartbeat() {
             )],
         }),
     );
-    sim.run_until(Tick(1000));
+    sim.run_until(Tick(6 * HEARTBEAT_EVERY));
 
     let device = sim.actor::<DeviceAgent>(dev).unwrap();
     assert!(device.is_wifi_provisioned());
@@ -441,7 +439,8 @@ fn reboot_reregisters() {
     sim.set_power(dev, false);
     sim.run_until(Tick(600));
     sim.set_power(dev, true);
-    sim.run_until(Tick(1500));
+    // The rebooted device re-registers on its first heartbeat.
+    sim.run_until(Tick(600 + HEARTBEAT_EVERY + 100));
     let device = sim.actor::<DeviceAgent>(dev).unwrap();
     assert!(device.is_registered(), "re-registered after reboot");
     assert!(device.stats.registers >= 2);

@@ -60,8 +60,6 @@ fn children_report_through_the_hub_to_the_cloud() {
         cloud,
         lan: LAN,
         mode: ProvisioningMode::ApMode,
-        heartbeat_every: 1_000,
-        bind_delay: 1,
     });
     let hub = sim.add_node(
         NodeConfig::dual("hub", LAN),
@@ -134,8 +132,6 @@ fn hub_requires_sensor_kind_firmware() {
         cloud: NodeId(0),
         lan: LAN,
         mode: ProvisioningMode::ApMode,
-        heartbeat_every: 1_000,
-        bind_delay: 1,
     });
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| HubAgent::new(fw)));
     assert!(result.is_err(), "non-sensor firmware must be rejected");

@@ -39,6 +39,7 @@ use rb_attack::adversary::{ATTACKER_ID, ATTACKER_PW};
 use rb_attack::Adversary;
 use rb_core::design::{BindScheme, DeviceAuthScheme, VendorDesign};
 use rb_core::spec::{DeviceSrc, Party};
+use rb_device::HEARTBEAT_EVERY;
 use rb_netsim::{Dest, NodeId};
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
@@ -50,10 +51,6 @@ use rb_wire::messages::{
     UnbindPayload,
 };
 use rb_wire::tokens::{BindToken, DevToken, UserId, UserPw, UserToken};
-
-/// The device heartbeat period the replay worlds use (the builder
-/// default; the per-act waits below are sized against it).
-const HEARTBEAT: u64 = 2_000;
 
 /// Ticks to wait after a denied device-channel bind: the firmware retries
 /// with exponential backoff (16 tries capped at 800 ticks), and the model
@@ -258,7 +255,7 @@ impl LiveSession {
         self.set_device_power(true);
         let dev_id = self.dev_id.clone();
         let want = self.owner_of(post.bound);
-        let settled = self.world.try_run_until(4 * HEARTBEAT + 4_000, |w| {
+        let settled = self.world.try_run_until(4 * HEARTBEAT_EVERY + 4_000, |w| {
             w.cloud().shadow_state(&dev_id).is_online() && w.cloud().bound_user(&dev_id) == want
         });
         if !settled {
@@ -314,7 +311,7 @@ impl LiveSession {
             // the press; the cloud also checks the reporter shares the
             // binder's NAT IP, which the console does.
             self.world.device_mut(0).press_button();
-            self.world.run_for(HEARTBEAT + 500);
+            self.world.run_for(HEARTBEAT_EVERY + 500);
         }
         let msg = Message::Bind(BindPayload::AclApp {
             dev_id: self.dev_id.clone(),

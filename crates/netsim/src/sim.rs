@@ -409,7 +409,9 @@ impl Simulation {
 
     /// Schedules every event of a [`FaultPlan`] for execution by the event
     /// loop. Times in the past fire at the current instant; injection is
-    /// recorded in the trace.
+    /// recorded in the trace. A fault naming a node that does not exist or
+    /// setting an invalid [`LinkQuality`] is skipped when it comes due,
+    /// counted in `sim_faults_rejected_total` and traced as `rejected …`.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for (at, fault) in plan.events() {
             let at = at.max(self.now);
@@ -417,16 +419,44 @@ impl Simulation {
         }
     }
 
+    /// Whether `fault` can be applied: every node it names exists and every
+    /// quality it sets is valid. A fault plan is adversary input, so an
+    /// unappliable fault is rejected instead of panicking the event loop.
+    fn admits(&self, fault: &Fault) -> bool {
+        match fault {
+            Fault::WanPartition { node, .. } | Fault::Crash { node } | Fault::Restart { node } => {
+                (node.0 as usize) < self.nodes.len()
+            }
+            Fault::LanQuality { quality, .. }
+            | Fault::WanQuality { quality }
+            | Fault::PairQuality { quality, .. } => {
+                quality.as_ref().is_none_or(LinkQuality::is_valid)
+            }
+            Fault::LanPartition { .. } | Fault::Chaos { .. } => true,
+        }
+    }
+
     fn inject(&mut self, fault: Fault) {
-        self.telemetry.incr("sim_faults_injected_total");
+        let admitted = self.admits(&fault);
+        self.telemetry.incr(if admitted {
+            "sim_faults_injected_total"
+        } else {
+            "sim_faults_rejected_total"
+        });
         let at = self.now;
         if let Some(t) = self.trace.as_mut() {
+            let text = if admitted {
+                fault.to_string()
+            } else {
+                format!("rejected {fault}")
+            };
             t.push(TraceEntry {
                 at,
-                event: TraceEvent::Fault {
-                    text: fault.to_string(),
-                },
+                event: TraceEvent::Fault { text },
             });
+        }
+        if !admitted {
+            return;
         }
         match fault {
             Fault::WanPartition { node, partitioned } => self.partition_wan(node, partitioned),
@@ -1380,6 +1410,65 @@ mod tests {
             faults,
             vec!["crash n0".to_string(), "restart n0".to_string()]
         );
+    }
+
+    #[test]
+    fn unappliable_faults_are_rejected_not_panicked_on() {
+        let mut sim = perfect_sim(35);
+        let n = sim.add_node(NodeConfig::wan_only("n"), Box::new(Sink::new()));
+        sim.enable_trace();
+        let ghost = NodeId(7);
+        let bad = LinkQuality {
+            latency_min: 5,
+            latency_max: 1,
+            drop_per_mille: 0,
+        };
+        sim.apply_fault_plan(
+            &FaultPlan::new()
+                .at(1, Fault::Crash { node: ghost })
+                .at(2, Fault::Restart { node: ghost })
+                .at(
+                    3,
+                    Fault::WanPartition {
+                        node: ghost,
+                        partitioned: true,
+                    },
+                )
+                .at(
+                    4,
+                    Fault::LanQuality {
+                        lan: LanId(0),
+                        quality: Some(bad),
+                    },
+                )
+                .at(5, Fault::WanQuality { quality: Some(bad) })
+                .at(
+                    6,
+                    Fault::PairQuality {
+                        from: n,
+                        to: ghost,
+                        quality: Some(bad),
+                    },
+                )
+                .at(7, Fault::Crash { node: n }),
+        );
+        sim.run_until(Tick(10));
+        let tele = sim.telemetry();
+        assert_eq!(tele.counter("sim_faults_rejected_total"), 6);
+        assert_eq!(tele.counter("sim_faults_injected_total"), 1);
+        assert_eq!(sim.actor::<Sink>(n).unwrap().power_events, vec![false]);
+        let faults: Vec<String> = sim
+            .trace()
+            .iter()
+            .filter_map(|e| match &e.event {
+                TraceEvent::Fault { text } => Some(text.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(faults.len(), 7);
+        assert_eq!(faults[0], "rejected crash n7");
+        assert!(faults[..6].iter().all(|f| f.starts_with("rejected ")));
+        assert_eq!(faults[6], "crash n0");
     }
 
     #[test]

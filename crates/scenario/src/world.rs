@@ -38,7 +38,6 @@ pub struct WorldBuilder {
     homes: usize,
     lan_quality: LinkQuality,
     wan_quality: LinkQuality,
-    heartbeat_every: u64,
     user_bind_delay: u64,
     provisioning: ProvisioningMode,
     trace: bool,
@@ -60,7 +59,6 @@ impl WorldBuilder {
             homes: 1,
             lan_quality: LinkQuality::perfect(),
             wan_quality: LinkQuality::perfect(),
-            heartbeat_every: 2_000,
             user_bind_delay: 5_000,
             provisioning: ProvisioningMode::ApMode,
             trace: false,
@@ -130,12 +128,6 @@ impl WorldBuilder {
     /// Schedules a fault plan to be injected from the start of the run.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = self.fault_plan.merge(plan);
-        self
-    }
-
-    /// Device heartbeat period in ticks.
-    pub fn heartbeat_every(mut self, ticks: u64) -> Self {
-        self.heartbeat_every = ticks;
         self
     }
 
@@ -231,8 +223,6 @@ impl WorldBuilder {
                 cloud,
                 lan,
                 mode: self.provisioning,
-                heartbeat_every: self.heartbeat_every,
-                bind_delay: 2,
             });
             device_agent.set_telemetry(self.telemetry.clone());
             let device = sim.add_node(

@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use rb_cloud::CloudConfig;
+use rb_cloud::HEARTBEAT_TIMEOUT;
 use rb_core::vendors::vendor_designs;
 use rb_netsim::Profiler;
 use rb_scenario::WorldBuilder;
@@ -39,7 +39,7 @@ fn setup_dispatches_few_events_per_home_for_every_design() {
 #[test]
 fn idle_paused_world_runs_only_the_cloud_expiry_sweep() {
     let design = vendor_designs().remove(0);
-    let sweep_every = CloudConfig::new(design.clone()).heartbeat_timeout / 2;
+    let sweep_every = HEARTBEAT_TIMEOUT / 2;
     let profiler = Profiler::new();
     let mut world = WorldBuilder::new(design, 3)
         .homes(4)

@@ -48,8 +48,6 @@ fn main() {
         cloud,
         lan,
         mode: ProvisioningMode::ApMode,
-        heartbeat_every: 2_000,
-        bind_delay: 2,
     });
     let hub = sim.add_node(
         NodeConfig::dual("hub", lan),

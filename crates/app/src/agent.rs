@@ -8,21 +8,12 @@ use rb_netsim::{Actor, Ctx, Dest, LanId, NodeId, Retry, RetryPolicy, Telemetry, 
 use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
 use rb_provision::localctl::LocalCtl;
-use rb_provision::{airkiss, smartconfig, WifiCredentials};
+use rb_provision::WifiCredentials;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::DevId;
 use rb_wire::messages::{BindPayload, ControlAction, DenyReason, Message, Response, UnbindPayload};
 use rb_wire::telemetry::TelemetryFrame;
 use rb_wire::tokens::{BindToken, DevToken, SessionToken, UserId, UserPw, UserToken};
-
-/// How the app broadcasts Wi-Fi credentials during provisioning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WifiBroadcast {
-    /// SmartConfig-style length encoding.
-    SmartConfig,
-    /// Airkiss-style length encoding.
-    Airkiss,
-}
 
 /// The grid the app acts on: a step is (re)sent, a wait window ends, or a
 /// queued user action goes out only at `start + k * POLL_EVERY`, where
@@ -79,13 +70,11 @@ pub struct AppConfig {
     /// Human delay between device setup and completing the binding in the
     /// app — the A4-2 window.
     pub user_bind_delay: u64,
-    /// Which length-encoding the provisioning broadcast uses.
-    pub wifi_broadcast: WifiBroadcast,
 }
 
 impl AppConfig {
-    /// A configuration with sensible defaults (5 s human delay, SmartConfig
-    /// broadcast, no known label).
+    /// A configuration with sensible defaults (5 s human delay, no known
+    /// label).
     pub fn new(
         design: VendorDesign,
         cloud: NodeId,
@@ -101,7 +90,6 @@ impl AppConfig {
             user_pw,
             known_label: None,
             user_bind_delay: 5_000,
-            wifi_broadcast: WifiBroadcast::SmartConfig,
         }
     }
 }
@@ -458,20 +446,10 @@ impl AppAgent {
                         None
                     },
                 };
-                // The wifi credentials ride on broadcast datagram lengths
-                // (SmartConfig or Airkiss, per vendor ecosystem).
-                let wifi = home_wifi();
-                let lengths = match self.config.wifi_broadcast {
-                    WifiBroadcast::SmartConfig => smartconfig::encode(&wifi),
-                    WifiBroadcast::Airkiss => airkiss::encode(&wifi),
+                let req = ProvisionRequest {
+                    wifi: home_wifi(),
+                    pairing,
                 };
-                for len in lengths {
-                    ctx.send(
-                        Dest::Broadcast(self.config.lan),
-                        vec![0u8; usize::from(len)],
-                    );
-                }
-                let req = ProvisionRequest { wifi, pairing };
                 ctx.send(Dest::Unicast(device_node), req.encode());
                 self.last_send_at = ctx.now();
                 self.awaiting = Await::ProvisionReply;

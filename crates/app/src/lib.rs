@@ -7,8 +7,9 @@
 //! 1. log in to the cloud (`UserToken`);
 //! 2. obtain pairing material where the design calls for it (`DevToken`,
 //!    `BindToken`);
-//! 3. discover the device on the LAN (SSDP-style) and provision it
-//!    (SmartConfig length broadcast or AP-mode request);
+//! 3. discover the device on the LAN (SSDP-style) and provision it with
+//!    one AP-mode request carrying the Wi-Fi credentials and pairing
+//!    material;
 //! 4. create the binding — before or after device registration, matching
 //!    the vendor's setup order — and deliver the post-binding session
 //!    token to the device over the LAN when one is issued;
@@ -21,6 +22,6 @@
 mod agent;
 
 pub use agent::{
-    AppAgent, AppConfig, AppEvent, AppStats, WifiBroadcast, POLL_EVERY, RETRY_BUDGET, RETRY_CAP,
-    RETRY_EVERY, RETRY_JITTER_PER_MILLE,
+    AppAgent, AppConfig, AppEvent, AppStats, POLL_EVERY, RETRY_BUDGET, RETRY_CAP, RETRY_EVERY,
+    RETRY_JITTER_PER_MILLE,
 };

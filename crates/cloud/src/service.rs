@@ -356,14 +356,12 @@ impl CloudService {
     }
 
     /// Records one mitigation: the `cloud_mitigations_total{action="…"}`
-    /// counter, the `cloud_mitigations` rate series, and (under forensics)
-    /// a FAULT-style `defense action=… … trigger=…` mark tied to the
-    /// causing request.
-    fn record_mitigation(&mut self, now: Tick, action: &str, detail: &str, trigger: &str) {
+    /// counter and (under forensics) a FAULT-style
+    /// `defense action=… … trigger=…` mark tied to the causing request.
+    fn record_mitigation(&mut self, action: &str, detail: &str, trigger: &str) {
         if self.telemetry.is_enabled() {
             self.telemetry
                 .incr(&format!("cloud_mitigations_total{{action=\"{action}\"}}"));
-            self.telemetry.rate_event("cloud_mitigations", now.as_u64());
         }
         if self.forensics {
             self.forensic_marks.push(format!(
@@ -424,7 +422,7 @@ impl CloudService {
             return;
         };
         self.monitor.retire_token(dev_id, old, now);
-        self.record_mitigation(now, "rotate-token", &format!("dev={dev_id}"), trigger);
+        self.record_mitigation("rotate-token", &format!("dev={dev_id}"), trigger);
     }
 
     /// Quarantines a suspect device: non-co-located binds are denied until
@@ -464,7 +462,7 @@ impl CloudService {
                 }
             }
         }
-        self.record_mitigation(now, "quarantine", &detail, trigger);
+        self.record_mitigation("quarantine", &detail, trigger);
         pushes
     }
 
@@ -781,7 +779,7 @@ impl CloudService {
         // The limiter runs before the existence check so ID-space sweeps
         // (which mostly hit unknown IDs) are priced out too.
         if self.defense_bind_limited(from, now) {
-            self.record_mitigation(now, "rate-limit-bind", &format!("from={from}"), "bind-rate");
+            self.record_mitigation("rate-limit-bind", &format!("from={from}"), "bind-rate");
             return Outcome::deny(DenyReason::RateLimited);
         }
         if !self.registry.knows(&dev_id) {

@@ -7,7 +7,6 @@ use rb_provision::discovery::{SearchRequest, SearchResponse};
 use rb_provision::label::DeviceLabel;
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
-use rb_provision::{airkiss, smartconfig};
 use rb_wire::crypto::sign_dev_id;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::DevId;
@@ -32,17 +31,6 @@ pub const HEARTBEAT_EVERY: u64 = 2_000;
 /// immediately.
 pub const BIND_DELAY: u64 = 2;
 
-/// How the device acquires its Wi-Fi credentials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProvisioningMode {
-    /// Listen for SmartConfig-style length-encoded broadcasts.
-    SmartConfig,
-    /// Listen for Airkiss-style length-encoded broadcasts.
-    Airkiss,
-    /// Accept an AP-mode provisioning request over the LAN.
-    ApMode,
-}
-
 /// Static configuration of one simulated device.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
@@ -58,8 +46,6 @@ pub struct DeviceConfig {
     pub cloud: NodeId,
     /// The home LAN.
     pub lan: LanId,
-    /// Provisioning mode.
-    pub mode: ProvisioningMode,
 }
 
 /// Counters exposed for experiments.
@@ -83,8 +69,6 @@ pub struct DeviceAgent {
     config: DeviceConfig,
     // Provisioning state.
     wifi: Option<WifiCredentials>,
-    sc_decoder: smartconfig::Decoder,
-    ak_lengths: Vec<u16>,
     dev_token: Option<DevToken>,
     bind_token: Option<BindToken>,
     user_creds: Option<(UserId, UserPw)>,
@@ -122,8 +106,6 @@ impl DeviceAgent {
         DeviceAgent {
             config,
             wifi: None,
-            sc_decoder: smartconfig::Decoder::new(),
-            ak_lengths: Vec::new(),
             dev_token: None,
             bind_token: None,
             user_creds: None,
@@ -329,8 +311,6 @@ impl DeviceAgent {
         self.session = None;
         self.schedule.clear();
         self.on = false;
-        self.sc_decoder = smartconfig::Decoder::new();
-        self.ak_lengths.clear();
         self.reset_queued = false;
         self.bind_retry.reset();
         self.bind_tries_this_cycle = 0;
@@ -521,38 +501,6 @@ impl Actor for DeviceAgent {
         }
         if let Ok(req) = ProvisionRequest::decode(payload) {
             self.accept_provisioning(ctx, from, &req);
-            return;
-        }
-        // SmartConfig/Airkiss: an unprovisioned device reads only the
-        // *length* of broadcast datagrams.
-        if self.wifi.is_none() {
-            match self.config.mode {
-                ProvisioningMode::SmartConfig => {
-                    if let Ok(Some(creds)) = self.sc_decoder.observe(payload.len() as u16) {
-                        self.wifi = Some(creds);
-                        if self.fully_provisioned() {
-                            ctx.set_timer(2, TIMER_REGISTER);
-                        }
-                    }
-                }
-                ProvisioningMode::Airkiss => {
-                    self.ak_lengths.push(payload.len() as u16);
-                    // Airkiss frames start with the magic field; drop junk
-                    // prefixes so the buffer always begins at a plausible
-                    // frame start, then try a full decode.
-                    while !self.ak_lengths.is_empty() && self.ak_lengths[0] & 0xf000 != 0x1000 {
-                        self.ak_lengths.remove(0);
-                    }
-                    if let Ok(creds) = airkiss::decode(&self.ak_lengths) {
-                        self.wifi = Some(creds);
-                        self.ak_lengths.clear();
-                        if self.fully_provisioned() {
-                            ctx.set_timer(2, TIMER_REGISTER);
-                        }
-                    }
-                }
-                ProvisioningMode::ApMode => {}
-            }
         }
     }
 

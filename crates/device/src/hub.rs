@@ -140,24 +140,43 @@ pub struct HubAgent {
     pub child_frames: u64,
 }
 
+/// [`HubAgent::new`] was given firmware of a product kind other than
+/// [`DeviceKind::Sensor`]: hubs report aggregate sensor telemetry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotSensorFirmware {
+    /// The product kind the firmware was built for.
+    pub kind: DeviceKind,
+}
+
+impl std::fmt::Display for NotSensorFirmware {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "hubs report aggregate sensor telemetry, but the firmware is a {}",
+            self.kind
+        )
+    }
+}
+
+impl std::error::Error for NotSensorFirmware {}
+
 impl HubAgent {
     /// Wraps device firmware into a hub.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless the firmware's product kind is [`DeviceKind::Sensor`]
-    /// — hubs report aggregate sensor telemetry.
-    pub fn new(device: DeviceAgent) -> Self {
-        assert_eq!(
-            device.config().design.device,
-            DeviceKind::Sensor,
-            "hubs report aggregate sensor telemetry"
-        );
-        HubAgent {
+    /// [`NotSensorFirmware`] unless the firmware's product kind is
+    /// [`DeviceKind::Sensor`].
+    pub fn new(device: DeviceAgent) -> Result<Self, NotSensorFirmware> {
+        let kind = device.config().design.device;
+        if kind != DeviceKind::Sensor {
+            return Err(NotSensorFirmware { kind });
+        }
+        Ok(HubAgent {
             device,
             latest: std::collections::BTreeMap::new(),
             child_frames: 0,
-        }
+        })
     }
 
     /// Latest reading per child (experiment accessor).

@@ -4,9 +4,9 @@
 //! [`rb_netsim::Actor`] that lives through the full life cycle of the
 //! paper's Figure 1:
 //!
-//! 1. **Unprovisioned** — LAN-listening only; accepts SmartConfig-style
-//!    length-encoded credentials or an AP-mode provisioning request, and
-//!    answers SSDP-style discovery;
+//! 1. **Unprovisioned** — LAN-listening only; accepts an AP-mode
+//!    provisioning request carrying the Wi-Fi credentials and pairing
+//!    material, and answers SSDP-style discovery;
 //! 2. **Provisioned** — registers with the cloud using the vendor design's
 //!    authentication scheme (`DevToken` / `DevId` / factory secret /
 //!    public key), then heartbeats with telemetry appropriate to its
@@ -28,4 +28,4 @@ pub mod agent;
 pub mod hub;
 pub mod telemetry_gen;
 
-pub use agent::{DeviceAgent, DeviceConfig, ProvisioningMode, BIND_DELAY, HEARTBEAT_EVERY};
+pub use agent::{DeviceAgent, DeviceConfig, BIND_DELAY, HEARTBEAT_EVERY};

@@ -8,12 +8,12 @@
 
 use bytes::Bytes;
 use rb_core::vendors;
-use rb_device::{DeviceAgent, DeviceConfig, ProvisioningMode, HEARTBEAT_EVERY};
+use rb_device::{DeviceAgent, DeviceConfig, HEARTBEAT_EVERY};
 use rb_netsim::{Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Simulation, Tick};
 use rb_provision::apmode::{PairingMaterial, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
 use rb_provision::localctl::LocalCtl;
-use rb_provision::{smartconfig, WifiCredentials};
+use rb_provision::WifiCredentials;
 use rb_wire::envelope::Envelope;
 use rb_wire::ids::{DevId, MacAddr};
 use rb_wire::messages::{ControlAction, Message, Response, StatusKind};
@@ -93,7 +93,6 @@ fn device_config(design: rb_core::design::VendorDesign, cloud: NodeId) -> Device
         key: None,
         cloud,
         lan: LAN,
-        mode: ProvisioningMode::ApMode,
     }
 }
 
@@ -144,76 +143,30 @@ fn ap_mode_provision_register_and_heartbeat() {
 }
 
 #[test]
-fn smartconfig_provisioning_via_broadcast_lengths() {
-    let mut sim = sim();
-    let cloud = sim.add_node(NodeConfig::wan_only("cloud"), Box::new(MockCloud::new()));
-    let mut config = device_config(vendors::d_link(), cloud);
-    config.mode = ProvisioningMode::SmartConfig;
-    let dev = sim.add_node(
-        NodeConfig::dual("device", LAN),
-        Box::new(DeviceAgent::new(config)),
-    );
-    let _ = dev;
-
-    // The app broadcasts junk payloads whose *lengths* encode the creds.
-    let creds = WifiCredentials::new("HomeNet", "psk12345");
-    let steps: Vec<(u64, Dest, Vec<u8>)> = smartconfig::encode(&creds)
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| {
-            (
-                10 + i as u64 * 2,
-                Dest::Broadcast(LAN),
-                vec![0xAA; usize::from(len)],
-            )
-        })
-        .collect();
-    sim.add_node(NodeConfig::dual("app", LAN), Box::new(Script { steps }));
-    sim.run_until(Tick(2000));
-
-    let device = sim.actor::<DeviceAgent>(dev).unwrap();
-    assert!(
-        device.is_wifi_provisioned(),
-        "device decoded the length channel"
-    );
-    assert!(
-        device.is_registered(),
-        "DevId designs need no pairing material"
-    );
-}
-
-#[test]
 fn dev_token_design_waits_for_pairing_material() {
     let mut sim = sim();
     let cloud = sim.add_node(NodeConfig::wan_only("cloud"), Box::new(MockCloud::new()));
-    let mut config = device_config(vendors::belkin(), cloud);
-    config.mode = ProvisioningMode::SmartConfig;
     let dev = sim.add_node(
         NodeConfig::dual("device", LAN),
-        Box::new(DeviceAgent::new(config)),
+        Box::new(DeviceAgent::new(device_config(vendors::belkin(), cloud))),
     );
 
-    let creds = WifiCredentials::new("HomeNet", "psk");
-    let mut steps: Vec<(u64, Dest, Vec<u8>)> = smartconfig::encode(&creds)
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| {
-            (
-                10 + i as u64 * 2,
-                Dest::Broadcast(LAN),
-                vec![0; usize::from(len)],
-            )
-        })
-        .collect();
-    // Pairing material arrives later over unicast.
-    steps.push((
-        800,
-        Dest::Unicast(dev),
-        provision_packet(PairingMaterial {
-            dev_token: Some([9; 16]),
-            ..Default::default()
-        }),
-    ));
+    // Wi-Fi first, with no DevToken; the pairing material arrives later.
+    let steps = vec![
+        (
+            10,
+            Dest::Unicast(dev),
+            provision_packet(PairingMaterial::default()),
+        ),
+        (
+            800,
+            Dest::Unicast(dev),
+            provision_packet(PairingMaterial {
+                dev_token: Some([9; 16]),
+                ..Default::default()
+            }),
+        ),
+    ];
     sim.add_node(NodeConfig::dual("app", LAN), Box::new(Script { steps }));
 
     sim.run_until(Tick(700));

@@ -6,8 +6,8 @@
 use bytes::Bytes;
 use rb_core::design::DeviceKind;
 use rb_core::vendors;
-use rb_device::hub::{HubAgent, ZigbeeChild};
-use rb_device::{DeviceAgent, DeviceConfig, ProvisioningMode};
+use rb_device::hub::{HubAgent, NotSensorFirmware, ZigbeeChild};
+use rb_device::{DeviceAgent, DeviceConfig};
 use rb_netsim::{Actor, Ctx, Dest, LanId, LinkQuality, NodeConfig, NodeId, Simulation, Tick};
 use rb_provision::apmode::{PairingMaterial, ProvisionRequest};
 use rb_provision::WifiCredentials;
@@ -59,11 +59,10 @@ fn children_report_through_the_hub_to_the_cloud() {
         key: None,
         cloud,
         lan: LAN,
-        mode: ProvisioningMode::ApMode,
     });
     let hub = sim.add_node(
         NodeConfig::dual("hub", LAN),
-        Box::new(HubAgent::new(hub_fw)),
+        Box::new(HubAgent::new(hub_fw).unwrap()),
     );
     for i in 0..3u8 {
         sim.add_node(
@@ -131,8 +130,12 @@ fn hub_requires_sensor_kind_firmware() {
         key: None,
         cloud: NodeId(0),
         lan: LAN,
-        mode: ProvisioningMode::ApMode,
     });
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| HubAgent::new(fw)));
-    assert!(result.is_err(), "non-sensor firmware must be rejected");
+    assert_eq!(
+        HubAgent::new(fw).unwrap_err(),
+        NotSensorFirmware {
+            kind: DeviceKind::SmartPlug
+        },
+        "non-sensor firmware must be rejected"
+    );
 }

@@ -423,14 +423,16 @@ impl Simulation {
     /// quality it sets is valid. A fault plan is adversary input, so an
     /// unappliable fault is rejected instead of panicking the event loop.
     fn admits(&self, fault: &Fault) -> bool {
+        let exists = |node: &NodeId| (node.0 as usize) < self.nodes.len();
+        let valid =
+            |quality: &Option<LinkQuality>| quality.as_ref().is_none_or(LinkQuality::is_valid);
         match fault {
             Fault::WanPartition { node, .. } | Fault::Crash { node } | Fault::Restart { node } => {
-                (node.0 as usize) < self.nodes.len()
+                exists(node)
             }
-            Fault::LanQuality { quality, .. }
-            | Fault::WanQuality { quality }
-            | Fault::PairQuality { quality, .. } => {
-                quality.as_ref().is_none_or(LinkQuality::is_valid)
+            Fault::LanQuality { quality, .. } | Fault::WanQuality { quality } => valid(quality),
+            Fault::PairQuality { from, to, quality } => {
+                exists(from) && exists(to) && valid(quality)
             }
             Fault::LanPartition { .. } | Fault::Chaos { .. } => true,
         }
@@ -1450,11 +1452,19 @@ mod tests {
                         quality: Some(bad),
                     },
                 )
+                .at(
+                    6,
+                    Fault::PairQuality {
+                        from: ghost,
+                        to: n,
+                        quality: Some(LinkQuality::perfect()),
+                    },
+                )
                 .at(7, Fault::Crash { node: n }),
         );
         sim.run_until(Tick(10));
         let tele = sim.telemetry();
-        assert_eq!(tele.counter("sim_faults_rejected_total"), 6);
+        assert_eq!(tele.counter("sim_faults_rejected_total"), 7);
         assert_eq!(tele.counter("sim_faults_injected_total"), 1);
         assert_eq!(sim.actor::<Sink>(n).unwrap().power_events, vec![false]);
         let faults: Vec<String> = sim
@@ -1465,10 +1475,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(faults.len(), 7);
+        assert_eq!(faults.len(), 8);
         assert_eq!(faults[0], "rejected crash n7");
-        assert!(faults[..6].iter().all(|f| f.starts_with("rejected ")));
-        assert_eq!(faults[6], "crash n0");
+        assert!(faults[..7].iter().all(|f| f.starts_with("rejected ")));
+        assert_eq!(faults[7], "crash n0");
     }
 
     #[test]

@@ -6,31 +6,27 @@
 //! Before a device can be remotely bound it must (1) join the home Wi-Fi
 //! (*network provisioning*), (2) be found by the companion app (*local
 //! discovery*), and (3) exchange pairing material with the app (*local
-//! binding*). Real vendors use:
+//! binding*). The simulation models:
 //!
-//! * **SmartConfig-style length encoding** ([`smartconfig`]): the app
-//!   broadcasts UDP datagrams whose *lengths* encode the Wi-Fi credentials;
-//!   a device in promiscuous mode reads the lengths without being on the
-//!   network yet (TI SmartConfig, cited as \[13\] in the paper).
-//! * **Airkiss-style framing** ([`airkiss`]): WeChat's variant with magic
-//!   and prefix fields (cited as \[16\]).
 //! * **AP-mode provisioning** ([`apmode`]): the device opens a soft AP and
-//!   the app posts credentials to it.
+//!   the app posts the Wi-Fi credentials and pairing material to it. This
+//!   is the only channel that brings a simulated device online; the
+//!   length-encoded broadcasts some vendors also use (cited as \[13\] and
+//!   \[16\] in the paper) are not modelled, because every attack in the
+//!   paper runs over the WAN and none reads the LAN.
 //! * **Label pairing** ([`label`]): the device ID / pairing code printed on
 //!   the unit or its box — the very channel whose leakage the paper's
 //!   adversary model exploits.
 //! * **SSDP-style discovery** ([`discovery`]): multicast search and reply
 //!   (cited as \[12\]).
 //!
-//! All codecs are pure functions over byte/length sequences, so they run
+//! All codecs are pure functions over byte sequences, so they run
 //! identically inside the network simulator and in unit tests.
 
-pub mod airkiss;
 pub mod apmode;
 pub mod discovery;
 pub mod label;
 pub mod localctl;
-pub mod smartconfig;
 pub mod wifi;
 
 pub use wifi::WifiCredentials;
@@ -38,7 +34,7 @@ pub use wifi::WifiCredentials;
 /// Errors arising while decoding provisioning exchanges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProvisionError {
-    /// The length/byte stream did not contain a complete frame.
+    /// The byte stream did not contain a complete frame.
     Incomplete,
     /// A checksum failed.
     ChecksumMismatch {
@@ -50,11 +46,6 @@ pub enum ProvisionError {
     /// Framing was violated (bad preamble, wrong ordering, bad tag).
     BadFraming {
         /// Human-readable description of the violation.
-        what: &'static str,
-    },
-    /// A field exceeded its allowed size.
-    TooLong {
-        /// Which field.
         what: &'static str,
     },
     /// Text that should have been UTF-8 was not.
@@ -72,7 +63,6 @@ impl std::fmt::Display for ProvisionError {
                 )
             }
             ProvisionError::BadFraming { what } => write!(f, "bad framing: {what}"),
-            ProvisionError::TooLong { what } => write!(f, "field too long: {what}"),
             ProvisionError::InvalidUtf8 => write!(f, "invalid utf-8 in provisioning payload"),
         }
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::label::DeviceLabel;
 use rb_provision::localctl::LocalCtl;
-use rb_provision::{airkiss, smartconfig, WifiCredentials};
+use rb_provision::WifiCredentials;
 use rb_wire::ids::{DevId, MacAddr};
 
 fn arb_creds() -> impl Strategy<Value = WifiCredentials> {
@@ -30,52 +30,6 @@ fn arb_dev_id() -> impl Strategy<Value = DevId> {
 }
 
 proptest! {
-    #[test]
-    fn smartconfig_roundtrips_any_credentials(creds in arb_creds()) {
-        let lengths = smartconfig::encode(&creds);
-        prop_assert_eq!(smartconfig::decode(&lengths).unwrap(), creds);
-    }
-
-    #[test]
-    fn smartconfig_decoder_never_panics_on_noise(
-        lengths in proptest::collection::vec(any::<u16>(), 0..512)
-    ) {
-        let mut dec = smartconfig::Decoder::new();
-        for len in lengths {
-            let _ = dec.observe(len);
-        }
-    }
-
-    #[test]
-    fn smartconfig_survives_interleaved_noise(
-        creds in arb_creds(),
-        noise in proptest::collection::vec(0u16..90, 0..16),
-    ) {
-        // Noise below the encoding bands (all real frames are >= 0x100)
-        // must not derail an in-progress reception... as long as it comes
-        // before the preamble.
-        let mut lengths: Vec<u16> = noise;
-        lengths.extend(smartconfig::encode(&creds));
-        prop_assert_eq!(smartconfig::decode(&lengths).unwrap(), creds);
-    }
-
-    #[test]
-    fn airkiss_roundtrips_any_credentials(creds in arb_creds()) {
-        let lengths = airkiss::encode(&creds);
-        prop_assert_eq!(airkiss::decode(&lengths).unwrap(), creds);
-    }
-
-    #[test]
-    fn airkiss_rejects_any_single_data_corruption(creds in arb_creds(), pos in any::<prop::sample::Index>(), flip in 1u16..0xff) {
-        let mut lengths = airkiss::encode(&creds);
-        let i = pos.index(lengths.len());
-        lengths[i] ^= flip;
-        // Either an error, or (if the corruption landed harmlessly, e.g.
-        // flipping high bits of a field that is re-masked) the same creds —
-        // never silently *different* credentials.
-        if let Ok(decoded) = airkiss::decode(&lengths) { prop_assert_eq!(decoded, creds) }
-    }
-
     #[test]
     fn provision_request_roundtrips(
         creds in arb_creds(),

@@ -4,7 +4,7 @@ use rb_app::{AppAgent, AppConfig};
 use rb_cloud::{CloudConfig, CloudService, DefensePolicy};
 use rb_core::design::{DeviceAuthScheme, SetupOrder, VendorDesign};
 use rb_core::shadow::ShadowState;
-use rb_device::{DeviceAgent, DeviceConfig, ProvisioningMode};
+use rb_device::{DeviceAgent, DeviceConfig};
 use rb_netsim::{
     FaultPlan, LanId, LinkQuality, NodeConfig, NodeId, Profiler, SimRng, Simulation, Telemetry,
     Tick,
@@ -39,7 +39,6 @@ pub struct WorldBuilder {
     lan_quality: LinkQuality,
     wan_quality: LinkQuality,
     user_bind_delay: u64,
-    provisioning: ProvisioningMode,
     trace: bool,
     victim_paused: bool,
     home_lan_quality: Vec<(usize, LinkQuality)>,
@@ -60,7 +59,6 @@ impl WorldBuilder {
             lan_quality: LinkQuality::perfect(),
             wan_quality: LinkQuality::perfect(),
             user_bind_delay: 5_000,
-            provisioning: ProvisioningMode::ApMode,
             trace: false,
             victim_paused: false,
             home_lan_quality: Vec::new(),
@@ -134,12 +132,6 @@ impl WorldBuilder {
     /// The human delay between device setup and binding (the A4-2 window).
     pub fn user_bind_delay(mut self, ticks: u64) -> Self {
         self.user_bind_delay = ticks;
-        self
-    }
-
-    /// Wi-Fi provisioning mode for the devices.
-    pub fn provisioning(mut self, mode: ProvisioningMode) -> Self {
-        self.provisioning = mode;
         self
     }
 
@@ -222,7 +214,6 @@ impl WorldBuilder {
                 key: keys[i],
                 cloud,
                 lan,
-                mode: self.provisioning,
             });
             device_agent.set_telemetry(self.telemetry.clone());
             let device = sim.add_node(
@@ -238,10 +229,6 @@ impl WorldBuilder {
                 user_pw.clone(),
             );
             app_config.user_bind_delay = self.user_bind_delay;
-            app_config.wifi_broadcast = match self.provisioning {
-                ProvisioningMode::Airkiss => rb_app::WifiBroadcast::Airkiss,
-                _ => rb_app::WifiBroadcast::SmartConfig,
-            };
             if self.design.setup_order == SetupOrder::BindFirst {
                 app_config.known_label = Some(dev_id.clone());
             }

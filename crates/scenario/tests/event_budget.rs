@@ -12,10 +12,11 @@ use rb_scenario::WorldBuilder;
 use rb_telemetry::Telemetry;
 
 /// Dispatched events per home for a five-home perfect-link setup, for
-/// every design at seed 1. Measured 64–92 (mean 75), so the bound leaves
-/// about 2x headroom; with a 20-tick app poll and a 1-tick attacker drain
-/// it was about 1,600.
-const MAX_EVENTS_PER_HOME: u64 = 180;
+/// every design at seed 1. Measured 18–46 (mean 29), so the bound leaves
+/// 14 events of headroom over the costliest design and fails if a setup
+/// sends 46 datagrams more; with a 20-tick app poll and a 1-tick attacker
+/// drain it was about 1,600.
+const MAX_EVENTS_PER_HOME: u64 = 60;
 
 #[test]
 fn setup_dispatches_few_events_per_home_for_every_design() {

@@ -6,7 +6,6 @@
 use rb_core::design::BindScheme;
 use rb_core::shadow::ShadowState;
 use rb_core::vendors;
-use rb_device::ProvisioningMode;
 use rb_scenario::WorldBuilder;
 use rb_wire::messages::ControlAction;
 use rb_wire::telemetry::ScheduleEntry;
@@ -127,16 +126,6 @@ fn owner_unbind_revokes_the_binding() {
         ShadowState::Online,
         "device online but unbound"
     );
-}
-
-#[test]
-fn smartconfig_provisioning_end_to_end() {
-    let mut world = WorldBuilder::new(vendors::ozwi(), 10)
-        .provisioning(ProvisioningMode::SmartConfig)
-        .build();
-    world.run_setup();
-    assert!(world.app(0).is_bound());
-    assert_eq!(world.shadow_state(0), ShadowState::Control);
 }
 
 #[test]

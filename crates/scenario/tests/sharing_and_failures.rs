@@ -144,17 +144,6 @@ fn sharing_with_a_ghost_account_fails_cleanly() {
 }
 
 #[test]
-fn airkiss_provisioning_end_to_end() {
-    use rb_device::ProvisioningMode;
-    let mut world = WorldBuilder::new(vendors::ozwi(), 0xA1715)
-        .provisioning(ProvisioningMode::Airkiss)
-        .build();
-    world.run_setup();
-    assert!(world.app(0).is_bound());
-    assert_eq!(world.shadow_state(0), ShadowState::Control);
-}
-
-#[test]
 fn device_executes_schedule_locally_while_cloud_is_down() {
     let mut world = WorldBuilder::new(vendors::d_link(), 0x5CED).build();
     world.run_setup();

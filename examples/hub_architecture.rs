@@ -15,7 +15,7 @@ use iot_remote_binding::cloud::{CloudConfig, CloudService};
 use iot_remote_binding::core_model::design::{DeviceKind, UnbindSupport};
 use iot_remote_binding::core_model::vendors;
 use iot_remote_binding::device::hub::{HubAgent, ZigbeeChild};
-use iot_remote_binding::device::{DeviceAgent, DeviceConfig, ProvisioningMode};
+use iot_remote_binding::device::{DeviceAgent, DeviceConfig};
 use iot_remote_binding::netsim::{Dest, LanId, LinkQuality, NodeConfig, Simulation, Tick};
 use iot_remote_binding::wire::envelope::{CorrId, Envelope};
 use iot_remote_binding::wire::ids::DevId;
@@ -47,11 +47,10 @@ fn main() {
         key: None,
         cloud,
         lan,
-        mode: ProvisioningMode::ApMode,
     });
     let hub = sim.add_node(
         NodeConfig::dual("hub", lan),
-        Box::new(HubAgent::new(hub_firmware)),
+        Box::new(HubAgent::new(hub_firmware).expect("the HubCo design is a sensor")),
     );
 
     // Four battery sensors that can only reach the hub.

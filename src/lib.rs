@@ -16,7 +16,7 @@
 //! | [`prof`] | `rb-prof` | deterministic phase profiler + counting allocator |
 //! | [`wire`] | `rb-wire` | identifiers, tokens, messages, the wire format |
 //! | [`netsim`] | `rb-netsim` | deterministic discrete-event network |
-//! | [`provision`] | `rb-provision` | SmartConfig/Airkiss/AP-mode/labels/SSDP |
+//! | [`provision`] | `rb-provision` | AP-mode provisioning, labels, SSDP |
 //! | [`core_model`] | `rb-core` | state machine, design space, analyzer |
 //! | [`cloud`] | `rb-cloud` | the policy-driven IoT cloud |
 //! | [`device`] | `rb-device` | simulated firmware (and the 4-party hub) |

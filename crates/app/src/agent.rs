@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use rb_core::design::{BindScheme, DeviceAuthScheme, SetupOrder, VendorDesign};
-use rb_netsim::telemetry::SpanId;
+use rb_netsim::telemetry::{Counter, Handles, SpanId};
 use rb_netsim::{Actor, Ctx, Dest, LanId, NodeId, Retry, RetryPolicy, Telemetry, Tick, TimerKey};
 use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
@@ -154,6 +154,32 @@ enum Await {
     Backoff,
 }
 
+/// The app agent's counters, registered once per telemetry handle.
+#[derive(Debug, Default)]
+struct AppMetrics {
+    binds: Counter,
+    bind_attempts: Counter,
+    denials: Counter,
+    revocations: Counter,
+    retries: Counter,
+    giveups: Counter,
+    telemetry_pushes: Counter,
+}
+
+impl AppMetrics {
+    fn register(t: &Telemetry) -> Self {
+        AppMetrics {
+            binds: t.register_counter("app_binds_total"),
+            bind_attempts: t.register_counter("app_bind_attempts_total"),
+            denials: t.register_counter("app_denials_total"),
+            revocations: t.register_counter("app_revocations_total"),
+            retries: t.register_counter("app_retries_total"),
+            giveups: t.register_counter("app_giveups_total"),
+            telemetry_pushes: t.register_counter("app_telemetry_pushes_total"),
+        }
+    }
+}
+
 /// The companion-app actor. See the [crate docs](crate) for the flow.
 #[derive(Debug)]
 pub struct AppAgent {
@@ -189,9 +215,10 @@ pub struct AppAgent {
     /// Key of the live deadline timer; re-arming bumps it, so a timer
     /// superseded before it fires is ignored.
     timer_gen: TimerKey,
-    /// Shared metrics registry (a private default until the harness wires
-    /// in the world-wide one via [`AppAgent::set_telemetry`]).
-    telemetry: Telemetry,
+    /// Shared metrics registry and the agent's handles on it (a private
+    /// default until the harness wires in the world-wide one via
+    /// [`AppAgent::set_telemetry`]).
+    metrics: Handles<AppMetrics>,
     /// Open `app_setup` span: flow start until the binding lands. Give-ups
     /// leave it open, so `span_ticks{name="app_setup"}` holds only
     /// converged setups.
@@ -262,7 +289,7 @@ impl AppAgent {
             polled_at: Tick::ZERO,
             armed: None,
             timer_gen: 0,
-            telemetry: Telemetry::new(),
+            metrics: Handles::new(Telemetry::new(), AppMetrics::register),
             setup_span: None,
             corr: 0,
             control_queue: VecDeque::new(),
@@ -278,7 +305,7 @@ impl AppAgent {
     /// Points the agent at a shared metrics registry. Call before the sim
     /// starts so every counter lands in the world-wide snapshot.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.metrics = Handles::new(telemetry, AppMetrics::register);
     }
 
     /// Whether the setup flow completed and the binding is (still) held.
@@ -355,7 +382,7 @@ impl AppAgent {
             return;
         }
         self.setup_span = Some(rb_telemetry::span!(
-            self.telemetry,
+            self.metrics.telemetry(),
             now.as_u64(),
             "app_setup",
             user = self.config.user_id,
@@ -364,9 +391,9 @@ impl AppAgent {
 
     /// Marks the binding as held: counts it and closes the setup span.
     fn note_bound(&mut self, now: Tick) {
-        self.telemetry.incr("app_binds_total");
+        self.metrics.get().binds.incr();
         if let Some(id) = self.setup_span.take() {
-            self.telemetry.end_span(id, now.as_u64());
+            self.metrics.telemetry().end_span(id, now.as_u64());
         }
     }
 
@@ -473,7 +500,7 @@ impl AppAgent {
                     Message::Bind(BindPayload::AclApp { dev_id, user_token }),
                 );
                 self.stats.bind_attempts += 1;
-                self.telemetry.incr("app_bind_attempts_total");
+                self.metrics.get().bind_attempts.incr();
                 self.awaiting = Await::Response(corr);
             }
             Step::AwaitDeviceBind => {
@@ -534,7 +561,7 @@ impl AppAgent {
             (_, Response::Denied { reason }) => {
                 self.events.push(AppEvent::Denied(*reason));
                 self.stats.denials += 1;
-                self.telemetry.incr("app_denials_total");
+                self.metrics.get().denials.incr();
                 // Resend the step once the backoff delay has passed.
                 self.awaiting = Await::Backoff;
             }
@@ -546,13 +573,13 @@ impl AppAgent {
         match rsp {
             Response::TelemetryPush { telemetry, .. } => {
                 self.stats.telemetry_pushes += 1;
-                self.telemetry.incr("app_telemetry_pushes_total");
+                self.metrics.get().telemetry_pushes.incr();
                 self.events.push(AppEvent::Telemetry(telemetry));
             }
             Response::BindingRevoked => {
                 self.bound = false;
                 self.stats.revocations += 1;
-                self.telemetry.incr("app_revocations_total");
+                self.metrics.get().revocations.incr();
                 self.events.push(AppEvent::BindingRevoked);
                 // Causally tied to whatever message displaced the binding —
                 // the victim-side evidence in a forensic reconstruction.
@@ -749,15 +776,17 @@ impl AppAgent {
                         match self.retry.next(ctx.rng()) {
                             Some(delay) => {
                                 self.cur_delay = delay;
-                                self.telemetry.incr("app_retries_total");
-                                self.telemetry.rate_event("app_retries", now.as_u64());
+                                self.metrics.get().retries.incr();
+                                self.metrics
+                                    .telemetry()
+                                    .rate_event("app_retries", now.as_u64());
                                 self.enter_step(ctx);
                             }
                             None => {
                                 // Clean abort: no timer is re-armed, the
                                 // actor goes silent, and the sim can quiesce.
                                 self.aborted = true;
-                                self.telemetry.incr("app_giveups_total");
+                                self.metrics.get().giveups.incr();
                                 self.events.push(AppEvent::GaveUp);
                             }
                         }
@@ -800,7 +829,7 @@ impl AppAgent {
                             }
                             Response::Denied { reason } => {
                                 self.stats.denials += 1;
-                                self.telemetry.incr("app_denials_total");
+                                self.metrics.get().denials.incr();
                                 self.events.push(AppEvent::Denied(reason));
                             }
                             Response::Unbound => self.bound = false,

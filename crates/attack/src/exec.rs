@@ -114,9 +114,11 @@ pub fn run_attack_opts(
     seed: u64,
     opts: &AttackOpts,
 ) -> AttackRun {
+    // Per-run counters: registered (and their names built) once per run,
+    // never per event.
     let family = id.family();
-    opts.telemetry
-        .incr(&format!("attack_attempts_total{{family=\"{family}\"}}"));
+    let attempts = format!("attack_attempts_total{{family=\"{family}\"}}");
+    opts.telemetry.register_counter(&attempts).incr();
     // The targeted state decides the starting world: A2 and A4-2 attack
     // a device that is still in its box (victim paused), everything else
     // a fully set-up home. Construction lives here — not in the
@@ -141,18 +143,17 @@ pub fn run_attack_opts(
         Feasibility::Unconfirmable { .. } => "unconfirmable",
     };
     if run.outcome == Feasibility::Feasible {
-        opts.telemetry
-            .incr(&format!("attack_success_total{{family=\"{family}\"}}"));
+        let success = format!("attack_success_total{{family=\"{family}\"}}");
+        opts.telemetry.register_counter(&success).incr();
     }
-    opts.telemetry.incr(&format!(
-        "attack_outcomes_total{{id=\"{id}\",outcome=\"{outcome}\"}}"
-    ));
+    let outcomes = format!("attack_outcomes_total{{id=\"{id}\",outcome=\"{outcome}\"}}");
+    opts.telemetry.register_counter(&outcomes).incr();
     // Mitigation accounting: the shared registry counts every defensive
     // intervention; the delta over this run is this run's share.
     run.mitigations = mitigation_total(&opts.telemetry).saturating_sub(mitigations_before);
     if run.mitigations > 0 {
-        opts.telemetry
-            .incr(&format!("attack_mitigated_total{{id=\"{id}\"}}"));
+        let mitigated = format!("attack_mitigated_total{{id=\"{id}\"}}");
+        opts.telemetry.register_counter(&mitigated).incr();
     }
     if opts.capture {
         run.capture = Some(Box::new(rb_scenario::capture(&world)));
@@ -160,14 +161,15 @@ pub fn run_attack_opts(
     run
 }
 
-/// The running sum of `cloud_mitigations_total{action=…}` in a registry.
+/// The running sum of `cloud_mitigations_total{action=…}` in a registry,
+/// read under one lock without copying the registry.
 fn mitigation_total(telemetry: &Telemetry) -> u64 {
-    telemetry
-        .snapshot()
-        .counters()
-        .filter(|(name, _)| name.starts_with("cloud_mitigations_total"))
-        .map(|(_, v)| v)
-        .sum()
+    telemetry.with(|r| {
+        r.counters()
+            .filter(|(name, _)| name.starts_with("cloud_mitigations_total"))
+            .map(|(_, v)| v)
+            .sum()
+    })
 }
 
 /// Builds the victim world with the run's environment options applied.
@@ -291,7 +293,10 @@ fn forged_heartbeat(world: &World, telemetry: Vec<TelemetryFrame>) -> Message {
 /// The attacker attempts to actually drive the device after acquiring a
 /// binding: sends `TurnOn` and checks the physical relay.
 fn control_check(world: &mut World, adv: &mut Adversary, evidence: &mut Vec<String>) -> bool {
-    world.telemetry().incr("attack_control_attempts_total");
+    world
+        .telemetry()
+        .register_counter("attack_control_attempts_total")
+        .incr();
     let dev_id = world.homes[0].dev_id.clone();
     let Some(user_token) = adv.user_token else {
         unreachable!("the adversary logs in before attempting control")
@@ -313,7 +318,10 @@ fn control_check(world: &mut World, adv: &mut Adversary, evidence: &mut Vec<Stri
         Some(Response::ControlOk { .. }) => {
             let on = world.device(0).is_on();
             if on {
-                world.telemetry().incr("attack_control_relayed_total");
+                world
+                    .telemetry()
+                    .register_counter("attack_control_relayed_total")
+                    .incr();
             }
             evidence.push(format!("control accepted by cloud; device relay on = {on}"));
             evidence.push(alert_summary(world));
@@ -347,7 +355,10 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
 
     // Open a forged device session.
     let register = forged_register(world);
-    world.telemetry().incr("attack_forged_registers_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_registers_total")
+        .incr();
     match adv.request(world, register) {
         Some(Response::StatusAccepted { .. }) => {
             evidence.push("forged registration accepted".into());
@@ -377,7 +388,10 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
     // victim's app.
     let marker = TelemetryFrame::PowerMilliwatts(999_000_000);
     let heartbeat = forged_heartbeat(world, vec![marker.clone()]);
-    world.telemetry().incr("attack_forged_heartbeats_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_heartbeats_total")
+        .incr();
     adv.request(world, heartbeat);
     world.run_for(5_000);
     let injected = world.app(0).events.iter().any(|e| match e {
@@ -440,7 +454,10 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
             }
         }
     };
-    world.telemetry().incr("attack_forged_binds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_binds_total")
+        .incr();
     match adv.request(world, bind) {
         Some(Response::Bound { session }) => {
             adv.hijack_session = session;
@@ -481,7 +498,10 @@ fn run_a3_1(_design: &VendorDesign, world: &mut World) -> AttackRun {
     let mut adv = Adversary::new();
     let mut evidence = Vec::new();
     let dev_id = world.homes[0].dev_id.clone();
-    world.telemetry().incr("attack_forged_unbinds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_unbinds_total")
+        .incr();
     match adv.request(
         world,
         Message::Unbind(UnbindPayload::DevIdOnly {
@@ -514,7 +534,10 @@ fn run_a3_2(_design: &VendorDesign, world: &mut World) -> AttackRun {
     let user_token = adv.login(world);
     let mut evidence = Vec::new();
     let dev_id = world.homes[0].dev_id.clone();
-    world.telemetry().incr("attack_forged_unbinds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_unbinds_total")
+        .incr();
     match adv.request(
         world,
         Message::Unbind(UnbindPayload::DevIdUserToken {
@@ -564,7 +587,10 @@ fn run_a3_3(design: &VendorDesign, world: &mut World) -> AttackRun {
             }
         }
     };
-    world.telemetry().incr("attack_forged_binds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_binds_total")
+        .incr();
     match adv.request(world, bind) {
         Some(Response::Bound { session }) => {
             adv.hijack_session = session;
@@ -610,7 +636,10 @@ fn run_a3_4(design: &VendorDesign, world: &mut World) -> AttackRun {
     let mut adv = Adversary::new();
     let mut evidence = Vec::new();
     let register = forged_register(world);
-    world.telemetry().incr("attack_forged_registers_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_registers_total")
+        .incr();
     match adv.request(world, register) {
         Some(Response::StatusAccepted { .. }) => {
             evidence.push("forged registration accepted".into());
@@ -662,7 +691,10 @@ fn run_a4_1(design: &VendorDesign, world: &mut World) -> AttackRun {
             }
         }
     };
-    world.telemetry().incr("attack_forged_binds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_binds_total")
+        .incr();
     match adv.request(world, bind) {
         Some(Response::Bound { session }) => {
             adv.hijack_session = session;
@@ -711,11 +743,14 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     // window.
     world.resume_victims();
     let mut occupied = false;
+    let probes = world
+        .telemetry()
+        .register_counter("attack_window_probes_total");
     for _round in 0..600 {
         let Ok(bind) = forged_bind(design, world, &adv) else {
             unreachable!("forgeability was checked before the probe loop")
         };
-        world.telemetry().incr("attack_window_probes_total");
+        probes.incr();
         adv.fire(world, bind);
         world.run_for(250);
         if let Some(Response::Bound { session }) = latest_bind_response(&mut adv, world) {
@@ -786,7 +821,10 @@ fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
             user_token,
         })
     };
-    world.telemetry().incr("attack_forged_unbinds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_unbinds_total")
+        .incr();
     match adv.request(world, unbind) {
         Some(Response::Unbound) => evidence.push("step 1: victim unbound".into()),
         Some(Response::Denied { reason }) => {
@@ -808,7 +846,10 @@ fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
             }
         }
     };
-    world.telemetry().incr("attack_forged_binds_total");
+    world
+        .telemetry()
+        .register_counter("attack_forged_binds_total")
+        .incr();
     match adv.request(world, bind) {
         Some(Response::Bound { session }) => {
             adv.hijack_session = session;

@@ -12,7 +12,9 @@
 //! Prints the human table, then a single `BENCH ` line with the
 //! schema-versioned [`rb_bench::report::BenchReport`] document;
 //! `benches/baselines/dos_scale.json` gates the deterministic fields in
-//! CI via `rb_bench::compare`.
+//! CI via `rb_bench::compare`. The §V-C shape check is computed from the
+//! table: the binary exits 1 unless every vulnerable series is fully
+//! occupied and locked out and no capability series is touched at all.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin exp_dos_scale
@@ -95,11 +97,24 @@ fn main() {
     let started = Instant::now();
     let mut report = BenchReport::new("exp_dos_scale");
     let mut rows = Vec::new();
+    let mut shape_violations = Vec::new();
     let mut homes_total = 0usize;
     for homes in [1usize, 2, 4, 8, 16] {
         let (occ_v, lock_v) = dos_series(&vulnerable, homes, 7_000 + homes as u64, &profiler);
         let (occ_s, lock_s) = dos_series(&secure, homes, 9_000 + homes as u64, &profiler);
         homes_total += homes * 2;
+        if (occ_v, lock_v) != (homes, homes) {
+            shape_violations.push(format!(
+                "vulnerable series of {homes}: {occ_v} occupied, {lock_v} locked out, \
+                 expected {homes} and {homes}"
+            ));
+        }
+        if (occ_s, lock_s) != (0, 0) {
+            shape_violations.push(format!(
+                "capability series of {homes}: {occ_s} occupied, {lock_s} locked out, \
+                 expected 0 and 0"
+            ));
+        }
         report
             .metric_u64(&format!("occupied_vulnerable_{homes}"), occ_v as u64)
             .metric_u64(&format!("locked_out_vulnerable_{homes}"), lock_v as u64)
@@ -130,8 +145,13 @@ fn main() {
         )
     );
 
-    println!("shape check (paper §V-C): the DoS scales linearly over the whole series for");
-    println!("ACL designs with sequential IDs, and is identically zero for capability binding.");
+    let verdict = if shape_violations.is_empty() {
+        "holds"
+    } else {
+        "FAILS"
+    };
+    println!("shape check (paper §V-C) {verdict}: the DoS occupies and locks out the whole");
+    println!("series for ACL designs with sequential IDs, and nothing for capability binding.");
     println!(
         "\nenvelope: {homes_total} homes in {elapsed_secs:.2}s ({:.0} homes/s), peak live {} bytes \
          ({:.0} bytes/home)",
@@ -155,4 +175,10 @@ fn main() {
         .with_alloc(alloc)
         .with_profile(&profile);
     emit(&report, out_path.as_deref());
+    if !shape_violations.is_empty() {
+        for violation in &shape_violations {
+            eprintln!("exp_dos_scale: GATE FAILED — {violation}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -26,6 +26,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
+use rb_netsim::telemetry::CounterTable;
 use rb_netsim::{NodeId, Telemetry, Tick};
 use rb_wire::ids::DevId;
 use rb_wire::tokens::{SessionToken, UserId};
@@ -128,19 +129,37 @@ pub enum SecurityAlert {
 }
 
 impl SecurityAlert {
+    /// Every [`SecurityAlert::kind`], indexed by the variant's position.
+    const KINDS: [&'static str; 9] = [
+        "foreign-unbind",
+        "bare-unbind",
+        "binding-replaced",
+        "session-moved",
+        "enumeration",
+        "contested-binding",
+        "remote-only-bind",
+        "impossible-transition",
+        "stale-token-replay",
+    ];
+
+    /// This alert's position in [`SecurityAlert::KINDS`].
+    fn kind_index(&self) -> usize {
+        match self {
+            SecurityAlert::ForeignUnbind { .. } => 0,
+            SecurityAlert::BareUnbind { .. } => 1,
+            SecurityAlert::BindingReplaced { .. } => 2,
+            SecurityAlert::SessionMoved { .. } => 3,
+            SecurityAlert::EnumerationSuspected { .. } => 4,
+            SecurityAlert::ContestedBinding { .. } => 5,
+            SecurityAlert::RemoteOnlyBind { .. } => 6,
+            SecurityAlert::ImpossibleTransition { .. } => 7,
+            SecurityAlert::StaleTokenReplay { .. } => 8,
+        }
+    }
+
     /// Short classifier for tables.
     pub fn kind(&self) -> &'static str {
-        match self {
-            SecurityAlert::ForeignUnbind { .. } => "foreign-unbind",
-            SecurityAlert::BareUnbind { .. } => "bare-unbind",
-            SecurityAlert::BindingReplaced { .. } => "binding-replaced",
-            SecurityAlert::SessionMoved { .. } => "session-moved",
-            SecurityAlert::EnumerationSuspected { .. } => "enumeration",
-            SecurityAlert::ContestedBinding { .. } => "contested-binding",
-            SecurityAlert::RemoteOnlyBind { .. } => "remote-only-bind",
-            SecurityAlert::ImpossibleTransition { .. } => "impossible-transition",
-            SecurityAlert::StaleTokenReplay { .. } => "stale-token-replay",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// One deterministic line describing the alert: `kind key=value …`.
@@ -314,11 +333,23 @@ pub struct Monitor {
     /// `monitor_detection_latency_ticks{kind="…"}` histogram, and records
     /// the `cloud_alerts` rate series.
     telemetry: Telemetry,
+    /// `cloud_alerts_total{kind=…}`, indexed by [`SecurityAlert::kind_index`].
+    alerts: CounterTable<{ SecurityAlert::KINDS.len() }>,
+}
+
+fn alert_counters(telemetry: &Telemetry) -> CounterTable<{ SecurityAlert::KINDS.len() }> {
+    CounterTable::new(telemetry, |kind| {
+        format!(
+            "cloud_alerts_total{{kind=\"{}\"}}",
+            SecurityAlert::KINDS[kind]
+        )
+    })
 }
 
 impl Monitor {
     /// An empty monitor with no alerts raised.
     pub fn new() -> Self {
+        let telemetry = Telemetry::new();
         Monitor {
             log: Vec::new(),
             defense_cursor: 0,
@@ -331,13 +362,15 @@ impl Monitor {
             retired: HashMap::new(),
             replay_flagged: HashSet::new(),
             quarantined: HashMap::new(),
-            telemetry: Telemetry::new(),
+            alerts: alert_counters(&telemetry),
+            telemetry,
         }
     }
 
     /// Points the monitor at a shared telemetry registry (normally the
     /// cloud service forwards its own handle here).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.alerts = alert_counters(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -405,9 +438,8 @@ impl Monitor {
         alert: SecurityAlert,
     ) {
         let kind = alert.kind();
+        self.alerts.incr(alert.kind_index());
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .incr(&format!("cloud_alerts_total{{kind=\"{kind}\"}}"));
             self.telemetry.observe(
                 &format!("monitor_detection_latency_ticks{{kind=\"{kind}\"}}"),
                 now.as_u64().saturating_sub(evidence_at.as_u64()),

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 
 use rb_core::design::{BindScheme, CloudChecks, DeviceAuthScheme, UnbindSupport, VendorDesign};
 use rb_core::shadow::ShadowState;
+use rb_netsim::telemetry::{Counter, CounterTable, Handles};
 use rb_netsim::{Actor, Ctx, Dest, NodeId, Profiler, SimRng, Telemetry, Tick};
 use rb_wire::envelope::Envelope;
 use rb_wire::ids::DevId;
@@ -23,6 +24,73 @@ use crate::issued::{BindTokenLedger, DevTokenLedger};
 use crate::monitor::{DefensePolicy, Monitor, SecurityAlert};
 use crate::registry::{DeviceRecord, DeviceRegistry};
 use crate::state::DeviceState;
+
+/// The defensive interventions counted by
+/// `cloud_mitigations_total{action=…}`.
+#[derive(Clone, Copy)]
+enum Mitigation {
+    RotateToken,
+    Quarantine,
+    RateLimitBind,
+}
+
+impl Mitigation {
+    const ALL: [Mitigation; 3] = [
+        Mitigation::RotateToken,
+        Mitigation::Quarantine,
+        Mitigation::RateLimitBind,
+    ];
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Mitigation::RotateToken => "rotate-token",
+            Mitigation::Quarantine => "quarantine",
+            Mitigation::RateLimitBind => "rate-limit-bind",
+        }
+    }
+}
+
+/// The cloud's counters: per-kind requests and denials (indexed by
+/// [`Message::kind_index`]), shadow transitions (indexed by `from * 4 +
+/// to`, positions in [`ShadowState::ALL`]), mitigations and the rarer
+/// events.
+#[derive(Debug, Default)]
+struct CloudMetrics {
+    requests: CounterTable<{ Message::KINDS.len() }>,
+    denials: CounterTable<{ Message::KINDS.len() }>,
+    transitions: CounterTable<16>,
+    mitigations: CounterTable<3>,
+    bindings_replaced: Counter,
+    sessions_expired: Counter,
+}
+
+impl CloudMetrics {
+    fn register(t: &Telemetry) -> Self {
+        CloudMetrics {
+            requests: CounterTable::new(t, |kind| {
+                format!("cloud_requests_total{{kind=\"{}\"}}", Message::KINDS[kind])
+            }),
+            denials: CounterTable::new(t, |kind| {
+                format!("cloud_denials_total{{kind=\"{}\"}}", Message::KINDS[kind])
+            }),
+            transitions: CounterTable::new(t, |i| {
+                format!(
+                    "cloud_shadow_transitions_total{{from=\"{}\",to=\"{}\"}}",
+                    ShadowState::ALL[i / 4],
+                    ShadowState::ALL[i % 4]
+                )
+            }),
+            mitigations: CounterTable::new(t, |i| {
+                format!(
+                    "cloud_mitigations_total{{action=\"{}\"}}",
+                    Mitigation::ALL[i].as_str()
+                )
+            }),
+            bindings_replaced: t.register_counter("cloud_bindings_replaced_total"),
+            sessions_expired: t.register_counter("cloud_sessions_expired_total"),
+        }
+    }
+}
 
 /// The `Copy` control-flow knobs of a [`VendorDesign`], snapshotted per
 /// request. Handlers used to clone the whole design (including its heap
@@ -111,7 +179,7 @@ pub struct CloudService {
     /// Per-source `Bind` windows for the defense policy's bind limiter.
     bind_rate: HashMap<NodeId, (Tick, u32)>,
     monitor: Monitor,
-    telemetry: Telemetry,
+    metrics: Handles<CloudMetrics>,
     /// Phase profiler: disabled by default (one branch per request); a
     /// recording handle tallies the codec round-trip and dispatch under
     /// the simulation's open `sim.deliver` phase.
@@ -134,7 +202,7 @@ impl CloudService {
             rules: HashMap::new(),
             bind_rate: HashMap::new(),
             monitor: Monitor::new(),
-            telemetry: Telemetry::new(),
+            metrics: Handles::new(Telemetry::new(), CloudMetrics::register),
             profiler: Profiler::disabled(),
             forensics: false,
             forensic_marks: Vec::new(),
@@ -163,12 +231,14 @@ impl CloudService {
         if before == after {
             return;
         }
-        if self.telemetry.is_enabled() {
-            self.telemetry.with(|r| {
-                r.counter_add(
-                    &format!("cloud_shadow_transitions_total{{from=\"{before}\",to=\"{after}\"}}"),
-                    1,
-                );
+        // `ShadowState::ALL` lists the states in declaration order.
+        self.metrics
+            .get()
+            .transitions
+            .incr(before as usize * 4 + after as usize);
+        let telemetry = self.metrics.telemetry();
+        if telemetry.is_enabled() {
+            telemetry.with(|r| {
                 let dev = dev_id.to_string();
                 let now = now.as_u64();
                 match (before.is_online(), after.is_online()) {
@@ -194,7 +264,7 @@ impl CloudService {
     /// layer records into one place.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.monitor.set_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
+        self.metrics = Handles::new(telemetry, CloudMetrics::register);
     }
 
     /// Installs a phase profiler (usually the simulation's handle, so the
@@ -206,7 +276,7 @@ impl CloudService {
 
     /// The telemetry handle this cloud records into.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.metrics.telemetry()
     }
 
     /// The design this cloud implements.
@@ -309,16 +379,11 @@ impl CloudService {
             let pushes = self.apply_defenses(now, rng);
             outcome.pushes.extend(pushes);
         }
-        // Per-kind request and denial counters; the key formatting is
-        // skipped entirely when recording is off.
-        if self.telemetry.is_enabled() {
-            self.telemetry.with(|r| {
-                let kind = msg.kind_str();
-                r.counter_add(&format!("cloud_requests_total{{kind=\"{kind}\"}}"), 1);
-                if matches!(outcome.reply, Response::Denied { .. }) {
-                    r.counter_add(&format!("cloud_denials_total{{kind=\"{kind}\"}}"), 1);
-                }
-            });
+        let metrics = self.metrics.get();
+        let kind = msg.kind_index();
+        metrics.requests.incr(kind);
+        if matches!(outcome.reply, Response::Denied { .. }) {
+            metrics.denials.incr(kind);
         }
         if self.forensics {
             let dev = msg
@@ -358,14 +423,12 @@ impl CloudService {
     /// Records one mitigation: the `cloud_mitigations_total{action="…"}`
     /// counter and (under forensics) a FAULT-style
     /// `defense action=… … trigger=…` mark tied to the causing request.
-    fn record_mitigation(&mut self, action: &str, detail: &str, trigger: &str) {
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .incr(&format!("cloud_mitigations_total{{action=\"{action}\"}}"));
-        }
+    fn record_mitigation(&mut self, action: Mitigation, detail: &str, trigger: &str) {
+        self.metrics.get().mitigations.incr(action as usize);
         if self.forensics {
             self.forensic_marks.push(format!(
-                "defense action={action} {detail} trigger={trigger}"
+                "defense action={} {detail} trigger={trigger}",
+                action.as_str()
             ));
         }
     }
@@ -422,7 +485,7 @@ impl CloudService {
             return;
         };
         self.monitor.retire_token(dev_id, old, now);
-        self.record_mitigation("rotate-token", &format!("dev={dev_id}"), trigger);
+        self.record_mitigation(Mitigation::RotateToken, &format!("dev={dev_id}"), trigger);
     }
 
     /// Quarantines a suspect device: non-co-located binds are denied until
@@ -462,7 +525,7 @@ impl CloudService {
                 }
             }
         }
-        self.record_mitigation("quarantine", &detail, trigger);
+        self.record_mitigation(Mitigation::Quarantine, &detail, trigger);
         pushes
     }
 
@@ -480,8 +543,10 @@ impl CloudService {
             self.track_transition(dev_id, before, after, now);
         }
         if !expired.is_empty() {
-            self.telemetry
-                .counter_add("cloud_sessions_expired_total", expired.len() as u64);
+            self.metrics
+                .get()
+                .sessions_expired
+                .add(expired.len() as u64);
         }
         expired
     }
@@ -779,7 +844,11 @@ impl CloudService {
         // The limiter runs before the existence check so ID-space sweeps
         // (which mostly hit unknown IDs) are priced out too.
         if self.defense_bind_limited(from, now) {
-            self.record_mitigation("rate-limit-bind", &format!("from={from}"), "bind-rate");
+            self.record_mitigation(
+                Mitigation::RateLimitBind,
+                &format!("from={from}"),
+                "bind-rate",
+            );
             return Outcome::deny(DenyReason::RateLimited);
         }
         if !self.registry.knows(&dev_id) {
@@ -835,7 +904,7 @@ impl CloudService {
         let after = record.shadow.state();
         self.track_transition(&dev_id, before, after, now);
         if displaced.is_some() {
-            self.telemetry.incr("cloud_bindings_replaced_total");
+            self.metrics.get().bindings_replaced.incr();
         }
         if self.forensics {
             let prev = displaced

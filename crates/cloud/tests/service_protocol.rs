@@ -1043,3 +1043,56 @@ fn decisions_reach_counters_and_rpc_marks() {
     let reason = DenyReason::InvalidUserToken;
     assert!(rpc.ends_with(&format!("outcome=Denied({reason})")), "{rpc}");
 }
+
+#[test]
+fn forged_bind_probes_reach_the_per_kind_counters() {
+    // §V-C: the attacker sweeps a sequential ID window with forged binds.
+    // Some IDs are sold and unbound (occupied), some unknown, and the
+    // second pass hits bindings the first pass already took.
+    let mut design = vendors::ozwi();
+    design.id_scheme = rb_wire::ids::IdScheme::SequentialSerial {
+        vendor: 0x0102,
+        start: 0,
+    };
+    let ids: Vec<DevId> = (0..24).map(|i| design.id_scheme.id_at(i)).collect();
+    let mut h = Harness::new(design);
+    for (i, id) in ids.iter().enumerate().filter(|(i, _)| i % 3 == 0) {
+        h.cloud.manufacture(id.clone(), i as u128 + 1, None);
+    }
+    let user_token = h.login(ATTACKER_NODE, "attacker", "attacker-pw");
+    let mut probes = 0;
+    let mut denied = 0;
+    for _pass in 0..2 {
+        for id in &ids {
+            let reply = h.send(
+                ATTACKER_NODE,
+                Message::Bind(BindPayload::AclApp {
+                    dev_id: id.clone(),
+                    user_token,
+                }),
+            );
+            probes += 1;
+            if matches!(reply.reply, Response::Denied { .. }) {
+                denied += 1;
+            }
+        }
+    }
+    assert!(denied > 0 && denied < probes, "{denied} of {probes} denied");
+    let telemetry = h.cloud.telemetry();
+    assert_eq!(
+        telemetry.counter("cloud_requests_total{kind=\"Bind\"}"),
+        probes
+    );
+    assert_eq!(
+        telemetry.counter("cloud_denials_total{kind=\"Bind\"}"),
+        denied
+    );
+    assert_eq!(telemetry.counter("cloud_requests_total{kind=\"Login\"}"), 1);
+    assert_eq!(telemetry.counter("cloud_denials_total{kind=\"Login\"}"), 0);
+    assert!(
+        !telemetry
+            .to_prometheus()
+            .contains("cloud_denials_total{kind=\"Login\"}"),
+        "a kind never denied is absent from the export"
+    );
+}

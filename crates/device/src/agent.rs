@@ -1,7 +1,8 @@
 //! The device firmware agent.
 
 use rb_core::design::{BindScheme, DeviceAuthScheme, VendorDesign};
-use rb_netsim::{Actor, Ctx, Dest, LanId, NodeId, Retry, RetryPolicy, Telemetry, TimerKey};
+use rb_netsim::telemetry::{Counter, Handles};
+use rb_netsim::{Actor, Ctx, Dest, NodeId, Retry, RetryPolicy, Telemetry, TimerKey};
 use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse};
 use rb_provision::label::DeviceLabel;
@@ -44,8 +45,30 @@ pub struct DeviceConfig {
     pub key: Option<(u64, u128)>,
     /// The cloud's node.
     pub cloud: NodeId,
-    /// The home LAN.
-    pub lan: LanId,
+}
+
+/// The device agent's counters, registered once per telemetry handle.
+#[derive(Debug, Default)]
+struct DeviceMetrics {
+    heartbeats: Counter,
+    registers: Counter,
+    resets: Counter,
+    commands: Counter,
+    bind_attempts: Counter,
+    bind_retries: Counter,
+}
+
+impl DeviceMetrics {
+    fn register(t: &Telemetry) -> Self {
+        DeviceMetrics {
+            heartbeats: t.register_counter("device_heartbeats_total"),
+            registers: t.register_counter("device_registers_total"),
+            resets: t.register_counter("device_resets_total"),
+            commands: t.register_counter("device_commands_total"),
+            bind_attempts: t.register_counter("device_bind_attempts_total"),
+            bind_retries: t.register_counter("device_bind_retries_total"),
+        }
+    }
 }
 
 /// Counters exposed for experiments.
@@ -93,9 +116,10 @@ pub struct DeviceAgent {
     /// Bind sends in the current cycle; sends beyond the first count as
     /// `device_bind_retries_total`. Reset whenever `bind_retry` is.
     bind_tries_this_cycle: u32,
-    /// Shared metrics registry (a private default until the harness wires
-    /// in the world-wide one via [`DeviceAgent::set_telemetry`]).
-    telemetry: Telemetry,
+    /// Shared metrics registry and the agent's handles on it (a private
+    /// default until the harness wires in the world-wide one via
+    /// [`DeviceAgent::set_telemetry`]).
+    metrics: Handles<DeviceMetrics>,
     /// Public counters.
     pub stats: DeviceStats,
 }
@@ -122,7 +146,7 @@ impl DeviceAgent {
             hb_gen: 0,
             bind_retry: Retry::new(RetryPolicy::new(25, 800)),
             bind_tries_this_cycle: 0,
-            telemetry: Telemetry::new(),
+            metrics: Handles::new(Telemetry::new(), DeviceMetrics::register),
             stats: DeviceStats::default(),
         }
     }
@@ -130,7 +154,7 @@ impl DeviceAgent {
     /// Points the agent at a shared metrics registry. Call before the sim
     /// starts so every counter lands in the world-wide snapshot.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.metrics = Handles::new(telemetry, DeviceMetrics::register);
     }
 
     /// The unit's printed label (the ID-leak channel of the adversary
@@ -282,10 +306,10 @@ impl DeviceAgent {
                 .telemetry
                 .extend(self.extra_telemetry.iter().cloned());
             self.stats.heartbeats += 1;
-            self.telemetry.incr("device_heartbeats_total");
+            self.metrics.get().heartbeats.incr();
         } else {
             self.stats.registers += 1;
-            self.telemetry.incr("device_registers_total");
+            self.metrics.get().registers.incr();
         }
         self.button_queued = false;
         self.send_request(ctx, Message::Status(payload));
@@ -315,7 +339,7 @@ impl DeviceAgent {
         self.bind_retry.reset();
         self.bind_tries_this_cycle = 0;
         self.stats.resets += 1;
-        self.telemetry.incr("device_resets_total");
+        self.metrics.get().resets.incr();
     }
 
     /// Runs locally stored schedule entries whose time has come — the
@@ -341,7 +365,7 @@ impl DeviceAgent {
             ControlAction::QuerySchedule | ControlAction::QueryTelemetry => {}
         }
         self.stats.commands += 1;
-        self.telemetry.incr("device_commands_total");
+        self.metrics.get().commands.incr();
     }
 
     fn accept_provisioning(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: &ProvisionRequest) {
@@ -529,9 +553,9 @@ impl Actor for DeviceAgent {
             TIMER_DEVICE_BIND if !self.bound_hint => {
                 self.send_device_bind(ctx);
                 self.stats.bind_attempts += 1;
-                self.telemetry.incr("device_bind_attempts_total");
+                self.metrics.get().bind_attempts.incr();
                 if self.bind_tries_this_cycle > 0 {
-                    self.telemetry.incr("device_bind_retries_total");
+                    self.metrics.get().bind_retries.incr();
                 }
                 self.bind_tries_this_cycle += 1;
                 // Retransmit with backoff until the cloud confirms the

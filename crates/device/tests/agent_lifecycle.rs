@@ -92,7 +92,6 @@ fn device_config(design: rb_core::design::VendorDesign, cloud: NodeId) -> Device
         factory_secret: 0x5151,
         key: None,
         cloud,
-        lan: LAN,
     }
 }
 

@@ -58,7 +58,6 @@ fn children_report_through_the_hub_to_the_cloud() {
         factory_secret: 1,
         key: None,
         cloud,
-        lan: LAN,
     });
     let hub = sim.add_node(
         NodeConfig::dual("hub", LAN),
@@ -129,7 +128,6 @@ fn hub_requires_sensor_kind_firmware() {
         factory_secret: 1,
         key: None,
         cloud: NodeId(0),
-        lan: LAN,
     });
     assert_eq!(
         HubAgent::new(fw).unwrap_err(),

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rb_prof::Profiler;
-use rb_telemetry::Telemetry;
+use rb_telemetry::{Counter, Gauge, Handles, Telemetry};
 
 use crate::actor::{Actor, Ctx, Effect, TimerKey};
 use crate::fault::{Fault, FaultPlan};
@@ -16,6 +16,47 @@ use crate::rng::SimRng;
 use crate::time::Tick;
 use crate::topology::{LanId, NodeId};
 use crate::trace::{TraceCtx, TraceEntry, TraceEvent};
+
+/// The simulator's counters and its clock gauge, registered once per
+/// telemetry handle.
+#[derive(Debug, Default)]
+struct SimMetrics {
+    events: Counter,
+    now_ticks: Gauge,
+    sent: Counter,
+    delivered: Counter,
+    duplicated: Counter,
+    dropped_loss: Counter,
+    dropped_loss_bytes: Counter,
+    dropped_off: Counter,
+    dropped_off_bytes: Counter,
+    unroutable: Counter,
+    unroutable_bytes: Counter,
+    faults_injected: Counter,
+    faults_rejected: Counter,
+}
+
+impl SimMetrics {
+    fn register(t: &Telemetry) -> Self {
+        SimMetrics {
+            events: t.register_counter("sim_events_total"),
+            now_ticks: t.register_gauge("sim_now_ticks"),
+            sent: t.register_counter("sim_packets_sent_total"),
+            delivered: t.register_counter("sim_packets_delivered_total"),
+            duplicated: t.register_counter("sim_packets_duplicated_total"),
+            dropped_loss: t.register_counter("sim_packets_dropped_total{reason=\"loss\"}"),
+            dropped_loss_bytes: t
+                .register_counter("sim_packet_bytes_dropped_total{reason=\"loss\"}"),
+            dropped_off: t.register_counter("sim_packets_dropped_total{reason=\"powered-off\"}"),
+            dropped_off_bytes: t
+                .register_counter("sim_packet_bytes_dropped_total{reason=\"powered-off\"}"),
+            unroutable: t.register_counter("sim_packets_unroutable_total"),
+            unroutable_bytes: t.register_counter("sim_packet_bytes_unroutable_total"),
+            faults_injected: t.register_counter("sim_faults_injected_total"),
+            faults_rejected: t.register_counter("sim_faults_rejected_total"),
+        }
+    }
+}
 
 /// Where a packet is going.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,9 +201,10 @@ pub struct Simulation {
     next_trace_id: u64,
     /// Next span id (1-based, unique per packet attempt / root mark).
     next_span_id: u64,
-    /// Metrics sink. Counter updates never draw randomness or schedule
-    /// events, so instrumentation cannot perturb the event stream.
-    telemetry: Telemetry,
+    /// Metrics sink and the simulator's handles on it. Recording never
+    /// draws randomness or schedules events, so instrumentation cannot
+    /// perturb the event stream.
+    metrics: Handles<SimMetrics>,
     /// Phase profiler. Disabled by default (one branch per event); when a
     /// harness installs a recording handle, each dispatched event becomes
     /// a phase (`sim.deliver`, `sim.timer`, …) charged the tick gap that
@@ -209,7 +251,7 @@ impl Simulation {
             reorder_extra_max: 0,
             next_trace_id: 1,
             next_span_id: 1,
-            telemetry: Telemetry::new(),
+            metrics: Handles::new(Telemetry::new(), SimMetrics::register),
             profiler: Profiler::disabled(),
         }
     }
@@ -217,14 +259,14 @@ impl Simulation {
     /// The simulation's telemetry handle (clone it to share the registry
     /// with actors and experiment harnesses).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.metrics.telemetry()
     }
 
     /// Replaces the telemetry handle so several components can record into
     /// one externally owned registry. Call before the first event runs;
     /// metrics recorded into the previous handle are not migrated.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.metrics = Handles::new(telemetry, SimMetrics::register);
     }
 
     /// The simulation's phase-profiler handle (disabled unless a harness
@@ -440,11 +482,12 @@ impl Simulation {
 
     fn inject(&mut self, fault: Fault) {
         let admitted = self.admits(&fault);
-        self.telemetry.incr(if admitted {
-            "sim_faults_injected_total"
+        let metrics = self.metrics.get();
+        if admitted {
+            metrics.faults_injected.incr();
         } else {
-            "sim_faults_rejected_total"
-        });
+            metrics.faults_rejected.incr();
+        }
         let at = self.now;
         if let Some(t) = self.trace.as_mut() {
             let text = if admitted {
@@ -550,15 +593,11 @@ impl Simulation {
     }
 
     fn dispatch(&mut self, ev: Event) {
-        // One branch instead of a mutex round-trip when recording is off —
-        // the fleet engine runs every cell with a disabled handle.
-        if self.telemetry.is_enabled() {
-            let now = self.now.as_u64();
-            self.telemetry.with(|r| {
-                r.counter_add("sim_events_total", 1);
-                r.gauge_set("sim_now_ticks", i64::try_from(now).unwrap_or(i64::MAX));
-            });
-        }
+        let metrics = self.metrics.get();
+        metrics.events.incr();
+        metrics
+            .now_ticks
+            .set(i64::try_from(self.now.as_u64()).unwrap_or(i64::MAX));
         match ev.kind {
             EventKind::Start { node } => {
                 if self.nodes[node.0 as usize].powered {
@@ -572,12 +611,9 @@ impl Simulation {
                 ctx,
             } => {
                 if !self.nodes[to.0 as usize].powered {
-                    self.telemetry
-                        .incr("sim_packets_dropped_total{reason=\"powered-off\"}");
-                    self.telemetry.counter_add(
-                        "sim_packet_bytes_dropped_total{reason=\"powered-off\"}",
-                        payload.len() as u64,
-                    );
+                    let metrics = self.metrics.get();
+                    metrics.dropped_off.incr();
+                    metrics.dropped_off_bytes.add(payload.len() as u64);
                     let at = self.now;
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEntry {
@@ -592,7 +628,7 @@ impl Simulation {
                     }
                     return;
                 }
-                self.telemetry.incr("sim_packets_delivered_total");
+                self.metrics.get().delivered.incr();
                 let at = self.now;
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEntry {
@@ -721,6 +757,12 @@ impl Simulation {
         }
     }
 
+    fn count_unroutable(&self, bytes: usize) {
+        let metrics = self.metrics.get();
+        metrics.unroutable.incr();
+        metrics.unroutable_bytes.add(bytes as u64);
+    }
+
     fn route(&mut self, from: NodeId, dest: Dest, payload: Bytes, trace_id: u64, parent: u64) {
         match dest {
             Dest::Unicast(to) => self.route_unicast(from, to, payload, trace_id, parent),
@@ -731,9 +773,7 @@ impl Simulation {
                     || self.partitioned_lans.contains(&lan)
                 {
                     let ctx = self.alloc_ctx(trace_id, parent);
-                    self.telemetry.incr("sim_packets_unroutable_total");
-                    self.telemetry
-                        .counter_add("sim_packet_bytes_unroutable_total", payload.len() as u64);
+                    self.count_unroutable(payload.len());
                     let at = self.now;
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEntry {
@@ -776,9 +816,7 @@ impl Simulation {
     ) {
         let ctx = self.alloc_ctx(trace_id, parent);
         let Some(quality) = self.path_quality(from, to) else {
-            self.telemetry.incr("sim_packets_unroutable_total");
-            self.telemetry
-                .counter_add("sim_packet_bytes_unroutable_total", payload.len() as u64);
+            self.count_unroutable(payload.len());
             let at = self.now;
             if let Some(t) = self.trace.as_mut() {
                 t.push(TraceEntry {
@@ -806,9 +844,7 @@ impl Simulation {
         if !same_lan {
             let to_behind_nat = self.nodes[to.0 as usize].config.lan.is_some();
             if to_behind_nat && !self.nat_flows.contains(&(to, from)) {
-                self.telemetry.incr("sim_packets_unroutable_total");
-                self.telemetry
-                    .counter_add("sim_packet_bytes_unroutable_total", payload.len() as u64);
+                self.count_unroutable(payload.len());
                 let at = self.now;
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEntry {
@@ -875,7 +911,7 @@ impl Simulation {
         quality: LinkQuality,
         ctx: TraceCtx,
     ) {
-        self.telemetry.incr("sim_packets_sent_total");
+        self.metrics.get().sent.incr();
         // The per-packet fault check (loss/latency/chaos sampling below)
         // is a zero-tick tally under whatever phase is open.
         self.profiler.tally("sim.fault_check", 0);
@@ -919,7 +955,7 @@ impl Simulation {
                     // original's span: one packet, two deliveries.
                     if let Some(dup_latency) = quality.sample(&mut self.rng) {
                         let dup_at = self.now.saturating_add(dup_latency.max(1));
-                        self.telemetry.incr("sim_packets_duplicated_total");
+                        self.metrics.get().duplicated.incr();
                         self.push_event(
                             dup_at,
                             EventKind::Deliver {
@@ -933,12 +969,9 @@ impl Simulation {
                 }
             }
             None => {
-                self.telemetry
-                    .incr("sim_packets_dropped_total{reason=\"loss\"}");
-                self.telemetry.counter_add(
-                    "sim_packet_bytes_dropped_total{reason=\"loss\"}",
-                    payload.len() as u64,
-                );
+                let metrics = self.metrics.get();
+                metrics.dropped_loss.incr();
+                metrics.dropped_loss_bytes.add(payload.len() as u64);
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEntry {
                         at,

@@ -122,9 +122,13 @@ impl AllocStats {
     /// gauge's `i64` range).
     pub fn export_gauges(&self, telemetry: &Telemetry) {
         let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        telemetry.gauge_set("prof_alloc_peak_bytes", clamp(self.peak_live_bytes));
-        telemetry.gauge_set("prof_allocs_total", clamp(self.allocs_total));
-        telemetry.gauge_set("prof_alloc_bytes_total", clamp(self.bytes_total));
+        for (name, value) in [
+            ("prof_alloc_peak_bytes", self.peak_live_bytes),
+            ("prof_allocs_total", self.allocs_total),
+            ("prof_alloc_bytes_total", self.bytes_total),
+        ] {
+            telemetry.register_gauge(name).set(clamp(value));
+        }
     }
 }
 

@@ -42,7 +42,8 @@ pub(crate) fn run_lifecycle(world: &mut World, seed: u64, profile: Option<ChaosP
     );
     world
         .telemetry()
-        .gauge_set("scenario_setup_converged", i64::from(converged));
+        .register_gauge("scenario_setup_converged")
+        .set(i64::from(converged));
 
     if converged {
         // One control round-trip (Bound → Control and a device command).

@@ -213,7 +213,6 @@ impl WorldBuilder {
                 factory_secret: secrets[i],
                 key: keys[i],
                 cloud,
-                lan,
             });
             device_agent.set_telemetry(self.telemetry.clone());
             let device = sim.add_node(

@@ -17,7 +17,18 @@
 //!   and the binding-lifecycle tracker.
 //! * [`Telemetry`] — a cheap `Clone + Send + Sync` handle
 //!   (`Arc<Mutex<Registry>>`) threaded through the sim, the cloud, both
-//!   agents, and the attack executors.
+//!   agents, and the attack executors. Histograms, spans, rate series and
+//!   the lifecycle tracker are written under its lock; they fire per
+//!   transition, not per packet.
+//! * [`Counter`] / [`Gauge`] — the only way to write a counter or a gauge.
+//!   A handle is registered once by name ([`Telemetry::register_counter`]:
+//!   one lock and one map lookup); recording is then one relaxed atomic
+//!   op on a cell the registry shares, with no lock, no lookup and no key
+//!   formatting. A metric shows in reads and exports once a handle has
+//!   recorded into it (a delta of 0 included), never from registration
+//!   alone. [`Handles`] holds a component's set and registers it on first
+//!   use; a [`CounterTable`] registers each member of a labeled family on
+//!   that member's first record.
 //! * [`span!`] — ergonomic span opening:
 //!   `span!(tele, now, "bind", device = id, user = uid)`.
 //! * Exporters — [`Registry::to_json`], [`Registry::to_prometheus`],
@@ -30,9 +41,11 @@
 //! baked into the key string (`cloud_alerts_total{kind="bare-unbind"}`).
 //! Keys sort lexicographically, which fixes the export order.
 
+mod handle;
 mod histogram;
 mod registry;
 
+pub use handle::{Counter, CounterTable, Gauge, Handles};
 pub use histogram::{Histogram, TICK_BUCKETS};
 pub use registry::{Registry, SpanId, SpanRecord};
 
@@ -97,10 +110,10 @@ pub mod json {
 /// poison (a panicking test thread must not wedge every other holder).
 ///
 /// A handle built with [`Telemetry::disabled`] records nothing: every
-/// write helper returns before touching the lock, so instrumented hot
-/// paths (the sim event loop, the cloud dispatcher) cost one branch per
-/// event instead of a mutex round-trip plus a map lookup. Fleet sweeps
-/// that only need the deterministic cell census run with recording off.
+/// write helper returns before touching the lock and every registered
+/// [`Counter`] or [`Gauge`] is dead, so instrumented hot paths cost one
+/// branch per event. Fleet sweeps that only need the deterministic cell
+/// census run with recording off.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     inner: Arc<Mutex<Registry>>,
@@ -132,8 +145,8 @@ impl Telemetry {
         }
     }
 
-    /// Whether this handle records at all. Hot paths that format metric
-    /// keys before recording should check this first and skip the work.
+    /// Whether this handle records at all. Call sites that build a span
+    /// or histogram name should check this first and skip the work.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -146,28 +159,29 @@ impl Telemetry {
         f(&mut guard)
     }
 
-    /// Increments counter `name` by one.
-    pub fn incr(&self, name: &str) {
-        self.counter_add(name, 1);
-    }
-
-    /// Adds `delta` to counter `name`.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if self.enabled {
-            self.with(|r| r.counter_add(name, delta));
+    /// Registers counter `name` and returns its handle. Registration is
+    /// idempotent: every handle of one name shares one cell. The counter
+    /// appears in reads and exports once a handle records into it. On a
+    /// disabled handle this takes no lock and returns a dead handle.
+    pub fn register_counter(&self, name: &str) -> Counter {
+        if !self.enabled {
+            return Counter::default();
         }
+        Counter(Some(self.with(|r| r.counter_cell(name))))
     }
 
-    /// Reads counter `name` (0 when never touched).
+    /// Registers gauge `name` and returns its handle; see
+    /// [`Telemetry::register_counter`].
+    pub fn register_gauge(&self, name: &str) -> Gauge {
+        if !self.enabled {
+            return Gauge::default();
+        }
+        Gauge(Some(self.with(|r| r.gauge_cell(name))))
+    }
+
+    /// Reads counter `name` (0 when never recorded).
     pub fn counter(&self, name: &str) -> u64 {
         self.with(|r| r.counter(name))
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        if self.enabled {
-            self.with(|r| r.gauge_set(name, value));
-        }
     }
 
     /// Records `value` into histogram `name`.
@@ -268,9 +282,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_export_sorted() {
         let t = Telemetry::new();
-        t.incr("b_total");
-        t.counter_add("a_total", 4);
-        t.incr("b_total");
+        let b = t.register_counter("b_total");
+        b.incr();
+        t.register_counter("a_total").add(4);
+        b.incr();
         assert_eq!(t.counter("a_total"), 4);
         assert_eq!(t.counter("b_total"), 2);
         assert_eq!(t.counter("missing"), 0);
@@ -319,8 +334,8 @@ mod tests {
     fn identical_sequences_export_identically() {
         let run = || {
             let t = Telemetry::new();
-            t.incr("x_total");
-            t.gauge_set("g", -3);
+            t.register_counter("x_total").incr();
+            t.register_gauge("g").set(-3);
             t.observe("h_ticks", 7);
             t.observe("h_ticks", 9_999);
             let s = span!(t, 1, "a", k = 2);
@@ -358,7 +373,111 @@ mod tests {
             t2.with(|_| panic!("poison the registry lock"));
         })
         .join();
-        t.incr("after_poison_total");
+        t.register_counter("after_poison_total").incr();
         assert_eq!(t.counter("after_poison_total"), 1);
+    }
+
+    fn exports(t: &Telemetry) -> [String; 3] {
+        [t.to_json(), t.to_prometheus(), t.render_human()]
+    }
+
+    #[test]
+    fn only_recorded_handles_reach_the_exports() {
+        let t = Telemetry::new();
+        let _idle = t.register_counter("idle_total");
+        let _idle_gauge = t.register_gauge("idle_gauge");
+        let zero = t.register_counter("zero_total");
+        let zero_gauge = t.register_gauge("zero_gauge");
+        assert_eq!(
+            exports(&t),
+            exports(&Telemetry::new()),
+            "nothing recorded yet"
+        );
+        zero.add(0);
+        zero_gauge.set(0);
+        for export in exports(&t) {
+            assert!(!export.contains("idle"), "{export}");
+            assert!(export.contains("zero_total"), "{export}");
+            assert!(export.contains("zero_gauge"), "{export}");
+        }
+        assert!(t.to_prometheus().contains("zero_total 0\n"));
+        let snap = t.snapshot();
+        assert_eq!(snap.counters().collect::<Vec<_>>(), [("zero_total", 0)]);
+        assert_eq!(snap.gauge("zero_gauge"), Some(0));
+        assert_eq!(snap.gauge("idle_gauge"), None);
+    }
+
+    #[test]
+    fn one_name_is_one_cell_and_snapshots_are_copies() {
+        let t = Telemetry::new();
+        let first = t.register_counter("shared_total");
+        let second = t.register_counter("shared_total");
+        first.add(2);
+        second.add(3);
+        assert_eq!(t.counter("shared_total"), 5);
+        let gauge = t.register_gauge("g");
+        gauge.set(7);
+        let snap = t.snapshot();
+        first.incr();
+        t.register_gauge("g").set(-1);
+        assert_eq!(snap.counter("shared_total"), 5, "a snapshot is a copy");
+        assert_eq!(snap.gauge("g"), Some(7));
+        assert_eq!(t.counter("shared_total"), 6);
+        assert_eq!(t.snapshot().gauge("g"), Some(-1));
+    }
+
+    #[test]
+    fn disabled_handles_record_nothing() {
+        let off = Telemetry::disabled();
+        let c = off.register_counter("c_total");
+        c.incr();
+        c.add(5);
+        off.register_gauge("g").set(3);
+        Counter::default().incr();
+        Gauge::default().set(1);
+        assert_eq!(off.counter("c_total"), 0);
+        assert_eq!(exports(&off), exports(&Telemetry::new()));
+    }
+
+    #[test]
+    fn concurrent_increments_sum_exactly() {
+        let t = Telemetry::new();
+        let counter = t.register_counter("hits_total");
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let c = counter.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        c.incr();
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(t.counter("hits_total"), 40_000);
+    }
+
+    #[test]
+    fn handle_sets_register_on_first_use() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static REGISTRATIONS: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Default)]
+        struct Set {
+            hits: Counter,
+        }
+        let t = Telemetry::new();
+        let handles = Handles::new(t.clone(), |t| {
+            REGISTRATIONS.fetch_add(1, Ordering::Relaxed);
+            Set {
+                hits: t.register_counter("hits_total"),
+            }
+        });
+        assert_eq!(REGISTRATIONS.load(Ordering::Relaxed), 0);
+        handles.get().hits.incr();
+        handles.get().hits.incr();
+        assert_eq!(REGISTRATIONS.load(Ordering::Relaxed), 1);
+        assert_eq!(t.counter("hits_total"), 2);
     }
 }

@@ -3,7 +3,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
+use crate::handle::{CounterCell, GaugeCell};
 use crate::histogram::Histogram;
 use crate::json;
 
@@ -44,10 +46,16 @@ struct DeviceLifecycle {
 
 /// The deterministic metrics store. Usually reached through
 /// [`crate::Telemetry`]; owned directly only in tests and snapshots.
-#[derive(Clone, Debug, Default)]
+///
+/// Counters and gauges live in cells shared with the [`crate::Counter`] and
+/// [`crate::Gauge`] handles registered on them. A registered cell that was
+/// never recorded reads as absent, so every read and export shows exactly
+/// the metrics that were recorded. `clone` copies the cells, so a clone
+/// does not see later recording.
+#[derive(Debug, Default)]
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
+    counters: BTreeMap<String, Arc<CounterCell>>,
+    gauges: BTreeMap<String, Arc<GaugeCell>>,
     histograms: BTreeMap<String, Histogram>,
     spans: Vec<SpanRecord>,
     /// Ids of currently open spans, innermost last (parent inference).
@@ -58,45 +66,78 @@ pub struct Registry {
     rates: BTreeMap<String, Vec<u64>>,
 }
 
+impl Clone for Registry {
+    fn clone(&self) -> Self {
+        Registry {
+            counters: copy_cells(&self.counters, CounterCell::copy),
+            gauges: copy_cells(&self.gauges, GaugeCell::copy),
+            histograms: self.histograms.clone(),
+            spans: self.spans.clone(),
+            open_spans: self.open_spans.clone(),
+            lifecycle: self.lifecycle.clone(),
+            rates: self.rates.clone(),
+        }
+    }
+}
+
+fn copy_cells<C>(cells: &BTreeMap<String, Arc<C>>, copy: fn(&C) -> C) -> BTreeMap<String, Arc<C>> {
+    cells
+        .iter()
+        .map(|(name, cell)| (name.clone(), Arc::new(copy(cell))))
+        .collect()
+}
+
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
     }
 
-    /// Adds `delta` to counter `name`, creating it at zero.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                self.counters.insert(name.to_string(), delta);
-            }
+    /// The cell of counter `name`, created unrecorded on first use.
+    pub(crate) fn counter_cell(&mut self, name: &str) -> Arc<CounterCell> {
+        if let Some(cell) = self.counters.get(name) {
+            return Arc::clone(cell);
         }
+        let cell = Arc::new(CounterCell::default());
+        self.counters.insert(name.to_string(), Arc::clone(&cell));
+        cell
     }
 
-    /// Reads counter `name` (0 when never touched).
+    /// The cell of gauge `name`, created unset on first use.
+    pub(crate) fn gauge_cell(&mut self, name: &str) -> Arc<GaugeCell> {
+        if let Some(cell) = self.gauges.get(name) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::new(GaugeCell::default());
+        self.gauges.insert(name.to_string(), Arc::clone(&cell));
+        cell
+    }
+
+    /// Reads counter `name` (0 when never recorded).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters
+            .get(name)
+            .and_then(|cell| cell.read())
+            .unwrap_or(0)
     }
 
-    /// All counters in key order.
+    /// All recorded counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters
+            .iter()
+            .filter_map(|(k, cell)| Some((k.as_str(), cell.read()?)))
     }
 
-    /// Sets gauge `name`.
-    pub fn gauge_set(&mut self, name: &str, value: i64) {
-        match self.gauges.get_mut(name) {
-            Some(v) => *v = value,
-            None => {
-                self.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Reads gauge `name`.
+    /// Reads gauge `name` (`None` when never set).
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
+        self.gauges.get(name).and_then(|cell| cell.read())
+    }
+
+    /// All set gauges in key order.
+    fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
+        self.gauges
+            .iter()
+            .filter_map(|(k, cell)| Some((k.as_str(), cell.read()?)))
     }
 
     /// Records `value` into histogram `name`, creating it on first use.
@@ -278,11 +319,11 @@ impl Registry {
     /// rate series merge (resorted by tick); spans and lifecycle state are
     /// not merged.
     pub fn merge_from(&mut self, other: &Registry) {
-        for (name, value) in &other.counters {
-            self.counter_add(name, *value);
+        for (name, value) in other.counters() {
+            self.counter_cell(name).add(value);
         }
-        for (name, value) in &other.gauges {
-            self.gauge_set(name, *value);
+        for (name, value) in other.gauges() {
+            self.gauge_cell(name).set(value);
         }
         for (name, hist) in &other.histograms {
             match self.histograms.get_mut(name) {
@@ -307,7 +348,7 @@ impl Registry {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         let mut first = true;
-        for (name, value) in &self.counters {
+        for (name, value) in self.counters() {
             let sep = if first { "\n" } else { ",\n" };
             first = false;
             let _ = write!(out, "{sep}    \"{}\": {value}", json::escape(name));
@@ -315,7 +356,7 @@ impl Registry {
         out.push_str(if first { "},\n" } else { "\n  },\n" });
         out.push_str("  \"gauges\": {");
         first = true;
-        for (name, value) in &self.gauges {
+        for (name, value) in self.gauges() {
             let sep = if first { "\n" } else { ",\n" };
             first = false;
             let _ = write!(out, "{sep}    \"{}\": {value}", json::escape(name));
@@ -387,7 +428,7 @@ impl Registry {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_family = String::new();
-        for (name, value) in &self.counters {
+        for (name, value) in self.counters() {
             let family = sanitize_family(family_of(name));
             if family != last_family {
                 let _ = writeln!(out, "# TYPE {family} counter");
@@ -395,7 +436,7 @@ impl Registry {
             }
             let _ = writeln!(out, "{family}{} {value}", label_suffix(name));
         }
-        for (name, value) in &self.gauges {
+        for (name, value) in self.gauges() {
             let family = sanitize_family(family_of(name));
             if family != last_family {
                 let _ = writeln!(out, "# TYPE {family} gauge");
@@ -429,11 +470,11 @@ impl Registry {
     /// line per histogram (`count/p50/p95/max`).
     pub fn render_human(&self) -> String {
         let mut rows: Vec<(String, String)> = Vec::new();
-        for (name, value) in &self.counters {
-            rows.push((name.clone(), value.to_string()));
+        for (name, value) in self.counters() {
+            rows.push((name.to_string(), value.to_string()));
         }
-        for (name, value) in &self.gauges {
-            rows.push((name.clone(), value.to_string()));
+        for (name, value) in self.gauges() {
+            rows.push((name.to_string(), value.to_string()));
         }
         for (name, hist) in &self.histograms {
             rows.push((name.clone(), hist.to_string()));
@@ -553,9 +594,9 @@ mod tests {
     #[test]
     fn prometheus_groups_families_and_expands_histograms() {
         let mut r = Registry::new();
-        r.counter_add("requests_total{kind=\"Bind\"}", 2);
-        r.counter_add("requests_total{kind=\"Status\"}", 7);
-        r.gauge_set("now_ticks", 31);
+        r.counter_cell("requests_total{kind=\"Bind\"}").add(2);
+        r.counter_cell("requests_total{kind=\"Status\"}").add(7);
+        r.gauge_cell("now_ticks").set(31);
         r.observe("lat_ticks{name=\"bind\"}", 3);
         let text = r.to_prometheus();
         assert_eq!(
@@ -574,8 +615,8 @@ mod tests {
     #[test]
     fn prometheus_tolerates_empty_label_sets() {
         let mut r = Registry::new();
-        r.counter_add("c_total{}", 1);
-        r.gauge_set("g{}", -4);
+        r.counter_cell("c_total{}").add(1);
+        r.gauge_cell("g{}").set(-4);
         r.observe("h{}", 3);
         let text = r.to_prometheus();
         assert!(text.contains("c_total 1"), "{text}");
@@ -591,10 +632,10 @@ mod tests {
     #[test]
     fn prometheus_sanitizes_metric_names() {
         let mut r = Registry::new();
-        r.counter_add("weird-name.total", 1);
-        r.counter_add("9lives", 2);
-        r.counter_add("bad metric{kind=\"x\"}", 3);
-        r.gauge_set("héllo", 7);
+        r.counter_cell("weird-name.total").add(1);
+        r.counter_cell("9lives").add(2);
+        r.counter_cell("bad metric{kind=\"x\"}").add(3);
+        r.gauge_cell("héllo").set(7);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE weird_name_total counter"), "{text}");
         assert!(text.contains("weird_name_total 1"), "{text}");
@@ -661,9 +702,9 @@ mod tests {
     fn merge_from_aggregates_counters_and_histograms() {
         let mut a = Registry::new();
         let mut b = Registry::new();
-        a.counter_add("x_total", 1);
-        b.counter_add("x_total", 2);
-        b.counter_add("y_total", 5);
+        a.counter_cell("x_total").add(1);
+        b.counter_cell("x_total").add(2);
+        b.counter_cell("y_total").add(5);
         a.observe("h", 10);
         b.observe("h", 30);
         a.merge_from(&b);
@@ -726,7 +767,7 @@ mod tests {
     fn json_is_well_formed_for_empty_and_populated() {
         let mut r = Registry::new();
         assert!(r.to_json().contains("\"counters\": {}"));
-        r.counter_add("a", 1);
+        r.counter_cell("a").add(1);
         r.start_span("s", &[("k", "v\"q".to_string())], 0);
         let json = r.to_json();
         assert!(json.contains("\"a\": 1"));

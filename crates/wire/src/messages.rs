@@ -337,21 +337,42 @@ pub enum Message {
 }
 
 impl Message {
+    /// Every [`Message::kind_str`], indexed by [`Message::kind_index`].
+    pub const KINDS: [&'static str; 11] = [
+        "Login",
+        "RequestDevToken",
+        "RequestBindToken",
+        "Status",
+        "Bind",
+        "Unbind",
+        "Control",
+        "QueryShadow",
+        "Share",
+        "SetRule",
+        "Unshare",
+    ];
+
+    /// This message's position in [`Message::KINDS`], for tables kept per
+    /// kind.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Message::Login { .. } => 0,
+            Message::RequestDevToken { .. } => 1,
+            Message::RequestBindToken { .. } => 2,
+            Message::Status(_) => 3,
+            Message::Bind(_) => 4,
+            Message::Unbind(_) => 5,
+            Message::Control { .. } => 6,
+            Message::QueryShadow { .. } => 7,
+            Message::Share { .. } => 8,
+            Message::SetRule { .. } => 9,
+            Message::Unshare { .. } => 10,
+        }
+    }
+
     /// A short tag for traces.
     pub fn kind_str(&self) -> &'static str {
-        match self {
-            Message::Login { .. } => "Login",
-            Message::RequestDevToken { .. } => "RequestDevToken",
-            Message::RequestBindToken { .. } => "RequestBindToken",
-            Message::Status(_) => "Status",
-            Message::Bind(_) => "Bind",
-            Message::Unbind(_) => "Unbind",
-            Message::Control { .. } => "Control",
-            Message::QueryShadow { .. } => "QueryShadow",
-            Message::Share { .. } => "Share",
-            Message::SetRule { .. } => "SetRule",
-            Message::Unshare { .. } => "Unshare",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// Whether this is one of the three *primitive* message types of the

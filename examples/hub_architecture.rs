@@ -46,7 +46,6 @@ fn main() {
         factory_secret: 0xFAC7,
         key: None,
         cloud,
-        lan,
     });
     let hub = sim.add_node(
         NodeConfig::dual("hub", lan),

@@ -19,26 +19,26 @@ use rb_wire::tokens::{BindToken, DevToken, SessionToken, UserId, UserPw, UserTok
 /// queued user action goes out only at `start + k * POLL_EVERY`, where
 /// `start` is the last start or power-on. The app arms one timer for the
 /// next grid point at which something is due, and none while idle.
-pub const POLL_EVERY: u64 = 20;
+pub(crate) const POLL_EVERY: u64 = 20;
 
 /// The backoff base: the resend period for an unanswered step, and the wait
 /// before the first resend of a denied one. Each further resend of a denied
 /// step waits twice as long as the last.
-pub const RETRY_EVERY: u64 = 400;
+pub(crate) const RETRY_EVERY: u64 = 400;
 
 /// Upper bound on the backed-off resend period, for unanswered and denied
 /// steps alike.
-pub const RETRY_CAP: u64 = 3_200;
+pub(crate) const RETRY_CAP: u64 = 3_200;
 
 /// Jitter on the resend delays of unanswered steps, in per-mille of the
 /// delay. Denied steps back off without jitter.
-pub const RETRY_JITTER_PER_MILLE: u16 = 250;
+pub(crate) const RETRY_JITTER_PER_MILLE: u16 = 250;
 
 /// Consecutive unanswered resends of one step before the app gives up
 /// ([`AppEvent::GaveUp`]) instead of wedging. Answered steps — even denials
 /// — reset the count, so a denied step is resent forever on its backoff
 /// schedule and never gives up.
-pub const RETRY_BUDGET: u32 = 24;
+pub(crate) const RETRY_BUDGET: u32 = 24;
 
 /// Home Wi-Fi credentials the app provisions into the device.
 fn home_wifi() -> WifiCredentials {
@@ -55,15 +55,15 @@ fn retry_policy() -> RetryPolicy {
 #[derive(Debug, Clone)]
 pub struct AppConfig {
     /// The vendor design the app implements.
-    pub design: VendorDesign,
+    pub(crate) design: VendorDesign,
     /// The cloud's node.
-    pub cloud: NodeId,
+    pub(crate) cloud: NodeId,
     /// The home LAN the phone is on.
-    pub lan: LanId,
+    pub(crate) lan: LanId,
     /// Account identifier.
-    pub user_id: UserId,
+    pub(crate) user_id: UserId,
     /// Account password.
-    pub user_pw: UserPw,
+    pub(crate) user_pw: UserPw,
     /// Device ID read off the printed label, for designs whose setup binds
     /// before the device is online (`SetupOrder::BindFirst`).
     pub known_label: Option<DevId>,
@@ -128,7 +128,7 @@ pub struct AppStats {
     /// Telemetry pushes received.
     pub telemetry_pushes: u64,
     /// Times the binding was revoked under us.
-    pub revocations: u64,
+    pub(crate) revocations: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,7 +234,7 @@ pub struct AppAgent {
     /// Schedule entries returned by the last `QuerySchedule`.
     pub last_schedule: Vec<rb_wire::telemetry::ScheduleEntry>,
     /// Telemetry returned by the last `QueryTelemetry`.
-    pub last_queried_telemetry: Vec<TelemetryFrame>,
+    pub(crate) last_queried_telemetry: Vec<TelemetryFrame>,
 }
 
 impl AppAgent {
@@ -322,16 +322,6 @@ impl AppAgent {
     /// flow (it will stay silent until [`AppAgent::restart_setup`]).
     pub fn gave_up(&self) -> bool {
         self.aborted
-    }
-
-    /// The user token, once logged in.
-    pub fn user_token(&self) -> Option<UserToken> {
-        self.user_token
-    }
-
-    /// The device the app paired with.
-    pub fn dev_id(&self) -> Option<&DevId> {
-        self.dev_id.as_ref()
     }
 
     /// Queues a remote-control action on the paired device (runs once

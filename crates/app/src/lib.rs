@@ -21,7 +21,4 @@
 
 mod agent;
 
-pub use agent::{
-    AppAgent, AppConfig, AppEvent, AppStats, POLL_EVERY, RETRY_BUDGET, RETRY_CAP, RETRY_EVERY,
-    RETRY_JITTER_PER_MILLE,
-};
+pub use agent::{AppAgent, AppConfig, AppEvent, AppStats};

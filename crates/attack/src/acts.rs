@@ -12,7 +12,6 @@
 //! attack, in order.
 
 use rb_core::attacks::AttackId;
-use rb_core::shadow::Primitive;
 use std::fmt;
 
 /// One abstract adversarial step: a forged message class the WAN attacker
@@ -30,17 +29,6 @@ pub enum AtkStep {
     UnbindToken,
     /// A forged bare unbind, `Unbind:DevId` — the reset-channel message.
     UnbindBare,
-}
-
-impl AtkStep {
-    /// The shadow-machine primitive this step forges.
-    pub fn primitive(self) -> Primitive {
-        match self {
-            AtkStep::Register => Primitive::Status,
-            AtkStep::Bind => Primitive::Bind,
-            AtkStep::UnbindToken | AtkStep::UnbindBare => Primitive::Unbind,
-        }
-    }
 }
 
 impl fmt::Display for AtkStep {
@@ -84,17 +72,21 @@ pub fn playbooks(id: AttackId) -> &'static [&'static [AtkStep]] {
 /// achieves one alone.
 pub const COMPOSITES: &[(&str, &[AtkStep])] = &[("A4-4", &[AtkStep::Register, AtkStep::Bind])];
 
-/// The playbook of a named composite, if `name` names one.
-pub fn composite_playbook(name: &str) -> Option<&'static [AtkStep]> {
-    COMPOSITES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, steps)| *steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_core::shadow::Primitive;
+
+    impl AtkStep {
+        // The shadow-machine primitive this step forges.
+        fn primitive(self) -> Primitive {
+            match self {
+                AtkStep::Register => Primitive::Status,
+                AtkStep::Bind => Primitive::Bind,
+                AtkStep::UnbindToken | AtkStep::UnbindBare => Primitive::Unbind,
+            }
+        }
+    }
 
     #[test]
     fn every_playbook_forges_exactly_the_table2_primitives() {
@@ -125,13 +117,10 @@ mod tests {
         // The fuzzer-found unnamed composite (register-reset unbind + fresh
         // forged bind) is promoted to a named cell; its steps and its
         // separation from the Table II map are both pinned.
-        let steps = composite_playbook("A4-4").expect("A4-4 is a named composite");
-        assert_eq!(steps, &[AtkStep::Register, AtkStep::Bind]);
         assert_eq!(COMPOSITES.len(), 1, "one promoted composite so far");
-        assert!(
-            composite_playbook("A4-3").is_none(),
-            "Table II attacks are not composites"
-        );
+        let (name, steps) = COMPOSITES[0];
+        assert_eq!(name, "A4-4");
+        assert_eq!(steps, &[AtkStep::Register, AtkStep::Bind]);
         // No Table II playbook equals the composite: it is genuinely new.
         for id in AttackId::ALL {
             for book in playbooks(id) {

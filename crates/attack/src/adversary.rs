@@ -44,7 +44,7 @@ pub struct Adversary {
     /// The attacker's own user token, once logged in.
     pub user_token: Option<UserToken>,
     /// Unsolicited pushes received so far (the stolen data channel).
-    pub pushes: Vec<Response>,
+    pub(crate) pushes: Vec<Response>,
     /// Session token handed out with a stolen binding, if any.
     pub hijack_session: Option<SessionToken>,
     stashed: Vec<(CorrId, Response)>,
@@ -58,7 +58,7 @@ impl Adversary {
 
     /// Sends a forged request to the cloud and waits up to `wait` ticks for
     /// the matching response. Pushes received meanwhile are collected into
-    /// [`Adversary::pushes`].
+    /// `Adversary::pushes`.
     pub fn request_wait(&mut self, world: &mut World, msg: Message, wait: u64) -> Option<Response> {
         self.corr += 1;
         let corr = CorrId(self.corr);
@@ -138,7 +138,7 @@ impl Adversary {
     }
 
     /// Whether any collected push matches `pred`.
-    pub fn saw_push(&self, pred: impl Fn(&Response) -> bool) -> bool {
+    pub(crate) fn saw_push(&self, pred: impl Fn(&Response) -> bool) -> bool {
         self.pushes.iter().any(pred)
     }
 }

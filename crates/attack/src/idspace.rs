@@ -25,8 +25,6 @@ use std::fmt;
 pub enum LeakChannel {
     /// Printed on the device itself (6 of the 10 studied devices).
     LabelOnDevice,
-    /// Printed on the packaging.
-    LabelOnPackaging,
     /// Copied by a supply-chain participant during transport/distribution.
     SupplyChain,
     /// Recorded during a purchase-and-return cycle.
@@ -43,7 +41,6 @@ impl fmt::Display for LeakChannel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             LeakChannel::LabelOnDevice => "label on device",
-            LeakChannel::LabelOnPackaging => "label on packaging",
             LeakChannel::SupplyChain => "supply chain",
             LeakChannel::PurchaseAndReturn => "purchase and return",
             LeakChannel::TrafficObservation => "traffic observation",
@@ -102,14 +99,15 @@ impl EnumerationCost {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepResult {
     /// Probes spent.
-    pub probes: u64,
+    pub(crate) probes: u64,
     /// Valid device IDs discovered.
     pub hits: Vec<String>,
 }
 
 /// Simulates a *sequential* enumeration sweep: the attacker walks the ID
-/// space in allocation order and tests each candidate against the set of
-/// manufactured IDs. Returns the discovered IDs.
+/// space in value order from the scheme's first ID and tests each
+/// candidate against the set of manufactured IDs. Returns the discovered
+/// IDs.
 ///
 /// For dense schemes (sequential serials, short digits) the hit rate is
 /// `population / budget`-bounded; for random UUIDs it is effectively zero —
@@ -121,7 +119,13 @@ pub fn sequential_sweep(
 ) -> SweepResult {
     let mut hits = Vec::new();
     for i in 0..probe_budget {
-        let candidate = scheme.id_at(i);
+        let candidate = match scheme {
+            // A random scheme's allocation index is the vendor's private
+            // generator input; the attacker only has the value space.
+            IdScheme::RandomUuid => DevId::Uuid(u128::from(i)),
+            // Dense schemes allocate in value order.
+            _ => scheme.id_at(i),
+        };
         if population.contains(&candidate) {
             hits.push(candidate.short());
         }
@@ -263,6 +267,16 @@ mod tests {
         let mut rng = SimRng::new(1);
         let result = random_sweep(&scheme, &population, 100_000, &mut rng);
         assert!(result.hits.is_empty());
+    }
+
+    #[test]
+    fn sequential_sweep_never_finds_uuids() {
+        // The first units off the line: a sweep that walked the vendor's
+        // allocation index instead of the value space would find them all.
+        let scheme = IdScheme::RandomUuid;
+        let population: HashSet<DevId> = (0..1_000).map(|i| scheme.id_at(i)).collect();
+        let result = sequential_sweep(&scheme, &population, 100_000);
+        assert!(result.hits.is_empty(), "{} hits", result.hits.len());
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! design (Belkin), and a device-initiated design (TP-LINK, whose window
 //! is a few milliseconds).
 //!
+//! The shape check is computed from the win table: the binary exits 1
+//! unless OZWI wins every seed at every window of at least the probe
+//! interval, and Belkin and TP-LINK win none at any window.
+//!
 //! ```text
 //! cargo run -p rb-bench --bin exp_attack_window [seeds-per-point]
 //! ```
@@ -96,8 +100,9 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
+    let probe_every = 250;
     println!(
-        "EXP-WIN: A4-2 setup-window race (attacker probes every 250 ms, {seeds} seeds/point)\n"
+        "EXP-WIN: A4-2 setup-window race (attacker probes every {probe_every} ms, {seeds} seeds/point)\n"
     );
 
     let designs = [
@@ -120,7 +125,15 @@ fn main() {
         // below is a snapshot lookup, not a trace re-scan.
         let telemetry = Telemetry::new();
         let wins = (0..seeds)
-            .filter(|&s| race(design, window, 250, 0xA42 + s * 31 + window, &telemetry))
+            .filter(|&s| {
+                race(
+                    design,
+                    window,
+                    probe_every,
+                    0xA42 + s * 31 + window,
+                    &telemetry,
+                )
+            })
             .count();
         let alerts = telemetry.counter("cloud_alerts_total{kind=\"contested-binding\"}");
         // Alert burst: the sliding-window rate of the monitor's
@@ -131,11 +144,20 @@ fn main() {
     });
     let cell = |wi: usize, di: usize| results[wi * designs.len() + di];
     let mut rows = Vec::new();
+    let mut violations = Vec::new();
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
-        for di in 0..designs.len() {
+        for (di, (name, _)) in designs.iter().enumerate() {
             let (wins, _, _) = cell(wi, di);
             row.push(format!("{wins}/{seeds}"));
+            // Only the DevId + app-bind design (the first) yields control,
+            // and it must once the window reaches the probe interval.
+            let expected = if di == 0 { seeds as usize } else { 0 };
+            if (di != 0 || window >= probe_every) && wins != expected {
+                violations.push(format!(
+                    "{name} at {window} ms: {wins}/{seeds} wins, expected {expected}/{seeds}"
+                ));
+            }
         }
         rows.push(row);
     }
@@ -159,7 +181,12 @@ fn main() {
     println!("(burst = alerts inside one sliding setup window at the hottest recent moment):");
     println!("{}", render_table(&headers, &alert_rows));
 
-    println!("shape check (paper §V-E): the race wins reliably on the DevId+app-bind design once");
+    let verdict = if violations.is_empty() {
+        "holds"
+    } else {
+        "FAILS"
+    };
+    println!("shape check (paper §V-E) {verdict}: the race wins reliably on the DevId+app-bind design once");
     println!("the window exceeds the probe interval; DevToken designs never yield control; the");
     println!("device-initiated design leaves a ~2 ms window that realistic probing cannot hit.");
 
@@ -179,4 +206,10 @@ fn main() {
         }
     }
     emit(&report, None);
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("exp_attack_window: GATE FAILED — {violation}");
+        }
+        std::process::exit(1);
+    }
 }

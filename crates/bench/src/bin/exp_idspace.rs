@@ -6,7 +6,10 @@
 //!   traverse all possible IDs within an hour".
 //!
 //! Prints the enumeration-cost table and validates it with simulated
-//! sweeps against a manufactured population.
+//! sweeps against a manufactured population. The shape check is computed
+//! from the tables: the binary exits 1 unless both paper-claim rows hold,
+//! every dense scheme surrenders its whole series to the sequential sweep,
+//! and random UUIDs surrender nothing to either sweep.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin exp_idspace
@@ -58,6 +61,7 @@ fn main() {
     );
 
     println!("paper claims vs measured:");
+    let mut violations = Vec::new();
     let six = EnumerationCost::of(&IdScheme::ShortDigits { width: 6 }, 300);
     println!(
         "  6-digit IDs at a modest 300 probes/s: {} (paper: within an hour) -> {}",
@@ -68,6 +72,9 @@ fn main() {
             "FAILS"
         }
     );
+    if !six.within_an_hour() {
+        violations.push("6-digit IDs at 300 probes/s take over an hour".to_owned());
+    }
     let seven = EnumerationCost::of(&IdScheme::ShortDigits { width: 7 }, 3_000);
     println!(
         "  7-digit IDs at 3000 probes/s: {} (paper: within an hour) -> {}",
@@ -78,6 +85,9 @@ fn main() {
             "FAILS"
         }
     );
+    if !seven.within_an_hour() {
+        violations.push("7-digit IDs at 3000 probes/s take over an hour".to_owned());
+    }
     let mac = EnumerationCost::of(&IdScheme::MacWithOui { oui: [0, 0, 0] }, 30_000);
     println!(
         "  MAC with known OUI: 2^24 = {} candidates, {} at 30k probes/s (paper: 3-byte space)",
@@ -136,6 +146,18 @@ ID acquisition per studied vendor (paper §VI-A):"
         let seq = sequential_sweep(&scheme, &population, 100_000);
         let rnd = random_sweep(&scheme, &population, 100_000, &mut rng);
         let key = name.replace([' ', '/'], "_");
+        let (seq_hits, rnd_hits) = (seq.hits.len(), rnd.hits.len());
+        if scheme == IdScheme::RandomUuid {
+            if (seq_hits, rnd_hits) != (0, 0) {
+                violations.push(format!(
+                    "{name}: {seq_hits}/1000 sequential and {rnd_hits}/1000 random hits, expected 0 and 0"
+                ));
+            }
+        } else if seq_hits != 1000 {
+            violations.push(format!(
+                "{name}: {seq_hits}/1000 sequential hits, expected 1000/1000"
+            ));
+        }
         report
             .metric_u64(&format!("{key}.sequential_hits"), seq.hits.len() as u64)
             .metric_u64(&format!("{key}.random_hits"), rnd.hits.len() as u64);
@@ -152,7 +174,12 @@ ID acquisition per studied vendor (paper §VI-A):"
             &rows
         )
     );
-    println!("shape check: dense/sequential spaces surrender the whole series; 128-bit random IDs surrender nothing.");
+    let verdict = if violations.is_empty() {
+        "holds"
+    } else {
+        "FAILS"
+    };
+    println!("shape check {verdict}: dense/sequential spaces surrender the whole series; 128-bit random IDs surrender nothing.");
 
     // The defense none of the studied vendors deployed: per-source rate
     // limiting re-prices the whole table.
@@ -175,4 +202,10 @@ with a 10 req/s per-source rate limit (priced analytically; no studied vendor us
     }
 
     emit(&report, std::env::args().nth(1).as_deref());
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("exp_idspace: GATE FAILED — {violation}");
+        }
+        std::process::exit(1);
+    }
 }

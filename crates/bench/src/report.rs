@@ -39,13 +39,13 @@ use rb_prof::{AllocStats, PhaseEntry, PhaseProfile};
 use rb_telemetry::json::{escape, unescape};
 
 /// Version tag every artifact carries; bump on breaking schema changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Environment variable naming a directory to drop artifacts into. When
 /// set it wins over any positional output path: [`emit`] writes
 /// `$RB_BENCH_OUT/bench_<name>.json`. CI sets this once per job instead
 /// of threading a path argument through every binary.
-pub const OUT_ENV: &str = "RB_BENCH_OUT";
+pub(crate) const OUT_ENV: &str = "RB_BENCH_OUT";
 
 /// One scalar in the `metrics` map.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +83,7 @@ impl Metric {
     }
 
     /// The scalar as a float, for tolerance math (`None` for text).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Metric::U64(v) => Some(*v as f64),
             Metric::F64(v) => Some(*v),
@@ -292,7 +292,7 @@ impl BenchReport {
 }
 
 /// Prints the canonical `BENCH {json}` line and writes the file copy:
-/// to `$RB_BENCH_OUT/bench_<name>.json` when [`OUT_ENV`] is set (the
+/// to `$RB_BENCH_OUT/bench_<name>.json` when `OUT_ENV` is set (the
 /// variable wins), else to `out_arg` when given, else nowhere. Exits the
 /// process with status 1 when a requested write fails — an artifact CI
 /// asked for but did not get must fail the job.
@@ -313,7 +313,7 @@ pub fn emit(report: &BenchReport, out_arg: Option<&str>) {
 /// ([`OUT_ENV`] directory wins over the positional path), creates the
 /// directory if needed, writes the JSON, and returns the path written
 /// (`None` when no destination was requested).
-pub fn write_artifact(
+pub(crate) fn write_artifact(
     report: &BenchReport,
     out_arg: Option<&str>,
 ) -> Result<Option<PathBuf>, String> {
@@ -335,7 +335,7 @@ pub fn write_artifact(
 
 /// Does a metric name denote a wall-clock (machine-dependent) number?
 /// These are reported for humans but never gated.
-pub fn is_wall_metric(name: &str) -> bool {
+pub(crate) fn is_wall_metric(name: &str) -> bool {
     name == "speedup"
         || ["_secs", "_per_sec", "_ms", "_nanos", "_hz"]
             .iter()
@@ -345,7 +345,7 @@ pub fn is_wall_metric(name: &str) -> bool {
 /// The regression gate: checks `report` against `baseline` under a
 /// relative `tolerance` (0.10 = ±10%) and returns **every** violation.
 ///
-/// * Wall-clock metrics ([`is_wall_metric`]) are skipped.
+/// * Wall-clock metrics (`is_wall_metric`) are skipped.
 /// * Numeric metrics must sit within `tolerance` of the baseline
 ///   (relative to `max(|baseline|, 1)`, so a zero baseline still admits
 ///   small absolute drift).

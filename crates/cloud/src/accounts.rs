@@ -9,7 +9,7 @@ use rb_wire::tokens::{UserId, UserPw, UserToken};
 /// The account store: registered users, their passwords, and the tokens
 /// issued to logged-in sessions.
 #[derive(Debug, Default)]
-pub struct AccountStore {
+pub(crate) struct AccountStore {
     passwords: HashMap<UserId, UserPw>,
     tokens: HashMap<UserToken, UserId>,
     /// Last node each user logged in from — where pushes are delivered.
@@ -18,18 +18,18 @@ pub struct AccountStore {
 
 impl AccountStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AccountStore::default()
     }
 
     /// Registers an account (vendor-side sign-up; not part of the attacked
     /// surface).
-    pub fn register(&mut self, user_id: UserId, user_pw: UserPw) {
+    pub(crate) fn register(&mut self, user_id: UserId, user_pw: UserPw) {
         self.passwords.insert(user_id, user_pw);
     }
 
     /// Whether an account exists.
-    pub fn exists(&self, user_id: &UserId) -> bool {
+    pub(crate) fn exists(&self, user_id: &UserId) -> bool {
         self.passwords.contains_key(user_id)
     }
 
@@ -38,7 +38,7 @@ impl AccountStore {
     /// # Errors
     ///
     /// [`DenyReason::BadCredentials`] on unknown user or wrong password.
-    pub fn login(
+    pub(crate) fn login(
         &mut self,
         user_id: &UserId,
         user_pw: &UserPw,
@@ -62,7 +62,11 @@ impl AccountStore {
     /// # Errors
     ///
     /// [`DenyReason::BadCredentials`] on unknown user or wrong password.
-    pub fn verify_password(&self, user_id: &UserId, user_pw: &UserPw) -> Result<(), DenyReason> {
+    pub(crate) fn verify_password(
+        &self,
+        user_id: &UserId,
+        user_pw: &UserPw,
+    ) -> Result<(), DenyReason> {
         match self.passwords.get(user_id) {
             Some(stored) if stored.verify(user_pw) => Ok(()),
             _ => Err(DenyReason::BadCredentials),
@@ -75,29 +79,26 @@ impl AccountStore {
     ///
     /// [`DenyReason::InvalidUserToken`] if the token was never issued (or
     /// was revoked).
-    pub fn verify_token(&self, token: &UserToken) -> Result<&UserId, DenyReason> {
+    pub(crate) fn verify_token(&self, token: &UserToken) -> Result<&UserId, DenyReason> {
         self.tokens.get(token).ok_or(DenyReason::InvalidUserToken)
     }
 
-    /// Revokes every token of a user (logout / password change).
-    pub fn revoke_tokens_of(&mut self, user_id: &UserId) {
-        self.tokens.retain(|_, u| u != user_id);
-    }
-
     /// The node a user last logged in from.
-    pub fn node_of(&self, user_id: &UserId) -> Option<NodeId> {
+    pub(crate) fn node_of(&self, user_id: &UserId) -> Option<NodeId> {
         self.nodes.get(user_id).copied()
-    }
-
-    /// Number of live tokens (diagnostics).
-    pub fn live_tokens(&self) -> usize {
-        self.tokens.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AccountStore {
+        // Number of live tokens (diagnostics).
+        fn live_tokens(&self) -> usize {
+            self.tokens.len()
+        }
+    }
 
     fn rng() -> SimRng {
         SimRng::new(7)
@@ -153,23 +154,6 @@ mod tests {
             store.verify_token(&UserToken::from_entropy(1)).unwrap_err(),
             DenyReason::InvalidUserToken
         );
-    }
-
-    #[test]
-    fn revocation_invalidates_all_tokens() {
-        let mut store = AccountStore::new();
-        let mut rng = rng();
-        store.register(UserId::new("alice"), UserPw::new("pw"));
-        let t = store
-            .login(
-                &UserId::new("alice"),
-                &UserPw::new("pw"),
-                NodeId(1),
-                &mut rng,
-            )
-            .unwrap();
-        store.revoke_tokens_of(&UserId::new("alice"));
-        assert!(store.verify_token(&t).is_err());
     }
 
     #[test]

@@ -10,18 +10,18 @@ use rb_wire::tokens::{BindToken, DevToken, UserId};
 /// keys a device's cloud session to its legitimate owner and defeats
 /// hijack-then-control on `DevToken` designs.
 #[derive(Debug, Default)]
-pub struct DevTokenLedger {
+pub(crate) struct DevTokenLedger {
     issued: HashMap<DevToken, UserId>,
 }
 
 impl DevTokenLedger {
     /// An empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DevTokenLedger::default()
     }
 
     /// Mints a token for `issuer`.
-    pub fn issue(&mut self, issuer: UserId, rng: &mut SimRng) -> DevToken {
+    pub(crate) fn issue(&mut self, issuer: UserId, rng: &mut SimRng) -> DevToken {
         let token = DevToken::from_entropy(rng.entropy128());
         self.issued.insert(token, issuer);
         token
@@ -35,33 +35,23 @@ impl DevTokenLedger {
     pub fn verify(&self, token: &DevToken) -> Result<&UserId, DenyReason> {
         self.issued.get(token).ok_or(DenyReason::DeviceAuthFailed)
     }
-
-    /// Number of live tokens.
-    pub fn len(&self) -> usize {
-        self.issued.len()
-    }
-
-    /// Whether no tokens have been issued.
-    pub fn is_empty(&self) -> bool {
-        self.issued.is_empty()
-    }
 }
 
 /// Tracks `BindToken` capabilities: issued to a user, consumed exactly once
 /// when the device submits them back.
 #[derive(Debug, Default)]
-pub struct BindTokenLedger {
+pub(crate) struct BindTokenLedger {
     issued: HashMap<BindToken, (UserId, bool)>,
 }
 
 impl BindTokenLedger {
     /// An empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BindTokenLedger::default()
     }
 
     /// Mints a capability for `issuer`.
-    pub fn issue(&mut self, issuer: UserId, rng: &mut SimRng) -> BindToken {
+    pub(crate) fn issue(&mut self, issuer: UserId, rng: &mut SimRng) -> BindToken {
         let token = BindToken::from_entropy(rng.entropy128());
         self.issued.insert(token, (issuer, false));
         token
@@ -73,7 +63,7 @@ impl BindTokenLedger {
     ///
     /// [`DenyReason::InvalidBindToken`] for unknown or already-consumed
     /// tokens (single use prevents replay).
-    pub fn consume(&mut self, token: &BindToken) -> Result<UserId, DenyReason> {
+    pub(crate) fn consume(&mut self, token: &BindToken) -> Result<UserId, DenyReason> {
         match self.issued.get_mut(token) {
             Some((user, consumed @ false)) => {
                 *consumed = true;
@@ -88,11 +78,18 @@ impl BindTokenLedger {
 mod tests {
     use super::*;
 
+    impl DevTokenLedger {
+        // Number of live tokens.
+        fn len(&self) -> usize {
+            self.issued.len()
+        }
+    }
+
     #[test]
     fn dev_tokens_resolve_to_issuer() {
         let mut ledger = DevTokenLedger::new();
         let mut rng = SimRng::new(1);
-        assert!(ledger.is_empty());
+        assert_eq!(ledger.len(), 0);
         let t = ledger.issue(UserId::new("alice"), &mut rng);
         assert_eq!(ledger.verify(&t).unwrap(), &UserId::new("alice"));
         assert_eq!(ledger.len(), 1);

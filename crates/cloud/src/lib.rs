@@ -8,13 +8,13 @@
 //!
 //! Components:
 //!
-//! * [`accounts`] — user accounts, password login, `UserToken` issuance;
+//! * `accounts` — user accounts, password login, `UserToken` issuance;
 //! * [`registry`] — the manufacturer's device registry: known device IDs,
 //!   per-device factory secrets (for vendors whose channel we could not
 //!   inspect — the paper's "O"), and public keys for the AWS-style
 //!   reference design;
 //! * [`issued`] — issued `DevToken`s and `BindToken` capabilities;
-//! * [`state`] — device sessions and shadow records (the live
+//! * `state` — device sessions and shadow records (the live
 //!   [`rb_core::shadow::Shadow`] plus schedules, telemetry, and binding
 //!   session tokens);
 //! * [`monitor`] — the streaming security monitor and the opt-in
@@ -30,14 +30,12 @@
 //! forensics on, recorded as an `rpc <primitive> dev=… outcome=…` mark
 //! (see [`service::CloudService::take_forensic_marks`]).
 
-pub mod accounts;
+mod accounts;
 pub mod issued;
 pub mod monitor;
 pub mod registry;
 pub mod service;
-pub mod state;
+mod state;
 
-pub use monitor::{
-    DefensePolicy, Monitor, RateLimit, SecurityAlert, CONTESTED_THRESHOLD, ENUMERATION_THRESHOLD,
-};
-pub use service::{CloudConfig, CloudService, Outcome, BUTTON_WINDOW, HEARTBEAT_TIMEOUT};
+pub use monitor::{DefensePolicy, Monitor, RateLimit, SecurityAlert};
+pub use service::{CloudConfig, CloudService, Outcome, HEARTBEAT_TIMEOUT};

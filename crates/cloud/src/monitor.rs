@@ -73,7 +73,7 @@ pub enum SecurityAlert {
         /// New public IP.
         new_ip: u32,
     },
-    /// One source touched [`ENUMERATION_THRESHOLD`] distinct device IDs
+    /// One source touched `ENUMERATION_THRESHOLD` distinct device IDs
     /// (the enumeration / scalable-DoS signature of §V-C).
     EnumerationSuspected {
         /// The probing source.
@@ -164,7 +164,7 @@ impl SecurityAlert {
 
     /// One deterministic line describing the alert: `kind key=value …`.
     /// This is the byte-stable body rendered into the alert stream.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             SecurityAlert::ForeignUnbind {
                 dev_id,
@@ -213,7 +213,7 @@ impl SecurityAlert {
     }
 
     /// The device the alert concerns, when it concerns exactly one.
-    pub fn dev_id(&self) -> Option<&DevId> {
+    pub(crate) fn dev_id(&self) -> Option<&DevId> {
         match self {
             SecurityAlert::ForeignUnbind { dev_id, .. }
             | SecurityAlert::BareUnbind { dev_id, .. }
@@ -281,25 +281,25 @@ impl DefensePolicy {
     }
 
     /// Whether any response is switched on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.rotate_tokens || self.bind_limit.is_some() || self.quarantine_ticks > 0
     }
 }
 
 /// Distinct device IDs one source may address before it is flagged for
 /// enumeration.
-pub const ENUMERATION_THRESHOLD: usize = 8;
+pub(crate) const ENUMERATION_THRESHOLD: usize = 8;
 
 /// `AlreadyBound` denials per (device, challenger) before the pair is
 /// flagged as a contested binding.
-pub const CONTESTED_THRESHOLD: u32 = 3;
+pub(crate) const CONTESTED_THRESHOLD: u32 = 3;
 
 /// The streaming monitor: fed observations by the service handlers as the
 /// world runs, keeps per-source statistics, and accumulates a tick-stamped
 /// alert log.
 ///
 /// A source's distinct-ID set stops growing once it holds
-/// [`ENUMERATION_THRESHOLD`] IDs (the source is then flagged), but the
+/// `ENUMERATION_THRESHOLD` IDs (the source is then flagged), but the
 /// table still holds one entry per source, and `retired` one entry per
 /// retired token: neither is bounded.
 #[derive(Debug)]
@@ -348,7 +348,7 @@ fn alert_counters(telemetry: &Telemetry) -> CounterTable<{ SecurityAlert::KINDS.
 
 impl Monitor {
     /// An empty monitor with no alerts raised.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let telemetry = Telemetry::new();
         Monitor {
             log: Vec::new(),
@@ -369,7 +369,7 @@ impl Monitor {
 
     /// Points the monitor at a shared telemetry registry (normally the
     /// cloud service forwards its own handle here).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.alerts = alert_counters(&telemetry);
         self.telemetry = telemetry;
     }
@@ -382,11 +382,6 @@ impl Monitor {
     /// The cumulative tick-stamped alert log (never drained).
     pub fn alert_log(&self) -> &[(Tick, SecurityAlert)] {
         &self.log
-    }
-
-    /// Alerts of one kind over the whole run.
-    pub fn count(&self, kind: &str) -> usize {
-        self.log.iter().filter(|(_, a)| a.kind() == kind).count()
     }
 
     /// The byte-stable rendering of the alert stream: one
@@ -626,6 +621,13 @@ mod tests {
     use super::*;
     use rb_wire::ids::{DevId, MacAddr};
 
+    impl Monitor {
+        // Alerts of one kind over the whole run.
+        fn count(&self, kind: &str) -> usize {
+            self.log.iter().filter(|(_, a)| a.kind() == kind).count()
+        }
+    }
+
     fn id(n: u8) -> DevId {
         DevId::Mac(MacAddr::new([n, 0, 0, 0, 0, 0]))
     }
@@ -669,7 +671,11 @@ mod tests {
         let hist = snap
             .histogram("monitor_detection_latency_ticks{kind=\"enumeration\"}")
             .expect("latency histogram");
-        assert_eq!((hist.count(), hist.sum()), (1, 7), "from the first touch");
+        assert_eq!(
+            (hist.count(), hist.max()),
+            (1, Some(7)),
+            "from the first touch"
+        );
         let held = m.touched.get(&NodeId(9)).map_or(0, |(_, ids)| ids.len());
         assert!(held <= ENUMERATION_THRESHOLD, "{held} IDs held");
         assert!(m.render_state().contains("sources_tracked=1"));
@@ -732,7 +738,7 @@ mod tests {
         let hist = snap
             .histogram("monitor_detection_latency_ticks{kind=\"stale-token-replay\"}")
             .expect("latency histogram");
-        assert_eq!((hist.count(), hist.sum()), (1, 250));
+        assert_eq!((hist.count(), hist.max()), (1, Some(250)));
     }
 
     #[test]
@@ -877,7 +883,7 @@ mod tests {
         let hist = snap
             .histogram("monitor_detection_latency_ticks{kind=\"contested-binding\"}")
             .expect("latency histogram");
-        assert_eq!((hist.count(), hist.sum()), (1, 350));
+        assert_eq!((hist.count(), hist.max()), (1, Some(350)));
     }
 
     #[test]

@@ -17,29 +17,29 @@ pub fn sign(secret: u128, dev_id: &DevId) -> u128 {
 
 /// Per-device manufacturing record.
 #[derive(Debug, Clone)]
-pub struct DeviceRecord {
+pub(crate) struct DeviceRecord {
     /// The 128-bit factory secret burned in at manufacture (models the
     /// opaque vendor channel).
-    pub factory_secret: u128,
+    pub(crate) factory_secret: u128,
     /// Key id + signing secret, when the design provisions a key pair.
-    pub key: Option<(u64, u128)>,
+    pub(crate) key: Option<(u64, u128)>,
 }
 
 /// The registry of devices the vendor has manufactured.
 #[derive(Debug, Default)]
-pub struct DeviceRegistry {
+pub(crate) struct DeviceRegistry {
     devices: HashMap<DevId, DeviceRecord>,
     keys: HashMap<u64, u128>,
 }
 
 impl DeviceRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DeviceRegistry::default()
     }
 
     /// Registers a manufactured device.
-    pub fn add(&mut self, dev_id: DevId, record: DeviceRecord) {
+    pub(crate) fn add(&mut self, dev_id: DevId, record: DeviceRecord) {
         if let Some((key_id, secret)) = record.key {
             self.keys.insert(key_id, secret);
         }
@@ -47,17 +47,17 @@ impl DeviceRegistry {
     }
 
     /// Whether the ID belongs to a manufactured device.
-    pub fn knows(&self, dev_id: &DevId) -> bool {
+    pub(crate) fn knows(&self, dev_id: &DevId) -> bool {
         self.devices.contains_key(dev_id)
     }
 
     /// The factory secret of a device.
-    pub fn factory_secret(&self, dev_id: &DevId) -> Option<u128> {
+    pub(crate) fn factory_secret(&self, dev_id: &DevId) -> Option<u128> {
         self.devices.get(dev_id).map(|r| r.factory_secret)
     }
 
     /// Verifies a public-key signature for `key_id` over `dev_id`.
-    pub fn verify_signature(&self, key_id: u64, dev_id: &DevId, signature: u128) -> bool {
+    pub(crate) fn verify_signature(&self, key_id: u64, dev_id: &DevId, signature: u128) -> bool {
         match self.keys.get(&key_id) {
             Some(secret) => sign(*secret, dev_id) == signature,
             None => false,
@@ -65,13 +65,8 @@ impl DeviceRegistry {
     }
 
     /// Number of registered devices.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.devices.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
     }
 }
 
@@ -87,7 +82,7 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let mut reg = DeviceRegistry::new();
-        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
         reg.add(
             id(1),
             DeviceRecord {

@@ -6,6 +6,7 @@
 //! experiment can cross-check prediction against execution.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use rb_core::design::{BindScheme, CloudChecks, DeviceAuthScheme, UnbindSupport, VendorDesign};
 use rb_core::shadow::ShadowState;
@@ -111,17 +112,17 @@ pub const HEARTBEAT_TIMEOUT: u64 = 30_000;
 
 /// Window (ticks) within which a reported button press counts as a
 /// local-presence proof (Philips Hue: 30 seconds).
-pub const BUTTON_WINDOW: u64 = 30_000;
+pub(crate) const BUTTON_WINDOW: u64 = 30_000;
 
 /// Cloud configuration.
 #[derive(Debug, Clone)]
 pub struct CloudConfig {
     /// The vendor design that parameterizes every handler.
-    pub design: VendorDesign,
+    pub(crate) design: VendorDesign,
     /// Active-response policy driven by the streaming monitor's alerts.
     /// Disabled by default: the monitor observes but the service never
     /// intervenes, keeping default-world behavior byte-identical.
-    pub defense: DefensePolicy,
+    pub(crate) defense: DefensePolicy,
 }
 
 impl CloudConfig {
@@ -274,11 +275,6 @@ impl CloudService {
         self.profiler = profiler;
     }
 
-    /// The telemetry handle this cloud records into.
-    pub fn telemetry(&self) -> &Telemetry {
-        self.metrics.telemetry()
-    }
-
     /// The design this cloud implements.
     pub fn design(&self) -> &VendorDesign {
         &self.config.design
@@ -334,11 +330,6 @@ impl CloudService {
     /// alerts after every handled request.
     pub fn set_defense(&mut self, policy: DefensePolicy) {
         self.config.defense = policy;
-    }
-
-    /// The active-response policy in force.
-    pub fn defense(&self) -> &DefensePolicy {
-        &self.config.defense
     }
 
     /// Diagnostic access to a device's shadow state.
@@ -423,7 +414,7 @@ impl CloudService {
     /// Records one mitigation: the `cloud_mitigations_total{action="…"}`
     /// counter and (under forensics) a FAULT-style
     /// `defense action=… … trigger=…` mark tied to the causing request.
-    fn record_mitigation(&mut self, action: Mitigation, detail: &str, trigger: &str) {
+    fn record_mitigation(&mut self, action: Mitigation, detail: fmt::Arguments<'_>, trigger: &str) {
         self.metrics.get().mitigations.incr(action as usize);
         if self.forensics {
             self.forensic_marks.push(format!(
@@ -485,7 +476,11 @@ impl CloudService {
             return;
         };
         self.monitor.retire_token(dev_id, old, now);
-        self.record_mitigation(Mitigation::RotateToken, &format!("dev={dev_id}"), trigger);
+        self.record_mitigation(
+            Mitigation::RotateToken,
+            format_args!("dev={dev_id}"),
+            trigger,
+        );
     }
 
     /// Quarantines a suspect device: non-co-located binds are denied until
@@ -504,7 +499,7 @@ impl CloudService {
         self.monitor.quarantine(dev_id, now + ticks);
         let dev_ip = self.monitor.device_ip(dev_id);
         let mut pushes = Vec::new();
-        let mut detail = format!("dev={dev_id}");
+        let mut revoked_user = None;
         if let Some(record) = self.state.record_mut_existing(dev_id) {
             let colocated = matches!((record.binding_ip, dev_ip), (Some(b), Some(d)) if b == d);
             if record.shadow.state().is_bound() && (record.remote_bind_flagged || !colocated) {
@@ -518,14 +513,25 @@ impl CloudService {
                     self.monitor.retire_token(dev_id, tok, now);
                 }
                 if let Some(user) = revoked {
-                    detail = format!("dev={dev_id} revoked={user}");
                     if let Some(node) = self.accounts.node_of(&user) {
                         pushes.push((node, Response::BindingRevoked));
                     }
+                    revoked_user = Some(user);
                 }
             }
         }
-        self.record_mitigation(Mitigation::Quarantine, &detail, trigger);
+        match revoked_user {
+            Some(user) => self.record_mitigation(
+                Mitigation::Quarantine,
+                format_args!("dev={dev_id} revoked={user}"),
+                trigger,
+            ),
+            None => self.record_mitigation(
+                Mitigation::Quarantine,
+                format_args!("dev={dev_id}"),
+                trigger,
+            ),
+        }
         pushes
     }
 
@@ -846,7 +852,7 @@ impl CloudService {
         if self.defense_bind_limited(from, now) {
             self.record_mitigation(
                 Mitigation::RateLimitBind,
-                &format!("from={from}"),
+                format_args!("from={from}"),
                 "bind-rate",
             );
             return Outcome::deny(DenyReason::RateLimited);

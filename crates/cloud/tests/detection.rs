@@ -4,7 +4,7 @@
 
 use rb_cloud::{CloudConfig, CloudService, SecurityAlert};
 use rb_core::vendors;
-use rb_netsim::{NodeId, SimRng, Tick};
+use rb_netsim::{NodeId, SimRng, Telemetry, Tick};
 use rb_wire::ids::DevId;
 use rb_wire::messages::{
     BindPayload, DeviceAttributes, Message, Response, StatusAuth, StatusPayload, UnbindPayload,
@@ -24,6 +24,7 @@ fn dev_id() -> DevId {
 
 struct H {
     cloud: CloudService,
+    telemetry: Telemetry,
     rng: SimRng,
     now: Tick,
 }
@@ -31,6 +32,8 @@ struct H {
 impl H {
     fn new(design: rb_core::design::VendorDesign) -> Self {
         let mut cloud = CloudService::new(CloudConfig::new(design));
+        let telemetry = Telemetry::new();
+        cloud.set_telemetry(telemetry.clone());
         cloud.provision_account(UserId::new("victim"), UserPw::new("v"));
         cloud.provision_account(UserId::new("attacker"), UserPw::new("a"));
         cloud.manufacture(dev_id(), 0, None);
@@ -40,9 +43,20 @@ impl H {
         cloud.set_public_ip(ATTACKER_NODE, 200);
         H {
             cloud,
+            telemetry,
             rng: SimRng::new(77),
             now: Tick(0),
         }
+    }
+
+    /// Alerts of one kind the monitor raised over the whole run.
+    fn alerts(&self, kind: &str) -> usize {
+        self.cloud
+            .monitor()
+            .alert_log()
+            .iter()
+            .filter(|(_, alert)| alert.kind() == kind)
+            .count()
     }
 
     fn send(&mut self, from: NodeId, msg: Message) -> Response {
@@ -134,7 +148,7 @@ fn foreign_unbind_is_flagged() {
         }),
     );
     assert_eq!(r, Response::Unbound);
-    assert_eq!(h.cloud.monitor().count("foreign-unbind"), 1);
+    assert_eq!(h.alerts("foreign-unbind"), 1);
 }
 
 #[test]
@@ -165,7 +179,7 @@ fn bare_unbind_from_foreign_ip_is_flagged_but_device_reset_is_not() {
         Message::Unbind(UnbindPayload::DevIdOnly { dev_id: dev_id() }),
     );
     assert_eq!(r, Response::Unbound);
-    assert_eq!(h.cloud.monitor().count("bare-unbind"), 0);
+    assert_eq!(h.alerts("bare-unbind"), 0);
     // Rebind, then the attacker does the same from the WAN.
     h.send(
         DEVICE_NODE,
@@ -180,7 +194,7 @@ fn bare_unbind_from_foreign_ip_is_flagged_but_device_reset_is_not() {
         Message::Unbind(UnbindPayload::DevIdOnly { dev_id: dev_id() }),
     );
     assert_eq!(r, Response::Unbound);
-    assert_eq!(h.cloud.monitor().count("bare-unbind"), 1);
+    assert_eq!(h.alerts("bare-unbind"), 1);
 }
 
 #[test]
@@ -196,12 +210,8 @@ fn binding_replacement_and_remote_bind_are_flagged() {
         }),
     );
     assert!(r.is_ok(), "E-Link replaces bindings");
-    assert_eq!(h.cloud.monitor().count("binding-replaced"), 1);
-    assert_eq!(
-        h.cloud.monitor().count("remote-only-bind"),
-        1,
-        "bind IP ≠ device IP"
-    );
+    assert_eq!(h.alerts("binding-replaced"), 1);
+    assert_eq!(h.alerts("remote-only-bind"), 1, "bind IP ≠ device IP");
     match &h.cloud.monitor().alerts()[0] {
         SecurityAlert::BindingReplaced {
             victim, new_holder, ..
@@ -227,7 +237,7 @@ fn forged_status_session_move_is_flagged() {
         )),
     );
     assert!(r.is_ok());
-    assert_eq!(h.cloud.monitor().count("session-moved"), 1);
+    assert_eq!(h.alerts("session-moved"), 1);
 }
 
 #[test]
@@ -245,7 +255,7 @@ fn id_sweep_triggers_enumeration_alert() {
             }),
         );
     }
-    assert_eq!(h.cloud.monitor().count("enumeration"), 1);
+    assert_eq!(h.alerts("enumeration"), 1);
     // The victim's single-device traffic never trips it.
     assert!(!h.cloud.monitor().alerts().iter().any(
         |a| matches!(a, SecurityAlert::EnumerationSuspected { source, .. } if *source == USER_NODE)
@@ -277,7 +287,7 @@ fn contested_binding_flags_the_a2_victim_experience() {
         );
         assert!(!r.is_ok());
     }
-    assert_eq!(h.cloud.monitor().count("contested-binding"), 1);
+    assert_eq!(h.alerts("contested-binding"), 1);
 }
 
 // -- Active defense ----------------------------------------------------------
@@ -304,8 +314,7 @@ fn quarantine_revokes_a_hijacked_binding_and_blocks_rebinds() {
         "quarantine revoked the hijacker's binding in the same outcome"
     );
     assert_eq!(
-        h.cloud
-            .telemetry()
+        h.telemetry
             .counter("cloud_mitigations_total{action=\"quarantine\"}"),
         1
     );
@@ -383,8 +392,7 @@ fn token_rotation_turns_a_displaced_session_into_a_detected_replay() {
     // The displacement alert triggered a rotation: the token the hijacker
     // just received is already retired.
     assert_eq!(
-        h.cloud
-            .telemetry()
+        h.telemetry
             .counter("cloud_mitigations_total{action=\"rotate-token\"}"),
         1
     );
@@ -399,7 +407,7 @@ fn token_rotation_turns_a_displaced_session_into_a_detected_replay() {
     );
     assert!(!r.is_ok(), "rotated-away session must not control: {r}");
     assert_eq!(
-        h.cloud.monitor().count("stale-token-replay"),
+        h.alerts("stale-token-replay"),
         1,
         "presenting the retired token from a foreign IP is a replay"
     );
@@ -435,8 +443,7 @@ fn bind_rate_limiter_prices_out_bind_floods() {
     }
     assert_eq!(denied, 5, "probes beyond the window max are denied");
     assert_eq!(
-        h.cloud
-            .telemetry()
+        h.telemetry
             .counter("cloud_mitigations_total{action=\"rate-limit-bind\"}"),
         5
     );
@@ -483,12 +490,65 @@ fn disabled_policy_never_intervenes() {
         }),
     );
     assert!(r.is_ok());
-    assert_eq!(h.cloud.monitor().count("binding-replaced"), 1);
+    assert_eq!(h.alerts("binding-replaced"), 1);
     assert_eq!(h.cloud.bound_user(&dev_id()), Some(UserId::new("attacker")));
     assert_eq!(
-        h.cloud
-            .telemetry()
+        h.telemetry
             .counter("cloud_mitigations_total{action=\"quarantine\"}"),
         0
     );
+}
+
+#[test]
+fn rate_limited_bind_flood_counts_each_denial_and_marks_only_under_forensics() {
+    for forensics in [false, true] {
+        let mut h = H::new(vendors::ozwi());
+        h.cloud.set_forensics(forensics);
+        h.cloud.set_defense(rb_cloud::DefensePolicy {
+            rotate_tokens: false,
+            bind_limit: Some(rb_cloud::RateLimit {
+                window: 10_000,
+                max: 2,
+            }),
+            quarantine_ticks: 0,
+        });
+        let attacker = h.login(ATTACKER_NODE, "attacker", "a");
+        h.cloud.take_forensic_marks();
+        let mut denied = 0;
+        for i in 0..20u32 {
+            let r = h.send(
+                ATTACKER_NODE,
+                Message::Bind(BindPayload::AclApp {
+                    dev_id: DevId::Digits { value: i, width: 6 },
+                    user_token: attacker,
+                }),
+            );
+            if r == (Response::Denied {
+                reason: rb_wire::messages::DenyReason::RateLimited,
+            }) {
+                denied += 1;
+            }
+        }
+        assert_eq!(denied, 18, "forensics={forensics}");
+        assert_eq!(
+            h.telemetry
+                .counter("cloud_mitigations_total{action=\"rate-limit-bind\"}"),
+            denied
+        );
+        let defense_marks: Vec<String> = h
+            .cloud
+            .take_forensic_marks()
+            .into_iter()
+            .filter(|m| m.starts_with("defense "))
+            .collect();
+        if forensics {
+            assert_eq!(defense_marks.len() as u64, denied);
+            assert_eq!(
+                defense_marks[0],
+                format!("defense action=rate-limit-bind from={ATTACKER_NODE} trigger=bind-rate")
+            );
+        } else {
+            assert!(defense_marks.is_empty(), "{defense_marks:?}");
+        }
+    }
 }

@@ -9,7 +9,7 @@ use rb_cloud::{CloudConfig, CloudService};
 use rb_core::design::{DeviceAuthScheme, VendorDesign};
 use rb_core::shadow::ShadowState;
 use rb_core::vendors;
-use rb_netsim::{NodeId, SimRng, Tick};
+use rb_netsim::{NodeId, SimRng, Telemetry, Tick};
 use rb_wire::ids::{DevId, MacAddr};
 use rb_wire::messages::{
     BindPayload, ControlAction, DenyReason, DeviceAttributes, Message, Response, StatusAuth,
@@ -30,6 +30,7 @@ fn dev_id() -> DevId {
 
 struct Harness {
     cloud: CloudService,
+    telemetry: Telemetry,
     rng: SimRng,
     now: Tick,
 }
@@ -37,6 +38,8 @@ struct Harness {
 impl Harness {
     fn new(design: VendorDesign) -> Self {
         let mut cloud = CloudService::new(CloudConfig::new(design));
+        let telemetry = Telemetry::new();
+        cloud.set_telemetry(telemetry.clone());
         cloud.provision_account(UserId::new("victim"), UserPw::new("victim-pw"));
         cloud.provision_account(UserId::new("attacker"), UserPw::new("attacker-pw"));
         cloud.manufacture(dev_id(), FACTORY_SECRET, None);
@@ -46,6 +49,7 @@ impl Harness {
         cloud.set_public_ip(ATTACKER_NODE, 200);
         Harness {
             cloud,
+            telemetry,
             rng: SimRng::new(0xbead),
             now: Tick(0),
         }
@@ -1032,7 +1036,7 @@ fn decisions_reach_counters_and_rpc_marks() {
             reason: DenyReason::InvalidUserToken
         }
     );
-    let telemetry = h.cloud.telemetry();
+    let telemetry = &h.telemetry;
     assert_eq!(telemetry.counter("cloud_denials_total{kind=\"Bind\"}"), 1);
     assert_eq!(telemetry.counter("cloud_requests_total{kind=\"Bind\"}"), 2);
     let marks = h.cloud.take_forensic_marks();
@@ -1078,7 +1082,7 @@ fn forged_bind_probes_reach_the_per_kind_counters() {
         }
     }
     assert!(denied > 0 && denied < probes, "{denied} of {probes} denied");
-    let telemetry = h.cloud.telemetry();
+    let telemetry = &h.telemetry;
     assert_eq!(
         telemetry.counter("cloud_requests_total{kind=\"Bind\"}"),
         probes

@@ -24,7 +24,7 @@ use crate::shadow::{Primitive, ShadowState};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisReport {
     /// The analyzed vendor's name.
-    pub vendor: String,
+    pub(crate) vendor: String,
     /// Verdict per attack.
     pub verdicts: BTreeMap<AttackId, Feasibility>,
 }
@@ -46,7 +46,7 @@ impl AnalysisReport {
     }
 
     /// The feasible variants within a family.
-    pub fn feasible_variants(&self, family: AttackFamily) -> Vec<AttackId> {
+    pub(crate) fn feasible_variants(&self, family: AttackFamily) -> Vec<AttackId> {
         family
             .variants()
             .into_iter()

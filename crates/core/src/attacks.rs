@@ -83,7 +83,7 @@ impl AttackId {
 
     /// The end state after a successful attack (Table II column 5), from
     /// the victim's perspective.
-    pub fn end_state(self) -> ShadowState {
+    pub(crate) fn end_state(self) -> ShadowState {
         match self {
             AttackId::A1 => ShadowState::Control,
             AttackId::A2 => ShadowState::Bound,
@@ -95,7 +95,7 @@ impl AttackId {
     }
 
     /// The consequence column of Table II.
-    pub fn consequence(self) -> &'static str {
+    pub(crate) fn consequence(self) -> &'static str {
         match self.family() {
             AttackFamily::A1 => {
                 "The attacker can inject fake device data or steal private user data."
@@ -109,7 +109,7 @@ impl AttackId {
     }
 
     /// The forged-message shape as printed in Table II.
-    pub fn forged_message_str(self) -> &'static str {
+    pub(crate) fn forged_message_str(self) -> &'static str {
         match self {
             AttackId::A1 | AttackId::A3_4 => "Status:DevId",
             AttackId::A2 | AttackId::A3_3 | AttackId::A4_1 | AttackId::A4_2 => {

@@ -149,24 +149,10 @@ pub struct CloudChecks {
 }
 
 impl CloudChecks {
-    /// Every protective check on, every dangerous behaviour off — the
-    /// recommended baseline.
-    pub fn strict() -> Self {
-        CloudChecks {
-            verify_unbind_is_bound_user: true,
-            reject_bind_when_bound: true,
-            bind_requires_local_proof: false,
-            bind_requires_online_device: false,
-            post_binding_session: true,
-            register_resets_binding: false,
-            concurrent_device_sessions: false,
-        }
-    }
-
     /// The weakest observed implementation: no checks at all. This is the
     /// configuration on which the generic attack taxonomy (Table II) is
     /// derived.
-    pub fn weakest() -> Self {
+    pub(crate) fn weakest() -> Self {
         CloudChecks {
             verify_unbind_is_bound_user: false,
             reject_bind_when_bound: false,
@@ -389,6 +375,22 @@ impl VendorDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CloudChecks {
+        // Every protective check on, every dangerous behaviour off — the
+        // recommended baseline.
+        fn strict() -> Self {
+            CloudChecks {
+                verify_unbind_is_bound_user: true,
+                reject_bind_when_bound: true,
+                bind_requires_local_proof: false,
+                bind_requires_online_device: false,
+                post_binding_session: true,
+                register_resets_binding: false,
+                concurrent_device_sessions: false,
+            }
+        }
+    }
 
     fn base() -> VendorDesign {
         VendorDesign {

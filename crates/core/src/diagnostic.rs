@@ -9,7 +9,7 @@
 //!
 //! The model lives in `rb-core` so all three semantic engines emit through
 //! one surface: the linter (`rb-lint`, rules `RB001`–`RB012`), the
-//! checker⇔analyzer cross-check ([`crate::spec::cross_check`], `RB013`),
+//! checker⇔analyzer cross-checks (`RB013`),
 //! and the exhaustive model checker (`rb-mc`, `RB014`–`RB017`). `rb-lint`
 //! re-exports this module unchanged, and its SARIF/JSON/human emitters
 //! render any of them.
@@ -82,23 +82,6 @@ impl RuleId {
         RuleId::RB015,
         RuleId::RB016,
         RuleId::RB017,
-    ];
-
-    /// The syntactic lint rules (the subset `rb-lint`'s registry fires);
-    /// the rest belong to the cross-check and the model checker.
-    pub const LINT: [RuleId; 12] = [
-        RuleId::RB001,
-        RuleId::RB002,
-        RuleId::RB003,
-        RuleId::RB004,
-        RuleId::RB005,
-        RuleId::RB006,
-        RuleId::RB007,
-        RuleId::RB008,
-        RuleId::RB009,
-        RuleId::RB010,
-        RuleId::RB011,
-        RuleId::RB012,
     ];
 
     /// The short kebab-case rule name (used in SARIF and human output).
@@ -175,7 +158,7 @@ pub enum Severity {
 impl Severity {
     /// The lowercase label (`error` / `warning` / `note`), which is also
     /// the SARIF `level` value.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warning => "warning",
@@ -226,7 +209,7 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     /// Prints the bare message — the historical string form of findings
-    /// that predate the structured model (`spec::cross_check` callers).
+    /// that predate the structured model.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.message)
     }
@@ -294,7 +277,6 @@ mod tests {
 
     #[test]
     fn lint_subset_prefixes_the_full_list() {
-        assert_eq!(&RuleId::ALL[..RuleId::LINT.len()], &RuleId::LINT[..]);
         for rule in RuleId::ALL {
             assert!(!rule.summary().is_empty());
             assert!(!rule.name().is_empty());

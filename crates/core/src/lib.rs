@@ -27,8 +27,8 @@
 //! * [`recommend`] — the **lessons-learned engine** (Section VII): given a
 //!   design, emits the paper's remediation advice that applies to it.
 //! * [`diagnostic`] — the **typed diagnostic model** every verdict engine
-//!   shares: the linter (`rb-lint`), the checker⇔analyzer cross-check
-//!   ([`spec::cross_check`]), and the exhaustive model checker (`rb-mc`)
+//!   shares: the linter (`rb-lint`), the checker⇔analyzer cross-checks
+//!   (`RB013`), and the exhaustive model checker (`rb-mc`)
 //!   all emit the same `Diagnostic`/`LintReport` shapes, so one SARIF log
 //!   carries all three.
 //! * [`par`] — the workspace's one **deterministic parallel map**, used

@@ -125,9 +125,6 @@ impl Primitive {
         Primitive::Unbind,
         Primitive::Offline,
     ];
-
-    /// The wire primitives only (what can be *forged*).
-    pub const FORGEABLE: [Primitive; 3] = [Primitive::Status, Primitive::Bind, Primitive::Unbind];
 }
 
 impl fmt::Display for Primitive {
@@ -169,11 +166,6 @@ impl<U: Clone + PartialEq> Shadow<U> {
     /// The bound user, if any.
     pub fn bound_user(&self) -> Option<&U> {
         self.bound_user.as_ref()
-    }
-
-    /// Time of the last accepted status message.
-    pub fn last_status_at(&self) -> Option<u64> {
-        self.last_status_at
     }
 
     /// Records an accepted status message at time `now`.

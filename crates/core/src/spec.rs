@@ -24,12 +24,11 @@
 //! (besides the analyzer's predicate logic and the cloud's executable
 //! handlers); `spec::tests` proves all three agree.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
 use crate::design::{BindScheme, ControlVerdict, VendorDesign};
-use crate::diagnostic::{Diagnostic, RuleId, Severity as DiagSeverity};
 
 /// A protocol principal in the abstract model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -116,7 +115,7 @@ pub enum Act {
 
 impl Act {
     /// All actions.
-    pub const ALL: [Act; 8] = [
+    pub(crate) const ALL: [Act; 8] = [
         Act::DevRegister,
         Act::DevOffline,
         Act::UserBind,
@@ -128,7 +127,7 @@ impl Act {
     ];
 
     /// Whether the action is adversarial.
-    pub fn is_adversarial(self) -> bool {
+    pub(crate) fn is_adversarial(self) -> bool {
         matches!(
             self,
             Act::AtkRegister | Act::AtkBind | Act::AtkUnbindToken | Act::AtkUnbindBare
@@ -355,113 +354,91 @@ pub fn check(design: &VendorDesign) -> SpecReport {
     }
 }
 
-/// Checks the checker against the analyzer over a set of designs; returns
-/// one structured [`Diagnostic`] (rule `RB013`) per disagreement (empty =
-/// the two independent semantics agree). The `Display` of each diagnostic
-/// reproduces the historical one-line string form, so callers that printed
-/// the old `Vec<String>` output are unchanged.
-///
-/// The correspondence, accounting for the checker being untimed:
-///
-/// * ATTACKER-BOUND ⇔ the bind message is forgeable at all;
-/// * ATTACKER-CONTROL ⇔ forgeable bind ∧ control verdict `Relayed`;
-/// * USER-DISCONNECT ⇔ some A3 variant or A4-1 is feasible, or status
-///   forgery resets bindings.
-pub fn cross_check(designs: &[VendorDesign]) -> Vec<Diagnostic> {
-    use crate::analyzer::analyze;
-    use crate::attacks::AttackId;
-
-    let disagreement = |span: &str, message: String| Diagnostic {
-        rule: RuleId::RB013,
-        severity: DiagSeverity::Error,
-        span: span.to_owned(),
-        message,
-        related_attacks: Vec::new(),
-        fix: None,
-    };
-
-    let mut out = Vec::new();
-    for design in designs {
-        let spec = check(design);
-        let report = analyze(design);
-
-        let bound_expected = design.bind_forgeable();
-        if spec.attacker_bound.is_some() != bound_expected {
-            out.push(disagreement(
-                "spec.attacker_bound",
-                format!(
-                    "{}: ATTACKER-BOUND reachable={} but bind_forgeable={}",
-                    design.vendor,
-                    spec.attacker_bound.is_some(),
-                    bound_expected
-                ),
-            ));
-        }
-
-        let control_expected = design.bind_forgeable()
-            && matches!(design.hijack_control_verdict(), ControlVerdict::Relayed);
-        if spec.attacker_control.is_some() != control_expected {
-            out.push(disagreement(
-                "spec.attacker_control",
-                format!(
-                    "{}: ATTACKER-CONTROL reachable={} but expected {}",
-                    design.vendor,
-                    spec.attacker_control.is_some(),
-                    control_expected
-                ),
-            ));
-        }
-
-        let disconnect_expected = [
-            AttackId::A3_1,
-            AttackId::A3_2,
-            AttackId::A3_3,
-            AttackId::A3_4,
-            AttackId::A4_1,
-        ]
-        .iter()
-        .any(|id| report.feasible(*id));
-        if spec.user_disconnect.is_some() != disconnect_expected {
-            out.push(disagreement(
-                "spec.user_disconnect",
-                format!(
-                    "{}: USER-DISCONNECT reachable={} but analyzer A3*/A4-1 feasible={}",
-                    design.vendor,
-                    spec.user_disconnect.is_some(),
-                    disconnect_expected
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// The set of adversarial actions that appear in any minimal witness trace
-/// for a design — a compact fingerprint of *how* it breaks.
-pub fn witness_fingerprint(design: &VendorDesign) -> BTreeSet<Act> {
-    let spec = check(design);
-    let mut acts = BTreeSet::new();
-    for trace in [
-        &spec.attacker_bound,
-        &spec.attacker_control,
-        &spec.user_disconnect,
-    ]
-    .into_iter()
-    .flatten()
-    {
-        for act in trace {
-            if act.is_adversarial() {
-                acts.insert(*act);
-            }
-        }
-    }
-    acts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostic::{Diagnostic, RuleId, Severity as DiagSeverity};
     use crate::vendors::*;
+    use std::collections::BTreeSet;
+
+    // Checks the checker against the analyzer over a set of designs; returns
+    // one `RB013` diagnostic per disagreement (empty = the two independent
+    // semantics agree).
+    //
+    // The correspondence, accounting for the checker being untimed:
+    //
+    // * ATTACKER-BOUND ⇔ the bind message is forgeable at all;
+    // * ATTACKER-CONTROL ⇔ forgeable bind ∧ control verdict `Relayed`;
+    // * USER-DISCONNECT ⇔ some A3 variant or A4-1 is feasible, or status
+    //   forgery resets bindings.
+    fn cross_check(designs: &[VendorDesign]) -> Vec<Diagnostic> {
+        use crate::analyzer::analyze;
+        use crate::attacks::AttackId;
+
+        let disagreement = |span: &str, message: String| Diagnostic {
+            rule: RuleId::RB013,
+            severity: DiagSeverity::Error,
+            span: span.to_owned(),
+            message,
+            related_attacks: Vec::new(),
+            fix: None,
+        };
+
+        let mut out = Vec::new();
+        for design in designs {
+            let spec = check(design);
+            let report = analyze(design);
+
+            let bound_expected = design.bind_forgeable();
+            if spec.attacker_bound.is_some() != bound_expected {
+                out.push(disagreement(
+                    "spec.attacker_bound",
+                    format!(
+                        "{}: ATTACKER-BOUND reachable={} but bind_forgeable={}",
+                        design.vendor,
+                        spec.attacker_bound.is_some(),
+                        bound_expected
+                    ),
+                ));
+            }
+
+            let control_expected = design.bind_forgeable()
+                && matches!(design.hijack_control_verdict(), ControlVerdict::Relayed);
+            if spec.attacker_control.is_some() != control_expected {
+                out.push(disagreement(
+                    "spec.attacker_control",
+                    format!(
+                        "{}: ATTACKER-CONTROL reachable={} but expected {}",
+                        design.vendor,
+                        spec.attacker_control.is_some(),
+                        control_expected
+                    ),
+                ));
+            }
+
+            let disconnect_expected = [
+                AttackId::A3_1,
+                AttackId::A3_2,
+                AttackId::A3_3,
+                AttackId::A3_4,
+                AttackId::A4_1,
+            ]
+            .iter()
+            .any(|id| report.feasible(*id));
+            if spec.user_disconnect.is_some() != disconnect_expected {
+                out.push(disagreement(
+                    "spec.user_disconnect",
+                    format!(
+                        "{}: USER-DISCONNECT reachable={} but analyzer A3*/A4-1 feasible={}",
+                        design.vendor,
+                        spec.user_disconnect.is_some(),
+                        disconnect_expected
+                    ),
+                ));
+            }
+        }
+        out
+    }
 
     #[test]
     fn step_respects_every_guard() {
@@ -568,7 +545,17 @@ mod tests {
 
     #[test]
     fn tp_link_disconnect_witness_uses_its_broken_unbind() {
-        let fingerprint = witness_fingerprint(&tp_link());
+        let spec = check(&tp_link());
+        let fingerprint: BTreeSet<Act> = [
+            spec.attacker_bound,
+            spec.attacker_control,
+            spec.user_disconnect,
+        ]
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|act| act.is_adversarial())
+        .collect();
         assert!(
             fingerprint.contains(&Act::AtkUnbindBare) || fingerprint.contains(&Act::AtkRegister),
             "{fingerprint:?}"

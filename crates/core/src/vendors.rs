@@ -115,7 +115,7 @@ pub fn lightstory() -> VendorDesign {
 /// #5 Orvibo (smart plug): status auth unconfirmed, app-sent ACL binding
 /// (⇒ A2), unbind missing the bound-user check (⇒ A3-2); hijack still fails
 /// because control is keyed to a session the attacker cannot refresh.
-pub fn orvibo() -> VendorDesign {
+pub(crate) fn orvibo() -> VendorDesign {
     VendorDesign {
         vendor: "Orvibo".into(),
         device: DeviceKind::SmartPlug,

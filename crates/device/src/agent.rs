@@ -30,7 +30,7 @@ pub const HEARTBEAT_EVERY: u64 = 2_000;
 /// Delay in ticks between registration and the device-sent bind
 /// (`AclDevice` and `Capability` designs). TP-LINK binds essentially
 /// immediately.
-pub const BIND_DELAY: u64 = 2;
+pub(crate) const BIND_DELAY: u64 = 2;
 
 /// Static configuration of one simulated device.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ pub struct DeviceStats {
     /// Factory resets performed.
     pub resets: u64,
     /// Bind messages sent (first attempt plus retransmissions).
-    pub bind_attempts: u64,
+    pub(crate) bind_attempts: u64,
 }
 
 /// The simulated firmware. See the [crate docs](crate) for the life cycle.
@@ -159,7 +159,7 @@ impl DeviceAgent {
 
     /// The unit's printed label (the ID-leak channel of the adversary
     /// model).
-    pub fn label(&self) -> DeviceLabel {
+    pub(crate) fn label(&self) -> DeviceLabel {
         DeviceLabel::new(self.config.dev_id.clone(), 1234)
     }
 
@@ -176,11 +176,6 @@ impl DeviceAgent {
     /// Relay/light state.
     pub fn is_on(&self) -> bool {
         self.on
-    }
-
-    /// Bulb brightness.
-    pub fn brightness(&self) -> u8 {
-        self.brightness
     }
 
     /// Locally stored schedule.
@@ -200,13 +195,13 @@ impl DeviceAgent {
     }
 
     /// The static configuration (read-only).
-    pub fn config(&self) -> &DeviceConfig {
+    pub(crate) fn config(&self) -> &DeviceConfig {
         &self.config
     }
 
     /// Sets telemetry to attach to the next heartbeats in addition to the
     /// kind-specific samples (used by the hub to forward child readings).
-    pub fn set_extra_telemetry(&mut self, frames: Vec<TelemetryFrame>) {
+    pub(crate) fn set_extra_telemetry(&mut self, frames: Vec<TelemetryFrame>) {
         self.extra_telemetry = frames;
     }
 

@@ -22,16 +22,16 @@ const FRAME_TAG: u8 = 0xC1;
 
 /// A radio frame from a child to its hub: `[0xC1, child_id, kind, value…]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChildFrame {
+pub(crate) struct ChildFrame {
     /// Which child (hub-local address).
-    pub child_id: u8,
+    pub(crate) child_id: u8,
     /// The reading.
-    pub reading: ChildReading,
+    pub(crate) reading: ChildReading,
 }
 
 /// A child sensor reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildReading {
+pub(crate) enum ChildReading {
     /// Temperature in milli-degrees Celsius.
     TemperatureMilliC(i32),
     /// Open/close contact state.
@@ -43,7 +43,7 @@ pub enum ChildReading {
 
 impl ChildFrame {
     /// Serializes the radio frame.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = vec![FRAME_TAG, self.child_id];
         match self.reading {
             ChildReading::TemperatureMilliC(t) => {
@@ -59,7 +59,7 @@ impl ChildFrame {
     }
 
     /// Parses a radio frame; `None` if the bytes are not a child frame.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 3 || bytes[0] != FRAME_TAG {
             return None;
         }
@@ -77,7 +77,7 @@ impl ChildFrame {
     }
 
     /// Converts the reading into cloud telemetry.
-    pub fn to_telemetry(&self) -> TelemetryFrame {
+    pub(crate) fn to_telemetry(self) -> TelemetryFrame {
         match self.reading {
             ChildReading::TemperatureMilliC(t) => TelemetryFrame::TemperatureMilliC(t),
             ChildReading::Contact { closed } => TelemetryFrame::SwitchState { on: closed },
@@ -93,7 +93,7 @@ pub struct ZigbeeChild {
     child_id: u8,
     period: u64,
     /// Reports sent (experiment counter).
-    pub reports: u64,
+    pub(crate) reports: u64,
 }
 
 impl ZigbeeChild {
@@ -133,7 +133,7 @@ impl Actor for ZigbeeChild {
 #[derive(Debug)]
 pub struct HubAgent {
     /// The embedded cloud-facing firmware (the hub *is* a device).
-    pub device: DeviceAgent,
+    pub(crate) device: DeviceAgent,
     /// Latest reading per child.
     latest: std::collections::BTreeMap<u8, TelemetryFrame>,
     /// Frames received from children.

@@ -26,6 +26,6 @@
 
 pub mod agent;
 pub mod hub;
-pub mod telemetry_gen;
+mod telemetry_gen;
 
-pub use agent::{DeviceAgent, DeviceConfig, BIND_DELAY, HEARTBEAT_EVERY};
+pub use agent::{DeviceAgent, DeviceConfig, HEARTBEAT_EVERY};

@@ -9,7 +9,12 @@ use rb_wire::telemetry::TelemetryFrame;
 /// The shapes are realistic enough for the experiments to be meaningful:
 /// plugs report load-dependent power, sensors drift around room
 /// temperature, cameras occasionally see motion.
-pub fn sample(kind: DeviceKind, on: bool, brightness: u8, rng: &mut SimRng) -> Vec<TelemetryFrame> {
+pub(crate) fn sample(
+    kind: DeviceKind,
+    on: bool,
+    brightness: u8,
+    rng: &mut SimRng,
+) -> Vec<TelemetryFrame> {
     match kind {
         DeviceKind::SmartPlug | DeviceKind::SmartSocket => {
             let base = if on { 45_000 } else { 120 }; // 45 W load vs vampire draw

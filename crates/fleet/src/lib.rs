@@ -51,14 +51,12 @@ use rb_telemetry::Telemetry;
 /// One unit of sweep work: a private world to build, run, and reduce.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// Position in the sweep grid (also the merge slot).
-    pub index: usize,
     /// The vendor design under test.
     pub design: VendorDesign,
     /// The world seed.
     pub seed: u64,
     /// Faults injected into the run, if any.
-    pub profile: Option<ChaosProfile>,
+    pub(crate) profile: Option<ChaosProfile>,
     /// Victim homes in this cell's world.
     pub homes: usize,
 }
@@ -90,7 +88,7 @@ pub struct CellReport {
 
 impl CellReport {
     /// One stable line: `vendor seed profile homes converged bound control end_tick`.
-    pub fn render_line(&self) -> String {
+    pub(crate) fn render_line(&self) -> String {
         format!(
             "{} seed={} profile={} homes={} converged={} bound={} control={} end_tick={}",
             self.vendor,
@@ -118,8 +116,6 @@ pub struct FleetSpec {
     pub homes_per_cell: usize,
     /// Worker threads (1 = serial).
     pub threads: usize,
-    /// Per-cell simulated-time budget for setup convergence.
-    pub max_ticks: u64,
 }
 
 impl FleetSpec {
@@ -134,7 +130,6 @@ impl FleetSpec {
             profiles: vec![None],
             homes_per_cell: total_homes.div_ceil(cells).max(1),
             threads: 1,
-            max_ticks: 300_000,
         }
     }
 
@@ -172,18 +167,15 @@ impl FleetSpec {
     /// and hence the merged report layout.
     pub fn cells(&self) -> Vec<Cell> {
         let mut out = Vec::with_capacity(self.designs.len() * self.seeds.len());
-        let mut index = 0;
         for design in &self.designs {
             for &seed in &self.seeds {
                 for &profile in &self.profiles {
                     out.push(Cell {
-                        index,
                         design: design.clone(),
                         seed,
                         profile,
                         homes: self.homes_per_cell,
                     });
-                    index += 1;
                 }
             }
         }
@@ -198,7 +190,7 @@ impl FleetSpec {
 
 /// Runs one cell to completion: builds the private world, injects the
 /// profile's faults, runs setup, reduces to a [`CellReport`].
-pub fn run_cell(cell: &Cell) -> CellReport {
+pub(crate) fn run_cell(cell: &Cell) -> CellReport {
     run_cell_with(cell, Profiler::disabled())
 }
 
@@ -206,7 +198,7 @@ pub fn run_cell(cell: &Cell) -> CellReport {
 /// bracketed by a `fleet.cell` phase, with the simulator's per-event
 /// phases nested underneath. Returns the cell's private phase tree along
 /// with the report; [`run_fleet_profiled`] merges the trees in cell order.
-pub fn run_cell_profiled(cell: &Cell) -> (CellReport, PhaseProfile) {
+pub(crate) fn run_cell_profiled(cell: &Cell) -> (CellReport, PhaseProfile) {
     let profiler = Profiler::new();
     let report = run_cell_with(cell, profiler.clone());
     (report, profiler.snapshot())
@@ -246,7 +238,7 @@ fn run_cell_with(cell: &Cell, profiler: Profiler) -> CellReport {
 /// order — independent of thread count and completion order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetReport {
-    /// Per-cell reports, indexed by [`Cell::index`].
+    /// Per-cell reports, in [`FleetSpec::cells`] order.
     pub cells: Vec<CellReport>,
 }
 
@@ -325,8 +317,6 @@ pub struct FleetTimings {
     pub cell_nanos: Vec<u64>,
     /// Wall nanoseconds for the whole sweep.
     pub total_nanos: u64,
-    /// Worker threads used.
-    pub threads: usize,
 }
 
 impl FleetTimings {
@@ -402,7 +392,6 @@ fn run_pool<R: Send>(
         FleetTimings {
             cell_nanos,
             total_nanos,
-            threads,
         },
     )
 }
@@ -427,9 +416,6 @@ mod tests {
         assert_eq!(cells[0].seed, cells[1].seed);
         assert_eq!(cells[0].design.vendor, cells[3].design.vendor);
         assert_ne!(cells[0].design.vendor, cells[4].design.vendor);
-        for (i, c) in cells.iter().enumerate() {
-            assert_eq!(c.index, i);
-        }
     }
 
     #[test]
@@ -446,7 +432,6 @@ mod tests {
         let t = FleetTimings {
             cell_nanos: vec![50, 10, 40, 20, 30],
             total_nanos: 150,
-            threads: 1,
         };
         assert_eq!(t.quantile_nanos(0.5), 30);
         assert_eq!(t.quantile_nanos(0.95), 50);

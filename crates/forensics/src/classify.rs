@@ -49,7 +49,7 @@ pub struct Attribution {
     /// The causal root span of the initiating forged message.
     pub root_span: u64,
     /// Its trace id.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// The foreign node the forgery came from.
     pub attacker: NodeId,
     /// When the initiating forgery was handled.
@@ -57,7 +57,7 @@ pub struct Attribution {
     /// Whether the cloud's online defenses intervened on this device
     /// (a `defense action=…` mark names it): the incident was detected
     /// and actively mitigated, not merely reconstructed post-hoc.
-    pub mitigated: bool,
+    pub(crate) mitigated: bool,
 }
 
 /// Everything the cloud said about one handled request (all marks sharing
@@ -367,12 +367,6 @@ pub fn classify(capture: &Capture) -> Vec<Attribution> {
         }
     }
     findings
-}
-
-/// The sub-case of the primary finding for a device, if any — convenience
-/// for validation harnesses.
-pub fn primary<'a>(findings: &'a [Attribution], dev_id: &str) -> Option<&'a Attribution> {
-    findings.iter().find(|f| f.dev_id == dev_id)
 }
 
 #[cfg(test)]

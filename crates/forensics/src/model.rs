@@ -46,7 +46,7 @@ impl Default for RoleMap {
 
 impl RoleMap {
     /// The display name of a node (`n<id>` if unnamed).
-    pub fn name_of(&self, node: NodeId) -> String {
+    pub(crate) fn name_of(&self, node: NodeId) -> String {
         self.node_names
             .iter()
             .find(|(id, _)| *id == node)
@@ -54,14 +54,14 @@ impl RoleMap {
     }
 
     /// The home whose device has this ID.
-    pub fn home_of_dev(&self, dev_id: &str) -> Option<&HomeRoles> {
+    pub(crate) fn home_of_dev(&self, dev_id: &str) -> Option<&HomeRoles> {
         self.homes.iter().find(|h| h.dev_id == dev_id)
     }
 
     /// Whether `node` legitimately speaks for `dev_id`'s home: its app,
     /// its device, or the cloud itself. Anything else is *foreign* — in
     /// the paper's adversary model, a remote attacker.
-    pub fn is_home_node(&self, dev_id: &str, node: NodeId) -> bool {
+    pub(crate) fn is_home_node(&self, dev_id: &str, node: NodeId) -> bool {
         if node == self.cloud {
             return true;
         }

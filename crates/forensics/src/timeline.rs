@@ -56,9 +56,6 @@ fn render_entry(entry: &TraceEntry, roles: &RoleMap) -> String {
             roles.name_of(*node),
             if *powered { "on" } else { "off" }
         ),
-        TraceEvent::Note { node, text } => {
-            format!("{at} {} note: {text}", roles.name_of(*node))
-        }
         TraceEvent::Fault { text } => format!("{at} FAULT {text}"),
     }
 }

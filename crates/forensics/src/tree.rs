@@ -9,33 +9,33 @@ use crate::model::Capture;
 /// One span: a packet in flight (or a timer-rooted mark), with the trace
 /// entries that carry its context and the spans it caused.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanNode {
+pub(crate) struct SpanNode {
     /// The span's id (unique across the run).
-    pub span_id: u64,
+    pub(crate) span_id: u64,
     /// The causing span, `0` for roots.
-    pub parent_span_id: u64,
+    pub(crate) parent_span_id: u64,
     /// Indices into `Capture::trace` of this span's entries, in order.
-    pub entries: Vec<usize>,
+    pub(crate) entries: Vec<usize>,
     /// Child span ids, ascending.
-    pub children: Vec<u64>,
+    pub(crate) children: Vec<u64>,
 }
 
 /// One causal tree: every span sharing a trace id.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceTree {
+pub(crate) struct TraceTree {
     /// The shared trace id.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// Root span ids (parent `0` or parent outside the capture), ascending.
-    pub roots: Vec<u64>,
+    pub(crate) roots: Vec<u64>,
     /// Spans by id.
-    pub spans: BTreeMap<u64, SpanNode>,
+    pub(crate) spans: BTreeMap<u64, SpanNode>,
 }
 
 /// The whole run as causal trees, ordered by trace id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Forest {
     /// Trees in ascending trace-id order.
-    pub traces: Vec<TraceTree>,
+    pub(crate) traces: Vec<TraceTree>,
     origins: BTreeMap<u64, NodeId>,
 }
 
@@ -101,7 +101,7 @@ impl Forest {
     }
 
     /// Total number of context-carrying trace entries across all trees.
-    pub fn event_count(&self) -> usize {
+    pub(crate) fn event_count(&self) -> usize {
         self.traces
             .iter()
             .flat_map(|t| t.spans.values())
@@ -110,7 +110,7 @@ impl Forest {
     }
 
     /// Walks from `span_id` to its causal root within `tree`.
-    pub fn root_of(tree: &TraceTree, span_id: u64) -> u64 {
+    pub(crate) fn root_of(tree: &TraceTree, span_id: u64) -> u64 {
         let mut cur = span_id;
         // The parent chain is finite (span ids strictly increase from
         // parent to child), but guard against malformed captures anyway.
@@ -128,14 +128,14 @@ impl Forest {
 }
 
 /// The trace context an entry carries, if any.
-pub fn entry_ctx(entry: &TraceEntry) -> Option<TraceCtx> {
+pub(crate) fn entry_ctx(entry: &TraceEntry) -> Option<TraceCtx> {
     match &entry.event {
         TraceEvent::Sent { ctx, .. }
         | TraceEvent::Delivered { ctx, .. }
         | TraceEvent::Dropped { ctx, .. }
         | TraceEvent::Unroutable { ctx, .. }
         | TraceEvent::Mark { ctx, .. } => Some(*ctx),
-        TraceEvent::Power { .. } | TraceEvent::Note { .. } | TraceEvent::Fault { .. } => None,
+        TraceEvent::Power { .. } | TraceEvent::Fault { .. } => None,
     }
 }
 
@@ -175,9 +175,9 @@ mod tests {
                 sent(5, 2, 0, 2, 4, 0),
                 TraceEntry {
                     at: Tick(9),
-                    event: TraceEvent::Note {
+                    event: TraceEvent::Power {
                         node: NodeId(1),
-                        text: "no ctx".into(),
+                        powered: false,
                     },
                 },
             ],
@@ -191,6 +191,10 @@ mod tests {
         assert_eq!(forest.origin_of(1), Some(NodeId(9)));
         assert_eq!(forest.origin_of(99), None);
         assert_eq!(Forest::root_of(t1, 3), 1);
-        assert_eq!(forest.event_count(), 4, "the note is outside every tree");
+        assert_eq!(
+            forest.event_count(),
+            4,
+            "the power event is outside every tree"
+        );
     }
 }

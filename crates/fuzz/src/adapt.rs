@@ -44,7 +44,7 @@ fn is_disconnect_cell(id: AttackId) -> bool {
 /// attack act containing the first violating step. `None` for illegal
 /// sequences, for violations outside attack acts, and for composites no
 /// single cell names.
-pub fn classify(
+pub(crate) fn classify(
     design: &VendorDesign,
     traps: &[bool],
     property: Property,
@@ -101,7 +101,7 @@ pub fn classify(
 /// [`rb_attack::acts::COMPOSITES`] table. Returns `None` for
 /// single-cell witnesses, non-violating sequences, and composites still
 /// unnamed.
-pub fn classify_composite(
+pub(crate) fn classify_composite(
     design: &VendorDesign,
     traps: &[bool],
     property: Property,

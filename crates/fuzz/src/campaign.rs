@@ -30,7 +30,7 @@ pub struct FuzzConfig {
     /// Number of independent runs.
     pub runs: u32,
     /// Maximum acts per generated sequence (minimum is 3).
-    pub max_len: usize,
+    pub(crate) max_len: usize,
 }
 
 impl Default for FuzzConfig {
@@ -68,11 +68,11 @@ pub struct Finding {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzReport {
     /// The design's vendor name.
-    pub vendor: String,
+    pub(crate) vendor: String,
     /// The campaign seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Runs executed.
-    pub runs: u32,
+    pub(crate) runs: u32,
     /// Total DSL acts executed across all runs.
     pub acts_executed: usize,
     /// Total product steps those acts compiled to.

@@ -65,7 +65,7 @@ pub enum Act {
 impl Act {
     /// Every act, in the canonical generation order (attack acts in
     /// Table II order, chaos acts in profile order).
-    pub fn all() -> Vec<Act> {
+    pub(crate) fn all() -> Vec<Act> {
         let mut acts = vec![
             Act::Setup,
             Act::Control,
@@ -84,18 +84,13 @@ impl Act {
 
     /// The act's index in [`Act::all`] — a stable ordinal the corpus
     /// digest hashes.
-    pub fn ordinal(self) -> u8 {
+    pub(crate) fn ordinal(self) -> u8 {
         #[allow(clippy::unwrap_used)] // every act is in all(); pinned by test
         Act::all()
             .into_iter()
             .position(|a| a == self)
             .map(|i| i as u8)
             .unwrap()
-    }
-
-    /// Whether the act is adversarial.
-    pub fn is_adversarial(self) -> bool {
-        matches!(self, Act::Attack(_))
     }
 
     /// Whether the act compiles to no product action (pure live-world
@@ -128,7 +123,7 @@ impl fmt::Display for Act {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledAct {
     /// The DSL act.
-    pub act: Act,
+    pub(crate) act: Act,
     /// The product steps, in order: `(action, pre-state, post-state)`.
     /// Empty for model no-ops ([`Act::Control`], [`Act::Chaos`]).
     pub steps: Vec<(McAct, PState, PState)>,
@@ -136,7 +131,7 @@ pub struct CompiledAct {
 
 impl CompiledAct {
     /// The model state after the act (equals the pre-state for no-ops).
-    pub fn end(&self, start: PState) -> PState {
+    pub(crate) fn end(&self, start: PState) -> PState {
         self.steps.last().map_or(start, |&(_, _, post)| post)
     }
 }
@@ -160,7 +155,7 @@ fn push(
 
 /// The shadow state a product state projects to (the paper's Figure 2
 /// grid the attack taxonomy targets).
-pub fn shadow_of(s: PState) -> ShadowState {
+pub(crate) fn shadow_of(s: PState) -> ShadowState {
     ShadowState::from_flags(s.src.online(), s.bound.is_some())
 }
 
@@ -175,7 +170,7 @@ fn atk_mcact(step: AtkStep) -> McAct {
 
 /// Compiles `act` in state `s`. `None` when the act is illegal there;
 /// otherwise the compiled steps (possibly empty for model no-ops).
-pub fn compile_act(design: &VendorDesign, s: PState, act: Act) -> Option<CompiledAct> {
+pub(crate) fn compile_act(design: &VendorDesign, s: PState, act: Act) -> Option<CompiledAct> {
     let mut cur = s;
     let mut steps = Vec::new();
     let ok = match act {
@@ -262,7 +257,7 @@ pub fn compile_seq(design: &VendorDesign, acts: &[Act]) -> Option<Vec<CompiledAc
 }
 
 /// The acts legal in state `s`, in canonical order.
-pub fn legal_acts(design: &VendorDesign, s: PState) -> Vec<Act> {
+pub(crate) fn legal_acts(design: &VendorDesign, s: PState) -> Vec<Act> {
     Act::all()
         .into_iter()
         .filter(|&act| compile_act(design, s, act).is_some())

@@ -2,7 +2,7 @@
 //!
 //! Generation is rejection-free: at every position the generator asks
 //! the DSL which acts are legal in the current model state
-//! ([`crate::dsl::legal_acts`]) and picks one uniformly with the
+//! (`crate::dsl::legal_acts`) and picks one uniformly with the
 //! deterministic [`SimRng`]. Each run forks its own stream from the
 //! campaign seed and the run index, so runs are independent of one
 //! another and the whole corpus is a pure function of `(seed, runs,

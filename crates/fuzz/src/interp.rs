@@ -49,20 +49,6 @@ fn drive(
     Ok(states)
 }
 
-/// Interprets `acts` live in a fresh world, asserting the cloud against
-/// the model after every product step. Returns the model trajectory
-/// (initial state first).
-///
-/// # Errors
-///
-/// Returns a description of the first divergence: an illegal sequence,
-/// an act the simulator could not realize, or a cloud state that does
-/// not match the product machine.
-pub fn interpret(design: &VendorDesign, acts: &[Act]) -> Result<Vec<PState>, String> {
-    let mut session = LiveSession::new(design)?;
-    drive(design, &mut session, acts)
-}
-
 /// Validates one shrunk finding end to end: interprets the minimal
 /// witness live and then asserts the violated property against the real
 /// simulated world (stale-session acceptance is a model-only predicate

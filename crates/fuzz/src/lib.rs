@@ -23,14 +23,14 @@
 //!   stale-session) and the fuzzer⇔checker `RB013` cross-check;
 //! * [`shrink`] — `ddmin` reduction of a violating run to a 1-minimal
 //!   failing interleaving;
-//! * [`adapt`] — Table III classification of minimal witnesses back to
+//! * `adapt` — Table III classification of minimal witnesses back to
 //!   attack cells, cross-validated against the static analyzer;
 //! * [`campaign`] — the deterministic generate→judge→shrink→classify
 //!   loop with coverage and corpus-digest accounting;
 //! * [`interp`] — live interpretation of (minimal) interleavings onto a
 //!   simulated world via the checker's replay machinery.
 
-pub mod adapt;
+mod adapt;
 pub mod campaign;
 pub mod dsl;
 pub mod gen;
@@ -40,5 +40,5 @@ pub mod shrink;
 
 pub use campaign::{run_campaign, Finding, FuzzConfig, FuzzReport};
 pub use dsl::Act;
-pub use interp::{interpret, validate_finding};
-pub use shrink::{is_one_minimal, shrink as shrink_acts, Shrunk};
+pub use interp::validate_finding;
+pub use shrink::{is_one_minimal, Shrunk};

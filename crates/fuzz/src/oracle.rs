@@ -25,7 +25,7 @@ use rb_mc::model::{self, McAct, PState};
 /// The properties the transition `pre --act--> post` violates, in
 /// [`Property::ALL`] order. `traps` is [`rb_mc::explore::trap_states`]
 /// for the same design.
-pub fn check_step(
+pub(crate) fn check_step(
     design: &VendorDesign,
     traps: &[bool],
     pre: PState,

@@ -25,7 +25,7 @@ pub struct Shrunk {
     /// The 1-minimal violating sequence.
     pub minimal: Vec<Act>,
     /// Candidate sequences evaluated while reducing.
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 /// Reduces `acts` — which must violate `property` — to a 1-minimal

@@ -6,7 +6,7 @@
 //! can compare output byte-for-byte.
 //!
 //! JSON is produced by hand (this workspace carries no JSON serializer);
-//! [`json_escape`] covers the control characters, quotes, and backslashes
+//! `json_escape` covers the control characters, quotes, and backslashes
 //! RFC 8259 requires.
 
 use crate::diagnostic::{Diagnostic, LintReport, RuleId, Severity};
@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 /// Escapes a string for inclusion in a JSON string literal (without the
 /// surrounding quotes).
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -5,13 +5,13 @@
 //! cross-check use, so one SARIF log (via [`rb_lint::emit`]) carries all
 //! three tool families.
 //!
-//! [`cross_check`] is the repo's strongest internal-consistency gate. For
+//! [`verify_design`] runs the repo's strongest internal-consistency gate. For
 //! every design it requires four independently implemented semantics to
 //! agree:
 //!
 //! 1. **MC ⇔ closed-form expectation** — each property verdict must match
 //!    the design-predicate formula derived from the paper's reasoning
-//!    ([`expected`]).
+//!    (`expected`).
 //! 2. **MC ⇔ bounded checker** — the product machine refines
 //!    [`rb_core::spec`]: the three shared safety properties must get the
 //!    same verdict from both explorers.
@@ -38,23 +38,23 @@ use serde::{Deserialize, Serialize};
 /// The closed-form expectation for each property, derived from the
 /// design predicates the paper's reasoning justifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Expected {
+pub(crate) struct Expected {
     /// ATTACKER-BOUND ⇔ the binding message is forgeable.
-    pub attacker_bound: bool,
+    pub(crate) attacker_bound: bool,
     /// ATTACKER-CONTROL ⇔ forgeable bind ∧ the control verdict is
     /// `Relayed`.
-    pub attacker_control: bool,
+    pub(crate) attacker_control: bool,
     /// USER-DISCONNECT ⇔ some A3 variant or A4-1 is feasible.
-    pub user_disconnect: bool,
+    pub(crate) user_disconnect: bool,
     /// REBIND-LIVELOCK ⇔ forgeable bind ∧ sticky cloud ∧ every honest
     /// escape hatch closed.
-    pub rebind_livelock: bool,
+    pub(crate) rebind_livelock: bool,
 }
 
 impl Expected {
     /// The expected verdict for `property` (STALE-SESSION is expected
     /// unreachable everywhere).
-    pub fn of(self, property: Property) -> bool {
+    pub(crate) fn of(self, property: Property) -> bool {
         match property {
             Property::AttackerBound => self.attacker_bound,
             Property::AttackerControl => self.attacker_control,
@@ -76,7 +76,7 @@ pub const DISCONNECT_ATTACKS: [AttackId; 5] = [
 ];
 
 /// Computes the closed-form expectation for one design.
-pub fn expected(design: &VendorDesign) -> Expected {
+pub(crate) fn expected(design: &VendorDesign) -> Expected {
     let analysis = analyze(design);
     let relayed = design.hijack_yields_control();
     // Honest escape hatches out of an attacker-held binding: an
@@ -99,7 +99,7 @@ pub fn expected(design: &VendorDesign) -> Expected {
 /// Converts a model-checking report into the shared diagnostic model: one
 /// `Error` finding per violated property, carrying the minimal witness in
 /// the message and the feasible attacks the property corresponds to.
-pub fn to_lint_report(design: &VendorDesign, mc: &McReport) -> LintReport {
+pub(crate) fn to_lint_report(design: &VendorDesign, mc: &McReport) -> LintReport {
     let analysis = analyze(design);
     let diagnostics = mc
         .violations()
@@ -269,20 +269,20 @@ pub fn verify_design(design: &VendorDesign, threads: usize) -> Verification {
     }
 }
 
-/// Cross-checks every design in `designs`; returns all disagreements.
-/// Empty means the model checker, the bounded checker, the static
-/// analyzer, and the linter agree everywhere.
-pub fn cross_check(designs: &[VendorDesign], threads: usize) -> Vec<Diagnostic> {
-    designs
-        .iter()
-        .flat_map(|d| verify_design(d, threads).disagreements)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rb_core::vendors::*;
+
+    // Cross-checks every design in `designs`; returns all disagreements.
+    // Empty means the model checker, the bounded checker, the static
+    // analyzer, and the linter agree everywhere.
+    fn cross_check(designs: &[VendorDesign], threads: usize) -> Vec<Diagnostic> {
+        designs
+            .iter()
+            .flat_map(|d| verify_design(d, threads).disagreements)
+            .collect()
+    }
 
     #[test]
     fn the_ten_vendors_verify_consistently() {

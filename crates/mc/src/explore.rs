@@ -93,7 +93,7 @@ impl fmt::Display for Property {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct McReport {
     /// The design's vendor name.
-    pub vendor: String,
+    pub(crate) vendor: String,
     /// Reachable product states.
     pub reachable: usize,
     /// Transitions taken between reachable states (including accepted
@@ -102,16 +102,16 @@ pub struct McReport {
     /// BFS depth of the reachable graph (longest minimal path).
     pub depth: usize,
     /// Minimal trace to a state where the attacker holds the binding.
-    pub attacker_bound: Option<Vec<McAct>>,
+    pub(crate) attacker_bound: Option<Vec<McAct>>,
     /// Minimal trace to a state where the attacker controls the device.
     pub attacker_control: Option<Vec<McAct>>,
     /// Minimal trace whose last action adversarially destroys an
     /// established user binding.
-    pub user_disconnect: Option<Vec<McAct>>,
+    pub(crate) user_disconnect: Option<Vec<McAct>>,
     /// Minimal trace to a state accepting a stale session token.
-    pub stale_session: Option<Vec<McAct>>,
+    pub(crate) stale_session: Option<Vec<McAct>>,
     /// Minimal trace to a trap state honest actions cannot escape.
-    pub rebind_livelock: Option<Vec<McAct>>,
+    pub(crate) rebind_livelock: Option<Vec<McAct>>,
     /// The device-shadow edges (pre-state, primitive) the exploration
     /// exercised, out of the 4x4 grid of Figure 2.
     pub shadow_edges: BTreeSet<(ShadowState, Primitive)>,
@@ -147,14 +147,6 @@ impl McReport {
     pub fn shadow_coverage_percent(&self) -> f64 {
         self.shadow_edges.len() as f64 * 100.0
             / (ShadowState::ALL.len() * Primitive::ALL.len()) as f64
-    }
-
-    /// The paper's circled Figure 2 labels among the covered edges.
-    pub fn labeled_edges(&self) -> BTreeSet<u8> {
-        self.shadow_edges
-            .iter()
-            .filter_map(|&(s, p)| s.transition_label(p))
-            .collect()
     }
 }
 
@@ -384,6 +376,16 @@ pub fn explore(design: &VendorDesign, threads: usize) -> McReport {
 mod tests {
     use super::*;
     use rb_core::vendors::*;
+
+    impl McReport {
+        // The paper's circled Figure 2 labels among the covered edges.
+        fn labeled_edges(&self) -> BTreeSet<u8> {
+            self.shadow_edges
+                .iter()
+                .filter_map(|&(s, p)| s.transition_label(p))
+                .collect()
+        }
+    }
 
     #[test]
     fn reports_are_identical_at_any_thread_count() {

@@ -24,7 +24,7 @@
 //!   passes when the check is absent). The reset channel needs bare
 //!   `Unbind:DevId` to exist — the message a factory reset emits, which
 //!   the home can reproduce without wiping the device.
-//! * **Session staleness is tracked.** The [`PState::atk_stale`] bit
+//! * **Session staleness is tracked.** The `PState::atk_stale` bit
 //!   records that the attacker still holds a session token minted under a
 //!   binding epoch that has since been revoked or replaced, which is what
 //!   the NO-STALE-ACCEPT invariant quantifies over.
@@ -48,13 +48,13 @@ pub struct PState {
     pub bound: Option<Party>,
     /// Whose bind minted the current binding-session token (post-binding
     /// designs only).
-    pub binding_session: Option<Party>,
+    pub(crate) binding_session: Option<Party>,
     /// Whose mint the *real device* currently presents (the token travels
     /// only over the LAN, so only the user can refresh it).
-    pub device_token: Option<Party>,
+    pub(crate) device_token: Option<Party>,
     /// The attacker retains a session token minted under a binding epoch
     /// that was later revoked or replaced.
-    pub atk_stale: bool,
+    pub(crate) atk_stale: bool,
 }
 
 impl PState {
@@ -102,7 +102,7 @@ impl PState {
 
     /// Inverts [`PState::key`]; returns `None` for keys that use a spare
     /// encoding (the party fields pack three values into two bits).
-    pub fn from_key(key: u16) -> Option<Self> {
+    pub(crate) fn from_key(key: u16) -> Option<Self> {
         fn party(bits: u16) -> Option<Option<Party>> {
             match bits {
                 0 => Some(None),
@@ -174,20 +174,12 @@ impl McAct {
     /// The honest actions — what the user and their device can do without
     /// the attacker's cooperation. Liveness is checked under fairness of
     /// exactly these.
-    pub const HONEST: [McAct; 4] = [
+    pub(crate) const HONEST: [McAct; 4] = [
         McAct::DevRegister,
         McAct::DevOffline,
         McAct::UserBind,
         McAct::UserUnbind,
     ];
-
-    /// Whether the action is adversarial.
-    pub fn is_adversarial(self) -> bool {
-        matches!(
-            self,
-            McAct::AtkRegister | McAct::AtkBind | McAct::AtkUnbindToken | McAct::AtkUnbindBare
-        )
-    }
 
     /// The corresponding abstract action of the bounded checker.
     pub fn spec_act(self) -> spec::Act {

@@ -70,7 +70,6 @@ pub(crate) enum Effect {
 /// simulation RNG.
 pub struct Ctx<'a> {
     pub(crate) now: Tick,
-    pub(crate) self_id: NodeId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) effects: &'a mut Vec<Effect>,
 }
@@ -79,11 +78,6 @@ impl<'a> Ctx<'a> {
     /// The current virtual time.
     pub fn now(&self) -> Tick {
         self.now
-    }
-
-    /// This actor's node id.
-    pub fn id(&self) -> NodeId {
-        self.self_id
     }
 
     /// The simulation RNG (deterministic per seed).
@@ -129,14 +123,12 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: Tick(5),
-            self_id: NodeId(1),
             rng: &mut rng,
             effects: &mut effects,
         };
         ctx.send(Dest::Unicast(NodeId(2)), vec![1]);
         ctx.set_timer(10, 99);
         assert_eq!(ctx.now(), Tick(5));
-        assert_eq!(ctx.id(), NodeId(1));
         assert_eq!(effects.len(), 2);
         match &effects[1] {
             Effect::Timer { fire_at, key } => {
@@ -156,7 +148,6 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: Tick(0),
-            self_id: NodeId(0),
             rng: &mut rng,
             effects: &mut effects,
         };

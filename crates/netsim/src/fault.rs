@@ -147,14 +147,14 @@ impl FaultPlan {
     }
 
     /// Schedules one fault at `at`.
-    pub fn at(mut self, at: u64, fault: Fault) -> Self {
+    pub(crate) fn at(mut self, at: u64, fault: Fault) -> Self {
         self.events.push((Tick(at), fault));
         self
     }
 
     /// Cuts `node`'s WAN uplink at `at` and restores it `down_for` ticks
     /// later (one link flap).
-    pub fn wan_flap(self, node: NodeId, at: u64, down_for: u64) -> Self {
+    pub(crate) fn wan_flap(self, node: NodeId, at: u64, down_for: u64) -> Self {
         self.at(
             at,
             Fault::WanPartition {
@@ -280,15 +280,10 @@ impl FaultPlan {
 
     /// The scheduled events, sorted by time (stable: ties keep insertion
     /// order).
-    pub fn events(&self) -> Vec<(Tick, Fault)> {
+    pub(crate) fn events(&self) -> Vec<(Tick, Fault)> {
         let mut evs = self.events.clone();
         evs.sort_by_key(|(at, _)| *at);
         evs
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 
     /// Whether the plan schedules nothing.
@@ -307,7 +302,7 @@ mod tests {
             .wan_flap(NodeId(1), 100, 50)
             .lan_blackout(LanId(0), 10, 5)
             .crash_restart(NodeId(2), 30, 70);
-        assert_eq!(plan.len(), 6);
+        assert_eq!(plan.events().len(), 6);
         let evs = plan.events();
         // Sorted by tick, pairs preserved.
         assert_eq!(evs[0].0, Tick(10));
@@ -351,7 +346,7 @@ mod tests {
     fn empty_plan() {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
-        assert_eq!(plan.len(), 0);
+        assert_eq!(plan.events().len(), 0);
         assert!(plan.events().is_empty());
     }
 }

@@ -67,7 +67,7 @@ impl LinkQuality {
     }
 
     /// Draws a delivery latency, or `None` if the packet is lost.
-    pub fn sample(&self, rng: &mut SimRng) -> Option<u64> {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> Option<u64> {
         if self.drop_per_mille > 0 && rng.chance(u32::from(self.drop_per_mille), 1000) {
             return None;
         }
@@ -76,7 +76,7 @@ impl LinkQuality {
 
     /// Validates that `latency_min <= latency_max` and the drop rate is a
     /// probability.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.latency_min <= self.latency_max && self.drop_per_mille <= 1000
     }
 }

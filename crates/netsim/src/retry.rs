@@ -20,15 +20,15 @@ use crate::rng::SimRng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Delay before the first retry.
-    pub base: u64,
+    pub(crate) base: u64,
     /// Upper bound on any delay.
     pub cap: u64,
     /// Jitter amplitude as a fraction of the current delay, in per-mille
     /// (values above 1000 are treated as 1000 to keep the schedule
     /// monotone).
-    pub jitter_per_mille: u16,
+    pub(crate) jitter_per_mille: u16,
     /// Maximum number of retries before the caller should give up.
-    pub budget: u32,
+    pub(crate) budget: u32,
 }
 
 impl RetryPolicy {
@@ -57,7 +57,7 @@ impl RetryPolicy {
 
     /// The delay before retry `attempt` (0-based), with jitter drawn from
     /// `rng`.
-    pub fn delay(&self, attempt: u32, rng: &mut SimRng) -> u64 {
+    pub(crate) fn delay(&self, attempt: u32, rng: &mut SimRng) -> u64 {
         let shift = attempt.min(62);
         let raw = self
             .base
@@ -87,18 +87,13 @@ impl Retry {
         Retry { policy, attempt: 0 }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Retries consumed since the last reset.
     pub fn attempts(&self) -> u32 {
         self.attempt
     }
 
     /// Whether the budget is spent.
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.attempt >= self.policy.budget
     }
 

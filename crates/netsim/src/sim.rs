@@ -75,11 +75,11 @@ pub struct NodeConfig {
     /// Human-readable name for traces. Interned behind an `Arc`: cloning a
     /// config (or the fleet engine building thousands of homes) shares one
     /// allocation per name instead of copying the string.
-    pub name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// LAN membership, if any.
-    pub lan: Option<LanId>,
+    pub(crate) lan: Option<LanId>,
     /// Whether the node can reach the WAN.
-    pub wan: bool,
+    pub(crate) wan: bool,
 }
 
 impl NodeConfig {
@@ -256,12 +256,6 @@ impl Simulation {
         }
     }
 
-    /// The simulation's telemetry handle (clone it to share the registry
-    /// with actors and experiment harnesses).
-    pub fn telemetry(&self) -> &Telemetry {
-        self.metrics.telemetry()
-    }
-
     /// Replaces the telemetry handle so several components can record into
     /// one externally owned registry. Call before the first event runs;
     /// metrics recorded into the previous handle are not migrated.
@@ -294,20 +288,6 @@ impl Simulation {
         self.trace.as_deref().unwrap_or(&[])
     }
 
-    /// Appends a free-form note to the trace.
-    pub fn note(&mut self, node: NodeId, text: impl Into<String>) {
-        let at = self.now;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEntry {
-                at,
-                event: TraceEvent::Note {
-                    node,
-                    text: text.into(),
-                },
-            });
-        }
-    }
-
     /// Registers a node and schedules its [`Actor::on_start`] at the
     /// current instant. Returns the new node's id.
     pub fn add_node(&mut self, config: NodeConfig, actor: Box<dyn Actor>) -> NodeId {
@@ -327,16 +307,6 @@ impl Simulation {
     /// The current virtual time.
     pub fn now(&self) -> Tick {
         self.now
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The configured name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.nodes[id.0 as usize].config.name
     }
 
     /// Immutable access to a node's actor, downcast to its concrete type.
@@ -391,7 +361,7 @@ impl Simulation {
 
     /// Partitions (or heals) a whole LAN: local unicast and broadcast on it
     /// fail while partitioned. WAN uplinks of its members are unaffected.
-    pub fn partition_lan(&mut self, lan: LanId, partitioned: bool) {
+    pub(crate) fn partition_lan(&mut self, lan: LanId, partitioned: bool) {
         if partitioned {
             self.partitioned_lans.insert(lan);
         } else {
@@ -414,7 +384,7 @@ impl Simulation {
     }
 
     /// Overrides (or restores) the WAN quality.
-    pub fn set_wan_quality(&mut self, quality: Option<LinkQuality>) {
+    pub(crate) fn set_wan_quality(&mut self, quality: Option<LinkQuality>) {
         if let Some(q) = quality {
             assert!(q.is_valid(), "invalid wan quality override");
         }
@@ -423,7 +393,12 @@ impl Simulation {
 
     /// Overrides (or restores) the quality of the directed path
     /// `from -> to`. Takes precedence over LAN/WAN overrides.
-    pub fn set_pair_quality(&mut self, from: NodeId, to: NodeId, quality: Option<LinkQuality>) {
+    pub(crate) fn set_pair_quality(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        quality: Option<LinkQuality>,
+    ) {
         match quality {
             Some(q) => {
                 assert!(q.is_valid(), "invalid pair quality override");
@@ -438,7 +413,7 @@ impl Simulation {
     /// Sets the delivery-chaos knobs (duplication/reordering); all zeros
     /// turns chaos off. With the knobs at zero no extra RNG draws are made,
     /// so enabling chaos never perturbs unrelated runs.
-    pub fn set_chaos(
+    pub(crate) fn set_chaos(
         &mut self,
         dup_per_mille: u16,
         reorder_per_mille: u16,
@@ -522,15 +497,8 @@ impl Simulation {
     /// Runs the event loop until virtual time reaches `until` (inclusive of
     /// events at `until`). The clock is left at `until`.
     pub fn run_until(&mut self, until: Tick) {
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if ev.at > until {
-                // Beyond the horizon: put it back for a later run.
-                self.queue.push(Reverse(ev));
-                break;
-            }
-            let gap = ev.at.as_u64().saturating_sub(self.now.as_u64());
-            self.now = ev.at;
-            self.dispatch_profiled(ev, gap);
+        while self.queue.peek().is_some_and(|Reverse(ev)| ev.at <= until) {
+            self.step();
         }
         if self.now < until {
             self.now = until;
@@ -544,7 +512,7 @@ impl Simulation {
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some(Reverse(ev)) => {
                 let gap = ev.at.as_u64().saturating_sub(self.now.as_u64());
@@ -682,7 +650,6 @@ impl Simulation {
             let node = &mut self.nodes[id.0 as usize];
             let mut ctx = Ctx {
                 now: self.now,
-                self_id: id,
                 rng: &mut self.rng,
                 effects: &mut effects,
             };
@@ -1244,7 +1211,7 @@ mod tests {
     fn step_processes_one_event_at_a_time() {
         let mut sim = perfect_sim(9);
         let sink = sim.add_node(NodeConfig::wan_only("sink"), Box::new(Sink::new()));
-        let src = sim.add_node(
+        sim.add_node(
             NodeConfig::wan_only("src"),
             Box::new(OneShot {
                 dest: Dest::Unicast(sink),
@@ -1257,8 +1224,6 @@ mod tests {
         assert!(sim.step());
         assert!(!sim.step());
         assert_eq!(sim.actor::<Sink>(sink).unwrap().received.len(), 1);
-        assert_eq!(sim.node_name(src), "src");
-        assert_eq!(sim.node_count(), 2);
     }
 
     #[test]
@@ -1275,8 +1240,8 @@ mod tests {
         struct SelfSender;
         impl Actor for SelfSender {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let me = ctx.id();
-                ctx.send(Dest::Unicast(me), vec![1]);
+                // The only node, so the first id.
+                ctx.send(Dest::Unicast(NodeId(0)), vec![1]);
             }
         }
         sim.enable_trace();
@@ -1343,14 +1308,22 @@ mod tests {
 
     #[test]
     fn note_appears_in_trace() {
+        // An actor's free-form annotation is a mark; one made at start
+        // lands in the trace as a causal root.
+        struct Noter;
+        impl Actor for Noter {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.mark("hello");
+            }
+        }
         let mut sim = perfect_sim(12);
         sim.enable_trace();
-        let n = sim.add_node(NodeConfig::wan_only("n"), Box::new(Sink::new()));
-        sim.note(n, "hello");
-        assert!(sim
-            .trace()
-            .iter()
-            .any(|e| matches!(&e.event, TraceEvent::Note { text, .. } if text == "hello")));
+        sim.add_node(NodeConfig::wan_only("n"), Box::new(Noter));
+        sim.run_until(Tick(1));
+        assert!(sim.trace().iter().any(|e| matches!(
+            &e.event,
+            TraceEvent::Mark { text, ctx, .. } if text == "hello" && ctx.is_root()
+        )));
     }
 
     /// Sends one payload to `dest` every `every` ticks, forever.
@@ -1450,6 +1423,8 @@ mod tests {
     #[test]
     fn unappliable_faults_are_rejected_not_panicked_on() {
         let mut sim = perfect_sim(35);
+        let tele = Telemetry::new();
+        sim.set_telemetry(tele.clone());
         let n = sim.add_node(NodeConfig::wan_only("n"), Box::new(Sink::new()));
         sim.enable_trace();
         let ghost = NodeId(7);
@@ -1496,7 +1471,6 @@ mod tests {
                 .at(7, Fault::Crash { node: n }),
         );
         sim.run_until(Tick(10));
-        let tele = sim.telemetry();
         assert_eq!(tele.counter("sim_faults_rejected_total"), 7);
         assert_eq!(tele.counter("sim_faults_injected_total"), 1);
         assert_eq!(sim.actor::<Sink>(n).unwrap().power_events, vec![false]);
@@ -1588,22 +1562,21 @@ mod tests {
     #[test]
     fn actor_mut_calls_in_one_gap_share_one_wake_at_now_plus_one() {
         let mut sim = perfect_sim(40);
+        let tele = Telemetry::new();
+        sim.set_telemetry(tele.clone());
         let n = sim.add_node(
             NodeConfig::wan_only("n"),
             Box::new(Sleeper { woke: Vec::new() }),
         );
         sim.set_profiler(Profiler::new());
         sim.run_until(Tick(10));
-        let events_before = sim.telemetry().counter("sim_events_total");
+        let events_before = tele.counter("sim_events_total");
         for _ in 0..3 {
             sim.actor_mut::<Sleeper>(n).unwrap();
         }
         sim.run_until(Tick(50));
         assert_eq!(sim.actor::<Sleeper>(n).unwrap().woke, vec![Tick(11)]);
-        assert_eq!(
-            sim.telemetry().counter("sim_events_total") - events_before,
-            1
-        );
+        assert_eq!(tele.counter("sim_events_total") - events_before, 1);
         let wakes: Vec<(String, u64)> = sim
             .profiler()
             .snapshot()

@@ -107,13 +107,6 @@ pub enum TraceEvent {
         /// New state.
         powered: bool,
     },
-    /// A free-form annotation emitted by an actor or the harness.
-    Note {
-        /// Node the note concerns.
-        node: NodeId,
-        /// Text of the note.
-        text: String,
-    },
     /// A structured, causally-attributed annotation emitted by an actor
     /// via `Ctx::mark` — the forensic breadcrumbs (rpc outcomes, shadow
     /// transitions, pushes) that `rb-forensics` reconstructs attacks from.
@@ -185,7 +178,6 @@ impl fmt::Display for TraceEntry {
                     if *powered { "on" } else { "off" }
                 )
             }
-            TraceEvent::Note { node, text } => write!(f, "{} {node} note: {text}", self.at),
             TraceEvent::Mark { node, text, ctx } => {
                 write!(f, "{} {node} mark: {text} [{ctx}]", self.at)
             }

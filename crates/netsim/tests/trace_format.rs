@@ -90,16 +90,6 @@ fn exemplars() -> Vec<(TraceEntry, &'static str)> {
         ),
         (
             TraceEntry {
-                at: Tick(60),
-                event: TraceEvent::Note {
-                    node: NodeId(2),
-                    text: "button pressed".to_string(),
-                },
-            },
-            "t60 n2 note: button pressed",
-        ),
-        (
-            TraceEntry {
                 at: Tick(61),
                 event: TraceEvent::Mark {
                     node: NodeId(0),

@@ -25,8 +25,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rb_telemetry::Telemetry;
-
 static ALLOCS_TOTAL: AtomicU64 = AtomicU64::new(0);
 static BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -108,26 +106,12 @@ pub struct AllocStats {
 impl AllocStats {
     /// The counters right now (process-wide peak). All zeros when
     /// [`CountingAlloc`] is not installed as the global allocator.
-    pub fn current() -> Self {
+    pub(crate) fn current() -> Self {
         AllocStats {
             allocs_total: ALLOCS_TOTAL.load(Ordering::Relaxed),
             bytes_total: BYTES_TOTAL.load(Ordering::Relaxed),
             live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
             peak_live_bytes: PEAK_LIVE.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Exports the reading as telemetry gauges: `prof_alloc_peak_bytes`,
-    /// `prof_allocs_total`, `prof_alloc_bytes_total` (saturating into the
-    /// gauge's `i64` range).
-    pub fn export_gauges(&self, telemetry: &Telemetry) {
-        let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        for (name, value) in [
-            ("prof_alloc_peak_bytes", self.peak_live_bytes),
-            ("prof_allocs_total", self.allocs_total),
-            ("prof_alloc_bytes_total", self.bytes_total),
-        ] {
-            telemetry.register_gauge(name).set(clamp(value));
         }
     }
 }
@@ -191,16 +175,5 @@ mod tests {
         drop(v);
         let after = AllocStats::current();
         assert!(after.live_bytes < stats.peak_live_bytes);
-    }
-
-    #[test]
-    fn gauges_export_under_prof_names() {
-        let tele = Telemetry::new();
-        let _keep = vec![0u8; 1024];
-        AllocStats::current().export_gauges(&tele);
-        let snap = tele.snapshot();
-        assert!(snap.gauge("prof_alloc_peak_bytes").unwrap() > 0);
-        assert!(snap.gauge("prof_allocs_total").unwrap() > 0);
-        assert!(snap.gauge("prof_alloc_bytes_total").unwrap() > 0);
     }
 }

@@ -19,12 +19,12 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Times the phase was entered (or tallied).
-    pub count: u64,
+    pub(crate) count: u64,
     /// Total simulated ticks attributed to the phase, children included.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
     /// Wall nanoseconds, recorded only in wall-clock mode. Machine
     /// dependent: never part of the deterministic exports.
-    pub wall_nanos: u64,
+    pub(crate) wall_nanos: u64,
 }
 
 /// One exported phase: the full path plus its stats and self time.
@@ -219,20 +219,6 @@ impl Profiler {
             totals: t.totals.clone(),
         })
     }
-
-    /// Folds a snapshot into this profiler's tree, path by path. Sums are
-    /// commutative, so merging per-cell profiles in slot order yields the
-    /// same bytes at any thread count.
-    pub fn absorb(&self, profile: &PhaseProfile) {
-        if !self.enabled {
-            return;
-        }
-        self.with(|t| {
-            for (path, stat) in &profile.totals {
-                t.add(path, stat.count, stat.ticks, stat.wall_nanos);
-            }
-        });
-    }
 }
 
 /// An immutable phase tree: the exportable product of a profiling run.
@@ -242,11 +228,6 @@ pub struct PhaseProfile {
 }
 
 impl PhaseProfile {
-    /// Whether any phase was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.totals.is_empty()
-    }
-
     /// Folds `other` into this profile, path by path.
     pub fn merge(&mut self, other: &PhaseProfile) {
         for (path, stat) in &other.totals {
@@ -385,7 +366,7 @@ mod tests {
         let tok = p.enter("x", 0);
         p.tally("y", 9);
         p.exit(tok, 100);
-        assert!(p.snapshot().is_empty());
+        assert!(p.snapshot().entries().is_empty());
     }
 
     #[test]
@@ -400,11 +381,6 @@ mod tests {
         merged.merge(&b.snapshot());
         let entries = merged.entries();
         assert_eq!((entries[0].count, entries[0].ticks), (2, 42));
-        // absorb() produces the same totals going through a Profiler.
-        let c = Profiler::new();
-        c.absorb(&a.snapshot());
-        c.absorb(&b.snapshot());
-        assert_eq!(c.snapshot(), merged);
     }
 
     #[test]

@@ -16,9 +16,9 @@ use crate::ProvisionError;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeviceLabel {
     /// The device's identifier, exactly as printed.
-    pub dev_id: DevId,
+    pub(crate) dev_id: DevId,
     /// A 4-digit pairing code some vendors print next to the ID.
-    pub pairing_code: u16,
+    pub(crate) pairing_code: u16,
 }
 
 impl DeviceLabel {
@@ -92,7 +92,7 @@ fn check_char(body: &str) -> char {
 
 /// Parses the `short()` rendering of a [`DevId`] back into the value —
 /// the inverse of [`DevId::short`] for the label use case.
-pub fn parse_dev_id(s: &str) -> Result<DevId, ProvisionError> {
+pub(crate) fn parse_dev_id(s: &str) -> Result<DevId, ProvisionError> {
     if let Some(mac) = s.strip_prefix("mac:") {
         let parts: Vec<&str> = mac.split(':').collect();
         if parts.len() != 6 {

@@ -16,9 +16,9 @@ pub struct WifiCredentials {
 
 impl WifiCredentials {
     /// Maximum SSID length per IEEE 802.11.
-    pub const MAX_SSID: usize = 32;
+    pub(crate) const MAX_SSID: usize = 32;
     /// Maximum WPA2 passphrase length.
-    pub const MAX_PSK: usize = 63;
+    pub(crate) const MAX_PSK: usize = 63;
 
     /// Creates credentials, truncating over-long fields to their 802.11
     /// limits.
@@ -31,12 +31,12 @@ impl WifiCredentials {
     }
 
     /// The network name.
-    pub fn ssid(&self) -> &str {
+    pub(crate) fn ssid(&self) -> &str {
         &self.ssid
     }
 
     /// The pre-shared key.
-    pub fn psk(&self) -> &str {
+    pub(crate) fn psk(&self) -> &str {
         &self.psk
     }
 }

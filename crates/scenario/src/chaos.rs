@@ -78,14 +78,6 @@ impl ChaosProfile {
                 .degrade_lan(home.lan, 20_000, 25_000, LinkQuality::degraded()),
         }
     }
-
-    /// A *benign* variant of the plan: mild duplication/reordering and a
-    /// brief quality dip — disturbances that change packet timing but must
-    /// not change any Table III attack outcome.
-    pub fn benign(world: &World) -> FaultPlan {
-        let _ = world;
-        FaultPlan::new().chaos_window(100, 100_000, 150, 100, 2)
-    }
 }
 
 impl std::fmt::Display for ChaosProfile {

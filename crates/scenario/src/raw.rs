@@ -19,7 +19,7 @@ use rb_netsim::{Actor, Ctx, Dest, NodeId};
 pub struct RawEndpoint {
     outbox: VecDeque<(Dest, Bytes)>,
     /// Everything received: `(sender, payload)`.
-    pub inbox: Vec<(NodeId, Bytes)>,
+    pub(crate) inbox: Vec<(NodeId, Bytes)>,
 }
 
 impl RawEndpoint {

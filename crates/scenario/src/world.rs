@@ -17,7 +17,7 @@ use rb_wire::tokens::{UserId, UserPw};
 #[derive(Debug, Clone)]
 pub struct Home {
     /// The home LAN.
-    pub lan: LanId,
+    pub(crate) lan: LanId,
     /// The companion app's node.
     pub app: NodeId,
     /// The device's node.
@@ -314,7 +314,7 @@ pub struct World {
 impl World {
     /// The seed this world was built from (runs are pure functions of
     /// `(design, seed)`, so captures carry it for reproduction).
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 

@@ -13,7 +13,7 @@ use std::fmt;
 /// latencies this stack produces: LAN hops are single-digit ticks, WAN
 /// round-trips tens, retry backoff hundreds-to-thousands, heartbeat and
 /// expiry windows tens of thousands.
-pub const TICK_BUCKETS: [u64; 16] = [
+pub(crate) const TICK_BUCKETS: [u64; 16] = [
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
 ];
 
@@ -38,7 +38,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram over [`TICK_BUCKETS`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             counts: [0; TICK_BUCKETS.len() + 1],
             count: 0,
@@ -49,7 +49,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
+    pub(crate) fn observe(&mut self, value: u64) {
         let idx = TICK_BUCKETS
             .iter()
             .position(|&b| value <= b)
@@ -67,12 +67,12 @@ impl Histogram {
     }
 
     /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
@@ -84,7 +84,7 @@ impl Histogram {
     /// The `num/den` quantile as the upper bound of the bucket holding
     /// that rank — integer arithmetic, deterministic. The overflow bucket
     /// reports the exact tracked `max`. Returns `None` when empty.
-    pub fn quantile(&self, num: u64, den: u64) -> Option<u64> {
+    pub(crate) fn quantile(&self, num: u64, den: u64) -> Option<u64> {
         if self.count == 0 || den == 0 {
             return None;
         }
@@ -119,7 +119,7 @@ impl Histogram {
     }
 
     /// Folds another histogram into this one (same fixed bounds).
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -131,7 +131,7 @@ impl Histogram {
 
     /// Cumulative `(upper-bound-label, count)` pairs in Prometheus
     /// `le`-label order, ending with `("+Inf", total)`.
-    pub fn cumulative_buckets(&self) -> Vec<(String, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(String, u64)> {
         let mut out = Vec::with_capacity(self.counts.len());
         let mut cum = 0;
         for (idx, &c) in self.counts.iter().enumerate() {

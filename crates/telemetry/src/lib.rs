@@ -31,8 +31,8 @@
 //!   that member's first record.
 //! * [`span!`] — ergonomic span opening:
 //!   `span!(tele, now, "bind", device = id, user = uid)`.
-//! * Exporters — [`Registry::to_json`], [`Registry::to_prometheus`],
-//!   [`Registry::render_human`].
+//! * Exporters — `Registry::to_json`, `Registry::to_prometheus`,
+//!   `Registry::render_human`.
 //!
 //! ## Metric naming
 //!
@@ -46,7 +46,7 @@ mod histogram;
 mod registry;
 
 pub use handle::{Counter, CounterTable, Gauge, Handles};
-pub use histogram::{Histogram, TICK_BUCKETS};
+pub use histogram::Histogram;
 pub use registry::{Registry, SpanId, SpanRecord};
 
 use std::sync::{Arc, Mutex, PoisonError};
@@ -191,7 +191,7 @@ impl Telemetry {
         }
     }
 
-    /// Opens a span; see [`Registry::start_span`]. On a disabled handle
+    /// Opens a span; see `Registry::start_span`. On a disabled handle
     /// no span is stored and the returned id is dead.
     pub fn start_span(&self, name: &str, attrs: &[(&str, String)], now: u64) -> SpanId {
         if self.enabled {
@@ -201,7 +201,7 @@ impl Telemetry {
         }
     }
 
-    /// Closes a span; see [`Registry::end_span`].
+    /// Closes a span; see `Registry::end_span`.
     pub fn end_span(&self, id: SpanId, now: u64) {
         if self.enabled {
             self.with(|r| r.end_span(id, now));
@@ -209,7 +209,7 @@ impl Telemetry {
     }
 
     /// Records one occurrence of tick-rate series `name` at tick `at`;
-    /// see [`Registry::rate_event`].
+    /// see `Registry::rate_event`.
     pub fn rate_event(&self, name: &str, at: u64) {
         if self.enabled {
             self.with(|r| r.rate_event(name, at));
@@ -217,16 +217,10 @@ impl Telemetry {
     }
 
     /// The sliding-window rate of series `name` over the `window_ticks`
-    /// window ending at the series' latest event; see [`Registry::rate`].
+    /// window ending at the series' latest event; see `Registry::rate`.
     /// Reads work on disabled handles too (they just see zero).
     pub fn rate(&self, name: &str, window_ticks: u64) -> u64 {
         self.with(|r| r.rate(name, window_ticks))
-    }
-
-    /// The sliding-window rate of series `name` as of an explicit tick;
-    /// see [`Registry::rate_at`].
-    pub fn rate_at(&self, name: &str, window_ticks: u64, now: u64) -> u64 {
-        self.with(|r| r.rate_at(name, window_ticks, now))
     }
 
     /// A deep copy of the registry at this instant — the unit benches and
@@ -351,7 +345,7 @@ mod tests {
         on.rate_event("binds", 10);
         on.rate_event("binds", 20);
         assert_eq!(on.rate("binds", 15), 2);
-        assert_eq!(on.rate_at("binds", 5, 20), 1);
+        assert_eq!(on.rate("binds", 5), 1);
 
         let off = Telemetry::disabled();
         off.rate_event("binds", 10);

@@ -18,17 +18,17 @@ pub struct SpanId(pub u64);
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Creation-ordered id (`SpanId.0`).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Enclosing span still open when this one started, if any.
-    pub parent: Option<u64>,
+    pub(crate) parent: Option<u64>,
     /// Span name (`"bind"`, `"setup"`, `"attack"`, …).
-    pub name: String,
+    pub(crate) name: String,
     /// Key/value attributes in the order given at open time.
-    pub attrs: Vec<(String, String)>,
+    pub(crate) attrs: Vec<(String, String)>,
     /// Opening tick.
-    pub start: u64,
+    pub(crate) start: u64,
     /// Closing tick (`None` while the span is open).
-    pub end: Option<u64>,
+    pub(crate) end: Option<u64>,
 }
 
 /// Per-device lifecycle bookkeeping behind the binding-latency histograms.
@@ -141,7 +141,7 @@ impl Registry {
     }
 
     /// Records `value` into histogram `name`, creating it on first use.
-    pub fn observe(&mut self, name: &str, value: u64) {
+    pub(crate) fn observe(&mut self, name: &str, value: u64) {
         match self.histograms.get_mut(name) {
             Some(h) => h.observe(value),
             None => {
@@ -157,14 +157,9 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    /// All histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Opens a span at `now`. The innermost still-open span becomes its
     /// parent, which is how spans nest over the flat `TraceEvent` stream.
-    pub fn start_span(&mut self, name: &str, attrs: &[(&str, String)], now: u64) -> SpanId {
+    pub(crate) fn start_span(&mut self, name: &str, attrs: &[(&str, String)], now: u64) -> SpanId {
         let parent = self.open_spans.last().copied();
         self.push_span(name, attrs, now, parent)
     }
@@ -195,7 +190,7 @@ impl Registry {
     /// Closes span `id` at `now`, feeding its duration into the
     /// `span_ticks{name="…"}` histogram. Closing an unknown or already
     /// closed span is a no-op.
-    pub fn end_span(&mut self, id: SpanId, now: u64) {
+    pub(crate) fn end_span(&mut self, id: SpanId, now: u64) {
         let Some(span) = self.spans.get_mut(id.0 as usize) else {
             return;
         };
@@ -271,7 +266,7 @@ impl Registry {
     /// Records one occurrence of `series` at tick `at`. The series backs
     /// the sliding-window [`Registry::rate`] helper; it is kept sorted by
     /// tick (call sites are almost always monotone, so this is an append).
-    pub fn rate_event(&mut self, series: &str, at: u64) {
+    pub(crate) fn rate_event(&mut self, series: &str, at: u64) {
         let ticks = self.rates.entry(series.to_string()).or_default();
         match ticks.last() {
             Some(&last) if last > at => {
@@ -286,7 +281,7 @@ impl Registry {
     /// where `end` is the latest recorded tick — the instantaneous
     /// sliding-window rate at the newest observation. 0 for an empty or
     /// unknown series.
-    pub fn rate(&self, series: &str, window_ticks: u64) -> u64 {
+    pub(crate) fn rate(&self, series: &str, window_ticks: u64) -> u64 {
         match self.rates.get(series).and_then(|t| t.last()) {
             Some(&end) => self.rate_at(series, window_ticks, end),
             None => 0,
@@ -296,7 +291,7 @@ impl Registry {
     /// Events of `series` inside `(now - window_ticks, now]` — the
     /// sliding-window rate as of an explicit tick `now`. A window covering
     /// the whole clock (`window_ticks >= now`) includes tick-0 events.
-    pub fn rate_at(&self, series: &str, window_ticks: u64, now: u64) -> u64 {
+    pub(crate) fn rate_at(&self, series: &str, window_ticks: u64, now: u64) -> u64 {
         let Some(ticks) = self.rates.get(series) else {
             return 0;
         };
@@ -307,11 +302,6 @@ impl Registry {
             ticks.partition_point(|&t| t <= now - window_ticks)
         };
         end.saturating_sub(start) as u64
-    }
-
-    /// Total recorded events of `series` regardless of window.
-    pub fn rate_events_total(&self, series: &str) -> u64 {
-        self.rates.get(series).map_or(0, |t| t.len() as u64)
     }
 
     /// Folds `other`'s counters and histograms into this registry (used by
@@ -345,7 +335,7 @@ impl Registry {
     /// Canonical JSON snapshot: objects keyed in sorted order, spans in
     /// creation order, every string escaped by hand (the workspace `serde`
     /// is a no-op stub). Byte-stable across identical runs.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         let mut first = true;
         for (name, value) in self.counters() {
@@ -425,7 +415,7 @@ impl Registry {
     /// sanitized to the `[a-zA-Z_:][a-zA-Z0-9_:]*` grammar and empty
     /// label sets (`{}`) are dropped, so the export always parses no
     /// matter what keys callers registered.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_family = String::new();
         for (name, value) in self.counters() {
@@ -468,7 +458,7 @@ impl Registry {
 
     /// Two-column human table: every counter and gauge, then one summary
     /// line per histogram (`count/p50/p95/max`).
-    pub fn render_human(&self) -> String {
+    pub(crate) fn render_human(&self) -> String {
         let mut rows: Vec<(String, String)> = Vec::new();
         for (name, value) in self.counters() {
             rows.push((name.to_string(), value.to_string()));
@@ -730,7 +720,6 @@ mod tests {
         // Unknown series and empty windows read as zero.
         assert_eq!(r.rate("missing", 1_000), 0);
         assert_eq!(r.rate_at("binds", 10, 40), 0);
-        assert_eq!(r.rate_events_total("binds"), 5);
     }
 
     #[test]
@@ -752,7 +741,7 @@ mod tests {
         b.rate_event("s", 20);
         a.merge_from(&b);
         assert_eq!(a.rate_at("s", 15, 30), 2); // (15, 30]: 20, 30
-        assert_eq!(a.rate_events_total("s"), 3);
+        assert_eq!(a.rate("s", 1_000), 3);
     }
 
     #[test]

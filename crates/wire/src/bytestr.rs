@@ -57,19 +57,14 @@ impl ByteStr {
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// Whether the string is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// Returns a prefix of at most `max` bytes, cut on a char boundary —
     /// zero-copy (shares this value's backing buffer). Used by bounded
     /// fields like `UserId` to enforce their length cap.
-    pub fn truncated(&self, max: usize) -> ByteStr {
+    pub(crate) fn truncated(&self, max: usize) -> ByteStr {
         if self.len() <= max {
             return self.clone();
         }

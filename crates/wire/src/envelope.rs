@@ -37,13 +37,6 @@ pub enum Envelope {
 }
 
 impl Envelope {
-    /// Correlation id of the envelope.
-    pub fn corr(&self) -> CorrId {
-        match self {
-            Envelope::Request { corr, .. } | Envelope::Response { corr, .. } => *corr,
-        }
-    }
-
     /// Wraps a push (unsolicited response) with the conventional zero
     /// correlation id.
     pub fn push(rsp: Response) -> Self {
@@ -51,17 +44,6 @@ impl Envelope {
             corr: CorrId(0),
             rsp,
         }
-    }
-
-    /// Whether the envelope is an unsolicited push.
-    pub fn is_push(&self) -> bool {
-        matches!(
-            self,
-            Envelope::Response {
-                corr: CorrId(0),
-                ..
-            }
-        )
     }
 
     /// Serializes the envelope (`WIRE-FORMAT.md` §1).
@@ -118,21 +100,24 @@ mod tests {
             msg: Message::QueryShadow { dev_id: dev_id() },
         };
         assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
-        assert_eq!(env.corr(), CorrId(77));
-        assert!(!env.is_push());
     }
 
     #[test]
     fn response_roundtrip_and_push() {
         let env = Envelope::push(Response::BindingRevoked);
-        assert!(env.is_push());
+        assert_eq!(
+            env,
+            Envelope::Response {
+                corr: CorrId(0),
+                rsp: Response::BindingRevoked
+            }
+        );
         assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
 
         let answered = Envelope::Response {
             corr: CorrId(3),
             rsp: Response::Unbound,
         };
-        assert!(!answered.is_push());
         assert_eq!(Envelope::decode(&answered.encode()).unwrap(), answered);
     }
 

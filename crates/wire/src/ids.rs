@@ -47,19 +47,8 @@ impl MacAddr {
     }
 
     /// The raw bytes of the address.
-    pub fn octets(&self) -> [u8; 6] {
+    pub(crate) fn octets(&self) -> [u8; 6] {
         self.0
-    }
-
-    /// The vendor OUI (first three bytes).
-    pub fn oui(&self) -> [u8; 3] {
-        [self.0[0], self.0[1], self.0[2]]
-    }
-
-    /// The NIC-specific 24-bit suffix — the only part an attacker who knows
-    /// the vendor must guess.
-    pub fn nic_suffix(&self) -> u32 {
-        ((self.0[3] as u32) << 16) | ((self.0[4] as u32) << 8) | self.0[5] as u32
     }
 }
 
@@ -223,13 +212,6 @@ impl IdScheme {
             }
         }
     }
-
-    /// Whether an attacker can practically enumerate the whole space at the
-    /// given probe rate within the given number of seconds.
-    pub fn enumerable_within(&self, probes_per_sec: u64, seconds: u64) -> bool {
-        let budget = u128::from(probes_per_sec) * u128::from(seconds);
-        self.search_space() <= budget
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -247,8 +229,6 @@ mod tests {
     #[test]
     fn mac_roundtrips_oui_and_suffix() {
         let mac = MacAddr::from_oui([0x94, 0x10, 0x3e], 0x0a0b0c);
-        assert_eq!(mac.oui(), [0x94, 0x10, 0x3e]);
-        assert_eq!(mac.nic_suffix(), 0x0a0b0c);
         assert_eq!(mac.to_string(), "94:10:3e:0a:0b:0c");
     }
 
@@ -309,10 +289,10 @@ mod tests {
         let six = IdScheme::ShortDigits { width: 6 };
         let seven = IdScheme::ShortDigits { width: 7 };
         // 300 probes/sec is a very modest HTTP request rate.
-        assert!(six.enumerable_within(300, 3600));
-        assert!(seven.enumerable_within(3000, 3600));
+        assert!(six.search_space() <= 300 * 3600);
+        assert!(seven.search_space() <= 3000 * 3600);
         // A UUID space never is.
-        assert!(!IdScheme::RandomUuid.enumerable_within(u64::MAX, u64::MAX));
+        assert!(IdScheme::RandomUuid.search_space() > u128::from(u64::MAX) * u128::from(u64::MAX));
     }
 
     #[test]

@@ -36,15 +36,7 @@ pub enum StatusAuth {
     },
 }
 
-impl StatusAuth {
-    /// The device ID carried by the authenticator, if any.
-    pub fn dev_id(&self) -> Option<&DevId> {
-        match self {
-            StatusAuth::DevId(id) => Some(id),
-            _ => None,
-        }
-    }
-}
+impl StatusAuth {}
 
 /// Whether a `Status` message is the initial registration or a keep-alive.
 ///
@@ -68,9 +60,9 @@ pub enum StatusKind {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DeviceAttributes {
     /// Marketing model name.
-    pub model: ByteStr,
+    pub(crate) model: ByteStr,
     /// Firmware version string.
-    pub firmware: ByteStr,
+    pub(crate) firmware: ByteStr,
 }
 
 impl DeviceAttributes {
@@ -173,7 +165,7 @@ pub enum BindPayload {
 
 impl BindPayload {
     /// The device ID named in the payload, if the scheme names one.
-    pub fn dev_id(&self) -> Option<&DevId> {
+    pub(crate) fn dev_id(&self) -> Option<&DevId> {
         match self {
             BindPayload::AclApp { dev_id, .. } | BindPayload::AclDevice { dev_id, .. } => {
                 Some(dev_id)
@@ -373,15 +365,6 @@ impl Message {
     /// A short tag for traces.
     pub fn kind_str(&self) -> &'static str {
         Self::KINDS[self.kind_index()]
-    }
-
-    /// Whether this is one of the three *primitive* message types of the
-    /// state-machine model.
-    pub fn is_primitive(&self) -> bool {
-        matches!(
-            self,
-            Message::Status(_) | Message::Bind(_) | Message::Unbind(_)
-        )
     }
 
     /// A fine-grained tag naming the exact primitive *shape* (Figures 3
@@ -623,27 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn primitive_classification_matches_the_paper() {
-        let status = Message::Status(StatusPayload::heartbeat(
-            StatusAuth::DevId(dev_id()),
-            dev_id(),
-        ));
-        let bind = Message::Bind(BindPayload::AclApp {
-            dev_id: dev_id(),
-            user_token: UserToken::from_entropy(1),
-        });
-        let unbind = Message::Unbind(UnbindPayload::DevIdOnly { dev_id: dev_id() });
-        let login = Message::Login {
-            user_id: UserId::new("a@example.com"),
-            user_pw: UserPw::new("pw"),
-        };
-        assert!(status.is_primitive());
-        assert!(bind.is_primitive());
-        assert!(unbind.is_primitive());
-        assert!(!login.is_primitive());
-    }
-
-    #[test]
     fn bind_payload_dev_id_presence() {
         let acl = BindPayload::AclApp {
             dev_id: dev_id(),
@@ -665,23 +627,6 @@ mod tests {
         let u2 = UnbindPayload::DevIdOnly { dev_id: dev_id() };
         assert_eq!(u1.dev_id(), &dev_id());
         assert_eq!(u2.dev_id(), &dev_id());
-    }
-
-    #[test]
-    fn status_auth_dev_id_extraction() {
-        assert_eq!(StatusAuth::DevId(dev_id()).dev_id(), Some(&dev_id()));
-        assert_eq!(
-            StatusAuth::DevToken(DevToken::from_entropy(1)).dev_id(),
-            None
-        );
-        assert_eq!(
-            StatusAuth::PublicKey {
-                key_id: 1,
-                signature: 2
-            }
-            .dev_id(),
-            None
-        );
     }
 
     #[test]

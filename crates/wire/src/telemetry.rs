@@ -55,7 +55,7 @@ impl TelemetryFrame {
     }
 
     /// A one-line rendering for traces and tables.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TelemetryFrame::PowerMilliwatts(mw) => format!("power={}.{:03}W", mw / 1000, mw % 1000),
             TelemetryFrame::TemperatureMilliC(t) => {

@@ -101,16 +101,16 @@ pub struct UserId(ByteStr);
 
 impl UserId {
     /// Maximum accepted length in bytes.
-    pub const MAX_LEN: usize = 256;
+    pub(crate) const MAX_LEN: usize = 256;
 
-    /// Creates a user id, truncating to [`UserId::MAX_LEN`] bytes.
+    /// Creates a user id, truncating to `UserId::MAX_LEN` bytes.
     pub fn new(id: impl Into<String>) -> Self {
         UserId::from_bytestr(ByteStr::new(id))
     }
 
     /// Creates a user id from an existing [`ByteStr`] (zero-copy when the
     /// value fits [`UserId::MAX_LEN`]; truncation slices, never copies).
-    pub fn from_bytestr(id: ByteStr) -> Self {
+    pub(crate) fn from_bytestr(id: ByteStr) -> Self {
         UserId(id.truncated(Self::MAX_LEN))
     }
 
@@ -145,7 +145,7 @@ impl UserPw {
     }
 
     /// Creates a password from an existing [`ByteStr`] (zero-copy).
-    pub fn from_bytestr(pw: ByteStr) -> Self {
+    pub(crate) fn from_bytestr(pw: ByteStr) -> Self {
         UserPw(pw)
     }
 

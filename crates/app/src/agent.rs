@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use rb_core::design::{BindScheme, DeviceAuthScheme, SetupOrder, VendorDesign};
-use rb_netsim::telemetry::{Counter, Handles, SpanId};
+use rb_netsim::telemetry::{Counter, Handles};
 use rb_netsim::{Actor, Ctx, Dest, LanId, NodeId, Retry, RetryPolicy, Telemetry, Tick, TimerKey};
 use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
@@ -219,10 +219,11 @@ pub struct AppAgent {
     /// default until the harness wires in the world-wide one via
     /// [`AppAgent::set_telemetry`]).
     metrics: Handles<AppMetrics>,
-    /// Open `app_setup` span: flow start until the binding lands. Give-ups
-    /// leave it open, so `span_ticks{name="app_setup"}` holds only
-    /// converged setups.
-    setup_span: Option<SpanId>,
+    /// Start of the running setup attempt, until the binding lands and
+    /// `span_ticks{name="app_setup"}` observes its duration. A give-up
+    /// abandons it unobserved, so the histogram holds only converged
+    /// setups.
+    setup_started: Option<Tick>,
     corr: u64,
     control_queue: VecDeque<(Option<DevId>, ControlAction)>,
     share_queue: VecDeque<(UserId, bool)>,
@@ -290,7 +291,7 @@ impl AppAgent {
             armed: None,
             timer_gen: 0,
             metrics: Handles::new(Telemetry::new(), AppMetrics::register),
-            setup_span: None,
+            setup_started: None,
             corr: 0,
             control_queue: VecDeque::new(),
             share_queue: VecDeque::new(),
@@ -359,31 +360,27 @@ impl AppAgent {
         self.bound = false;
         self.reset_retry();
         self.aborted = false;
-        // Abandon (don't close) the previous attempt's span: an unclosed
-        // span marks a setup that never converged, and the next poll opens
-        // a fresh one for the new attempt.
-        self.setup_span = None;
+        // Abandon the previous attempt's start unobserved: it never
+        // converged, and the next poll starts timing the new attempt.
+        self.setup_started = None;
     }
 
-    /// Opens the `app_setup` span unless one is already running or the
+    /// Starts timing a setup attempt unless one is already running or the
     /// binding is already held (BindFirst designs bind mid-flow).
-    fn begin_setup_span(&mut self, now: Tick) {
-        if self.setup_span.is_some() || self.bound || self.setup_complete() {
+    fn begin_setup(&mut self, now: Tick) {
+        if self.setup_started.is_some() || self.bound || self.setup_complete() {
             return;
         }
-        self.setup_span = Some(rb_telemetry::span!(
-            self.metrics.telemetry(),
-            now.as_u64(),
-            "app_setup",
-            user = self.config.user_id,
-        ));
+        self.setup_started = Some(now);
     }
 
-    /// Marks the binding as held: counts it and closes the setup span.
+    /// Marks the binding as held: counts it and observes the setup time.
     fn note_bound(&mut self, now: Tick) {
         self.metrics.get().binds.incr();
-        if let Some(id) = self.setup_span.take() {
-            self.metrics.telemetry().end_span(id, now.as_u64());
+        if let Some(started) = self.setup_started.take() {
+            self.metrics
+                .telemetry()
+                .observe("span_ticks{name=\"app_setup\"}", now - started);
         }
     }
 
@@ -663,8 +660,8 @@ impl AppAgent {
         if self.aborted {
             return None;
         }
-        if self.setup_span.is_none() && !self.bound && !self.setup_complete() {
-            // The poll opens the span of a restarted attempt.
+        if self.setup_started.is_none() && !self.bound && !self.setup_complete() {
+            // The poll starts timing a restarted attempt.
             return Some(now);
         }
         match self.current_step() {
@@ -695,7 +692,7 @@ impl AppAgent {
         let now = ctx.now();
         self.grid_origin = now;
         self.entered_step_at = now;
-        self.begin_setup_span(now);
+        self.begin_setup(now);
         self.enter_step(ctx);
         self.schedule(ctx);
     }
@@ -736,8 +733,8 @@ impl AppAgent {
         if self.aborted {
             return;
         }
-        // A restart after a give-up re-enters here with no span running.
-        self.begin_setup_span(now);
+        // A restart after a give-up re-enters here with no attempt timed.
+        self.begin_setup(now);
         match self.current_step() {
             Step::Done => self.pump_user_actions(ctx),
             Step::WaitWindow => {
@@ -767,9 +764,6 @@ impl AppAgent {
                             Some(delay) => {
                                 self.cur_delay = delay;
                                 self.metrics.get().retries.incr();
-                                self.metrics
-                                    .telemetry()
-                                    .rate_event("app_retries", now.as_u64());
                                 self.enter_step(ctx);
                             }
                             None => {

@@ -136,11 +136,7 @@ fn main() {
             })
             .count();
         let alerts = telemetry.counter("cloud_alerts_total{kind=\"contested-binding\"}");
-        // Alert burst: the sliding-window rate of the monitor's
-        // `cloud_alerts` series over one setup window — the
-        // `Telemetry::rate` helper, not hand-divided totals.
-        let burst = telemetry.rate("cloud_alerts", window.max(1));
-        (wins, alerts, burst)
+        (wins, alerts)
     });
     let cell = |wi: usize, di: usize| results[wi * designs.len() + di];
     let mut rows = Vec::new();
@@ -148,7 +144,7 @@ fn main() {
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
         for (di, (name, _)) in designs.iter().enumerate() {
-            let (wins, _, _) = cell(wi, di);
+            let (wins, _) = cell(wi, di);
             row.push(format!("{wins}/{seeds}"));
             // Only the DevId + app-bind design (the first) yields control,
             // and it must once the window reaches the probe interval.
@@ -172,13 +168,12 @@ fn main() {
     for (wi, &window) in windows.iter().enumerate() {
         let mut row = vec![format!("{} ms", window)];
         for di in 0..designs.len() {
-            let (_, alerts, burst) = cell(wi, di);
-            row.push(format!("{alerts} (burst {burst}/win)"));
+            let (_, alerts) = cell(wi, di);
+            row.push(alerts.to_string());
         }
         alert_rows.push(row);
     }
-    println!("contested-binding alerts raised at the cloud during the race");
-    println!("(burst = alerts inside one sliding setup window at the hottest recent moment):");
+    println!("contested-binding alerts raised at the cloud during the race:");
     println!("{}", render_table(&headers, &alert_rows));
 
     let verdict = if violations.is_empty() {
@@ -196,13 +191,12 @@ fn main() {
     report.meta("seeds_per_point", seeds);
     for (wi, &window) in windows.iter().enumerate() {
         for (di, (name, _)) in designs.iter().enumerate() {
-            let (wins, alerts, burst) = cell(wi, di);
+            let (wins, alerts) = cell(wi, di);
             let key =
                 |stat: &str| format!("{}.win_{window}ms.{stat}", name.replace([' ', '/'], "_"));
             report
                 .metric_u64(&key("wins"), wins as u64)
-                .metric_u64(&key("alerts"), alerts)
-                .metric_u64(&key("burst"), burst);
+                .metric_u64(&key("alerts"), alerts);
         }
     }
     emit(&report, None);

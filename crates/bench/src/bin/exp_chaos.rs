@@ -7,10 +7,14 @@
 //! silent wedge, so every run terminates: it either converges or gives up.
 //!
 //! Timings come from the telemetry registry each world records into —
-//! every converged setup closes one `app_setup` span, so the per-sweep
+//! every converged setup observes its duration once, so the per-sweep
 //! `span_ticks{name="app_setup"}` histogram *is* the convergence-time
-//! distribution (no trace re-scanning, and tick-exact rather than rounded
-//! to the polling granularity of the old harness).
+//! distribution (tick-exact; its median is a bucket bound).
+//!
+//! The shape check is computed from the table. Termination is a gate: the
+//! binary exits 1 unless every seed of every row converged or aborted.
+//! Growth (median ticks and retries never fall as loss rises) is reported
+//! as holds/FAILS with the first breaking pair of rows, and not gated.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin exp_chaos
@@ -55,20 +59,22 @@ struct SweepPoint {
     converged: u64,
     aborted: u64,
     retries: u64,
-    burst: u64,
     median: Option<u64>,
     max: Option<u64>,
 }
 
 impl SweepPoint {
+    fn label(&self) -> String {
+        format!("{:.0}%", f64::from(self.drop_per_mille) / 10.0)
+    }
+
     fn row(&self) -> Vec<String> {
         let opt = |v: Option<u64>| v.map_or_else(|| "-".into(), |t| t.to_string());
         vec![
-            format!("{:.0}%", f64::from(self.drop_per_mille) / 10.0),
+            self.label(),
             format!("{}/{}", self.converged, SEEDS.len()),
             format!("{}/{}", self.aborted, SEEDS.len()),
             self.retries.to_string(),
-            self.burst.to_string(),
             opt(self.median),
             opt(self.max),
         ]
@@ -81,23 +87,17 @@ fn sweep(design: &VendorDesign, drop_per_mille: u16) -> SweepPoint {
         run_once(design, seed, drop_per_mille, &telemetry);
     }
     let snap = telemetry.snapshot();
-    // Converged runs are exactly the closed `app_setup` spans; aborts are
-    // the give-up counter. Everything the old harness re-derived by hand
-    // is one histogram lookup now.
+    // Converged runs are exactly the `app_setup` observations; aborts are
+    // the give-up counter.
     let setups = snap.histogram("span_ticks{name=\"app_setup\"}").cloned();
     let converged = setups.as_ref().map_or(0, Histogram::count);
     let aborted = snap.counter("app_giveups_total");
     let retries = snap.counter("app_retries_total");
-    // Retry pressure: the sliding-window rate around the newest retry
-    // (same `Telemetry::rate` helper the online monitor's anomaly
-    // detectors use — no hand-rolled events-per-tick division).
-    let burst = telemetry.rate("app_retries", 10_000);
     SweepPoint {
         drop_per_mille,
         converged,
         aborted,
         retries,
-        burst,
         median: setups.as_ref().and_then(|h| h.p50()),
         max: setups.as_ref().and_then(|h| h.max()),
     }
@@ -124,7 +124,6 @@ fn main() {
                 "converged",
                 "clean aborts",
                 "app retries",
-                "retries/10k",
                 "median ticks",
                 "max ticks"
             ],
@@ -132,8 +131,49 @@ fn main() {
         )
     );
 
-    println!("shape check: convergence time and retry volume grow with loss but every seed");
-    println!("terminates — either bound, or a clean abort once the retry budget is exhausted.");
+    // Termination: every seed of every row either converged or aborted.
+    let seeds = SEEDS.len() as u64;
+    let unterminated: Vec<String> = points
+        .iter()
+        .filter(|p| p.converged + p.aborted != seeds)
+        .map(|p| {
+            format!(
+                "{}: {} converged + {} aborted of {seeds} seeds",
+                p.label(),
+                p.converged,
+                p.aborted
+            )
+        })
+        .collect();
+    // Growth: the first adjacent pair of rows where a median or the retry
+    // count falls as loss rises.
+    let breaking = points.windows(2).find_map(|pair| {
+        let (lo, hi) = (&pair[0], &pair[1]);
+        let fell = |name: &str, a: u64, b: u64| (b < a).then(|| format!("{name} {a} -> {b}"));
+        let falls: Vec<String> = [
+            lo.median
+                .zip(hi.median)
+                .and_then(|(a, b)| fell("median ticks", a, b)),
+            fell("retries", lo.retries, hi.retries),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        (!falls.is_empty())
+            .then(|| format!("{} -> {}: {}", lo.label(), hi.label(), falls.join(", ")))
+    });
+    let verdict = |ok: bool| if ok { "holds" } else { "FAILS" };
+    println!(
+        "shape check: every seed terminates, bound or cleanly aborted: {}",
+        verdict(unterminated.is_empty())
+    );
+    println!(
+        "shape check: convergence time and retry volume grow with loss: {}{}",
+        verdict(breaking.is_none()),
+        breaking
+            .as_ref()
+            .map_or_else(String::new, |b| format!(" ({b})"))
+    );
 
     // The machine-readable artifact: per-sweep-point counters keyed by
     // drop rate, all deterministic sim-domain numbers.
@@ -146,8 +186,7 @@ fn main() {
         report
             .metric_u64(&key("converged"), p.converged)
             .metric_u64(&key("aborted"), p.aborted)
-            .metric_u64(&key("retries"), p.retries)
-            .metric_u64(&key("retry_burst"), p.burst);
+            .metric_u64(&key("retries"), p.retries);
         if let Some(m) = p.median {
             report.metric_u64(&key("median_ticks"), m);
         }
@@ -156,4 +195,10 @@ fn main() {
         }
     }
     emit(&report, std::env::args().nth(1).as_deref());
+    if !unterminated.is_empty() {
+        for row in &unterminated {
+            eprintln!("exp_chaos: GATE FAILED — not every seed terminated at {row}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -142,6 +142,20 @@ impl SecurityAlert {
         "stale-token-replay",
     ];
 
+    /// `monitor_detection_latency_ticks{kind=…}` for each of
+    /// [`SecurityAlert::KINDS`], in the same order.
+    const LATENCY_HISTOGRAMS: [&'static str; 9] = [
+        "monitor_detection_latency_ticks{kind=\"foreign-unbind\"}",
+        "monitor_detection_latency_ticks{kind=\"bare-unbind\"}",
+        "monitor_detection_latency_ticks{kind=\"binding-replaced\"}",
+        "monitor_detection_latency_ticks{kind=\"session-moved\"}",
+        "monitor_detection_latency_ticks{kind=\"enumeration\"}",
+        "monitor_detection_latency_ticks{kind=\"contested-binding\"}",
+        "monitor_detection_latency_ticks{kind=\"remote-only-bind\"}",
+        "monitor_detection_latency_ticks{kind=\"impossible-transition\"}",
+        "monitor_detection_latency_ticks{kind=\"stale-token-replay\"}",
+    ];
+
     /// This alert's position in [`SecurityAlert::KINDS`].
     fn kind_index(&self) -> usize {
         match self {
@@ -329,9 +343,8 @@ pub struct Monitor {
     /// Quarantined devices and the tick their quarantine expires.
     quarantined: HashMap<DevId, Tick>,
     /// Metrics sink: every raised alert also bumps
-    /// `cloud_alerts_total{kind="…"}`, feeds the
-    /// `monitor_detection_latency_ticks{kind="…"}` histogram, and records
-    /// the `cloud_alerts` rate series.
+    /// `cloud_alerts_total{kind="…"}` and feeds the
+    /// `monitor_detection_latency_ticks{kind="…"}` histogram.
     telemetry: Telemetry,
     /// `cloud_alerts_total{kind=…}`, indexed by [`SecurityAlert::kind_index`].
     alerts: CounterTable<{ SecurityAlert::KINDS.len() }>,
@@ -424,23 +437,17 @@ impl Monitor {
 
     /// Raises `alert` at `now` with detection evidence dating back to
     /// `evidence_at`: bumps the per-kind counter, feeds the detection
-    /// latency histogram, records the `cloud_alerts` rate series, and
-    /// appends the alert to the log.
+    /// latency histogram, and appends the alert to the log.
     pub(crate) fn raise_with_evidence(
         &mut self,
         now: Tick,
         evidence_at: Tick,
         alert: SecurityAlert,
     ) {
-        let kind = alert.kind();
-        self.alerts.incr(alert.kind_index());
-        if self.telemetry.is_enabled() {
-            self.telemetry.observe(
-                &format!("monitor_detection_latency_ticks{{kind=\"{kind}\"}}"),
-                now.as_u64().saturating_sub(evidence_at.as_u64()),
-            );
-            self.telemetry.rate_event("cloud_alerts", now.as_u64());
-        }
+        let kind = alert.kind_index();
+        self.alerts.incr(kind);
+        self.telemetry
+            .observe(SecurityAlert::LATENCY_HISTOGRAMS[kind], now - evidence_at);
         self.log.push((now, alert));
     }
 
@@ -634,6 +641,19 @@ mod tests {
 
     fn probe(n: u32) -> DevId {
         DevId::Digits { value: n, width: 6 }
+    }
+
+    #[test]
+    fn latency_histogram_names_match_their_kinds() {
+        for (kind, name) in SecurityAlert::KINDS
+            .iter()
+            .zip(SecurityAlert::LATENCY_HISTOGRAMS)
+        {
+            assert_eq!(
+                name,
+                format!("monitor_detection_latency_ticks{{kind=\"{kind}\"}}")
+            );
+        }
     }
 
     #[test]
@@ -918,15 +938,19 @@ mod tests {
             tele.counter("cloud_alerts_total{kind=\"foreign-unbind\"}"),
             1
         );
-        // Every raise also lands on the cumulative log, in raise order,
-        // and on the rate series.
+        // Every raise also lands on the cumulative log, in raise order.
         let log = m.alert_log();
         assert_eq!(log.len(), 3);
         assert_eq!(log[0].0, Tick(1));
         assert!(log[0].1.describe().starts_with("bare-unbind"));
         assert_eq!(m.alerts().len(), 3);
         assert_eq!(m.count("bare-unbind"), 2);
-        assert_eq!(tele.rate("cloud_alerts", 10), 3);
+        assert!(
+            log.iter()
+                .map(|(at, _)| *at)
+                .eq([Tick(1), Tick(2), Tick(3)]),
+            "{log:?}"
+        );
     }
 
     #[test]

@@ -220,7 +220,8 @@ impl CloudService {
 
     /// Records a shadow transition into the unified registry — the
     /// `cloud_shadow_transitions_total{from,to}` counter plus the
-    /// binding-lifecycle histograms — and, when forensics is on, a
+    /// binding-lifecycle histograms, timed from the episode marks kept on
+    /// the device's record — and, when forensics is on, a
     /// `shadow dev=… from=… to=…` mark tied to the causing message.
     fn track_transition(
         &mut self,
@@ -238,21 +239,29 @@ impl CloudService {
             .transitions
             .incr(before as usize * 4 + after as usize);
         let telemetry = self.metrics.telemetry();
-        if telemetry.is_enabled() {
-            telemetry.with(|r| {
-                let dev = dev_id.to_string();
-                let now = now.as_u64();
-                match (before.is_online(), after.is_online()) {
-                    (false, true) => r.lifecycle_online(&dev, now),
-                    (true, false) => r.lifecycle_offline(&dev),
-                    _ => {}
+        if let Some(record) = self.state.record_mut_existing(dev_id) {
+            match (before.is_online(), after.is_online()) {
+                (false, true) => {
+                    record.online_at.get_or_insert(now);
+                    if !std::mem::replace(&mut record.ever_online, true) {
+                        telemetry.observe("binding_initial_to_online_ticks", now.as_u64());
+                    }
                 }
-                match (before.is_bound(), after.is_bound()) {
-                    (false, true) => r.lifecycle_bound(&dev, now),
-                    (true, false) => r.lifecycle_unbound(&dev, now),
-                    _ => {}
+                (true, false) => record.online_at = None,
+                _ => {}
+            }
+            match (before.is_bound(), after.is_bound()) {
+                (false, true) => {
+                    if let Some(at) = record.online_at {
+                        telemetry.observe("binding_online_to_bound_ticks", now - at);
+                    }
+                    if let Some(at) = record.unbound_at.take() {
+                        telemetry.observe("binding_unbind_to_rebind_ticks", now - at);
+                    }
                 }
-            });
+                (true, false) => record.unbound_at = Some(now),
+                _ => {}
+            }
         }
         if self.forensics {
             self.forensic_marks

@@ -47,6 +47,15 @@ pub(crate) struct ShadowRecord {
     pub(crate) binding_ip: Option<u32>,
     /// Whether the monitor already flagged this binding as remote-only.
     pub(crate) remote_bind_flagged: bool,
+    /// Start of the current online episode (`None` while offline); the
+    /// origin of `binding_online_to_bound_ticks`.
+    pub(crate) online_at: Option<Tick>,
+    /// Whether the shadow has ever come online, so
+    /// `binding_initial_to_online_ticks` sees only the first time.
+    pub(crate) ever_online: bool,
+    /// When the binding was last revoked, until the next bind measures
+    /// `binding_unbind_to_rebind_ticks` from it.
+    pub(crate) unbound_at: Option<Tick>,
 }
 
 /// The cloud's per-device state: sessions and shadow records.

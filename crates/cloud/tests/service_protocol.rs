@@ -5,7 +5,7 @@
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use rb_cloud::{CloudConfig, CloudService};
+use rb_cloud::{CloudConfig, CloudService, HEARTBEAT_TIMEOUT};
 use rb_core::design::{DeviceAuthScheme, VendorDesign};
 use rb_core::shadow::ShadowState;
 use rb_core::vendors;
@@ -56,9 +56,12 @@ impl Harness {
     }
 
     fn send(&mut self, from: NodeId, msg: Message) -> rb_cloud::Outcome {
-        self.now += 10;
-        let now = self.now;
-        self.cloud.handle_message(from, now, &msg, &mut self.rng)
+        self.send_at(self.now + 10, from, msg)
+    }
+
+    fn send_at(&mut self, at: Tick, from: NodeId, msg: Message) -> rb_cloud::Outcome {
+        self.now = at;
+        self.cloud.handle_message(from, at, &msg, &mut self.rng)
     }
 
     fn login(&mut self, from: NodeId, user: &str, pw: &str) -> UserToken {
@@ -117,6 +120,53 @@ impl Harness {
             }),
         )
     }
+
+    /// Registers the device (`Initial -> Online`) at tick `at`.
+    fn register_at(&mut self, at: u64) {
+        let status = StatusPayload::register(
+            StatusAuth::DevId(dev_id()),
+            dev_id(),
+            DeviceAttributes::new("unit", "1.0"),
+        );
+        let r = self.send_at(Tick(at), DEVICE_NODE, Message::Status(status));
+        assert!(r.reply.is_ok(), "register: {}", r.reply);
+    }
+
+    /// The victim binds the device at tick `at`.
+    fn bind_at(&mut self, at: u64, user_token: UserToken) {
+        let bind = BindPayload::AclApp {
+            dev_id: dev_id(),
+            user_token,
+        };
+        let r = self.send_at(Tick(at), USER_NODE, Message::Bind(bind));
+        assert!(r.reply.is_ok(), "bind: {}", r.reply);
+    }
+
+    /// The victim unbinds the device at tick `at`.
+    fn unbind_at(&mut self, at: u64, user_token: UserToken) {
+        let r = self.send_at(
+            Tick(at),
+            USER_NODE,
+            Message::Unbind(UnbindPayload::DevIdUserToken {
+                dev_id: dev_id(),
+                user_token,
+            }),
+        );
+        assert_eq!(r.reply, Response::Unbound);
+    }
+
+    /// `(count, sum)` of histogram `family`, read off the Prometheus
+    /// export; `(0, 0)` when nothing was observed.
+    fn histogram(&self, family: &str) -> (u64, u64) {
+        let text = self.telemetry.to_prometheus();
+        let read = |suffix: &str| {
+            let prefix = format!("{family}_{suffix} ");
+            text.lines()
+                .find_map(|line| line.strip_prefix(&prefix))
+                .map_or(0, |v| v.parse().unwrap())
+        };
+        (read("count"), read("sum"))
+    }
 }
 
 /// Drives the standard happy path: victim logs in, device registers, victim
@@ -140,6 +190,55 @@ fn setup_bound(h: &mut Harness) -> (UserToken, StatusAuth, Option<SessionToken>)
         assert!(r.reply.is_ok());
     }
     (victim, auth, session)
+}
+
+// ---------------------------------------------------------------------------
+// Binding-lifecycle histograms, timed from the marks on the shadow record.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn lifecycle_feeds_binding_histograms() {
+    let mut h = Harness::new(vendors::ozwi());
+    h.register_at(120);
+    let victim = h.login(USER_NODE, "victim", "victim-pw");
+    h.bind_at(180, victim);
+    h.unbind_at(1_000, victim);
+    h.bind_at(1_400, victim);
+    let initial = h.histogram("binding_initial_to_online_ticks");
+    assert_eq!(initial, (1, 120));
+    let bound = h.histogram("binding_online_to_bound_ticks");
+    // 180-120 = 60, then rebind 1400-120 = 1280 (same online episode).
+    assert_eq!(bound, (2, 60 + 1_280));
+    let rebind = h.histogram("binding_unbind_to_rebind_ticks");
+    assert_eq!(rebind, (1, 400));
+}
+
+#[test]
+fn offline_resets_online_episode_not_first_seen() {
+    let mut h = Harness::new(vendors::ozwi());
+    h.register_at(50);
+    h.cloud.expire(Tick(50 + HEARTBEAT_TIMEOUT + 1));
+    assert_eq!(h.cloud.shadow_state(&dev_id()), ShadowState::Initial);
+    h.register_at(90_000);
+    // Initial->Online is recorded once, at the *first* transition.
+    let initial = h.histogram("binding_initial_to_online_ticks");
+    assert_eq!(initial, (1, 50));
+    // …but Online->Bound measures from the *current* episode.
+    let victim = h.login(USER_NODE, "victim", "victim-pw");
+    h.bind_at(90_010, victim);
+    let bound = h.histogram("binding_online_to_bound_ticks");
+    assert_eq!(bound, (1, 10));
+}
+
+#[test]
+fn rebinding_while_bound_records_nothing() {
+    let mut h = Harness::new(vendors::ozwi());
+    h.register_at(10);
+    let victim = h.login(USER_NODE, "victim", "victim-pw");
+    h.bind_at(20, victim);
+    h.bind_at(30, victim);
+    let bound = h.histogram("binding_online_to_bound_ticks");
+    assert_eq!(bound.0, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 use rb_core::design::VendorDesign;
 use rb_core::shadow::ShadowState;
 use rb_core::vendors;
+use rb_netsim::TraceEvent;
 use rb_scenario::{ChaosProfile, World, WorldBuilder};
 
 /// The fixed seed sweep (acceptance: ≥ 16 distinct seeds).
@@ -196,6 +197,52 @@ fn restart_after_give_up_resumes_setup() {
     );
     assert!(!world.app(0).gave_up());
     assert!(world.app(0).is_bound());
+}
+
+/// The setup-time histogram holds converged setups only. An attempt that
+/// gives up records nothing; the restarted attempt that converges records
+/// one observation, timed from its own first send to its bind.
+#[test]
+fn setup_histogram_counts_only_converged_setups() {
+    const SETUP: &str = "span_ticks{name=\"app_setup\"}";
+    let design = vendors::d_link();
+    let mut world = WorldBuilder::new(design, 7).trace().build();
+    let app = world.homes[0].app;
+    world.sim.partition_wan(app, true);
+    assert!(!world.try_run_setup(SETUP_HORIZON));
+    assert!(world.app(0).gave_up());
+    assert!(
+        world.telemetry().snapshot().histogram(SETUP).is_none(),
+        "a given-up attempt records no setup time"
+    );
+    world.sim.partition_wan(app, false);
+    let restarted_at = world.now();
+    world.app_mut(0).restart_setup();
+    assert!(world.try_run_setup(300_000));
+    let trace = world.sim.trace();
+    let started = trace
+        .iter()
+        .find(|e| {
+            e.at >= restarted_at && matches!(e.event, TraceEvent::Sent { from, .. } if from == app)
+        })
+        .expect("the restarted attempt sends")
+        .at;
+    let bound = trace
+        .iter()
+        .find(|e| matches!(&e.event, TraceEvent::Mark { node, text, .. } if *node == app && text == "app bound"))
+        .expect("the restarted attempt binds")
+        .at;
+    let snap = world.telemetry().snapshot();
+    let setup = snap
+        .histogram(SETUP)
+        .expect("the converged attempt records");
+    // One observation, so its exact max is its value.
+    assert_eq!(setup.count(), 1);
+    assert_eq!(
+        setup.max(),
+        Some(bound - started),
+        "timed from the restart, not the blackout"
+    );
 }
 
 /// Golden trace: one canonical chaos run's full `TraceEntry` log is

@@ -1,25 +1,28 @@
-//! # rb-telemetry — deterministic observability for the binding stack
+//! # rb-telemetry — deterministic metrics for the binding stack
 //!
-//! A zero-`std::time` metrics and tracing layer: every timestamp is a raw
-//! simulation tick (`u64`) supplied by the caller, every export walks
-//! `BTreeMap`s in key order, and nothing here draws randomness — so two
-//! runs of the same `(vendor, seed, chaos profile)` produce *byte-identical*
-//! JSON and Prometheus exports. That property is what lets CI diff a
-//! pinned golden export and what makes the benches trustworthy.
+//! A zero-`std::time` metrics layer: every histogram sample is a raw
+//! simulation-tick quantity (`u64`) supplied by the caller, every export
+//! walks `BTreeMap`s in key order, and nothing here draws randomness — so
+//! two runs of the same `(vendor, seed, chaos profile)` produce
+//! *byte-identical* JSON and Prometheus exports. That property is what
+//! lets CI diff a pinned golden export and what makes the benches
+//! trustworthy.
 //!
 //! The crate is dependency-free on purpose: `rb-netsim` (the lowest layer
 //! of the runtime stack) links against it, so it cannot use `rb-netsim`'s
 //! `Tick` newtype without a cycle. Callers pass `Tick::as_u64()`.
 //!
+//! The registry records metrics, not histories. State a metric is derived
+//! from (when a setup started, when a shadow came online) stays with the
+//! component that owns it; the component observes the resulting duration.
+//!
 //! ## Pieces
 //!
-//! * [`Registry`] — counters, gauges, fixed-bucket [`Histogram`]s, spans,
-//!   and the binding-lifecycle tracker.
+//! * [`Registry`] — counters, gauges and fixed-bucket [`Histogram`]s.
 //! * [`Telemetry`] — a cheap `Clone + Send + Sync` handle
 //!   (`Arc<Mutex<Registry>>`) threaded through the sim, the cloud, both
-//!   agents, and the attack executors. Histograms, spans, rate series and
-//!   the lifecycle tracker are written under its lock; they fire per
-//!   transition, not per packet.
+//!   agents, and the attack executors. Histograms are written under its
+//!   lock; they fire per transition, not per packet.
 //! * [`Counter`] / [`Gauge`] — the only way to write a counter or a gauge.
 //!   A handle is registered once by name ([`Telemetry::register_counter`]:
 //!   one lock and one map lookup); recording is then one relaxed atomic
@@ -29,10 +32,10 @@
 //!   alone. [`Handles`] holds a component's set and registers it on first
 //!   use; a [`CounterTable`] registers each member of a labeled family on
 //!   that member's first record.
-//! * [`span!`] — ergonomic span opening:
-//!   `span!(tele, now, "bind", device = id, user = uid)`.
-//! * Exporters — `Registry::to_json`, `Registry::to_prometheus`,
-//!   `Registry::render_human`.
+//! * Exporters — [`Telemetry::to_json`] (one canonical JSON object),
+//!   [`Telemetry::to_prometheus`] (text exposition format) and
+//!   [`Telemetry::render_human`] (a two-column table). Each shows every
+//!   recorded metric and nothing else.
 //!
 //! ## Metric naming
 //!
@@ -47,7 +50,7 @@ mod registry;
 
 pub use handle::{Counter, CounterTable, Gauge, Handles};
 pub use histogram::Histogram;
-pub use registry::{Registry, SpanId, SpanRecord};
+pub use registry::Registry;
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -145,8 +148,8 @@ impl Telemetry {
         }
     }
 
-    /// Whether this handle records at all. Call sites that build a span
-    /// or histogram name should check this first and skip the work.
+    /// Whether this handle records at all. Call sites that compute a
+    /// histogram sample should check this first and skip the work.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -191,80 +194,36 @@ impl Telemetry {
         }
     }
 
-    /// Opens a span; see `Registry::start_span`. On a disabled handle
-    /// no span is stored and the returned id is dead.
-    pub fn start_span(&self, name: &str, attrs: &[(&str, String)], now: u64) -> SpanId {
-        if self.enabled {
-            self.with(|r| r.start_span(name, attrs, now))
-        } else {
-            SpanId::default()
-        }
-    }
-
-    /// Closes a span; see `Registry::end_span`.
-    pub fn end_span(&self, id: SpanId, now: u64) {
-        if self.enabled {
-            self.with(|r| r.end_span(id, now));
-        }
-    }
-
-    /// Records one occurrence of tick-rate series `name` at tick `at`;
-    /// see `Registry::rate_event`.
-    pub fn rate_event(&self, name: &str, at: u64) {
-        if self.enabled {
-            self.with(|r| r.rate_event(name, at));
-        }
-    }
-
-    /// The sliding-window rate of series `name` over the `window_ticks`
-    /// window ending at the series' latest event; see `Registry::rate`.
-    /// Reads work on disabled handles too (they just see zero).
-    pub fn rate(&self, name: &str, window_ticks: u64) -> u64 {
-        self.with(|r| r.rate(name, window_ticks))
-    }
-
     /// A deep copy of the registry at this instant — the unit benches and
     /// experiments diff and aggregate.
     pub fn snapshot(&self) -> Registry {
         self.with(|r| r.clone())
     }
 
-    /// Canonical JSON export of the current state.
+    /// Canonical JSON export of the current state: one object with
+    /// `counters`, `gauges` and `histograms` members, each keyed by metric
+    /// name in sorted order. A histogram carries its count, sum, min, max,
+    /// p50, p95 and cumulative `[le, count]` buckets. Byte-stable across
+    /// identical runs.
     pub fn to_json(&self) -> String {
         self.with(|r| r.to_json())
     }
 
-    /// Prometheus text export of the current state.
+    /// Prometheus text export of the current state: counters, then gauges,
+    /// then histograms, each family announced once by a `# TYPE` line.
+    /// A histogram expands to cumulative `_bucket{le=…}` series plus
+    /// `_sum` and `_count`. Family names are sanitized to the Prometheus
+    /// grammar, so the export always parses.
     pub fn to_prometheus(&self) -> String {
         self.with(|r| r.to_prometheus())
     }
 
-    /// Human-readable table of the current state.
+    /// Human-readable table of the current state: one `metric  value` row
+    /// per counter and gauge, then one `count/p50/p95/max` summary row per
+    /// histogram.
     pub fn render_human(&self) -> String {
         self.with(|r| r.render_human())
     }
-}
-
-/// Opens a span on a [`Telemetry`] handle with key/value attributes:
-///
-/// ```
-/// use rb_telemetry::{span, Telemetry};
-/// let tele = Telemetry::new();
-/// let id = span!(tele, 10, "bind", device = "mac:02aa", user = "alice");
-/// tele.end_span(id, 25);
-/// assert_eq!(tele.snapshot().spans().len(), 1);
-/// ```
-///
-/// Attribute values go through `ToString`, names through `stringify!`.
-#[macro_export]
-macro_rules! span {
-    ($tele:expr, $now:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $tele.start_span(
-            $name,
-            &[$((stringify!($key), ::std::string::ToString::to_string(&$value))),*],
-            $now,
-        )
-    };
 }
 
 #[cfg(test)]
@@ -290,41 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn span_macro_records_attrs_and_duration() {
-        let t = Telemetry::new();
-        let id = span!(t, 100, "bind", device = "d1", user = "u1");
-        t.end_span(id, 140);
-        let snap = t.snapshot();
-        let span = &snap.spans()[0];
-        assert_eq!(span.name, "bind");
-        assert_eq!(span.start, 100);
-        assert_eq!(span.end, Some(140));
-        assert_eq!(
-            span.attrs,
-            vec![
-                ("device".to_string(), "d1".to_string()),
-                ("user".to_string(), "u1".to_string())
-            ]
-        );
-        // Closing a span feeds its duration histogram.
-        let hist = snap.histogram("span_ticks{name=\"bind\"}").unwrap();
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.sum(), 40);
-    }
-
-    #[test]
-    fn nested_spans_record_parents() {
-        let t = Telemetry::new();
-        let outer = span!(t, 0, "setup");
-        let inner = span!(t, 5, "bind");
-        t.end_span(inner, 9);
-        t.end_span(outer, 20);
-        let snap = t.snapshot();
-        assert_eq!(snap.spans()[0].parent, None);
-        assert_eq!(snap.spans()[1].parent, Some(snap.spans()[0].id));
-    }
-
-    #[test]
     fn identical_sequences_export_identically() {
         let run = || {
             let t = Telemetry::new();
@@ -332,24 +256,9 @@ mod tests {
             t.register_gauge("g").set(-3);
             t.observe("h_ticks", 7);
             t.observe("h_ticks", 9_999);
-            let s = span!(t, 1, "a", k = 2);
-            t.end_span(s, 4);
             (t.to_json(), t.to_prometheus(), t.render_human())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn rate_respects_the_enabled_switch() {
-        let on = Telemetry::new();
-        on.rate_event("binds", 10);
-        on.rate_event("binds", 20);
-        assert_eq!(on.rate("binds", 15), 2);
-        assert_eq!(on.rate("binds", 5), 1);
-
-        let off = Telemetry::disabled();
-        off.rate_event("binds", 10);
-        assert_eq!(off.rate("binds", 100), 0);
     }
 
     #[test]

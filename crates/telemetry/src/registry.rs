@@ -1,5 +1,5 @@
-//! The metrics registry: counters, gauges, histograms, spans, and the
-//! binding-lifecycle tracker, plus the three deterministic exporters.
+//! The metrics registry: counters, gauges and histograms, plus the three
+//! deterministic exporters.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -8,41 +8,6 @@ use std::sync::Arc;
 use crate::handle::{CounterCell, GaugeCell};
 use crate::histogram::Histogram;
 use crate::json;
-
-/// Opaque identifier of a span within one registry (creation-ordered).
-/// The `Default` id (`0`) is the dead id a disabled handle returns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
-
-/// One recorded span: a named, attributed interval of simulated time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Creation-ordered id (`SpanId.0`).
-    pub(crate) id: u64,
-    /// Enclosing span still open when this one started, if any.
-    pub(crate) parent: Option<u64>,
-    /// Span name (`"bind"`, `"setup"`, `"attack"`, …).
-    pub(crate) name: String,
-    /// Key/value attributes in the order given at open time.
-    pub(crate) attrs: Vec<(String, String)>,
-    /// Opening tick.
-    pub(crate) start: u64,
-    /// Closing tick (`None` while the span is open).
-    pub(crate) end: Option<u64>,
-}
-
-/// Per-device lifecycle bookkeeping behind the binding-latency histograms.
-#[derive(Clone, Debug, Default)]
-struct DeviceLifecycle {
-    /// Tick of the current online episode's start (`None` while offline).
-    online_at: Option<u64>,
-    /// Whether the first `Initial -> Online` transition was recorded.
-    ever_online: bool,
-    /// Tick of the most recent unbind with no rebind yet.
-    unbound_at: Option<u64>,
-    /// Whether the device is currently bound.
-    bound: bool,
-}
 
 /// The deterministic metrics store. Usually reached through
 /// [`crate::Telemetry`]; owned directly only in tests and snapshots.
@@ -57,13 +22,6 @@ pub struct Registry {
     counters: BTreeMap<String, Arc<CounterCell>>,
     gauges: BTreeMap<String, Arc<GaugeCell>>,
     histograms: BTreeMap<String, Histogram>,
-    spans: Vec<SpanRecord>,
-    /// Ids of currently open spans, innermost last (parent inference).
-    open_spans: Vec<u64>,
-    lifecycle: BTreeMap<String, DeviceLifecycle>,
-    /// Tick-stamped event series behind the sliding-window [`Registry::rate`]
-    /// helper, keyed by series name. Kept sorted by tick.
-    rates: BTreeMap<String, Vec<u64>>,
 }
 
 impl Clone for Registry {
@@ -72,10 +30,6 @@ impl Clone for Registry {
             counters: copy_cells(&self.counters, CounterCell::copy),
             gauges: copy_cells(&self.gauges, GaugeCell::copy),
             histograms: self.histograms.clone(),
-            spans: self.spans.clone(),
-            open_spans: self.open_spans.clone(),
-            lifecycle: self.lifecycle.clone(),
-            rates: self.rates.clone(),
         }
     }
 }
@@ -157,157 +111,8 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    /// Opens a span at `now`. The innermost still-open span becomes its
-    /// parent, which is how spans nest over the flat `TraceEvent` stream.
-    pub(crate) fn start_span(&mut self, name: &str, attrs: &[(&str, String)], now: u64) -> SpanId {
-        let parent = self.open_spans.last().copied();
-        self.push_span(name, attrs, now, parent)
-    }
-
-    fn push_span(
-        &mut self,
-        name: &str,
-        attrs: &[(&str, String)],
-        now: u64,
-        parent: Option<u64>,
-    ) -> SpanId {
-        let id = self.spans.len() as u64;
-        self.spans.push(SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect(),
-            start: now,
-            end: None,
-        });
-        self.open_spans.push(id);
-        SpanId(id)
-    }
-
-    /// Closes span `id` at `now`, feeding its duration into the
-    /// `span_ticks{name="…"}` histogram. Closing an unknown or already
-    /// closed span is a no-op.
-    pub(crate) fn end_span(&mut self, id: SpanId, now: u64) {
-        let Some(span) = self.spans.get_mut(id.0 as usize) else {
-            return;
-        };
-        if span.end.is_some() {
-            return;
-        }
-        span.end = Some(now);
-        let duration = now.saturating_sub(span.start);
-        let key = format!("span_ticks{{name=\"{}\"}}", span.name);
-        self.open_spans.retain(|open| *open != id.0);
-        self.observe(&key, duration);
-    }
-
-    /// All spans in creation order.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
-    }
-
-    // ----- binding lifecycle ------------------------------------------------
-
-    /// The device shadow went `Initial/Bound -> Online/Control`. The first
-    /// such transition feeds `binding_initial_to_online_ticks` (latency
-    /// from world start through provisioning + registration).
-    pub fn lifecycle_online(&mut self, device: &str, now: u64) {
-        let life = self.lifecycle.entry(device.to_string()).or_default();
-        if life.online_at.is_none() {
-            life.online_at = Some(now);
-        }
-        let first = !life.ever_online;
-        life.ever_online = true;
-        if first {
-            self.observe("binding_initial_to_online_ticks", now);
-        }
-    }
-
-    /// The device shadow went offline; the online episode ends.
-    pub fn lifecycle_offline(&mut self, device: &str) {
-        if let Some(life) = self.lifecycle.get_mut(device) {
-            life.online_at = None;
-        }
-    }
-
-    /// A binding was created. Feeds `binding_online_to_bound_ticks`
-    /// (measured from the current online episode's start) and, after an
-    /// unbind, `binding_unbind_to_rebind_ticks`.
-    pub fn lifecycle_bound(&mut self, device: &str, now: u64) {
-        let life = self.lifecycle.entry(device.to_string()).or_default();
-        if life.bound {
-            return;
-        }
-        life.bound = true;
-        let online_at = life.online_at;
-        let unbound_at = life.unbound_at.take();
-        if let Some(at) = online_at {
-            self.observe("binding_online_to_bound_ticks", now.saturating_sub(at));
-        }
-        if let Some(at) = unbound_at {
-            self.observe("binding_unbind_to_rebind_ticks", now.saturating_sub(at));
-        }
-    }
-
-    /// The binding was revoked; a later bind measures the rebind window.
-    pub fn lifecycle_unbound(&mut self, device: &str, now: u64) {
-        let life = self.lifecycle.entry(device.to_string()).or_default();
-        if life.bound {
-            life.bound = false;
-            life.unbound_at = Some(now);
-        }
-    }
-
-    // ----- tick-rate series -------------------------------------------------
-
-    /// Records one occurrence of `series` at tick `at`. The series backs
-    /// the sliding-window [`Registry::rate`] helper; it is kept sorted by
-    /// tick (call sites are almost always monotone, so this is an append).
-    pub(crate) fn rate_event(&mut self, series: &str, at: u64) {
-        let ticks = self.rates.entry(series.to_string()).or_default();
-        match ticks.last() {
-            Some(&last) if last > at => {
-                let idx = ticks.partition_point(|&t| t <= at);
-                ticks.insert(idx, at);
-            }
-            _ => ticks.push(at),
-        }
-    }
-
-    /// Events of `series` inside the window `(end - window_ticks, end]`
-    /// where `end` is the latest recorded tick — the instantaneous
-    /// sliding-window rate at the newest observation. 0 for an empty or
-    /// unknown series.
-    pub(crate) fn rate(&self, series: &str, window_ticks: u64) -> u64 {
-        match self.rates.get(series).and_then(|t| t.last()) {
-            Some(&end) => self.rate_at(series, window_ticks, end),
-            None => 0,
-        }
-    }
-
-    /// Events of `series` inside `(now - window_ticks, now]` — the
-    /// sliding-window rate as of an explicit tick `now`. A window covering
-    /// the whole clock (`window_ticks >= now`) includes tick-0 events.
-    pub(crate) fn rate_at(&self, series: &str, window_ticks: u64, now: u64) -> u64 {
-        let Some(ticks) = self.rates.get(series) else {
-            return 0;
-        };
-        let end = ticks.partition_point(|&t| t <= now);
-        let start = if window_ticks >= now {
-            0
-        } else {
-            ticks.partition_point(|&t| t <= now - window_ticks)
-        };
-        end.saturating_sub(start) as u64
-    }
-
     /// Folds `other`'s counters and histograms into this registry (used by
-    /// benches to aggregate across seeds). Gauges take `other`'s value;
-    /// rate series merge (resorted by tick); spans and lifecycle state are
-    /// not merged.
+    /// benches to aggregate across seeds). Gauges take `other`'s value.
     pub fn merge_from(&mut self, other: &Registry) {
         for (name, value) in other.counters() {
             self.counter_cell(name).add(value);
@@ -323,17 +128,12 @@ impl Registry {
                 }
             }
         }
-        for (name, ticks) in &other.rates {
-            let mine = self.rates.entry(name.clone()).or_default();
-            mine.extend_from_slice(ticks);
-            mine.sort_unstable();
-        }
     }
 
     // ----- exporters --------------------------------------------------------
 
-    /// Canonical JSON snapshot: objects keyed in sorted order, spans in
-    /// creation order, every string escaped by hand (the workspace `serde`
+    /// Canonical JSON snapshot: objects keyed in sorted order, every
+    /// string escaped by hand (the workspace `serde`
     /// is a no-op stub). Byte-stable across identical runs.
     pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
@@ -374,35 +174,7 @@ impl Registry {
             }
             out.push_str("]}");
         }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"spans\": [");
-        for (idx, span) in self.spans.iter().enumerate() {
-            let sep = if idx == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {{\"id\": {}, \"parent\": {}, \"name\": \"{}\", \"start\": {}, \"end\": {}, \"attrs\": {{",
-                span.id,
-                span.parent.map_or("null".to_string(), |p| p.to_string()),
-                json::escape(&span.name),
-                span.start,
-                span.end.map_or("null".to_string(), |e| e.to_string()),
-            );
-            for (aidx, (key, value)) in span.attrs.iter().enumerate() {
-                let sep = if aidx == 0 { "" } else { ", " };
-                let _ = write!(
-                    out,
-                    "{sep}\"{}\": \"{}\"",
-                    json::escape(key),
-                    json::escape(value)
-                );
-            }
-            out.push_str("}}");
-        }
-        out.push_str(if self.spans.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
+        out.push_str(if first { "}\n" } else { "\n  }\n" });
         out.push('}');
         out.push('\n');
         out
@@ -480,14 +252,6 @@ impl Registry {
         for (name, value) in rows {
             let _ = writeln!(out, "{name:<width$}  {value}");
         }
-        if !self.spans.is_empty() {
-            let open = self.spans.iter().filter(|s| s.end.is_none()).count();
-            let _ = writeln!(
-                out,
-                "\nspans: {} recorded, {open} still open",
-                self.spans.len()
-            );
-        }
         out
     }
 }
@@ -539,47 +303,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-
-    #[test]
-    fn lifecycle_feeds_binding_histograms() {
-        let mut r = Registry::new();
-        r.lifecycle_online("dev", 120);
-        r.lifecycle_bound("dev", 180);
-        r.lifecycle_unbound("dev", 1_000);
-        r.lifecycle_bound("dev", 1_400);
-        let initial = r.histogram("binding_initial_to_online_ticks").unwrap();
-        assert_eq!((initial.count(), initial.sum()), (1, 120));
-        let bound = r.histogram("binding_online_to_bound_ticks").unwrap();
-        // 180-120 = 60, then rebind 1400-120 = 1280 (same online episode).
-        assert_eq!((bound.count(), bound.sum()), (2, 60 + 1_280));
-        let rebind = r.histogram("binding_unbind_to_rebind_ticks").unwrap();
-        assert_eq!((rebind.count(), rebind.sum()), (1, 400));
-    }
-
-    #[test]
-    fn lifecycle_offline_resets_online_episode_not_first_seen() {
-        let mut r = Registry::new();
-        r.lifecycle_online("dev", 50);
-        r.lifecycle_offline("dev");
-        r.lifecycle_online("dev", 90_000);
-        // Initial->Online is recorded once, at the *first* transition.
-        let initial = r.histogram("binding_initial_to_online_ticks").unwrap();
-        assert_eq!((initial.count(), initial.sum()), (1, 50));
-        // …but Online->Bound measures from the *current* episode.
-        r.lifecycle_bound("dev", 90_010);
-        let bound = r.histogram("binding_online_to_bound_ticks").unwrap();
-        assert_eq!((bound.count(), bound.sum()), (1, 10));
-    }
-
-    #[test]
-    fn rebinding_while_bound_records_nothing() {
-        let mut r = Registry::new();
-        r.lifecycle_online("dev", 10);
-        r.lifecycle_bound("dev", 20);
-        r.lifecycle_bound("dev", 30);
-        let bound = r.histogram("binding_online_to_bound_ticks").unwrap();
-        assert_eq!(bound.count(), 1);
-    }
 
     #[test]
     fn prometheus_groups_families_and_expands_histograms() {
@@ -704,62 +427,17 @@ mod tests {
     }
 
     #[test]
-    fn rate_counts_events_in_a_left_open_window() {
-        let mut r = Registry::new();
-        for at in [100, 500, 900, 1_000, 1_500] {
-            r.rate_event("binds", at);
-        }
-        // Window (500, 1500]: 900, 1000, 1500 — the left edge is excluded.
-        assert_eq!(r.rate_at("binds", 1_000, 1_500), 3);
-        // rate() anchors the window at the latest event.
-        assert_eq!(r.rate("binds", 1_000), 3);
-        assert_eq!(r.rate("binds", 10_000), 5);
-        // A window covering the whole clock keeps tick-0 events.
-        r.rate_event("boot", 0);
-        assert_eq!(r.rate_at("boot", 50, 10), 1);
-        // Unknown series and empty windows read as zero.
-        assert_eq!(r.rate("missing", 1_000), 0);
-        assert_eq!(r.rate_at("binds", 10, 40), 0);
-    }
-
-    #[test]
-    fn rate_events_tolerate_out_of_order_ticks() {
-        let mut r = Registry::new();
-        r.rate_event("s", 300);
-        r.rate_event("s", 100);
-        r.rate_event("s", 200);
-        assert_eq!(r.rate_at("s", 150, 300), 2); // (150, 300]: 200, 300
-        assert_eq!(r.rate("s", 1_000), 3);
-    }
-
-    #[test]
-    fn rate_series_merge_and_stay_sorted() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        a.rate_event("s", 10);
-        a.rate_event("s", 30);
-        b.rate_event("s", 20);
-        a.merge_from(&b);
-        assert_eq!(a.rate_at("s", 15, 30), 2); // (15, 30]: 20, 30
-        assert_eq!(a.rate("s", 1_000), 3);
-    }
-
-    #[test]
-    fn rates_never_leak_into_exports() {
-        let mut r = Registry::new();
-        r.rate_event("s", 1);
-        assert!(r.to_json().contains("\"counters\": {}"));
-        assert_eq!(r.to_prometheus(), "");
-    }
-
-    #[test]
     fn json_is_well_formed_for_empty_and_populated() {
         let mut r = Registry::new();
         assert!(r.to_json().contains("\"counters\": {}"));
         r.counter_cell("a").add(1);
-        r.start_span("s", &[("k", "v\"q".to_string())], 0);
+        r.counter_cell("b{kind=\"q\"}").add(2);
         let json = r.to_json();
         assert!(json.contains("\"a\": 1"));
-        assert!(json.contains("\\\"q"), "attr values are escaped: {json}");
+        assert!(
+            json.contains("\"b{kind=\\\"q\\\"}\": 2"),
+            "keys are escaped: {json}"
+        );
+        assert!(json.ends_with("\"histograms\": {}\n}\n"), "{json}");
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`telemetry`] | `rb-telemetry` | deterministic metrics, spans, exporters |
+//! | [`telemetry`] | `rb-telemetry` | deterministic metrics, exporters |
 //! | [`prof`] | `rb-prof` | deterministic phase profiler + counting allocator |
 //! | [`wire`] | `rb-wire` | identifiers, tokens, messages, the wire format |
 //! | [`netsim`] | `rb-netsim` | deterministic discrete-event network |

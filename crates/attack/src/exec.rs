@@ -101,10 +101,105 @@ pub struct AttackOpts {
     pub defense: DefensePolicy,
 }
 
+/// `attack_attempts_total{family=…}`, indexed by
+/// [`AttackFamily`](rb_core::attacks::AttackFamily) in declaration order.
+const ATTEMPTS: [&str; 4] = [
+    "attack_attempts_total{family=\"A1\"}",
+    "attack_attempts_total{family=\"A2\"}",
+    "attack_attempts_total{family=\"A3\"}",
+    "attack_attempts_total{family=\"A4\"}",
+];
+
+/// `attack_success_total{family=…}`, indexed like [`ATTEMPTS`].
+const SUCCESSES: [&str; 4] = [
+    "attack_success_total{family=\"A1\"}",
+    "attack_success_total{family=\"A2\"}",
+    "attack_success_total{family=\"A3\"}",
+    "attack_success_total{family=\"A4\"}",
+];
+
+/// `attack_outcomes_total{id=…,outcome=…}`, indexed by [`AttackId`] in
+/// declaration order, then by [`outcome_index`].
+const OUTCOMES: [[&str; 3]; 9] = [
+    [
+        "attack_outcomes_total{id=\"A1\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A1\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A1\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A2\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A2\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A2\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A3-1\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A3-1\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A3-1\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A3-2\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A3-2\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A3-2\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A3-3\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A3-3\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A3-3\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A3-4\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A3-4\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A3-4\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A4-1\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A4-1\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A4-1\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A4-2\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A4-2\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A4-2\",outcome=\"unconfirmable\"}",
+    ],
+    [
+        "attack_outcomes_total{id=\"A4-3\",outcome=\"feasible\"}",
+        "attack_outcomes_total{id=\"A4-3\",outcome=\"blocked\"}",
+        "attack_outcomes_total{id=\"A4-3\",outcome=\"unconfirmable\"}",
+    ],
+];
+
+/// `attack_mitigated_total{id=…}`, indexed by [`AttackId`] in declaration
+/// order.
+const MITIGATED: [&str; 9] = [
+    "attack_mitigated_total{id=\"A1\"}",
+    "attack_mitigated_total{id=\"A2\"}",
+    "attack_mitigated_total{id=\"A3-1\"}",
+    "attack_mitigated_total{id=\"A3-2\"}",
+    "attack_mitigated_total{id=\"A3-3\"}",
+    "attack_mitigated_total{id=\"A3-4\"}",
+    "attack_mitigated_total{id=\"A4-1\"}",
+    "attack_mitigated_total{id=\"A4-2\"}",
+    "attack_mitigated_total{id=\"A4-3\"}",
+];
+
+/// The outcome's column in [`OUTCOMES`].
+fn outcome_index(outcome: &Feasibility) -> usize {
+    match outcome {
+        Feasibility::Feasible => 0,
+        Feasibility::Infeasible { .. } => 1,
+        Feasibility::Unconfirmable { .. } => 2,
+    }
+}
+
 /// Runs one attack against one design. Dispatches to the specific
-/// executor; `seed` controls the whole world's randomness.
+/// executor; `seed` controls the whole world's randomness. The victim
+/// world records no metrics: no caller can read them.
 pub fn run_attack(design: &VendorDesign, id: AttackId, seed: u64) -> AttackRun {
-    run_attack_opts(design, id, seed, &AttackOpts::default())
+    let opts = AttackOpts {
+        telemetry: Telemetry::disabled(),
+        ..AttackOpts::default()
+    };
+    run_attack_opts(design, id, seed, &opts)
 }
 
 /// Like [`run_attack`], with explicit environment options.
@@ -114,17 +209,13 @@ pub fn run_attack_opts(
     seed: u64,
     opts: &AttackOpts,
 ) -> AttackRun {
-    // Per-run counters: registered (and their names built) once per run,
-    // never per event.
-    let family = id.family();
-    let attempts = format!("attack_attempts_total{{family=\"{family}\"}}");
-    opts.telemetry.register_counter(&attempts).incr();
+    let family = id.family() as usize;
+    opts.telemetry.register_counter(ATTEMPTS[family]).incr();
     // The targeted state decides the starting world: A2 and A4-2 attack
     // a device that is still in its box (victim paused), everything else
     // a fully set-up home. Construction lives here — not in the
     // executors — so the forensic capture wraps the *whole* run.
     let paused = matches!(id, AttackId::A2 | AttackId::A4_2);
-    let mitigations_before = mitigation_total(&opts.telemetry);
     let mut world = build_world(design, seed, opts, paused);
     let mut run = match id {
         AttackId::A1 => run_a1(design, &mut world),
@@ -137,39 +228,22 @@ pub fn run_attack_opts(
         AttackId::A4_2 => run_a4_2(design, &mut world),
         AttackId::A4_3 => run_a4_3(design, &mut world),
     };
-    let outcome = match &run.outcome {
-        Feasibility::Feasible => "feasible",
-        Feasibility::Infeasible { .. } => "blocked",
-        Feasibility::Unconfirmable { .. } => "unconfirmable",
-    };
     if run.outcome == Feasibility::Feasible {
-        let success = format!("attack_success_total{{family=\"{family}\"}}");
-        opts.telemetry.register_counter(&success).incr();
+        opts.telemetry.register_counter(SUCCESSES[family]).incr();
     }
-    let outcomes = format!("attack_outcomes_total{{id=\"{id}\",outcome=\"{outcome}\"}}");
-    opts.telemetry.register_counter(&outcomes).incr();
-    // Mitigation accounting: the shared registry counts every defensive
-    // intervention; the delta over this run is this run's share.
-    run.mitigations = mitigation_total(&opts.telemetry).saturating_sub(mitigations_before);
+    let outcomes = OUTCOMES[id as usize][outcome_index(&run.outcome)];
+    opts.telemetry.register_counter(outcomes).incr();
+    // Every run builds its own world, so its cloud's count is this run's.
+    run.mitigations = world.cloud().mitigations();
     if run.mitigations > 0 {
-        let mitigated = format!("attack_mitigated_total{{id=\"{id}\"}}");
-        opts.telemetry.register_counter(&mitigated).incr();
+        opts.telemetry
+            .register_counter(MITIGATED[id as usize])
+            .incr();
     }
     if opts.capture {
         run.capture = Some(Box::new(rb_scenario::capture(&world)));
     }
     run
-}
-
-/// The running sum of `cloud_mitigations_total{action=…}` in a registry,
-/// read under one lock without copying the registry.
-fn mitigation_total(telemetry: &Telemetry) -> u64 {
-    telemetry.with(|r| {
-        r.counters()
-            .filter(|(name, _)| name.starts_with("cloud_mitigations_total"))
-            .map(|(_, v)| v)
-            .sum()
-    })
 }
 
 /// Builds the victim world with the run's environment options applied.
@@ -789,13 +863,18 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     }
 }
 
+/// The newest `Bound` reply among those the drain adds to the stash. The
+/// probe loop stops at the first `Bound`, so older entries hold none and
+/// each round scans only its own replies.
 fn latest_bind_response(adv: &mut Adversary, world: &mut World) -> Option<Response> {
+    let seen = adv.stashed_responses().len();
     adv.drain(world, None);
-    let stash: Vec<_> = adv.stashed_responses().to_vec();
-    stash
-        .into_iter()
+    adv.stashed_responses()[seen..]
+        .iter()
+        .rev()
         .map(|(_, r)| r)
-        .rfind(|r| matches!(r, Response::Bound { .. }))
+        .find(|r| matches!(r, Response::Bound { .. }))
+        .cloned()
 }
 
 // ---------------------------------------------------------------------------
@@ -874,5 +953,47 @@ fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
         evidence,
         capture: None,
         mitigations: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rb_core::attacks::AttackFamily;
+
+    #[test]
+    fn counter_tables_name_the_labels_they_replace() {
+        for (i, family) in AttackFamily::ALL.into_iter().enumerate() {
+            assert_eq!(family as usize, i);
+            assert_eq!(
+                ATTEMPTS[i],
+                format!("attack_attempts_total{{family=\"{family}\"}}")
+            );
+            assert_eq!(
+                SUCCESSES[i],
+                format!("attack_success_total{{family=\"{family}\"}}")
+            );
+        }
+        let outcomes = [
+            Feasibility::Feasible,
+            Feasibility::blocked("x"),
+            Feasibility::unconfirmable("x"),
+        ];
+        for (i, id) in AttackId::ALL.into_iter().enumerate() {
+            assert_eq!(id as usize, i);
+            assert_eq!(
+                MITIGATED[i],
+                format!("attack_mitigated_total{{id=\"{id}\"}}")
+            );
+            for (outcome, label) in outcomes
+                .iter()
+                .zip(["feasible", "blocked", "unconfirmable"])
+            {
+                assert_eq!(
+                    OUTCOMES[i][outcome_index(outcome)],
+                    format!("attack_outcomes_total{{id=\"{id}\",outcome=\"{label}\"}}")
+                );
+            }
+        }
     }
 }

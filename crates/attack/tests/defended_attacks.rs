@@ -9,6 +9,7 @@ use rb_attack::exec::{run_attack, run_attack_opts, AttackOpts};
 use rb_cloud::DefensePolicy;
 use rb_core::attacks::AttackId;
 use rb_core::vendors;
+use rb_telemetry::Telemetry;
 
 fn hardened() -> AttackOpts {
     AttackOpts {
@@ -61,4 +62,40 @@ fn a_defended_campaign_reports_its_mitigated_cells() {
     // The undefended campaign never mitigates anything.
     let baseline = run_campaign_opts(&vendors::e_link(), 0xD5_2019, &AttackOpts::default());
     assert!(baseline.mitigated_cells().is_empty());
+}
+
+/// The running sum of `cloud_mitigations_total{action=…}` in a registry.
+fn registry_mitigations(telemetry: &Telemetry) -> u64 {
+    telemetry
+        .snapshot()
+        .counters()
+        .filter(|(name, _)| name.starts_with("cloud_mitigations_total{"))
+        .map(|(_, n)| n)
+        .sum()
+}
+
+#[test]
+fn each_run_reports_the_mitigations_its_cloud_recorded() {
+    // The hardened campaign over all ten vendors, every run recording
+    // into one registry: a run's count is its share of the registry's.
+    let opts = hardened();
+    let mut total = 0;
+    for (v, design) in vendors::vendor_designs().iter().enumerate() {
+        for id in AttackId::ALL {
+            let before = registry_mitigations(&opts.telemetry);
+            let run = run_attack_opts(design, id, 0xD5_2019 + v as u64, &opts);
+            let delta = registry_mitigations(&opts.telemetry) - before;
+            assert_eq!(run.mitigations, delta, "{} {id}", design.vendor);
+            total += delta;
+        }
+    }
+    assert!(total > 0, "the hardened clouds intervened somewhere");
+    // No defense policy, no interventions, even where the attack succeeds.
+    for id in AttackId::ALL {
+        assert_eq!(
+            run_attack(&vendors::e_link(), id, 42).mitigations,
+            0,
+            "{id}"
+        );
+    }
 }

@@ -55,8 +55,8 @@ fn race(
         );
         world.run_for(probe_every);
         adv.drain(&mut world, None);
-        let stash: Vec<_> = adv.stashed_responses().to_vec();
-        if stash
+        if adv
+            .stashed_responses()
             .iter()
             .any(|(_, r)| matches!(r, Response::Bound { .. }))
         {

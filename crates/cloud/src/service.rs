@@ -187,6 +187,9 @@ pub struct CloudService {
     profiler: Profiler,
     forensics: bool,
     forensic_marks: Vec<String>,
+    /// Mitigations recorded over this cloud's life, counted whether or
+    /// not its telemetry records.
+    mitigations: u64,
 }
 
 impl CloudService {
@@ -207,6 +210,7 @@ impl CloudService {
             profiler: Profiler::disabled(),
             forensics: false,
             forensic_marks: Vec::new(),
+            mitigations: 0,
         }
     }
 
@@ -267,6 +271,14 @@ impl CloudService {
             self.forensic_marks
                 .push(format!("shadow dev={dev_id} from={before} to={after}"));
         }
+    }
+
+    /// Defensive interventions (token rotations, quarantines, bind
+    /// rate-limits) this cloud has made: the sum of its
+    /// `cloud_mitigations_total{action=…}` increments. Always 0 under a
+    /// disabled [`DefensePolicy`].
+    pub fn mitigations(&self) -> u64 {
+        self.mitigations
     }
 
     /// Points the cloud (and its monitor) at a shared telemetry registry.
@@ -424,6 +436,7 @@ impl CloudService {
     /// counter and (under forensics) a FAULT-style
     /// `defense action=… … trigger=…` mark tied to the causing request.
     fn record_mitigation(&mut self, action: Mitigation, detail: fmt::Arguments<'_>, trigger: &str) {
+        self.mitigations += 1;
         self.metrics.get().mitigations.incr(action as usize);
         if self.forensics {
             self.forensic_marks.push(format!(

@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::analyzer::analyze;
+use crate::analyzer::{analyze, AnalysisReport};
 use crate::attacks::AttackId;
 use crate::design::{BindScheme, DeviceAuthScheme, VendorDesign};
 
@@ -64,8 +64,9 @@ impl fmt::Display for RecommendationId {
     }
 }
 
-fn eliminated_by(original: &VendorDesign, patched: &VendorDesign) -> Vec<AttackId> {
-    let before = analyze(original);
+/// The attacks `before` (the unpatched design's report) finds feasible
+/// and the patched design no longer allows.
+fn eliminated_by(before: &AnalysisReport, patched: &VendorDesign) -> Vec<AttackId> {
     let after = analyze(patched);
     AttackId::ALL
         .iter()
@@ -78,6 +79,7 @@ fn eliminated_by(original: &VendorDesign, patched: &VendorDesign) -> Vec<AttackI
 /// the attacks it eliminates (possibly empty when the fix is
 /// defense-in-depth on this particular design).
 pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
+    let before = analyze(design);
     let mut out = Vec::new();
 
     if design.auth == DeviceAuthScheme::DevId {
@@ -90,7 +92,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  during local configuration instead of the static device ID",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 
@@ -105,7 +107,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  victim's local network (capability-based binding)",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 
@@ -118,7 +120,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                 "{}: on Unbind:(DevId,UserToken), verify the requesting user is the bound user",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 
@@ -131,7 +133,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                 "{}: stop accepting Unbind:DevId — anyone holding the ID can revoke the binding",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 
@@ -151,7 +153,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  replacing the existing binding (and provide a checked unbind operation)",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 
@@ -179,7 +181,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  and require it on all subsequent traffic",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 
@@ -208,7 +210,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  reset through an authorized revocation instead",
                 design.vendor
             ),
-            eliminates: eliminated_by(design, &patched),
+            eliminates: eliminated_by(&before, &patched),
         });
     }
 

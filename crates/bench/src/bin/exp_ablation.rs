@@ -30,7 +30,7 @@ fn main() {
         if feasible.is_empty() {
             continue;
         }
-        for rec in recommendations(&design) {
+        for rec in recommendations(&design, &before) {
             if rec.eliminates.is_empty() {
                 continue;
             }
@@ -58,7 +58,7 @@ fn main() {
     let mut summary: std::collections::BTreeMap<RecommendationId, (usize, usize)> =
         std::collections::BTreeMap::new();
     for design in vendors::vendor_designs() {
-        for rec in recommendations(&design) {
+        for rec in recommendations(&design, &analyze(&design)) {
             let entry = summary.entry(rec.id).or_default();
             entry.0 += 1;
             entry.1 += rec.eliminates.len();

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! cargo run --release -p rb-bench --bin exp_mc
-//! cargo run --release -p rb-bench --bin exp_mc -- --vendors-only   # CI quick gate
+//! cargo run --release -p rb-bench --bin exp_mc -- --vendors-only   # the ten vendors only
 //! cargo run --release -p rb-bench --bin exp_mc -- --threads 4 out.json
 //! ```
 //!

@@ -129,7 +129,7 @@ fn cmd_audit(design: &VendorDesign) {
         print!(" {}={}", family, report.family_cell(family));
     }
     println!("\n\nremediations:");
-    for rec in recommendations(design) {
+    for rec in recommendations(design, &report) {
         let kills: Vec<String> = rec.eliminates.iter().map(|a| a.to_string()).collect();
         println!(
             "  [{}] {}{}",

@@ -1,8 +1,9 @@
 //! The lessons-learned engine (paper Section VII).
 //!
-//! Given a [`VendorDesign`], [`recommendations`] emits the subset of the
-//! paper's remediation advice that applies — each item tied to the design
-//! element that triggers it and to the attacks it would eliminate.
+//! Given a [`VendorDesign`] and its analyzer report, [`recommendations`]
+//! emits the subset of the paper's remediation advice that applies — each
+//! item tied to the design element that triggers it and to the attacks it
+//! would eliminate.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -77,9 +78,9 @@ fn eliminated_by(before: &AnalysisReport, patched: &VendorDesign) -> Vec<AttackI
 
 /// Emits the applicable recommendations for a design, each annotated with
 /// the attacks it eliminates (possibly empty when the fix is
-/// defense-in-depth on this particular design).
-pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
-    let before = analyze(design);
+/// defense-in-depth on this particular design). `before` is
+/// [`analyze`]`(design)`, which the caller has already computed.
+pub fn recommendations(design: &VendorDesign, before: &AnalysisReport) -> Vec<Recommendation> {
     let mut out = Vec::new();
 
     if design.auth == DeviceAuthScheme::DevId {
@@ -92,7 +93,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  during local configuration instead of the static device ID",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -107,7 +108,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  victim's local network (capability-based binding)",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -120,7 +121,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                 "{}: on Unbind:(DevId,UserToken), verify the requesting user is the bound user",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -133,7 +134,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                 "{}: stop accepting Unbind:DevId — anyone holding the ID can revoke the binding",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -153,7 +154,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  replacing the existing binding (and provide a checked unbind operation)",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -181,7 +182,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  and require it on all subsequent traffic",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -210,7 +211,7 @@ pub fn recommendations(design: &VendorDesign) -> Vec<Recommendation> {
                  reset through an authorized revocation instead",
                 design.vendor
             ),
-            eliminates: eliminated_by(&before, &patched),
+            eliminates: eliminated_by(before, &patched),
         });
     }
 
@@ -222,13 +223,17 @@ mod tests {
     use super::*;
     use crate::vendors::*;
 
+    fn recs_of(design: &VendorDesign) -> Vec<Recommendation> {
+        recommendations(design, &analyze(design))
+    }
+
     fn ids(recs: &[Recommendation]) -> Vec<RecommendationId> {
         recs.iter().map(|r| r.id).collect()
     }
 
     #[test]
     fn belkin_gets_the_unbind_ownership_fix() {
-        let recs = recommendations(&belkin());
+        let recs = recs_of(&belkin());
         let rec = recs
             .iter()
             .find(|r| r.id == RecommendationId::CheckUnbindOwnership)
@@ -238,7 +243,7 @@ mod tests {
 
     #[test]
     fn tp_link_gets_the_full_battery() {
-        let recs = recommendations(&tp_link());
+        let recs = recs_of(&tp_link());
         let got = ids(&recs);
         assert!(got.contains(&RecommendationId::UseDynamicDeviceToken));
         assert!(got.contains(&RecommendationId::DropDevIdOnlyUnbind));
@@ -262,7 +267,7 @@ mod tests {
 
     #[test]
     fn konke_gets_reject_when_bound() {
-        let recs = recommendations(&konke());
+        let recs = recs_of(&konke());
         let rec = recs
             .iter()
             .find(|r| r.id == RecommendationId::RejectBindWhenBound)
@@ -272,7 +277,7 @@ mod tests {
 
     #[test]
     fn e_link_hijack_eliminated_by_reject_or_session() {
-        let recs = recommendations(&e_link());
+        let recs = recs_of(&e_link());
         let reject = recs
             .iter()
             .find(|r| r.id == RecommendationId::RejectBindWhenBound)
@@ -288,7 +293,7 @@ mod tests {
     #[test]
     fn capability_binding_kills_dos_everywhere_it_applies() {
         for design in vendor_designs() {
-            let recs = recommendations(&design);
+            let recs = recs_of(&design);
             if let Some(cap) = recs
                 .iter()
                 .find(|r| r.id == RecommendationId::UseCapabilityBinding)
@@ -307,7 +312,7 @@ mod tests {
 
     #[test]
     fn reference_design_needs_nothing_structural() {
-        let recs = recommendations(&capability_reference());
+        let recs = recs_of(&capability_reference());
         // Nothing it gets recommended may eliminate any attack — there are
         // none left.
         for rec in &recs {
@@ -321,9 +326,9 @@ mod tests {
 
     #[test]
     fn short_digit_ids_trigger_the_idspace_warning() {
-        let recs = recommendations(&ozwi());
+        let recs = recs_of(&ozwi());
         assert!(ids(&recs).contains(&RecommendationId::WidenIdSpace));
-        let recs = recommendations(&capability_reference());
+        let recs = recs_of(&capability_reference());
         assert!(!ids(&recs).contains(&RecommendationId::WidenIdSpace));
     }
 
@@ -331,7 +336,7 @@ mod tests {
     fn every_vendor_gets_at_least_one_recommendation() {
         for design in vendor_designs() {
             assert!(
-                !recommendations(&design).is_empty(),
+                !recs_of(&design).is_empty(),
                 "{} should have findings",
                 design.vendor
             );

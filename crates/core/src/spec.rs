@@ -24,8 +24,6 @@
 //! (besides the analyzer's predicate logic and the cloud's executable
 //! handlers); `spec::tests` proves all three agree.
 
-use std::collections::{HashMap, VecDeque};
-
 use serde::{Deserialize, Serialize};
 
 use crate::design::{BindScheme, ControlVerdict, VendorDesign};
@@ -79,6 +77,10 @@ pub struct AbsState {
     pub device_token: Option<Party>,
 }
 
+/// The number of abstract states: 4 device sources × 3 holders of each of
+/// the binding, the binding-session mint and the device's token.
+const STATE_SPACE: usize = 4 * 3 * 3 * 3;
+
 impl AbsState {
     /// The factory state.
     pub fn initial() -> Self {
@@ -88,6 +90,17 @@ impl AbsState {
             binding_session: None,
             device_token: None,
         }
+    }
+
+    /// Packs the state into a dense index in `0..STATE_SPACE`.
+    fn index(self) -> usize {
+        let party = |p: Option<Party>| match p {
+            None => 0,
+            Some(Party::User) => 1,
+            Some(Party::Attacker) => 2,
+        };
+        ((self.src as usize * 3 + party(self.bound)) * 3 + party(self.binding_session)) * 3
+            + party(self.device_token)
     }
 }
 
@@ -297,7 +310,9 @@ impl SpecReport {
 }
 
 /// Exhaustively explores the design's transition system (BFS, so witness
-/// traces are minimal).
+/// traces are minimal). States are indexed densely; each discovered state
+/// keeps only its BFS parent link, and a witness is rebuilt from those
+/// links when a property first fails.
 ///
 /// ```rust
 /// use rb_core::spec::check;
@@ -311,47 +326,61 @@ impl SpecReport {
 /// assert!(spec.is_secure());
 /// ```
 pub fn check(design: &VendorDesign) -> SpecReport {
-    let mut paths: HashMap<AbsState, Vec<Act>> = HashMap::new();
-    let mut queue = VecDeque::new();
-    paths.insert(AbsState::initial(), Vec::new());
-    queue.push_back(AbsState::initial());
+    let mut parents: [Option<(AbsState, Act)>; STATE_SPACE] = [None; STATE_SPACE];
+    let mut seen = [false; STATE_SPACE];
+    // The BFS queue: states in discovery order, `head` the next to expand.
+    let mut order = [AbsState::initial(); STATE_SPACE];
+    let (mut head, mut len) = (0, 1);
+    seen[AbsState::initial().index()] = true;
 
     let mut attacker_bound = None;
     let mut attacker_control = None;
     let mut user_disconnect = None;
 
-    while let Some(s) = queue.pop_front() {
-        let path = paths[&s].clone();
+    while head < len {
+        let s = order[head];
+        head += 1;
         if s.bound == Some(Party::Attacker) && attacker_bound.is_none() {
-            attacker_bound = Some(path.clone());
+            attacker_bound = Some(path_to(&parents, s));
         }
         if attacker_controls(design, s) && attacker_control.is_none() {
-            attacker_control = Some(path.clone());
+            attacker_control = Some(path_to(&parents, s));
         }
         for act in Act::ALL {
             let Some(next) = step(design, s, act) else {
                 continue;
             };
             if user_disconnect.is_none() && user_disconnect_step(s, act, next) {
-                let mut p = path.clone();
+                let mut p = path_to(&parents, s);
                 p.push(act);
                 user_disconnect = Some(p);
             }
-            if let std::collections::hash_map::Entry::Vacant(e) = paths.entry(next) {
-                let mut p = path.clone();
-                p.push(act);
-                e.insert(p);
-                queue.push_back(next);
+            if !seen[next.index()] {
+                seen[next.index()] = true;
+                parents[next.index()] = Some((s, act));
+                order[len] = next;
+                len += 1;
             }
         }
     }
 
     SpecReport {
-        reachable: paths.len(),
+        reachable: len,
         attacker_bound,
         attacker_control,
         user_disconnect,
     }
+}
+
+/// Rebuilds the minimal trace to `s` from the BFS parent links.
+fn path_to(parents: &[Option<(AbsState, Act)>], mut s: AbsState) -> Vec<Act> {
+    let mut acts = Vec::new();
+    while let Some((prev, act)) = parents[s.index()] {
+        acts.push(act);
+        s = prev;
+    }
+    acts.reverse();
+    acts
 }
 
 #[cfg(test)]
@@ -503,6 +532,34 @@ mod tests {
             "the LAN hop never happened"
         );
         assert!(!attacker_controls(&d, s), "session mismatch blocks control");
+    }
+
+    #[test]
+    fn state_index_is_a_bijection_onto_the_state_space() {
+        let parties = [None, Some(Party::User), Some(Party::Attacker)];
+        let mut hit = [false; STATE_SPACE];
+        for src in [
+            DeviceSrc::None,
+            DeviceSrc::Real,
+            DeviceSrc::Forged,
+            DeviceSrc::Both,
+        ] {
+            for bound in parties {
+                for binding_session in parties {
+                    for device_token in parties {
+                        let s = AbsState {
+                            src,
+                            bound,
+                            binding_session,
+                            device_token,
+                        };
+                        assert!(!hit[s.index()], "{s:?} collides");
+                        hit[s.index()] = true;
+                    }
+                }
+            }
+        }
+        assert!(hit.iter().all(|&h| h));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   [`VendorDesign`](rb_core::design::VendorDesign) field, related
 //!   attacks, and fix-its drawn from the lessons-learned catalogue.
 //! * [`rules`] — the registry of twelve rules distilled from the paper's
-//!   case studies, and [`rules::lint_design`], which grades each finding
-//!   against the static analyzer: a pattern that a feasible attack
-//!   exploits on this design is an `error`; the same pattern held down by
-//!   other defenses is a `warning`.
+//!   case studies; [`rules::lint_rules`], the rules pass, which grades
+//!   each finding against the static analyzer's report: a pattern that a
+//!   feasible attack exploits on this design is an `error`; the same
+//!   pattern held down by other defenses is a `warning`; and
+//!   [`rules::lint_design`], the rules pass plus the fix-its.
 //! * [`emit`] — deterministic human, JSON, and SARIF 2.1.0 renderings.
 //! * [`harness`] — the exhaustive soundness/precision sweep: over every
 //!   coherent design in the space, every feasible attack is related to at

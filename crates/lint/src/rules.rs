@@ -188,9 +188,9 @@ fn rb012(d: &VendorDesign) -> Option<Finding> {
 }
 
 /// The full rule registry, in rule-ID order.
-pub(crate) fn registry() -> Vec<Rule> {
+static REGISTRY: [Rule; 12] = {
     use AttackId::*;
-    vec![
+    [
         Rule {
             id: RuleId::RB001,
             base_severity: Severity::Warning,
@@ -276,7 +276,7 @@ pub(crate) fn registry() -> Vec<Rule> {
             check: rb012,
         },
     ]
-}
+};
 
 fn feasible_subset(report: &AnalysisReport, covers: &[AttackId]) -> Vec<AttackId> {
     covers
@@ -286,40 +286,56 @@ fn feasible_subset(report: &AnalysisReport, covers: &[AttackId]) -> Vec<AttackId
         .collect()
 }
 
-/// Lints one design: runs every registered rule, grades each finding
-/// against the analyzer's verdicts, and attaches fix-its from the
-/// lessons-learned catalogue.
-pub fn lint_design(design: &VendorDesign) -> LintReport {
-    let analysis = analyze(design);
-    let recs = recommendations(design);
-    let diagnostics = registry()
-        .into_iter()
+/// The rules pass: runs every registered rule and grades each finding
+/// against `analysis`, which must be [`analyze`]`(design)`. Findings carry
+/// no fix-it; [`lint_design`] adds them. Callers that only read which
+/// rules fired and which attacks they relate to (the model checker's
+/// agreement gate) stop here and skip the fix-it step's extra analyses.
+pub fn lint_rules(design: &VendorDesign, analysis: &AnalysisReport) -> LintReport {
+    let diagnostics = REGISTRY
+        .iter()
         .filter_map(|rule| {
             let finding = (rule.check)(design)?;
-            let related_attacks = feasible_subset(&analysis, rule.covers);
+            let related_attacks = feasible_subset(analysis, rule.covers);
             let severity = if related_attacks.is_empty() {
                 rule.base_severity
             } else {
                 Severity::Error
             };
-            let fix = rule.fix.and_then(|id| {
-                recs.iter().find(|r| r.id == id).map(|r| FixIt {
-                    recommendation: r.id,
-                    advice: r.advice.clone(),
-                    eliminates: r.eliminates.clone(),
-                })
-            });
             Some(Diagnostic {
                 rule: rule.id,
                 severity,
                 span: finding.span.to_owned(),
                 message: finding.message,
                 related_attacks,
-                fix,
+                fix: None,
             })
         })
         .collect();
     LintReport::new(design.vendor.clone(), diagnostics)
+}
+
+/// Lints one design: the rules pass ([`lint_rules`]) followed by the
+/// fix-it step, which attaches each fired rule's entry from the
+/// lessons-learned catalogue.
+pub fn lint_design(design: &VendorDesign) -> LintReport {
+    let analysis = analyze(design);
+    let mut report = lint_rules(design, &analysis);
+    let recs = recommendations(design, &analysis);
+    for diagnostic in &mut report.diagnostics {
+        let fix = REGISTRY
+            .iter()
+            .find(|rule| rule.id == diagnostic.rule)
+            .and_then(|rule| rule.fix);
+        diagnostic.fix = fix.and_then(|id| {
+            recs.iter().find(|r| r.id == id).map(|r| FixIt {
+                recommendation: r.id,
+                advice: r.advice.clone(),
+                eliminates: r.eliminates.clone(),
+            })
+        });
+    }
+    report
 }
 
 #[cfg(test)]
@@ -331,7 +347,7 @@ mod tests {
     #[test]
     fn registry_is_in_rule_id_order_and_complete() {
         // The linter owns RB001–RB012, the head of the full rule list.
-        let ids: Vec<RuleId> = registry().iter().map(|rule| rule.id).collect();
+        let ids: Vec<RuleId> = REGISTRY.iter().map(|rule| rule.id).collect();
         assert_eq!(ids, RuleId::ALL[..12]);
     }
 

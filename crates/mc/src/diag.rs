@@ -27,12 +27,12 @@
 //! appears anywhere in the 17,920-design space.
 
 use crate::explore::{explore, McReport, Property};
-use rb_core::analyzer::analyze;
+use rb_core::analyzer::{analyze, AnalysisReport};
 use rb_core::attacks::AttackId;
 use rb_core::design::VendorDesign;
 use rb_core::diagnostic::{Diagnostic, LintReport, RuleId, Severity};
 use rb_core::spec;
-use rb_lint::rules::lint_design;
+use rb_lint::rules::lint_rules;
 use serde::{Deserialize, Serialize};
 
 /// The closed-form expectation for each property, derived from the
@@ -75,9 +75,9 @@ pub const DISCONNECT_ATTACKS: [AttackId; 5] = [
     AttackId::A4_1,
 ];
 
-/// Computes the closed-form expectation for one design.
-pub(crate) fn expected(design: &VendorDesign) -> Expected {
-    let analysis = analyze(design);
+/// Computes the closed-form expectation for one design, given its
+/// analyzer report.
+pub(crate) fn expected(design: &VendorDesign, analysis: &AnalysisReport) -> Expected {
     let relayed = design.hijack_yields_control();
     // Honest escape hatches out of an attacker-held binding: an
     // ownership-unchecked token unbind, the bare reset-channel unbind, a
@@ -98,9 +98,9 @@ pub(crate) fn expected(design: &VendorDesign) -> Expected {
 
 /// Converts a model-checking report into the shared diagnostic model: one
 /// `Error` finding per violated property, carrying the minimal witness in
-/// the message and the feasible attacks the property corresponds to.
-pub(crate) fn to_lint_report(design: &VendorDesign, mc: &McReport) -> LintReport {
-    let analysis = analyze(design);
+/// the message and the feasible attacks the property corresponds to
+/// (`analysis` is the design's analyzer report).
+pub(crate) fn to_lint_report(analysis: &AnalysisReport, mc: &McReport) -> LintReport {
     let diagnostics = mc
         .violations()
         .into_iter()
@@ -176,14 +176,16 @@ fn disagreement(span: &str, message: String) -> Diagnostic {
 
 /// Verifies one design with `threads` explorer workers and cross-checks
 /// the verdicts against the analyzer, the bounded checker, and the
-/// linter.
+/// linter. Each semantics runs once: the one analyzer report feeds the
+/// expectation, the findings' related attacks and the lint rules pass.
 pub fn verify_design(design: &VendorDesign, threads: usize) -> Verification {
+    let analysis = analyze(design);
     let mc = explore(design, threads);
-    let findings = to_lint_report(design, &mc);
+    let findings = to_lint_report(&analysis, &mc);
     let mut disagreements = Vec::new();
 
     // 1. MC ⇔ closed-form expectation.
-    let want = expected(design);
+    let want = expected(design, &analysis);
     for property in Property::ALL {
         let got = mc.witness(property).is_some();
         if got != want.of(property) {
@@ -220,7 +222,9 @@ pub fn verify_design(design: &VendorDesign, threads: usize) -> Verification {
     }
 
     // 3/4. MC ⇔ linter: each verdict maps to an exact fired-rule pattern.
-    let lint = lint_design(design);
+    // Only the rules pass: the gate reads which rules fired, never their
+    // fix-its.
+    let lint = lint_rules(design, &analysis);
     let fired = |rule: RuleId| !lint.by_rule(rule).is_empty();
     let lint_gates = [
         (

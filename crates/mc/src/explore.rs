@@ -165,6 +165,20 @@ fn shadow_of(s: PState) -> ShadowState {
     ShadowState::from_flags(s.src.online(), s.bound.is_some())
 }
 
+/// The bit of one (state, primitive) edge in a 16-bit coverage mask.
+fn edge_bit(state: ShadowState, primitive: Primitive) -> u16 {
+    1 << (state as u16 * 4 + primitive as u16)
+}
+
+/// The edges set in a coverage mask.
+fn edges_of(mask: u16) -> BTreeSet<(ShadowState, Primitive)> {
+    ShadowState::ALL
+        .iter()
+        .flat_map(|&s| Primitive::ALL.iter().map(move |&p| (s, p)))
+        .filter(|&(s, p)| mask & edge_bit(s, p) != 0)
+        .collect()
+}
+
 /// Reconstructs the minimal trace to `key` from the BFS parent links.
 fn path_to(parents: &[Option<(u16, McAct)>], mut key: u16) -> Vec<McAct> {
     let mut acts = Vec::new();
@@ -232,7 +246,7 @@ pub fn trap_states(design: &VendorDesign) -> Vec<bool> {
     while head < order.len() {
         let key = order[head];
         head += 1;
-        for (_, child) in expand(design, key) {
+        for (_, child) in expand(design, key).into_iter().flatten() {
             if !visited[child as usize] {
                 visited[child as usize] = true;
                 order.push(child);
@@ -245,15 +259,17 @@ pub fn trap_states(design: &VendorDesign) -> Vec<bool> {
         .collect()
 }
 
-/// Expands one state: its accepted successors in action order.
-fn expand(design: &VendorDesign, key: u16) -> Vec<(McAct, u16)> {
-    let Some(s) = PState::from_key(key) else {
-        return Vec::new();
-    };
-    McAct::ALL
-        .iter()
-        .filter_map(|&act| model::step(design, s, act).map(|n| (act, n.key())))
-        .collect()
+/// Expands one state: its accepted successors in action order, one slot
+/// per action (`None` where the action is refused). A fixed array, so
+/// expanding a state allocates nothing.
+fn expand(design: &VendorDesign, key: u16) -> [Option<(McAct, u16)>; McAct::ALL.len()] {
+    let mut succs = [None; McAct::ALL.len()];
+    if let Some(s) = PState::from_key(key) {
+        for (slot, &act) in succs.iter_mut().zip(&McAct::ALL) {
+            *slot = model::step(design, s, act).map(|n| (act, n.key()));
+        }
+    }
+    succs
 }
 
 /// Exhaustively explores `design`'s product machine with `threads` worker
@@ -265,7 +281,7 @@ pub fn explore(design: &VendorDesign, threads: usize) -> McReport {
     let mut visited = vec![false; KEY_SPACE];
     let mut parents: Vec<Option<(u16, McAct)>> = vec![None; KEY_SPACE];
     let mut discovery: Vec<u16> = Vec::new();
-    let mut shadow_edges = BTreeSet::new();
+    let mut shadow_mask = 0u16;
     let mut transitions = 0usize;
     let mut depth = 0usize;
 
@@ -316,9 +332,9 @@ pub fn explore(design: &VendorDesign, threads: usize) -> McReport {
             let Some(pre) = PState::from_key(key) else {
                 continue;
             };
-            for (act, child) in succs {
+            for (act, child) in succs.into_iter().flatten() {
                 transitions += 1;
-                shadow_edges.insert((shadow_of(pre), primitive_of(act)));
+                shadow_mask |= edge_bit(shadow_of(pre), primitive_of(act));
                 if user_disconnect.is_none()
                     && PState::from_key(child).is_some_and(|c| {
                         spec::user_disconnect_step(pre.abs(), act.spec_act(), c.abs())
@@ -368,7 +384,7 @@ pub fn explore(design: &VendorDesign, threads: usize) -> McReport {
         user_disconnect,
         stale_session,
         rebind_livelock,
-        shadow_edges,
+        shadow_edges: edges_of(shadow_mask),
     }
 }
 

@@ -31,7 +31,7 @@ fn main() {
                 }
             }
         }
-        let recs = recommendations(&design);
+        let recs = recommendations(&design, &report);
         if recs.is_empty() {
             println!("   no findings.");
         }

@@ -193,7 +193,7 @@ proptest! {
     fn recommendations_are_monotone(design in arb_design()) {
         use iot_remote_binding::core_model::recommend::recommendations;
         let before = analyze(&design);
-        for rec in recommendations(&design) {
+        for rec in recommendations(&design, &before) {
             // Reconstruct the patched design the recommendation evaluated
             // by checking its `eliminates` list against `before`: every
             // eliminated attack must have been feasible before.

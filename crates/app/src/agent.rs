@@ -807,8 +807,8 @@ impl AppAgent {
                                 schedule,
                                 telemetry,
                             } => {
-                                self.last_schedule = schedule;
-                                self.last_queried_telemetry = telemetry;
+                                self.last_schedule = schedule.into_vec();
+                                self.last_queried_telemetry = telemetry.into_vec();
                                 self.events.push(AppEvent::ControlOk);
                             }
                             Response::Denied { reason } => {

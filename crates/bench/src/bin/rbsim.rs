@@ -50,11 +50,50 @@ use rb_lint::rules::lint_design;
 use rb_mc::diag::verify_design;
 use rb_mc::explore::Property;
 use rb_mc::replay::replay;
+use std::cell::RefCell;
+use std::fmt;
+use std::io::{self, Write as _};
 
 /// Every rbsim run is measured by the counting allocator so `rbsim prof`
 /// can report the allocation/peak-memory envelope alongside the ticks.
 #[global_allocator]
 static ALLOC: rb_prof::CountingAlloc = rb_prof::CountingAlloc;
+
+thread_local! {
+    /// Standard output, locked once for the whole run.
+    static STDOUT: RefCell<io::StdoutLock<'static>> = RefCell::new(io::stdout().lock());
+}
+
+/// Writes to standard output. When the reader has gone (`rbsim … | head`
+/// closes the pipe), the run ends quietly instead of panicking the way
+/// `print!` does; any other write error ends it with status 1.
+fn write_out(args: fmt::Arguments<'_>) {
+    let Err(e) = STDOUT.with(|out| out.borrow_mut().write_fmt(args)) else {
+        return;
+    };
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("rbsim: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    () => {
+        write_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn find_design(name: &str) -> Option<VendorDesign> {
     let needle = name.to_lowercase().replace(['-', '_', ' '], "");
@@ -103,35 +142,35 @@ fn cmd_list() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render_table(
             &["#", "vendor", "device", "status", "bind", "unbind"],
             &rows
         )
     );
-    println!("also available: 'capability', 'publickey', 'weakest'");
+    outln!("also available: 'capability', 'publickey', 'weakest'");
 }
 
 fn cmd_audit(design: &VendorDesign) {
-    println!("audit: {} ({})\n", design.vendor, design.device);
+    outln!("audit: {} ({})\n", design.vendor, design.device);
     let report = analyze(design);
     for id in AttackId::ALL {
-        println!(
+        outln!(
             "  {:5} [{}] {}",
             id.to_string(),
             report.verdict(id).symbol(),
             report.verdict(id)
         );
     }
-    print!("\nfamily cells:");
+    out!("\nfamily cells:");
     for family in AttackFamily::ALL {
-        print!(" {}={}", family, report.family_cell(family));
+        out!(" {}={}", family, report.family_cell(family));
     }
-    println!("\n\nremediations:");
+    outln!("\n\nremediations:");
     for rec in recommendations(design, &report) {
         let kills: Vec<String> = rec.eliminates.iter().map(|a| a.to_string()).collect();
-        println!(
+        outln!(
             "  [{}] {}{}",
             rec.id,
             rec.advice,
@@ -157,16 +196,16 @@ fn cmd_lint(designs: &[VendorDesign], format: LintFormat) {
     match format {
         LintFormat::Human => {
             for report in &reports {
-                print!("{}", render_human(report));
-                println!();
+                out!("{}", render_human(report));
+                outln!();
             }
         }
         LintFormat::Json => {
             for report in &reports {
-                print!("{}", render_json(report));
+                out!("{}", render_json(report));
             }
         }
-        LintFormat::Sarif => print!("{}", render_sarif(&reports)),
+        LintFormat::Sarif => out!("{}", render_sarif(&reports)),
     }
     let errors: usize = reports.iter().map(|r| r.count(Severity::Error)).sum();
     if errors > 0 {
@@ -176,45 +215,48 @@ fn cmd_lint(designs: &[VendorDesign], format: LintFormat) {
 }
 
 fn cmd_campaign(design: &VendorDesign, seed: u64) {
-    println!(
+    outln!(
         "executing all nine attacks against {} (seed {seed})...\n",
         design.vendor
     );
     let campaign = run_campaign(design, seed);
     for id in AttackId::ALL {
         let run = &campaign.runs[&id];
-        println!(
+        outln!(
             "  {:5} [{}] {}",
             id.to_string(),
             run.outcome.symbol(),
             run.outcome
         );
         for line in &run.evidence {
-            println!("         {line}");
+            outln!("         {line}");
         }
     }
     let row = campaign.row();
-    println!(
+    outln!(
         "\nrow: A1={} A2={} A3={} A4={}",
-        row[0], row[1], row[2], row[3]
+        row[0],
+        row[1],
+        row[2],
+        row[3]
     );
     let disagreements = campaign.disagreements();
     if disagreements.is_empty() {
-        println!("analyzer agrees with every executed outcome.");
+        outln!("analyzer agrees with every executed outcome.");
     } else {
         for d in disagreements {
-            println!("DISAGREEMENT: {d}");
+            outln!("DISAGREEMENT: {d}");
         }
         std::process::exit(1);
     }
 }
 
 fn cmd_attack(design: &VendorDesign, id: AttackId, seed: u64) {
-    println!("executing {id} against {}...\n", design.vendor);
+    outln!("executing {id} against {}...\n", design.vendor);
     let run = run_attack(design, id, seed);
-    println!("outcome: [{}] {}", run.outcome.symbol(), run.outcome);
+    outln!("outcome: [{}] {}", run.outcome.symbol(), run.outcome);
     for line in &run.evidence {
-        println!("  {line}");
+        outln!("  {line}");
     }
 }
 
@@ -230,14 +272,14 @@ fn cmd_metrics(design: &VendorDesign, seed: u64, format: MetricsFormat) {
     let telemetry = rb_scenario::metrics_run(design, seed);
     match format {
         MetricsFormat::Human => {
-            println!(
+            outln!(
                 "metrics: {} (seed {seed}) — canonical binding-lifecycle scenario\n",
                 design.vendor
             );
-            print!("{}", telemetry.render_human());
+            out!("{}", telemetry.render_human());
         }
-        MetricsFormat::Json => print!("{}", telemetry.to_json()),
-        MetricsFormat::Prometheus => print!("{}", telemetry.to_prometheus()),
+        MetricsFormat::Json => out!("{}", telemetry.to_json()),
+        MetricsFormat::Prometheus => out!("{}", telemetry.to_prometheus()),
     }
 }
 
@@ -276,25 +318,27 @@ fn cmd_prof(
     match format {
         // The folded export is the flamegraph feed and the determinism
         // surface: ticks only, byte-identical across reruns.
-        ProfFormat::Folded => print!("{}", run.profile.folded()),
-        ProfFormat::Json => println!("{}", report.to_json()),
+        ProfFormat::Folded => out!("{}", run.profile.folded()),
+        ProfFormat::Json => outln!("{}", report.to_json()),
         ProfFormat::Human => {
-            println!(
+            outln!(
                 "profile: {} (seed {seed}) — canonical binding-lifecycle scenario\n",
                 design.vendor
             );
-            println!(
+            outln!(
                 "converged: {} | end tick: {} | profiled ticks: {}\n",
                 run.converged,
                 run.end_tick,
                 run.profile.total_ticks()
             );
-            print!("{}", run.profile.hot_table(12));
-            println!(
+            out!("{}", run.profile.hot_table(12));
+            outln!(
                 "\nalloc: {} allocations, {} bytes total, peak live {} bytes",
-                alloc.allocs_total, alloc.bytes_total, alloc.peak_live_bytes
+                alloc.allocs_total,
+                alloc.bytes_total,
+                alloc.peak_live_bytes
             );
-            println!("(ticks are deterministic sim time; alloc numbers are this build's envelope)");
+            outln!("(ticks are deterministic sim time; alloc numbers are this build's envelope)");
         }
     }
 
@@ -349,7 +393,7 @@ fn cmd_compare(report_path: &str, baseline_path: &str, tolerance: f64) {
     let report = load(report_path);
     let base = load(baseline_path);
     match rb_bench::report::compare(&report, &base, tolerance) {
-        Ok(()) => println!(
+        Ok(()) => outln!(
             "compare: PASS ({} vs {}, ±{:.0}%)",
             report_path,
             baseline_path,
@@ -381,7 +425,7 @@ fn cmd_monitor(design: &VendorDesign, seed: u64, json: bool) {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        println!(
+        outln!(
             "{{\"vendor\":\"{}\",\"seed\":{seed},\"converged\":{},\"alerts\":[{}],\"state\":[{}]}}",
             design.vendor,
             run.converged,
@@ -390,16 +434,16 @@ fn cmd_monitor(design: &VendorDesign, seed: u64, json: bool) {
         );
         return;
     }
-    println!(
+    outln!(
         "monitor: {} (seed {seed}) — hardened policy vs the scripted WAN attacker\n",
         design.vendor
     );
-    println!("benign setup converged: {}\n", run.converged);
-    println!("alert stream:");
+    outln!("benign setup converged: {}\n", run.converged);
+    outln!("alert stream:");
     for line in run.alert_stream.lines() {
-        println!("  {line}");
+        outln!("  {line}");
     }
-    println!("\n{}", run.state);
+    outln!("\n{}", run.state);
     let snap = run.telemetry.snapshot();
     let total = |prefix: &str| -> u64 {
         snap.counters()
@@ -407,7 +451,7 @@ fn cmd_monitor(design: &VendorDesign, seed: u64, json: bool) {
             .map(|(_, v)| v)
             .sum()
     };
-    println!(
+    outln!(
         "\n{} alert(s), {} intervention(s); full metrics: `rbsim metrics {} --prom`",
         total("cloud_alerts_total"),
         total("cloud_mitigations_total"),
@@ -427,18 +471,18 @@ fn cmd_trace(design: &VendorDesign, seed: u64, format: TraceFormat) {
     match format {
         TraceFormat::Timeline => {
             let capture = rb_scenario::trace_run(design, seed, None);
-            print!("{}", rb_forensics::timeline::to_timeline(&capture));
+            out!("{}", rb_forensics::timeline::to_timeline(&capture));
         }
         TraceFormat::Chrome => {
             let capture = rb_scenario::trace_run(design, seed, None);
-            print!("{}", rb_forensics::chrome::to_chrome_json(&capture));
+            out!("{}", rb_forensics::chrome::to_chrome_json(&capture));
         }
         TraceFormat::Forensics => {
             let opts = AttackOpts {
                 capture: true,
                 ..AttackOpts::default()
             };
-            println!(
+            outln!(
                 "forensic reconstruction: {} (seed {seed}) — verdicts from the causal trace alone\n",
                 design.vendor
             );
@@ -469,14 +513,14 @@ fn cmd_trace(design: &VendorDesign, seed: u64, format: TraceFormat) {
                     }
                     None => "no attribution".to_owned(),
                 };
-                println!(
+                outln!(
                     "  {:5} [{}] executed: {:14} | forensics: {verdict}",
                     id.to_string(),
                     run.outcome.symbol(),
                     run.outcome.to_string()
                 );
             }
-            println!("\nreconstructed {reconstructed}/{feasible} feasible attack(s) from traces.");
+            outln!("\nreconstructed {reconstructed}/{feasible} feasible attack(s) from traces.");
             if reconstructed != feasible {
                 std::process::exit(1);
             }
@@ -495,18 +539,20 @@ enum VerifyFormat {
 fn cmd_verify(design: &VendorDesign, threads: usize, format: VerifyFormat, do_replay: bool) {
     let v = verify_design(design, threads);
     match format {
-        VerifyFormat::Json => print!("{}", render_json(&v.findings)),
-        VerifyFormat::Sarif => print!("{}", render_sarif(std::slice::from_ref(&v.findings))),
+        VerifyFormat::Json => out!("{}", render_json(&v.findings)),
+        VerifyFormat::Sarif => out!("{}", render_sarif(std::slice::from_ref(&v.findings))),
         VerifyFormat::Human => {
-            println!(
+            outln!(
                 "model-checking {} (product machine, {threads} thread(s))...\n",
                 design.vendor
             );
-            println!(
+            outln!(
                 "reachable product states: {} | transitions: {} | max depth: {}",
-                v.mc.reachable, v.mc.transitions, v.mc.depth
+                v.mc.reachable,
+                v.mc.transitions,
+                v.mc.depth
             );
-            println!(
+            outln!(
                 "shadow-machine edge coverage: {:.1}%\n",
                 v.mc.shadow_coverage_percent()
             );
@@ -514,20 +560,20 @@ fn cmd_verify(design: &VendorDesign, threads: usize, format: VerifyFormat, do_re
                 match v.mc.witness(property) {
                     Some(w) => {
                         let steps: Vec<String> = w.iter().map(ToString::to_string).collect();
-                        println!(
+                        outln!(
                             "  {:17} VIOLATED ({} steps): {}",
                             property.to_string(),
                             w.len(),
                             steps.join(" -> ")
                         );
                     }
-                    None => println!("  {:17} holds", property.to_string()),
+                    None => outln!("  {:17} holds", property.to_string()),
                 }
             }
             if v.mc.is_secure() {
-                println!("\nverdict: SECURE — every property holds over the product machine.");
+                outln!("\nverdict: SECURE — every property holds over the product machine.");
             } else {
-                println!("\nverdict: VULNERABLE (witnesses above are minimal).");
+                outln!("\nverdict: VULNERABLE (witnesses above are minimal).");
             }
         }
     }
@@ -537,9 +583,7 @@ fn cmd_verify(design: &VendorDesign, threads: usize, format: VerifyFormat, do_re
             match replay(design, property, witness) {
                 Ok(()) => {
                     if format == VerifyFormat::Human {
-                        println!(
-                            "replayed {property} in the simulator: violation reproduced live."
-                        );
+                        outln!("replayed {property} in the simulator: violation reproduced live.");
                     }
                 }
                 Err(e) => {
@@ -551,7 +595,7 @@ fn cmd_verify(design: &VendorDesign, threads: usize, format: VerifyFormat, do_re
     }
     if v.disagreements.is_empty() {
         if format == VerifyFormat::Human {
-            println!("model checker, bounded checker, analyzer, and linter agree on this design.");
+            outln!("model checker, bounded checker, analyzer, and linter agree on this design.");
         }
     } else {
         for d in &v.disagreements {
@@ -572,24 +616,29 @@ fn cmd_fuzz(design: &VendorDesign, cfg: &rb_fuzz::FuzzConfig, json: bool) {
     let mc = rb_mc::explore::explore(design, 1);
     let diags = rb_fuzz::oracle::cross_check(&report, &mc);
     if json {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
-        println!(
+        outln!(
             "fuzzing {} (seed {:#x}, {} runs)...\n",
-            design.vendor, cfg.seed, cfg.runs
+            design.vendor,
+            cfg.seed,
+            cfg.runs
         );
-        println!(
+        outln!(
             "executed {} acts / {} product steps | {} unique state(s) | corpus {:016x}",
-            report.acts_executed, report.steps_executed, report.unique_states, report.corpus_digest
+            report.acts_executed,
+            report.steps_executed,
+            report.unique_states,
+            report.corpus_digest
         );
-        println!(
+        outln!(
             "shadow-transition coverage vs rb-mc: {:.1}% ({} of {} reachable edges)\n",
             report.coverage_vs_mc(&mc),
             report.shadow_edges.intersection(&mc.shadow_edges).count(),
             mc.shadow_edges.len()
         );
         if report.findings.is_empty() {
-            println!("no property violations found.");
+            outln!("no property violations found.");
         }
         for f in &report.findings {
             let cell = match (f.cell, f.composite) {
@@ -597,7 +646,7 @@ fn cmd_fuzz(design: &VendorDesign, cfg: &rb_fuzz::FuzzConfig, json: bool) {
                 (None, Some(name)) => format!("composite {name}"),
                 (None, None) => "unnamed composite".to_owned(),
             };
-            println!(
+            outln!(
                 "  {:17} run {:3}, {} -> {} acts after {} shrink step(s) [{cell}]",
                 f.property.to_string(),
                 f.run,
@@ -605,7 +654,7 @@ fn cmd_fuzz(design: &VendorDesign, cfg: &rb_fuzz::FuzzConfig, json: bool) {
                 f.minimal.len(),
                 f.shrink_steps
             );
-            println!("      {}", rb_fuzz::campaign::render_acts(&f.minimal));
+            outln!("      {}", rb_fuzz::campaign::render_acts(&f.minimal));
         }
     }
     if !diags.is_empty() {
@@ -615,14 +664,14 @@ fn cmd_fuzz(design: &VendorDesign, cfg: &rb_fuzz::FuzzConfig, json: bool) {
         std::process::exit(1);
     }
     if !json {
-        println!("\nfuzzer and model checker agree on this design.");
+        outln!("\nfuzzer and model checker agree on this design.");
     }
 }
 
 fn cmd_taxonomy() {
     let witnesses = taxonomy_witnesses();
     for row in taxonomy() {
-        println!(
+        outln!(
             "{:5} forging {:45} in {:22} => {:8} | witness: {}",
             row.attack.to_string(),
             row.forged,
@@ -652,7 +701,7 @@ fn cmd_table3() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         render_table(&["vendor", "A1", "A2", "A3", "A4"], &rows)
     );
@@ -660,18 +709,19 @@ fn cmd_table3() {
 
 fn cmd_space() {
     let stats = survey();
-    println!("designs analyzed: {}", stats.total);
+    outln!("designs analyzed: {}", stats.total);
     for id in AttackId::ALL {
-        println!(
+        outln!(
             "  {:5} feasible on {:5} designs, unconfirmable on {}",
             id.to_string(),
             stats.feasible_counts.get(&id).copied().unwrap_or(0),
             stats.unconfirmable_counts.get(&id).copied().unwrap_or(0),
         );
     }
-    println!(
+    outln!(
         "fully secure: {} | provably secure: {}",
-        stats.fully_secure, stats.provably_secure
+        stats.fully_secure,
+        stats.provably_secure
     );
 }
 
@@ -684,7 +734,7 @@ fn cmd_fleet(total_homes: usize, threads: usize, seeds: u64, chaos: bool) {
         spec = spec.with_profiles(&rb_scenario::ChaosProfile::ALL);
     }
     let cells = spec.cells().len();
-    println!(
+    outln!(
         "fleet sweep: {} designs x {} seeds x {} profile(s) = {} cells, {} homes/cell, {} thread(s)\n",
         spec.designs.len(),
         spec.seeds.len(),
@@ -694,8 +744,8 @@ fn cmd_fleet(total_homes: usize, threads: usize, seeds: u64, chaos: bool) {
         spec.threads
     );
     let (report, timings) = rb_fleet::run_fleet(&spec);
-    print!("{}", report.render());
-    println!(
+    out!("{}", report.render());
+    outln!(
         "\nwall: {:.2}s | {:.1} cells/s | cell p50 {:.1}ms p95 {:.1}ms",
         timings.total_nanos as f64 / 1e9,
         timings.cells_per_sec(),

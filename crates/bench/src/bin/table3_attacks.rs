@@ -1,6 +1,8 @@
 //! TAB3 — regenerates the paper's Table III by *executing* all nine attacks
 //! against all ten vendor designs, then cross-checking every verdict
-//! against the static analyzer.
+//! against the static analyzer. Exits 1, naming the vendor or the count,
+//! when a verdict disagrees with the analyzer or a §VI-B headline count
+//! drifts from the paper's.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin table3_attacks [--evidence]
@@ -68,14 +70,17 @@ fn main() {
     println!("✓: attack succeeded; ✗: attack failed; O: unable to confirm (firmware challenges)\n");
 
     // Cross-check against the analyzer.
-    let mut disagreements = 0;
+    let mut violations = Vec::new();
     for c in &campaigns {
         for d in c.disagreements() {
             println!("DISAGREEMENT {}: {}", c.design.vendor, d);
-            disagreements += 1;
+            violations.push(format!(
+                "{} disagrees with the analyzer: {d}",
+                c.design.vendor
+            ));
         }
     }
-    if disagreements == 0 {
+    if violations.is_empty() {
         println!(
             "static analyzer and live execution agree on all {} verdicts ({} vendors × {} attacks).",
             campaigns.len() * AttackId::ALL.len(),
@@ -89,13 +94,25 @@ fn main() {
         .iter()
         .filter(|c| c.row().iter().any(|cell| cell != "✗" && cell != "O"))
         .count();
-    println!("\ndevices with at least one successful attack: {succeeded_devices} (paper: 9)");
     let a2 = campaigns.iter().filter(|c| c.row()[1] == "✓").count();
-    println!("devices suffering binding denial-of-service (A2): {a2} (paper: 6)");
     let a3 = campaigns.iter().filter(|c| c.row()[2] != "✗").count();
-    println!("devices suffering device unbinding (A3): {a3} (paper: 4)");
     let a4 = campaigns.iter().filter(|c| c.row()[3] != "✗").count();
-    println!("devices suffering device hijacking (A4): {a4} (paper: 3)");
+    println!();
+    for (what, got, paper) in [
+        (
+            "devices with at least one successful attack",
+            succeeded_devices,
+            9,
+        ),
+        ("devices suffering binding denial-of-service (A2)", a2, 6),
+        ("devices suffering device unbinding (A3)", a3, 4),
+        ("devices suffering device hijacking (A4)", a4, 3),
+    ] {
+        println!("{what}: {got} (paper: {paper})");
+        if got != paper {
+            violations.push(format!("{what}: {got}, paper {paper}"));
+        }
+    }
 
     if show_evidence {
         println!("\n================ evidence ================");
@@ -114,5 +131,12 @@ fn main() {
                 }
             }
         }
+    }
+
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("table3_attacks: GATE FAILED — {violation}");
+        }
+        std::process::exit(1);
     }
 }

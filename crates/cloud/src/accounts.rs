@@ -1,7 +1,6 @@
 //! User accounts and `UserToken` issuance.
 
-use std::collections::HashMap;
-
+use rb_netsim::hash::HashMap;
 use rb_netsim::{NodeId, SimRng};
 use rb_wire::messages::DenyReason;
 use rb_wire::tokens::{UserId, UserPw, UserToken};

@@ -1,7 +1,6 @@
 //! Issued `DevToken`s and `BindToken` capabilities.
 
-use std::collections::HashMap;
-
+use rb_netsim::hash::HashMap;
 use rb_netsim::SimRng;
 use rb_wire::messages::DenyReason;
 use rb_wire::tokens::{BindToken, DevToken, UserId};

@@ -23,9 +23,10 @@
 //! observation sequence, and the rendered alert stream / state summary are
 //! byte-stable across runs and thread counts.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use rb_netsim::hash::{HashMap, HashSet};
 use rb_netsim::telemetry::CounterTable;
 use rb_netsim::{NodeId, Telemetry, Tick};
 use rb_wire::ids::DevId;
@@ -366,15 +367,15 @@ impl Monitor {
         Monitor {
             log: Vec::new(),
             defense_cursor: 0,
-            touched: HashMap::new(),
-            flagged: HashSet::new(),
-            device_ips: HashMap::new(),
-            contested: HashMap::new(),
-            contested_first: HashMap::new(),
-            contested_flagged: HashSet::new(),
-            retired: HashMap::new(),
-            replay_flagged: HashSet::new(),
-            quarantined: HashMap::new(),
+            touched: HashMap::default(),
+            flagged: HashSet::default(),
+            device_ips: HashMap::default(),
+            contested: HashMap::default(),
+            contested_first: HashMap::default(),
+            contested_flagged: HashSet::default(),
+            retired: HashMap::default(),
+            replay_flagged: HashSet::default(),
+            quarantined: HashMap::default(),
             alerts: alert_counters(&telemetry),
             telemetry,
         }
@@ -468,7 +469,7 @@ impl Monitor {
         let (first_at, ids) = self
             .touched
             .entry(source)
-            .or_insert_with(|| (now, HashSet::new()));
+            .or_insert_with(|| (now, HashSet::default()));
         if !ids.insert(dev_id.clone()) || ids.len() < ENUMERATION_THRESHOLD {
             return;
         }

@@ -5,8 +5,7 @@
 //! authors could not inspect ("O" cells), and the public keys of the
 //! AWS-style reference design.
 
-use std::collections::HashMap;
-
+use rb_netsim::hash::HashMap;
 use rb_wire::ids::DevId;
 
 /// Simulated public-key signature over a device ID; see

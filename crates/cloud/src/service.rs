@@ -5,11 +5,11 @@
 //! elements symbolically, and this module *executes* them, so the Table III
 //! experiment can cross-check prediction against execution.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rb_core::design::{BindScheme, CloudChecks, DeviceAuthScheme, UnbindSupport, VendorDesign};
 use rb_core::shadow::ShadowState;
+use rb_netsim::hash::HashMap;
 use rb_netsim::telemetry::{Counter, CounterTable, Handles};
 use rb_netsim::{Actor, Ctx, Dest, NodeId, Profiler, SimRng, Telemetry, Tick};
 use rb_wire::envelope::Envelope;
@@ -202,9 +202,9 @@ impl CloudService {
             dev_tokens: DevTokenLedger::new(),
             bind_tokens: BindTokenLedger::new(),
             state: DeviceState::new(),
-            nat: HashMap::new(),
-            rules: HashMap::new(),
-            bind_rate: HashMap::new(),
+            nat: HashMap::default(),
+            rules: HashMap::default(),
+            bind_rate: HashMap::default(),
             monitor: Monitor::new(),
             metrics: Handles::new(Telemetry::new(), CloudMetrics::register),
             profiler: Profiler::disabled(),
@@ -781,13 +781,13 @@ impl CloudService {
         let bound_user = record.shadow.bound_user().cloned();
         let binding_session = record.binding_session;
         if !payload.telemetry.is_empty() {
-            record.last_telemetry = payload.telemetry.clone();
+            record.last_telemetry.clone_from(&payload.telemetry);
             if let Some(user) = &bound_user {
                 if let Some(node) = self.accounts.node_of(user) {
                     pushes.push((
                         node,
                         Response::TelemetryPush {
-                            dev_id: payload.dev_id.clone(),
+                            dev_id: Box::new(payload.dev_id.clone()),
                             telemetry: payload.telemetry.clone(),
                         },
                     ));
@@ -1188,8 +1188,8 @@ impl CloudService {
                     ));
                 }
                 Response::ControlOk {
-                    schedule: Vec::new(),
-                    telemetry: Vec::new(),
+                    schedule: Box::default(),
+                    telemetry: Box::default(),
                 }
             }
             ControlAction::SetSchedule(entry) => {
@@ -1208,17 +1208,17 @@ impl CloudService {
                     ));
                 }
                 Response::ControlOk {
-                    schedule: Vec::new(),
-                    telemetry: Vec::new(),
+                    schedule: Box::default(),
+                    telemetry: Box::default(),
                 }
             }
             ControlAction::QuerySchedule => Response::ControlOk {
-                schedule: record.schedule.clone(),
-                telemetry: Vec::new(),
+                schedule: record.schedule.as_slice().into(),
+                telemetry: Box::default(),
             },
             ControlAction::QueryTelemetry => Response::ControlOk {
-                schedule: Vec::new(),
-                telemetry: record.last_telemetry.clone(),
+                schedule: Box::default(),
+                telemetry: record.last_telemetry.as_slice().into(),
             },
         };
         Outcome { reply, pushes }

@@ -1,8 +1,7 @@
 //! Device sessions and shadow records.
 
-use std::collections::HashMap;
-
 use rb_core::shadow::{Shadow, ShadowState};
+use rb_netsim::hash::HashMap;
 use rb_netsim::{NodeId, Tick};
 use rb_wire::ids::DevId;
 use rb_wire::telemetry::{ScheduleEntry, TelemetryFrame};
@@ -180,7 +179,8 @@ impl DeviceState {
 
     /// Expires sessions whose last status is older than `timeout`,
     /// transitioning their shadows offline. Returns the affected device
-    /// IDs.
+    /// IDs in ascending order, not map order, so the marks and metrics
+    /// the caller derives from them are a function of the run alone.
     pub(crate) fn expire_sessions(&mut self, now: Tick, timeout: u64) -> Vec<DevId> {
         let mut expired = Vec::new();
         let mut dropped_nodes = Vec::new();
@@ -203,6 +203,7 @@ impl DeviceState {
                 rec.shadow.force_offline();
             }
         }
+        expired.sort_unstable();
         expired
     }
 
@@ -210,7 +211,8 @@ impl DeviceState {
     /// although the device has no live session (displaced or lost without
     /// an observed close), or whose last accepted status is older than
     /// `timeout`. Without this sweep a partition can strand a shadow in
-    /// `Control` forever. Returns the affected device IDs.
+    /// `Control` forever. Returns the affected device IDs in ascending
+    /// order.
     pub(crate) fn expire_half_open(&mut self, now: Tick, timeout: u64) -> Vec<DevId> {
         let mut expired = Vec::new();
         for (dev_id, rec) in self.records.iter_mut() {
@@ -224,6 +226,7 @@ impl DeviceState {
                 expired.push(dev_id.clone());
             }
         }
+        expired.sort_unstable();
         expired
     }
 

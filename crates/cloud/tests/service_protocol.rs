@@ -330,7 +330,7 @@ fn schedule_set_query_and_device_push() {
         },
     );
     match r.reply {
-        Response::ControlOk { schedule, .. } => assert_eq!(schedule, vec![entry]),
+        Response::ControlOk { schedule, .. } => assert_eq!(*schedule, [entry]),
         other => panic!("{other}"),
     }
 }

@@ -90,6 +90,8 @@ pub struct DeviceStats {
 #[derive(Debug)]
 pub struct DeviceAgent {
     config: DeviceConfig,
+    /// Model and firmware strings every status carries, built once.
+    attributes: DeviceAttributes,
     // Provisioning state.
     wifi: Option<WifiCredentials>,
     dev_token: Option<DevToken>,
@@ -128,6 +130,7 @@ impl DeviceAgent {
     /// Creates an unprovisioned device.
     pub fn new(config: DeviceConfig) -> Self {
         DeviceAgent {
+            attributes: DeviceAttributes::new(config.design.device.to_string(), "1.0.3"),
             config,
             wifi: None,
             dev_token: None,
@@ -285,7 +288,7 @@ impl DeviceAgent {
             auth: self.status_auth(),
             dev_id: self.config.dev_id.clone(),
             kind,
-            attributes: DeviceAttributes::new(format!("{}", self.config.design.device), "1.0.3"),
+            attributes: self.attributes.clone(),
             session: self.session,
             telemetry: Vec::new(),
             button_pressed: self.button_queued,

@@ -61,6 +61,7 @@
 
 mod actor;
 mod fault;
+pub mod hash;
 mod quality;
 mod retry;
 mod rng;

@@ -2,7 +2,7 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -11,6 +11,7 @@ use rb_telemetry::{Counter, Gauge, Handles, Telemetry};
 
 use crate::actor::{Actor, Ctx, Effect, TimerKey};
 use crate::fault::{Fault, FaultPlan};
+use crate::hash::{HashMap, HashSet};
 use crate::quality::LinkQuality;
 use crate::rng::SimRng;
 use crate::time::Tick;
@@ -212,6 +213,9 @@ pub struct Simulation {
     /// never draws randomness or schedules events, so it cannot perturb
     /// the event stream.
     profiler: Profiler,
+    /// The effects buffer handed to every callback, kept between
+    /// dispatches so a callback does not allocate one.
+    effects: Vec<Effect>,
 }
 
 impl Simulation {
@@ -241,11 +245,11 @@ impl Simulation {
             lan_quality: lan,
             wan_quality: wan,
             trace: None,
-            nat_flows: HashSet::new(),
-            partitioned_lans: HashSet::new(),
-            lan_quality_override: HashMap::new(),
+            nat_flows: HashSet::default(),
+            partitioned_lans: HashSet::default(),
+            lan_quality_override: HashMap::default(),
             wan_quality_override: None,
-            pair_quality_override: HashMap::new(),
+            pair_quality_override: HashMap::default(),
             dup_per_mille: 0,
             reorder_per_mille: 0,
             reorder_extra_max: 0,
@@ -253,6 +257,7 @@ impl Simulation {
             next_span_id: 1,
             metrics: Handles::new(Telemetry::new(), SimMetrics::register),
             profiler: Profiler::disabled(),
+            effects: Vec::new(),
         }
     }
 
@@ -645,7 +650,7 @@ impl Simulation {
         cause: Option<TraceCtx>,
         f: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>),
     ) {
-        let mut effects = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let node = &mut self.nodes[id.0 as usize];
             let mut ctx = Ctx {
@@ -657,7 +662,7 @@ impl Simulation {
         }
         let mut callback_trace = cause.map(|c| c.trace_id);
         let parent = cause.map_or(0, |c| c.span_id);
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { dest, payload } => {
                     let trace_id = match callback_trace {
@@ -704,6 +709,7 @@ impl Simulation {
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// Allocates a fresh causal-tree id.
@@ -755,19 +761,14 @@ impl Simulation {
                     }
                     return;
                 }
-                let recipients: Vec<NodeId> = self
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, n)| {
-                        NodeId(*i as u32) != from && n.powered && n.config.lan == Some(lan)
-                    })
-                    .map(|(i, _)| NodeId(i as u32))
-                    .collect();
                 let quality = self.effective_lan_quality(lan);
-                for to in recipients {
-                    let ctx = self.alloc_ctx(trace_id, parent);
-                    self.schedule_delivery(from, to, payload.clone(), quality, ctx);
+                for i in 0..self.nodes.len() {
+                    let to = NodeId(i as u32);
+                    let n = &self.nodes[i];
+                    if to != from && n.powered && n.config.lan == Some(lan) {
+                        let ctx = self.alloc_ctx(trace_id, parent);
+                        self.schedule_delivery(from, to, payload.clone(), quality, ctx);
+                    }
                 }
             }
         }
@@ -907,31 +908,33 @@ impl Simulation {
                         .saturating_add(self.rng.range_u64(0, self.reorder_extra_max.max(1)));
                 }
                 let deliver_at = self.now.saturating_add(latency);
-                self.push_event(
-                    deliver_at,
-                    EventKind::Deliver {
-                        from,
-                        to,
-                        payload: payload.clone(),
-                        ctx,
-                    },
-                );
-                if self.dup_per_mille > 0 && self.rng.chance(u32::from(self.dup_per_mille), 1000) {
-                    // The duplicate takes an independent latency draw, so it
-                    // may arrive before or after the original. It shares the
-                    // original's span: one packet, two deliveries.
-                    if let Some(dup_latency) = quality.sample(&mut self.rng) {
-                        let dup_at = self.now.saturating_add(dup_latency.max(1));
+                // The duplicate takes an independent latency draw, so it
+                // may arrive before or after the original. It shares the
+                // original's span: one packet, two deliveries. Drawn before
+                // the original is queued (pushing draws nothing, so the
+                // RNG sequence is unchanged) so the payload is cloned only
+                // when there is a duplicate to carry it.
+                let dup_at = if self.dup_per_mille > 0
+                    && self.rng.chance(u32::from(self.dup_per_mille), 1000)
+                {
+                    quality
+                        .sample(&mut self.rng)
+                        .map(|dup_latency| self.now.saturating_add(dup_latency.max(1)))
+                } else {
+                    None
+                };
+                let deliver = |payload| EventKind::Deliver {
+                    from,
+                    to,
+                    payload,
+                    ctx,
+                };
+                match dup_at {
+                    None => self.push_event(deliver_at, deliver(payload)),
+                    Some(dup_at) => {
+                        self.push_event(deliver_at, deliver(payload.clone()));
                         self.metrics.get().duplicated.incr();
-                        self.push_event(
-                            dup_at,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                payload,
-                                ctx,
-                            },
-                        );
+                        self.push_event(dup_at, deliver(payload));
                     }
                 }
             }
@@ -1522,6 +1525,43 @@ mod tests {
         sim.run_until(Tick(105));
         let got = sim.actor::<Sink>(sink).unwrap().received.len();
         assert_eq!(got, 20, "10 sends, each duplicated");
+    }
+
+    #[test]
+    fn chaos_duplicate_is_a_second_delivery_of_one_span() {
+        let mut sim = perfect_sim(36);
+        sim.enable_trace();
+        let sink = sim.add_node(NodeConfig::wan_only("sink"), Box::new(Sink::new()));
+        sim.add_node(
+            NodeConfig::wan_only("src"),
+            Box::new(OneShot {
+                dest: Dest::Unicast(sink),
+                payload: vec![4, 2],
+            }),
+        );
+        sim.set_chaos(1000, 0, 0);
+        sim.run_until(Tick(10));
+        let received = &sim.actor::<Sink>(sink).unwrap().received;
+        assert_eq!(received.len(), 2);
+        assert!(received.iter().all(|(_, p)| p == &[4, 2]));
+        let sent: Vec<TraceCtx> = sim
+            .trace()
+            .iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::Sent { ctx, .. } => Some(ctx),
+                _ => None,
+            })
+            .collect();
+        let delivered: Vec<TraceCtx> = sim
+            .trace()
+            .iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::Delivered { ctx, .. } => Some(ctx),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(delivered, vec![sent[0], sent[0]]);
     }
 
     #[test]

@@ -104,7 +104,16 @@ fn get_opt16(buf: &mut &[u8]) -> Result<Option<[u8; 16]>, ProvisionError> {
 impl ProvisionRequest {
     /// Serializes the request for transmission over the soft AP.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![TAG_REQUEST];
+        // Tag, two strings, two optional tokens, the credential flag and
+        // its two strings: sized once.
+        let creds = self
+            .pairing
+            .user_credentials
+            .as_ref()
+            .map_or(0, |(uid, pw)| 2 + uid.len() + pw.len());
+        let mut out =
+            Vec::with_capacity(4 + self.wifi.ssid().len() + self.wifi.psk().len() + 2 * 17 + creds);
+        out.push(TAG_REQUEST);
         put_str(&mut out, self.wifi.ssid());
         put_str(&mut out, self.wifi.psk());
         put_opt16(&mut out, &self.pairing.dev_token);
@@ -175,7 +184,8 @@ impl ProvisionReply {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             ProvisionReply::Accepted { device_info } => {
-                let mut out = vec![TAG_ACCEPTED];
+                let mut out = Vec::with_capacity(2 + device_info.len());
+                out.push(TAG_ACCEPTED);
                 put_str(&mut out, device_info);
                 out
             }

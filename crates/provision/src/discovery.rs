@@ -35,12 +35,12 @@ pub struct SearchRequest {
 impl SearchRequest {
     /// Renders the request in SSDP-like text form.
     pub fn encode(&self) -> Vec<u8> {
-        let st = match &self.target {
-            SearchTarget::All => "ssdp:all".to_owned(),
-            SearchTarget::Vendor(v) => format!("vendor:{v}"),
-            SearchTarget::Device(id) => format!("device:{}", id.short()),
-        };
-        format!("M-SEARCH * RB/1.0\r\nST: {st}\r\n\r\n").into_bytes()
+        match &self.target {
+            SearchTarget::All => "M-SEARCH * RB/1.0\r\nST: ssdp:all\r\n\r\n".to_owned(),
+            SearchTarget::Vendor(v) => format!("M-SEARCH * RB/1.0\r\nST: vendor:{v}\r\n\r\n"),
+            SearchTarget::Device(id) => format!("M-SEARCH * RB/1.0\r\nST: device:{id}\r\n\r\n"),
+        }
+        .into_bytes()
     }
 
     /// Parses a search request.
@@ -105,9 +105,7 @@ impl SearchResponse {
     pub fn encode(&self) -> Vec<u8> {
         format!(
             "RB/1.0 200 OK\r\nVENDOR: {}\r\nMODEL: {}\r\nUSN: {}\r\n\r\n",
-            self.vendor,
-            self.model,
-            self.dev_id.short()
+            self.vendor, self.model, self.dev_id
         )
         .into_bytes()
     }

@@ -33,9 +33,11 @@ impl DeviceLabel {
     /// Renders the label text as printed on the unit, with a trailing check
     /// character (mod-36 over the body).
     pub fn print(&self) -> String {
-        let body = format!("{}|{:04}", self.dev_id.short(), self.pairing_code);
-        let check = check_char(&body);
-        format!("{body}|{check}")
+        let mut text = format!("{}|{:04}", self.dev_id, self.pairing_code);
+        let check = check_char(&text);
+        text.push('|');
+        text.push(check);
+        text
     }
 
     /// Parses (— "scans" —) a printed label.
@@ -94,15 +96,14 @@ fn check_char(body: &str) -> char {
 /// the inverse of [`DevId::short`] for the label use case.
 pub(crate) fn parse_dev_id(s: &str) -> Result<DevId, ProvisionError> {
     if let Some(mac) = s.strip_prefix("mac:") {
-        let parts: Vec<&str> = mac.split(':').collect();
-        if parts.len() != 6 {
+        if mac.split(':').count() != 6 {
             return Err(ProvisionError::BadFraming {
                 what: "mac must have 6 octets",
             });
         }
         let mut bytes = [0u8; 6];
-        for (i, p) in parts.iter().enumerate() {
-            bytes[i] = u8::from_str_radix(p, 16).map_err(|_| ProvisionError::BadFraming {
+        for (b, p) in bytes.iter_mut().zip(mac.split(':')) {
+            *b = u8::from_str_radix(p, 16).map_err(|_| ProvisionError::BadFraming {
                 what: "mac octet not hex",
             })?;
         }

@@ -56,6 +56,12 @@ impl ByteStr {
         std::str::from_utf8(&self.0).unwrap_or_default()
     }
 
+    /// The content's bytes, without the UTF-8 re-check of
+    /// [`ByteStr::as_str`].
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
     /// Length in bytes.
     pub(crate) fn len(&self) -> usize {
         self.0.len()
@@ -108,9 +114,14 @@ impl From<String> for ByteStr {
     }
 }
 
+// Equality, ordering and hashing read the bytes directly: `as_str`
+// re-validates UTF-8 on every call. Byte order is `str` order, and the
+// hash writes what `str`'s does (the bytes, then 0xff), so `Borrow<str>`
+// lookups keep finding their entries.
+
 impl PartialEq for ByteStr {
     fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -118,13 +129,13 @@ impl Eq for ByteStr {}
 
 impl PartialEq<str> for ByteStr {
     fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl PartialEq<&str> for ByteStr {
     fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -136,14 +147,14 @@ impl PartialOrd for ByteStr {
 
 impl Ord for ByteStr {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
 impl std::hash::Hash for ByteStr {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Must agree with `str`'s Hash so `Borrow<str>` map lookups work.
-        self.as_str().hash(state);
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -194,6 +205,23 @@ mod tests {
         map.insert(ByteStr::new("alice"), 1);
         // Borrow<str> lookup must find the entry.
         assert_eq!(map.get("alice"), Some(&1));
+        use std::hash::BuildHasher;
+        let state = std::collections::hash_map::RandomState::new();
+        for s in ["", "alice", "café", "a\0"] {
+            assert_eq!(state.hash_one(ByteStr::new(s)), state.hash_one(s));
+        }
+    }
+
+    #[test]
+    fn order_is_str_order() {
+        let words = ["", "a", "ab", "b", "café", "cafe", "z\u{10ffff}", "é"];
+        for a in words {
+            for b in words {
+                assert_eq!(ByteStr::new(a).cmp(&ByteStr::new(b)), a.cmp(b));
+                assert_eq!(ByteStr::new(a) == ByteStr::new(b), a == b);
+                assert_eq!(ByteStr::new(a) == *b, a == b);
+            }
+        }
     }
 
     #[test]

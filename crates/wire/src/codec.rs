@@ -206,27 +206,40 @@ fn unzigzag(n: u64) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// The zero-copy reader: a cursor over the packet's shared buffer.
+// The zero-copy reader: a cursor over a window of the packet's shared
+// buffer. Sub-readers (a message body, one TLV value) are narrower windows
+// over the same buffer, so walking a frame never touches its refcount; only
+// a string field that becomes a `ByteStr` slices the buffer.
 // ---------------------------------------------------------------------------
 
 struct CReader<'a> {
+    /// The packet, for slicing string fields out of it.
     buf: &'a Bytes,
+    /// The packet's bytes, dereferenced once.
+    data: &'a [u8],
     pos: usize,
+    end: usize,
 }
 
 impl<'a> CReader<'a> {
     fn new(buf: &'a Bytes) -> Self {
-        CReader { buf, pos: 0 }
+        CReader {
+            buf,
+            data: buf,
+            pos: 0,
+            end: buf.len(),
+        }
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
-        let Some(&b) = self.buf.get(self.pos) else {
+        if self.pos == self.end {
             return Err(WireError::Truncated { context });
-        };
+        }
+        let b = self.data[self.pos];
         self.pos += 1;
         Ok(b)
     }
@@ -283,19 +296,31 @@ impl<'a> CReader<'a> {
             return Err(WireError::Truncated { context });
         }
         let mut out = [0u8; 16];
-        out.copy_from_slice(&self.buf[self.pos..self.pos + 16]);
+        out.copy_from_slice(&self.data[self.pos..self.pos + 16]);
         self.pos += 16;
         Ok(out)
     }
 
-    /// Slices `len` bytes out of the shared buffer — a refcount bump.
-    fn take(&mut self, len: usize, context: &'static str) -> Result<Bytes, WireError> {
+    /// Steps over the next `len` bytes, returning a reader bounded to them.
+    fn sub(&mut self, len: usize, context: &'static str) -> Result<CReader<'a>, WireError> {
         if self.remaining() < len {
             return Err(WireError::Truncated { context });
         }
-        let out = self.buf.slice(self.pos..self.pos + len);
+        let start = self.pos;
         self.pos += len;
-        Ok(out)
+        Ok(CReader {
+            buf: self.buf,
+            data: self.data,
+            pos: start,
+            end: self.pos,
+        })
+    }
+
+    /// The rest of the window as a UTF-8 string borrowed from the packet
+    /// buffer — a refcount bump.
+    fn rest_str(self, context: &'static str) -> Result<ByteStr, WireError> {
+        ByteStr::from_utf8(self.buf.slice(self.pos..self.end))
+            .map_err(|_| WireError::InvalidUtf8 { context })
     }
 
     /// A length-prefixed UTF-8 string, borrowed from the packet buffer.
@@ -308,8 +333,7 @@ impl<'a> CReader<'a> {
                 max: MAX_STR,
             });
         }
-        let bytes = self.take(len as usize, context)?;
-        ByteStr::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8 { context })
+        self.sub(len as usize, context)?.rest_str(context)
     }
 
     fn expect_end(&self) -> Result<(), WireError> {
@@ -332,7 +356,7 @@ impl<'a> CReader<'a> {
 /// allocation.
 struct Fields<'a> {
     r: CReader<'a>,
-    pending: Option<(u8, Bytes)>,
+    pending: Option<(u8, CReader<'a>)>,
     last_id: u16,
     context: &'static str,
 }
@@ -367,13 +391,14 @@ impl<'a> Fields<'a> {
             len: usize::MAX,
             max: MAX_STR.max(MAX_SEQ),
         })?;
-        let value = self.r.take(len, "TLV field value")?;
+        let value = self.r.sub(len, "TLV field value")?;
         self.pending = Some((id, value));
         Ok(())
     }
 
-    /// Consumes the next field if it carries `id`.
-    fn take(&mut self, id: u8) -> Result<Option<Bytes>, WireError> {
+    /// Consumes the next field if it carries `id`, returning a reader
+    /// bounded to its value.
+    fn take(&mut self, id: u8) -> Result<Option<CReader<'a>>, WireError> {
         let matches = matches!(self.pending, Some((pid, _)) if pid == id);
         if matches {
             if let Some((_, value)) = self.pending.take() {
@@ -396,28 +421,26 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Parses one tail-field value with a sub-reader that must consume it
-/// fully.
-fn value<T>(
-    bytes: &Bytes,
-    parse: impl FnOnce(&mut CReader<'_>) -> Result<T, WireError>,
+/// Parses one tail-field value, which `parse` must consume fully.
+fn value<'a, T>(
+    mut r: CReader<'a>,
+    parse: impl FnOnce(&mut CReader<'a>) -> Result<T, WireError>,
 ) -> Result<T, WireError> {
-    let mut r = CReader::new(bytes);
     let v = parse(&mut r)?;
     r.expect_end()?;
     Ok(v)
 }
 
 /// A whole-value UTF-8 string, borrowed from the packet buffer.
-fn str_value(bytes: Bytes, context: &'static str) -> Result<ByteStr, WireError> {
-    if bytes.len() > MAX_STR {
+fn str_value(r: CReader<'_>, context: &'static str) -> Result<ByteStr, WireError> {
+    if r.remaining() > MAX_STR {
         return Err(WireError::LengthOutOfRange {
             context,
-            len: bytes.len(),
+            len: r.remaining(),
             max: MAX_STR,
         });
     }
-    ByteStr::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8 { context })
+    r.rest_str(context)
 }
 
 fn session_field(
@@ -427,7 +450,7 @@ fn session_field(
 ) -> Result<Option<SessionToken>, WireError> {
     match f.take(id)? {
         None => Ok(None),
-        Some(v) => Ok(Some(SessionToken::from_bytes(value(&v, |r| {
+        Some(v) => Ok(Some(SessionToken::from_bytes(value(v, |r| {
             r.bytes16(context)
         })?))),
     }
@@ -436,7 +459,7 @@ fn session_field(
 fn bool_field(f: &mut Fields<'_>, id: u8, context: &'static str) -> Result<bool, WireError> {
     match f.take(id)? {
         None => Ok(false),
-        Some(v) => value(&v, |r| r.bool(context)),
+        Some(v) => value(v, |r| r.bool(context)),
     }
 }
 
@@ -450,7 +473,7 @@ fn str_field(f: &mut Fields<'_>, id: u8, context: &'static str) -> Result<ByteSt
 fn telemetry_field(f: &mut Fields<'_>, id: u8) -> Result<Vec<TelemetryFrame>, WireError> {
     match f.take(id)? {
         None => Ok(Vec::new()),
-        Some(v) => value(&v, get_telemetry_vec),
+        Some(v) => value(v, get_telemetry_vec),
     }
 }
 
@@ -458,28 +481,36 @@ fn telemetry_field(f: &mut Fields<'_>, id: u8) -> Result<Vec<TelemetryFrame>, Wi
 // The writer.
 // ---------------------------------------------------------------------------
 
-/// Encoder state: the output buffer plus one reusable scratch buffer for
-/// computing TLV tail-field lengths (the only allocations an encode
-/// performs).
+/// Encoder state: the output buffer, the only allocation an encode
+/// performs.
 struct W {
     out: Vec<u8>,
-    scratch: Vec<u8>,
 }
 
 impl W {
     fn with_capacity(cap: usize) -> Self {
         W {
             out: Vec::with_capacity(cap),
-            scratch: Vec::new(),
         }
     }
 
+    /// A TLV field whose value `write` appends in place. The length prefix
+    /// is reserved as one byte, which fits every value shorter than 128
+    /// bytes, and widened after the fact for a longer one.
     fn field_with(&mut self, id: u8, write: impl FnOnce(&mut Vec<u8>)) {
-        self.scratch.clear();
-        write(&mut self.scratch);
         self.out.push(id);
-        put_varint(&mut self.out, self.scratch.len() as u64);
-        self.out.extend_from_slice(&self.scratch);
+        let at = self.out.len();
+        self.out.push(0);
+        write(&mut self.out);
+        let len = self.out.len() - at - 1;
+        if len < 0x80 {
+            self.out[at] = len as u8;
+        } else {
+            let value = self.out.split_off(at + 1);
+            self.out.truncate(at);
+            put_varint(&mut self.out, len as u64);
+            self.out.extend_from_slice(&value);
+        }
     }
 
     fn field_bytes(&mut self, id: u8, bytes: &[u8]) {
@@ -489,10 +520,9 @@ impl W {
     }
 
     /// Empty strings are omitted (decode restores the default).
-    fn field_str(&mut self, id: u8, s: &str) {
-        if !s.is_empty() {
-            let cut = s.len().min(MAX_STR);
-            self.field_bytes(id, &s.as_bytes()[..cut]);
+    fn field_str(&mut self, id: u8, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            self.field_bytes(id, &bytes[..bytes.len().min(MAX_STR)]);
         }
     }
 
@@ -510,9 +540,10 @@ impl W {
     }
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let cut = s.len().min(MAX_STR);
-    let bytes = &s.as_bytes()[..cut];
+/// A length-prefixed string, from the bytes of a [`ByteStr`]-backed value
+/// (read without re-validating them as UTF-8).
+fn put_string(out: &mut Vec<u8>, s: &[u8]) {
+    let bytes = &s[..s.len().min(MAX_STR)];
     put_varint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }
@@ -793,8 +824,8 @@ fn encode_message_into(w: &mut W, msg: &Message) {
     match msg {
         Message::Login { user_id, user_pw } => {
             w.out.push(MSG_LOGIN);
-            put_string(&mut w.out, user_id.as_str());
-            put_string(&mut w.out, user_pw.expose());
+            put_string(&mut w.out, user_id.as_bytes());
+            put_string(&mut w.out, user_pw.as_bytes());
         }
         Message::RequestDevToken { user_token } => {
             w.out.push(MSG_REQ_DEVTOKEN);
@@ -812,8 +843,8 @@ fn encode_message_into(w: &mut W, msg: &Message) {
                 StatusKind::Register => 0,
                 StatusKind::Heartbeat => 1,
             });
-            w.field_str(1, &s.attributes.model);
-            w.field_str(2, &s.attributes.firmware);
+            w.field_str(1, s.attributes.model.as_bytes());
+            w.field_str(2, s.attributes.firmware.as_bytes());
             w.field_session(3, &s.session);
             if !s.telemetry.is_empty() {
                 w.field_with(4, |o| put_telemetry_vec(o, &s.telemetry));
@@ -835,8 +866,8 @@ fn encode_message_into(w: &mut W, msg: &Message) {
                 } => {
                     w.out.push(BIND_ACL_DEVICE);
                     put_dev_id(&mut w.out, dev_id);
-                    put_string(&mut w.out, user_id.as_str());
-                    put_string(&mut w.out, user_pw.expose());
+                    put_string(&mut w.out, user_id.as_bytes());
+                    put_string(&mut w.out, user_pw.as_bytes());
                 }
                 BindPayload::Capability { bind_token } => {
                     w.out.push(BIND_CAPABILITY);
@@ -882,7 +913,7 @@ fn encode_message_into(w: &mut W, msg: &Message) {
             w.out.push(MSG_SHARE);
             put_dev_id(&mut w.out, dev_id);
             w.out.extend_from_slice(user_token.as_bytes());
-            put_string(&mut w.out, grantee.as_str());
+            put_string(&mut w.out, grantee.as_bytes());
         }
         Message::Unshare {
             dev_id,
@@ -892,7 +923,7 @@ fn encode_message_into(w: &mut W, msg: &Message) {
             w.out.push(MSG_UNSHARE);
             put_dev_id(&mut w.out, dev_id);
             w.out.extend_from_slice(user_token.as_bytes());
-            put_string(&mut w.out, grantee.as_str());
+            put_string(&mut w.out, grantee.as_bytes());
         }
         Message::SetRule { user_token, rule } => {
             w.out.push(MSG_SET_RULE);
@@ -919,7 +950,10 @@ pub fn encode_message(msg: &Message) -> Bytes {
 /// Returns a [`WireError`] on truncation, unknown tags, invalid UTF-8,
 /// out-of-range values, or trailing bytes.
 pub fn decode_message(bytes: &Bytes) -> Result<Message, WireError> {
-    let mut r = CReader::new(bytes);
+    get_message(CReader::new(bytes))
+}
+
+fn get_message(mut r: CReader<'_>) -> Result<Message, WireError> {
     match r.u8("Message tag")? {
         MSG_LOGIN => {
             let user_id = UserId::from_bytestr(r.string("UserId")?);
@@ -1156,7 +1190,10 @@ pub fn encode_response(rsp: &Response) -> Bytes {
 /// Returns a [`WireError`] on truncation, unknown tags, invalid UTF-8,
 /// out-of-range values, or trailing bytes.
 pub fn decode_response(bytes: &Bytes) -> Result<Response, WireError> {
-    let mut r = CReader::new(bytes);
+    get_response(CReader::new(bytes))
+}
+
+fn get_response(mut r: CReader<'_>) -> Result<Response, WireError> {
     match r.u8("Response tag")? {
         RSP_LOGIN_OK => {
             let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
@@ -1193,13 +1230,13 @@ pub fn decode_response(bytes: &Bytes) -> Result<Response, WireError> {
             let mut f = Fields::new(r, "ControlOk fields")?;
             let schedule = match f.take(1)? {
                 None => Vec::new(),
-                Some(v) => value(&v, get_schedule_vec)?,
+                Some(v) => value(v, get_schedule_vec)?,
             };
             let telemetry = telemetry_field(&mut f, 2)?;
             f.finish()?;
             Ok(Response::ControlOk {
-                schedule,
-                telemetry,
+                schedule: schedule.into_boxed_slice(),
+                telemetry: telemetry.into_boxed_slice(),
             })
         }
         RSP_SHADOW => {
@@ -1210,7 +1247,7 @@ pub fn decode_response(bytes: &Bytes) -> Result<Response, WireError> {
             Ok(Response::ShadowState { online, bound })
         }
         RSP_TEL_PUSH => {
-            let dev_id = get_dev_id(&mut r)?;
+            let dev_id = Box::new(get_dev_id(&mut r)?);
             let mut f = Fields::new(r, "TelemetryPush fields")?;
             let telemetry = telemetry_field(&mut f, 1)?;
             f.finish()?;
@@ -1257,14 +1294,18 @@ pub fn decode_response(bytes: &Bytes) -> Result<Response, WireError> {
 
 /// Encodes an [`Envelope`]: direction byte, varint correlation id, body.
 pub(crate) fn encode_envelope(env: &Envelope) -> Bytes {
-    let mut w = W::with_capacity(72);
+    let mut w;
     match env {
         Envelope::Request { corr, msg } => {
+            // A token-authenticated heartbeat with a session and telemetry
+            // runs past 72 bytes; sized for it, a request never regrows.
+            w = W::with_capacity(128);
             w.out.push(DIR_REQUEST);
             put_varint(&mut w.out, corr.0);
             encode_message_into(&mut w, msg);
         }
         Envelope::Response { corr, rsp } => {
+            w = W::with_capacity(72);
             w.out.push(DIR_RESPONSE);
             put_varint(&mut w.out, corr.0);
             encode_response_into(&mut w, rsp);
@@ -1273,20 +1314,20 @@ pub(crate) fn encode_envelope(env: &Envelope) -> Bytes {
     Bytes::from(w.out)
 }
 
-/// Decodes an [`Envelope`]; the body is a sub-slice of `bytes`.
+/// Decodes an [`Envelope`]; the body is read in place, and string fields
+/// borrow `bytes`.
 pub(crate) fn decode_envelope(bytes: &Bytes) -> Result<Envelope, WireError> {
     let mut r = CReader::new(bytes);
     let dir = r.u8("Envelope header")?;
     let corr = CorrId(r.varint("Envelope corr")?);
-    let body = bytes.slice(r.pos..);
     match dir {
         DIR_REQUEST => Ok(Envelope::Request {
             corr,
-            msg: decode_message(&body)?,
+            msg: get_message(r)?,
         }),
         DIR_RESPONSE => Ok(Envelope::Response {
             corr,
-            rsp: decode_response(&body)?,
+            rsp: get_response(r)?,
         }),
         tag => Err(WireError::UnknownTag {
             context: "Envelope direction",
@@ -1424,15 +1465,15 @@ mod tests {
             Response::Bound { session: None },
             Response::Unbound,
             Response::ControlOk {
-                schedule: vec![ScheduleEntry {
+                schedule: Box::new([ScheduleEntry {
                     at_tick: 1,
                     turn_on: true,
-                }],
-                telemetry: vec![TelemetryFrame::Alarm { triggered: true }],
+                }]),
+                telemetry: Box::new([TelemetryFrame::Alarm { triggered: true }]),
             },
             Response::ControlOk {
-                schedule: Vec::new(),
-                telemetry: Vec::new(),
+                schedule: Box::default(),
+                telemetry: Box::default(),
             },
             Response::ShadowState {
                 online: true,
@@ -1443,7 +1484,7 @@ mod tests {
                 bound: false,
             },
             Response::TelemetryPush {
-                dev_id: sample_dev_id(),
+                dev_id: Box::new(sample_dev_id()),
                 telemetry: vec![TelemetryFrame::Motion { confidence: 80 }],
             },
             Response::ControlPush {
@@ -1576,8 +1617,8 @@ mod tests {
         put_status_auth(&mut w.out, &StatusAuth::DevId(sample_dev_id()));
         put_dev_id(&mut w.out, &sample_dev_id());
         w.out.push(1);
-        w.field_str(2, "fw");
-        w.field_str(1, "model");
+        w.field_str(2, b"fw");
+        w.field_str(1, b"model");
         let bytes = Bytes::from(w.out);
         assert_eq!(
             decode_message(&bytes),
@@ -1710,6 +1751,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn long_tail_values_widen_their_length_prefix() {
+        // 100 power frames are well over 127 bytes: the field's length
+        // takes two varint bytes, written after the value.
+        let telemetry: Vec<TelemetryFrame> = (0..100u64)
+            .map(|i| TelemetryFrame::PowerMilliwatts(i * 1_000_003))
+            .collect();
+        let rsp = Response::ControlOk {
+            schedule: Box::default(),
+            telemetry: telemetry.clone().into_boxed_slice(),
+        };
+        let bytes = encode_response(&rsp);
+        let mut body = Vec::new();
+        put_telemetry_vec(&mut body, &telemetry);
+        assert!(body.len() >= 0x80);
+        let mut want = vec![RSP_CONTROL_OK, 2];
+        put_varint(&mut want, body.len() as u64);
+        want.extend_from_slice(&body);
+        assert_eq!(&bytes[..], &want[..]);
+        assert_eq!(decode_response(&bytes), Ok(rsp));
     }
 
     #[test]

@@ -53,12 +53,17 @@ impl MacAddr {
 }
 
 impl fmt::Display for MacAddr {
+    /// `aa:bb:cc:dd:ee:ff`, lowercase hex. Device ids are printed on
+    /// labels and in discovery replies, so this writes the digits into a
+    /// buffer instead of running six `{:02x}` formats.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            self.0[0], self.0[1], self.0[2], self.0[3], self.0[4], self.0[5]
-        )
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [b':'; 17];
+        for (i, b) in self.0.iter().enumerate() {
+            text[3 * i] = HEX[usize::from(b >> 4)];
+            text[3 * i + 1] = HEX[usize::from(b & 0xf)];
+        }
+        f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -116,22 +121,22 @@ impl DevId {
         Ok(())
     }
 
-    /// A short stable label for logs and tables.
+    /// A short stable label for logs and tables (the `Display` text).
     pub fn short(&self) -> String {
-        match self {
-            DevId::Mac(m) => format!("mac:{m}"),
-            DevId::Serial { vendor, seq } => format!("sn:{vendor:04x}-{seq}"),
-            DevId::Digits { value, width } => {
-                format!("id:{value:0width$}", width = *width as usize)
-            }
-            DevId::Uuid(u) => format!("uuid:{u:032x}"),
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for DevId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.short())
+        match self {
+            DevId::Mac(m) => write!(f, "mac:{m}"),
+            DevId::Serial { vendor, seq } => write!(f, "sn:{vendor:04x}-{seq}"),
+            DevId::Digits { value, width } => {
+                write!(f, "id:{value:0width$}", width = *width as usize)
+            }
+            DevId::Uuid(u) => write!(f, "uuid:{u:032x}"),
+        }
     }
 }
 

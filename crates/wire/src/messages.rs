@@ -477,6 +477,11 @@ impl fmt::Display for DenyReason {
 }
 
 /// Cloud → party responses and pushes.
+///
+/// The heap-carrying payloads are boxed (`ControlOk`'s slices,
+/// `TelemetryPush`'s device ID), so a `Response` is 40 bytes instead of
+/// 64: a party that keeps many replies, like the flood attacker's stash,
+/// holds 48 bytes per `(CorrId, Response)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Login succeeded.
@@ -511,9 +516,9 @@ pub enum Response {
     /// Control action executed; optionally carries queried data.
     ControlOk {
         /// Schedule entries, if the action was `QuerySchedule`.
-        schedule: Vec<ScheduleEntry>,
+        schedule: Box<[ScheduleEntry]>,
         /// Telemetry, if the action was `QueryTelemetry`.
-        telemetry: Vec<TelemetryFrame>,
+        telemetry: Box<[TelemetryFrame]>,
     },
     /// Shadow state dump (diagnostics).
     ShadowState {
@@ -526,7 +531,7 @@ pub enum Response {
     /// device (this is the channel A1 poisons).
     TelemetryPush {
         /// The reporting device.
-        dev_id: DevId,
+        dev_id: Box<DevId>,
         /// The frames reported.
         telemetry: Vec<TelemetryFrame>,
     },
@@ -603,6 +608,16 @@ mod tests {
 
     fn dev_id() -> DevId {
         DevId::Mac(MacAddr::new([1, 2, 3, 4, 5, 6]))
+    }
+
+    #[test]
+    fn response_fits_a_forty_byte_slot() {
+        // The flood attacker stashes every reply in a doubling `Vec`,
+        // whose peak RSS depends on where the allocator puts each
+        // doubled block; 48 bytes per entry instead of 80 keeps that
+        // peak low whatever the heap layout.
+        assert!(std::mem::size_of::<Response>() <= 40);
+        assert!(std::mem::size_of::<(crate::envelope::CorrId, Response)>() <= 48);
     }
 
     #[test]

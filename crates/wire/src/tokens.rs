@@ -118,6 +118,11 @@ impl UserId {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The identifier's bytes, read without re-validating them.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
 }
 
 impl fmt::Display for UserId {
@@ -152,19 +157,21 @@ impl UserPw {
     /// Constant-time-ish comparison (length leak only); enough for a
     /// simulator, and it documents the right instinct.
     pub fn verify(&self, candidate: &UserPw) -> bool {
-        if self.0.len() != candidate.0.len() {
+        let (a, b) = (self.as_bytes(), candidate.as_bytes());
+        if a.len() != b.len() {
             return false;
         }
-        self.0
-            .bytes()
-            .zip(candidate.0.bytes())
-            .fold(0u8, |acc, (a, b)| acc | (a ^ b))
-            == 0
+        a.iter().zip(b).fold(0u8, |acc, (a, b)| acc | (a ^ b)) == 0
     }
 
     /// Exposes the secret; only the codec should need this.
     pub fn expose(&self) -> &str {
         &self.0
+    }
+
+    /// The secret's bytes, read without re-validating them.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
     }
 }
 

@@ -240,8 +240,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
             proptest::collection::vec(arb_telemetry(), 0..5)
         )
             .prop_map(|(schedule, telemetry)| Response::ControlOk {
-                schedule,
-                telemetry
+                schedule: schedule.into_boxed_slice(),
+                telemetry: telemetry.into_boxed_slice(),
             }),
         (any::<bool>(), any::<bool>())
             .prop_map(|(online, bound)| Response::ShadowState { online, bound }),
@@ -249,7 +249,10 @@ fn arb_response() -> impl Strategy<Value = Response> {
             arb_dev_id(),
             proptest::collection::vec(arb_telemetry(), 0..5)
         )
-            .prop_map(|(dev_id, telemetry)| Response::TelemetryPush { dev_id, telemetry }),
+            .prop_map(|(dev_id, telemetry)| Response::TelemetryPush {
+                dev_id: Box::new(dev_id),
+                telemetry
+            }),
         (arb_action(), proptest::option::of(any::<u128>())).prop_map(|(action, s)| {
             Response::ControlPush {
                 action,

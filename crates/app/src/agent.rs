@@ -40,6 +40,12 @@ pub(crate) const RETRY_JITTER_PER_MILLE: u16 = 250;
 /// schedule and never gives up.
 pub(crate) const RETRY_BUDGET: u32 = 24;
 
+/// How many [`AppEvent`]s [`AppAgent::events`] keeps: the most recent,
+/// the oldest dropped first. A denied step logs one event per resend and a
+/// bound app one per telemetry push for as long as the world runs; readers
+/// look at a setup's few steps or at the latest pushes.
+pub(crate) const EVENT_LOG_CAP: usize = 32;
+
 /// Home Wi-Fi credentials the app provisions into the device.
 fn home_wifi() -> WifiCredentials {
     WifiCredentials::new("HomeNet", "home-psk-123")
@@ -228,8 +234,9 @@ pub struct AppAgent {
     control_queue: VecDeque<(Option<DevId>, ControlAction)>,
     share_queue: VecDeque<(UserId, bool)>,
     unbind_queued: bool,
-    /// Observed events, in order.
-    pub events: Vec<AppEvent>,
+    /// Observed events, in order: the latest 32 (`EVENT_LOG_CAP`), the
+    /// oldest dropped first.
+    pub events: VecDeque<AppEvent>,
     /// Counters.
     pub stats: AppStats,
     /// Schedule entries returned by the last `QuerySchedule`.
@@ -296,11 +303,19 @@ impl AppAgent {
             control_queue: VecDeque::new(),
             share_queue: VecDeque::new(),
             unbind_queued: false,
-            events: Vec::new(),
+            events: VecDeque::new(),
             stats: AppStats::default(),
             last_schedule: Vec::new(),
             last_queried_telemetry: Vec::new(),
         }
+    }
+
+    /// Appends to the event log, dropping the oldest event when full.
+    fn log(&mut self, event: AppEvent) {
+        if self.events.len() == EVENT_LOG_CAP {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
     }
 
     /// Points the agent at a shared metrics registry. Call before the sim
@@ -506,7 +521,7 @@ impl AppAgent {
         match (self.current_step(), rsp) {
             (Step::Login, Response::LoginOk { user_token }) => {
                 self.user_token = Some(*user_token);
-                self.events.push(AppEvent::LoggedIn);
+                self.log(AppEvent::LoggedIn);
                 self.advance(now);
             }
             (Step::ReqDevToken, Response::DevTokenIssued { dev_token }) => {
@@ -521,7 +536,7 @@ impl AppAgent {
                 self.bound = true;
                 self.note_bound(now);
                 self.session = *session;
-                self.events.push(AppEvent::Bound);
+                self.log(AppEvent::Bound);
                 ctx.mark("app bound");
                 // Deliver the session token to the device over the LAN.
                 if let (Some(s), Some(node)) = (session, self.device_node) {
@@ -538,7 +553,7 @@ impl AppAgent {
             (Step::AwaitDeviceBind, Response::ShadowState { bound: true, .. }) => {
                 self.bound = true;
                 self.note_bound(now);
-                self.events.push(AppEvent::Bound);
+                self.log(AppEvent::Bound);
                 self.advance(now);
             }
             (Step::AwaitDeviceBind, Response::ShadowState { bound: false, .. }) => {
@@ -546,7 +561,7 @@ impl AppAgent {
                 self.awaiting = Await::None;
             }
             (_, Response::Denied { reason }) => {
-                self.events.push(AppEvent::Denied(*reason));
+                self.log(AppEvent::Denied(*reason));
                 self.stats.denials += 1;
                 self.metrics.get().denials.incr();
                 // Resend the step once the backoff delay has passed.
@@ -561,13 +576,13 @@ impl AppAgent {
             Response::TelemetryPush { telemetry, .. } => {
                 self.stats.telemetry_pushes += 1;
                 self.metrics.get().telemetry_pushes.incr();
-                self.events.push(AppEvent::Telemetry(telemetry));
+                self.log(AppEvent::Telemetry(telemetry));
             }
             Response::BindingRevoked => {
                 self.bound = false;
                 self.stats.revocations += 1;
                 self.metrics.get().revocations.incr();
-                self.events.push(AppEvent::BindingRevoked);
+                self.log(AppEvent::BindingRevoked);
                 // Causally tied to whatever message displaced the binding —
                 // the victim-side evidence in a forensic reconstruction.
                 ctx.mark("app binding-revoked");
@@ -578,7 +593,7 @@ impl AppAgent {
                 self.bound = true;
                 self.note_bound(ctx.now());
                 self.session = session;
-                self.events.push(AppEvent::Bound);
+                self.log(AppEvent::Bound);
                 ctx.mark("app bound");
                 if let (Some(s), Some(node)) = (session, self.device_node) {
                     ctx.send(
@@ -771,7 +786,7 @@ impl AppAgent {
                                 // actor goes silent, and the sim can quiesce.
                                 self.aborted = true;
                                 self.metrics.get().giveups.incr();
-                                self.events.push(AppEvent::GaveUp);
+                                self.log(AppEvent::GaveUp);
                             }
                         }
                     }
@@ -809,12 +824,12 @@ impl AppAgent {
                             } => {
                                 self.last_schedule = schedule.into_vec();
                                 self.last_queried_telemetry = telemetry.into_vec();
-                                self.events.push(AppEvent::ControlOk);
+                                self.log(AppEvent::ControlOk);
                             }
                             Response::Denied { reason } => {
                                 self.stats.denials += 1;
                                 self.metrics.get().denials.incr();
-                                self.events.push(AppEvent::Denied(reason));
+                                self.log(AppEvent::Denied(reason));
                             }
                             Response::Unbound => self.bound = false,
                             other => self.handle_push(ctx, other),
@@ -831,7 +846,7 @@ impl AppAgent {
                 if rsp.vendor == self.config.design.vendor {
                     self.device_node = Some(from);
                     self.dev_id = Some(rsp.dev_id.clone());
-                    self.events.push(AppEvent::Discovered(rsp.dev_id));
+                    self.log(AppEvent::Discovered(rsp.dev_id));
                     let now = ctx.now();
                     self.advance(now);
                     self.enter_step(ctx);
@@ -841,7 +856,7 @@ impl AppAgent {
         }
         if self.awaiting == Await::ProvisionReply {
             if let Ok(ProvisionReply::Accepted { .. }) = ProvisionReply::decode(payload) {
-                self.events.push(AppEvent::Provisioned);
+                self.log(AppEvent::Provisioned);
                 let now = ctx.now();
                 self.advance(now);
                 self.enter_step(ctx);
@@ -869,8 +884,8 @@ impl Actor for AppAgent {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
-        self.handle_packet(ctx, from, payload);
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: bytes::Bytes) {
+        self.handle_packet(ctx, from, &payload);
         self.schedule(ctx);
     }
 
@@ -921,8 +936,8 @@ mod tests {
     }
 
     impl Actor for DenyingCloud {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
-            let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: bytes::Bytes) {
+            let Ok(Envelope::Request { corr, msg }) = Envelope::decode(&payload) else {
                 return;
             };
             let rsp = match msg {
@@ -953,15 +968,15 @@ mod tests {
     struct LanDevice;
 
     impl Actor for LanDevice {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
-            if SearchRequest::decode(payload).is_ok() {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: bytes::Bytes) {
+            if SearchRequest::decode(&payload).is_ok() {
                 let rsp = SearchResponse {
                     vendor: VENDOR.into(),
                     model: "unit".into(),
                     dev_id: label(),
                 };
                 ctx.send(Dest::Unicast(from), rsp.encode());
-            } else if ProvisionRequest::decode(payload).is_ok() {
+            } else if ProvisionRequest::decode(&payload).is_ok() {
                 let reply = ProvisionReply::Accepted {
                     device_info: "ok".into(),
                 };
@@ -1028,6 +1043,22 @@ mod tests {
             // capped period of the horizon.
             let last = *binds.last().unwrap();
             assert!(200_000 - last <= RETRY_CAP, "{binds:?}");
+        });
+    }
+
+    #[test]
+    fn a_denied_setup_keeps_a_bounded_event_log() {
+        // 150,000 ticks is the victims' setup budget in the binding-DoS
+        // lock-out check: about 47 capped resends, each logging a denial.
+        run(None, 150_000, |app, binds| {
+            assert!(binds.len() > EVENT_LOG_CAP, "{} binds", binds.len());
+            assert_eq!(app.stats.denials, binds.len() as u64);
+            assert!(app.events.len() <= EVENT_LOG_CAP, "{}", app.events.len());
+            assert_eq!(
+                app.events.iter().last(),
+                Some(&AppEvent::Denied(DenyReason::AlreadyBound)),
+                "the most recent event is kept"
+            );
         });
     }
 

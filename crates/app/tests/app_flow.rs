@@ -30,8 +30,8 @@ struct MockCloud {
 }
 
 impl Actor for MockCloud {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(&payload) else {
             return;
         };
         self.order.push(msg.kind_str());
@@ -69,9 +69,9 @@ impl Actor for MockCloud {
 struct FakeDevice;
 
 impl Actor for FakeDevice {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
         // Answer every search: the mock stands in for any vendor.
-        if SearchRequest::decode(payload).is_ok() {
+        if SearchRequest::decode(&payload).is_ok() {
             let rsp = SearchResponse {
                 vendor: "MockVendor".into(),
                 model: "unit".into(),
@@ -80,7 +80,7 @@ impl Actor for FakeDevice {
             ctx.send(Dest::Unicast(from), rsp.encode());
             return;
         }
-        if ProvisionRequest::decode(payload).is_ok() {
+        if ProvisionRequest::decode(&payload).is_ok() {
             let reply = ProvisionReply::Accepted {
                 device_info: "ok".into(),
             };

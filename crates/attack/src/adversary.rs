@@ -93,19 +93,17 @@ impl Adversary {
     /// present, stashing pushes and other responses.
     pub fn drain(&mut self, world: &mut World, want: Option<CorrId>) -> Option<Response> {
         let mut found = None;
-        let mut others = Vec::new();
-        for (_, bytes) in world.attacker_mut().take_inbox() {
+        for (_, bytes) in world.attacker_mut().drain_inbox() {
             if let Ok(Envelope::Response { corr, rsp }) = Envelope::decode(&bytes) {
                 if corr == CorrId(0) {
                     self.pushes.push(rsp);
                 } else if Some(corr) == want && found.is_none() {
                     found = Some(rsp);
                 } else {
-                    others.push((corr, rsp));
+                    self.stashed.push((corr, rsp));
                 }
             }
         }
-        self.stashed.extend(others);
         found
     }
 

@@ -1,7 +1,10 @@
 //! FIG3 — regenerates the paper's Figure 3: the two commodity
 //! device-authentication modes (Type 1 `Status:DevToken`, Type 2
 //! `Status:DevId`) plus the public-key reference, each executed end to end
-//! with the accept/reject evidence that distinguishes them.
+//! with the accept/reject evidence that distinguishes them. Exits 1,
+//! naming the row, when an outcome drifts from the paper's §IV-A
+//! assessment: every real device is accepted, and a forged status is
+//! denied under Type 1 and the public key but accepted under Type 2.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin fig3_device_auth
@@ -32,9 +35,39 @@ fn register(auth: StatusAuth) -> Message {
     ))
 }
 
+/// Adds one mode's row and checks its printed cells: the real device is
+/// accepted, and the forged status is accepted exactly when
+/// `forgery_admitted`, else denied for failed device authentication.
+fn push_row(
+    rows: &mut Vec<Vec<String>>,
+    drift: &mut Vec<String>,
+    [mode, mechanism]: [&str; 2],
+    real: &Response,
+    forged: &Response,
+    forgery_admitted: bool,
+) {
+    const ACCEPTED: &str = "StatusAccepted";
+    let forged_expected = if forgery_admitted {
+        ACCEPTED
+    } else {
+        "Denied(device authentication failed)"
+    };
+    let (real, forged) = (real.to_string(), forged.to_string());
+    for (who, got, expected) in [
+        ("real device", &real, ACCEPTED),
+        ("forged status", &forged, forged_expected),
+    ] {
+        if got != expected {
+            drift.push(format!("{mode}: {who} answered {got}, expected {expected}"));
+        }
+    }
+    rows.push(vec![mode.into(), mechanism.into(), real, forged]);
+}
+
 fn main() {
     println!("Figure 3: device authentication (executed flows)\n");
     let mut rows = Vec::new();
+    let mut drift = Vec::new();
     let mut rng = SimRng::new(3);
 
     // -- Type 1: Status:DevToken -------------------------------------------
@@ -75,12 +108,17 @@ fn main() {
         &register(StatusAuth::DevId(dev_id())),
         &mut rng,
     );
-    rows.push(vec![
-        "Type 1: Status:DevToken".into(),
-        "app requests token; delivers it locally; device presents it".into(),
-        real.reply.to_string(),
-        forged.reply.to_string(),
-    ]);
+    push_row(
+        &mut rows,
+        &mut drift,
+        [
+            "Type 1: Status:DevToken",
+            "app requests token; delivers it locally; device presents it",
+        ],
+        &real.reply,
+        &forged.reply,
+        false,
+    );
 
     // -- Type 2: Status:DevId ----------------------------------------------
     let mut cloud = CloudService::new(CloudConfig::new(vendors::d_link()));
@@ -97,12 +135,17 @@ fn main() {
         &register(StatusAuth::DevId(dev_id())),
         &mut rng,
     );
-    rows.push(vec![
-        "Type 2: Status:DevId".into(),
-        "device presents its static ID; anyone holding the ID can too".into(),
-        real.reply.to_string(),
-        forged.reply.to_string(),
-    ]);
+    push_row(
+        &mut rows,
+        &mut drift,
+        [
+            "Type 2: Status:DevId",
+            "device presents its static ID; anyone holding the ID can too",
+        ],
+        &real.reply,
+        &forged.reply,
+        true,
+    );
 
     // -- Public key (AWS/IBM/Google reference) ------------------------------
     let mut cloud = CloudService::new(CloudConfig::new(vendors::public_key_reference()));
@@ -126,12 +169,17 @@ fn main() {
         }),
         &mut rng,
     );
-    rows.push(vec![
-        "Public key (reference)".into(),
-        "per-device key pair provisioned at manufacture signs each message".into(),
-        real.reply.to_string(),
-        forged.reply.to_string(),
-    ]);
+    push_row(
+        &mut rows,
+        &mut drift,
+        [
+            "Public key (reference)",
+            "per-device key pair provisioned at manufacture signs each message",
+        ],
+        &real.reply,
+        &forged.reply,
+        false,
+    );
 
     println!(
         "{}",
@@ -147,4 +195,11 @@ fn main() {
     );
     println!("assessment (paper §IV-A): static identifiers inevitably admit forgery; the");
     println!("promising commodity approach is the dynamic DevToken delivered via the user.");
+
+    if !drift.is_empty() {
+        for row in &drift {
+            eprintln!("fig3_device_auth: GATE FAILED — {row}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -1,22 +1,45 @@
 //! FIG4 — regenerates the paper's Figure 4: the three binding-creation
 //! flows (ACL-based via app, ACL-based via device, capability-based),
-//! executed end to end on the corresponding vendor designs.
+//! executed end to end on the corresponding vendor designs. Exits 1,
+//! naming the row, when an outcome drifts from the paper's §IV-B
+//! assessment: every flow ends in `Control`, and the app sends the
+//! binding message under (a) and none under (b) or (c), where the device
+//! sends it.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin fig4_binding_creation
 //! ```
 
 use rb_bench::render_table;
+use rb_core::shadow::ShadowState;
 use rb_core::vendors;
-use rb_scenario::WorldBuilder;
+use rb_scenario::{World, WorldBuilder};
+
+/// Checks one flow's outcome: the binding ends in `Control`, and the app
+/// made a bind attempt exactly when `app_binds`.
+fn check_row(drift: &mut Vec<String>, flow: &str, world: &World, app_binds: bool) {
+    let state = world.shadow_state(0);
+    if state != ShadowState::Control {
+        drift.push(format!("{flow}: end state {state}, expected control"));
+    }
+    let attempts = world.app(0).stats.bind_attempts;
+    if app_binds != (attempts > 0) {
+        let expected = if app_binds { "at least 1" } else { "0" };
+        drift.push(format!(
+            "{flow}: {attempts} bind attempts by the app, expected {expected}"
+        ));
+    }
+}
 
 fn main() {
     println!("Figure 4: binding creation (executed flows)\n");
     let mut rows = Vec::new();
+    let mut drift = Vec::new();
 
     // (a) ACL-based, binding message sent by the app.
     let mut world = WorldBuilder::new(vendors::belkin(), 41).build();
     world.run_setup();
+    check_row(&mut drift, "(a) ACL, sent by app", &world, true);
     rows.push(vec![
         "(a) ACL, sent by app".into(),
         "Bind:(DevId, UserToken)".into(),
@@ -31,6 +54,7 @@ fn main() {
     // (b) ACL-based, binding message sent by the device.
     let mut world = WorldBuilder::new(vendors::tp_link(), 42).build();
     world.run_setup();
+    check_row(&mut drift, "(b) ACL, sent by device", &world, false);
     rows.push(vec![
         "(b) ACL, sent by device".into(),
         "Bind:(DevId, UserId, UserPw)".into(),
@@ -45,6 +69,7 @@ fn main() {
     // (c) Capability-based.
     let mut world = WorldBuilder::new(vendors::capability_reference(), 43).build();
     world.run_setup();
+    check_row(&mut drift, "(c) capability-based", &world, false);
     rows.push(vec![
         "(c) capability-based".into(),
         "Bind:BindToken".into(),
@@ -69,4 +94,11 @@ fn main() {
 
     println!("assessment (paper §IV-B): ACL-based binding grants ambient authority through the");
     println!("device ID; capability-based binding (Samsung SmartThings style) confirms ownership.");
+
+    if !drift.is_empty() {
+        for row in &drift {
+            eprintln!("fig4_binding_creation: GATE FAILED — {row}");
+        }
+        std::process::exit(1);
+    }
 }

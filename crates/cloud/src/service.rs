@@ -1375,11 +1375,11 @@ impl Actor for CloudService {
         ctx.set_timer(HEARTBEAT_TIMEOUT / 2, TIMER_EXPIRE);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: bytes::Bytes) {
         // One tally per wire-level decode attempt, garbage included: the
         // codec leg of the request round-trip.
         self.profiler.tally("cloud.decode", 0);
-        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
+        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(&payload) else {
             // Responses and garbage are ignored; a real cloud would log.
             return;
         };

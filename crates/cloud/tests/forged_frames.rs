@@ -56,8 +56,8 @@ impl Actor for Forger {
         ctx.set_timer(1, 0);
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, payload: &Bytes) {
-        self.inbox.push(payload.clone());
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, payload: Bytes) {
+        self.inbox.push(payload);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _key: TimerKey) {

@@ -467,7 +467,9 @@ impl DeviceAgent {
                 }
                 // The load actually switching is the physical consequence a
                 // forensic timeline must show under the causing message.
-                ctx.mark(format!("device applied {}", action.kind_str()));
+                if ctx.traces() {
+                    ctx.mark(format!("device applied {}", action.kind_str()));
+                }
                 self.apply_action(&action);
             }
             Response::Denied {
@@ -487,16 +489,16 @@ impl Actor for DeviceAgent {
         ctx.set_timer(HEARTBEAT_EVERY, TIMER_HEARTBEAT | (self.hb_gen << 8));
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: bytes::Bytes) {
         // Cloud traffic.
         if from == self.config.cloud {
-            if let Ok(Envelope::Response { rsp, .. }) = Envelope::decode(payload) {
+            if let Ok(Envelope::Response { rsp, .. }) = Envelope::decode(&payload) {
                 self.handle_cloud_response(ctx, rsp);
             }
             return;
         }
         // LAN traffic, in decreasing specificity.
-        if let Ok(ctl) = LocalCtl::decode(payload) {
+        if let Ok(ctl) = LocalCtl::decode(&payload) {
             match ctl {
                 LocalCtl::SessionAssign { token } => {
                     self.session = Some(SessionToken::from_bytes(token));
@@ -510,7 +512,7 @@ impl Actor for DeviceAgent {
             }
             return;
         }
-        if let Ok(req) = SearchRequest::decode(payload) {
+        if let Ok(req) = SearchRequest::decode(&payload) {
             if req.matches(&self.config.design.vendor, &self.config.dev_id) {
                 let rsp = SearchResponse {
                     vendor: self.config.design.vendor.clone(),
@@ -521,7 +523,7 @@ impl Actor for DeviceAgent {
             }
             return;
         }
-        if let Ok(req) = ProvisionRequest::decode(payload) {
+        if let Ok(req) = ProvisionRequest::decode(&payload) {
             self.accept_provisioning(ctx, from, &req);
         }
     }

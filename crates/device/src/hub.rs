@@ -190,8 +190,8 @@ impl Actor for HubAgent {
         self.device.on_start(ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-        if let Some(frame) = ChildFrame::decode(payload) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+        if let Some(frame) = ChildFrame::decode(&payload) {
             self.latest.insert(frame.child_id, frame.to_telemetry());
             self.child_frames += 1;
             return;

@@ -42,8 +42,8 @@ impl MockCloud {
 }
 
 impl Actor for MockCloud {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(&payload) else {
             return;
         };
         let rsp = match &msg {
@@ -207,8 +207,8 @@ fn discovery_answers_matching_searches_only() {
             let _ = self.dev;
             ctx.send(Dest::Broadcast(LAN), SearchRequest { target }.encode());
         }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, payload: &Bytes) {
-            if let Ok(rsp) = SearchResponse::decode(payload) {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, payload: Bytes) {
+            if let Ok(rsp) = SearchResponse::decode(&payload) {
                 self.responses.push(rsp);
             }
         }

@@ -24,8 +24,8 @@ struct RecordingCloud {
 }
 
 impl Actor for RecordingCloud {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(payload) else {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(&payload) else {
             return;
         };
         if let Message::Status(s) = &msg {

@@ -83,7 +83,7 @@ impl Console {
             Envelope::Request { corr, msg }.encode(),
         );
         world.run_for(2_000);
-        for (_, bytes) in self.endpoint(world).take_inbox() {
+        for (_, bytes) in self.endpoint(world).drain_inbox() {
             if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode(&bytes) {
                 if c == corr {
                     return Ok(rsp);

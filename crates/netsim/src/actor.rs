@@ -29,10 +29,11 @@ pub trait Actor: Any {
     }
 
     /// Called when a packet addressed to this node (or broadcast on its
-    /// LAN) is delivered. The payload is the shared buffer the simulator
-    /// routed, so decoders can slice it (a refcount bump) instead of
-    /// copying; it derefs to `&[u8]` for actors that only read it.
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+    /// LAN) is delivered. The payload is the delivery event's own buffer,
+    /// handed over: an actor that keeps it stores it without a refcount
+    /// bump, decoders can slice it instead of copying, and it derefs to
+    /// `&[u8]` for actors that only read it.
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
         let _ = (ctx, from, payload);
     }
 
@@ -70,6 +71,7 @@ pub(crate) enum Effect {
 /// simulation RNG.
 pub struct Ctx<'a> {
     pub(crate) now: Tick,
+    pub(crate) traces: bool,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) effects: &'a mut Vec<Effect>,
 }
@@ -103,6 +105,13 @@ impl<'a> Ctx<'a> {
         });
     }
 
+    /// Whether the world records a trace, so a [`Ctx::mark`] is kept.
+    /// An actor that formats its mark text checks this first; untraced
+    /// runs drop every mark unread.
+    pub fn traces(&self) -> bool {
+        self.traces
+    }
+
     /// Emits a causally-attributed trace mark (a no-op unless tracing is
     /// enabled). Marks emitted while handling a delivered packet carry
     /// that packet's [`crate::TraceCtx`], so forensic tooling can tie an
@@ -123,6 +132,7 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: Tick(5),
+            traces: false,
             rng: &mut rng,
             effects: &mut effects,
         };
@@ -148,11 +158,12 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: Tick(0),
+            traces: false,
             rng: &mut rng,
             effects: &mut effects,
         };
         a.on_start(&mut ctx);
-        a.on_packet(&mut ctx, NodeId(1), &Bytes::from(b"x".to_vec()));
+        a.on_packet(&mut ctx, NodeId(1), Bytes::from(b"x".to_vec()));
         a.on_timer(&mut ctx, 1);
         a.on_wake(&mut ctx);
         a.on_power(&mut ctx, false);

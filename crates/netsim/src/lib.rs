@@ -34,7 +34,7 @@
 //!
 //! struct Echo;
 //! impl Actor for Echo {
-//!     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: rb_netsim::NodeId, payload: &Bytes) {
+//!     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: rb_netsim::NodeId, payload: Bytes) {
 //!         let mut reply = payload.to_vec();
 //!         reply.reverse();
 //!         ctx.send(Dest::Unicast(from), reply);
@@ -46,7 +46,7 @@
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
 //!         ctx.send(Dest::Unicast(self.peer), b"ping".to_vec());
 //!     }
-//!     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: rb_netsim::NodeId, payload: &Bytes) {
+//!     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: rb_netsim::NodeId, payload: Bytes) {
 //!         self.got = Some(payload.to_vec());
 //!     }
 //! }

@@ -2,7 +2,7 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -57,6 +57,17 @@ impl SimMetrics {
             faults_rejected: t.register_counter("sim_faults_rejected_total"),
         }
     }
+}
+
+/// The three counters every event or delivery bumps, kept as plain
+/// integers between public calls and added to their handles at once (see
+/// [`Simulation::flush_counts`]): an atomic add per event is a full
+/// barrier on x86.
+#[derive(Debug, Default)]
+struct PendingCounts {
+    events: u64,
+    delivered: u64,
+    sent: u64,
 }
 
 /// Where a packet is going.
@@ -179,6 +190,13 @@ impl Ord for Event {
 pub struct Simulation {
     nodes: Vec<Node>,
     queue: BinaryHeap<Reverse<Event>>,
+    /// Events due at exactly `now + 1`, in push order; every other event
+    /// goes to `queue`, and the next event is whichever head is smaller.
+    /// Every queued event is due at `now` or later and `now` never
+    /// decreases, so a new lane event is due no earlier than those before
+    /// it, with a larger `seq`: the lane is sorted by `(at, seq)` by
+    /// construction.
+    lane: VecDeque<Event>,
     now: Tick,
     seq: u64,
     rng: SimRng,
@@ -206,6 +224,8 @@ pub struct Simulation {
     /// draws randomness or schedules events, so instrumentation cannot
     /// perturb the event stream.
     metrics: Handles<SimMetrics>,
+    /// `events`, `delivered` and `sent` counted since the last flush.
+    pending: PendingCounts,
     /// Phase profiler. Disabled by default (one branch per event); when a
     /// harness installs a recording handle, each dispatched event becomes
     /// a phase (`sim.deliver`, `sim.timer`, …) charged the tick gap that
@@ -216,6 +236,10 @@ pub struct Simulation {
     /// The effects buffer handed to every callback, kept between
     /// dispatches so a callback does not allocate one.
     effects: Vec<Effect>,
+    /// `(at, seq)` of every dispatched event, in dispatch order: the
+    /// ordering tests compare it with a sort of everything scheduled.
+    #[cfg(test)]
+    dispatched: Vec<(Tick, u64)>,
 }
 
 impl Simulation {
@@ -239,6 +263,7 @@ impl Simulation {
             // Pre-sized: a single-home binding run schedules a few hundred
             // in-flight events; starting at 256 avoids the doubling churn.
             queue: BinaryHeap::with_capacity(256),
+            lane: VecDeque::new(),
             now: Tick::ZERO,
             seq: 0,
             rng: SimRng::new(seed),
@@ -256,8 +281,11 @@ impl Simulation {
             next_trace_id: 1,
             next_span_id: 1,
             metrics: Handles::new(Telemetry::new(), SimMetrics::register),
+            pending: PendingCounts::default(),
             profiler: Profiler::disabled(),
             effects: Vec::new(),
+            #[cfg(test)]
+            dispatched: Vec::new(),
         }
     }
 
@@ -355,6 +383,7 @@ impl Simulation {
             });
         }
         self.with_actor(id, None, |actor, ctx| actor.on_power(ctx, powered));
+        self.flush_counts();
     }
 
     /// Cuts (or restores) a node's WAN uplink without touching its LAN —
@@ -502,9 +531,9 @@ impl Simulation {
     /// Runs the event loop until virtual time reaches `until` (inclusive of
     /// events at `until`). The clock is left at `until`.
     pub fn run_until(&mut self, until: Tick) {
-        while self.queue.peek().is_some_and(|Reverse(ev)| ev.at <= until) {
-            self.step();
-        }
+        while self.dispatch_next(until) {}
+        // Before the clock moves on: the gauge reads the last event's tick.
+        self.flush_counts();
         if self.now < until {
             self.now = until;
         }
@@ -517,21 +546,16 @@ impl Simulation {
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
+    #[cfg(test)]
     pub(crate) fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some(Reverse(ev)) => {
-                let gap = ev.at.as_u64().saturating_sub(self.now.as_u64());
-                self.now = ev.at;
-                self.dispatch_profiled(ev, gap);
-                true
-            }
-            None => false,
-        }
+        let stepped = self.dispatch_next(Tick(u64::MAX));
+        self.flush_counts();
+        stepped
     }
 
     /// Whether any events remain scheduled.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.lane.is_empty() && self.queue.is_empty()
     }
 
     // -- internals ----------------------------------------------------------
@@ -539,7 +563,70 @@ impl Simulation {
     fn push_event(&mut self, at: Tick, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
+        let ev = Event { at, seq, kind };
+        if at == self.now.saturating_add(1) {
+            self.lane.push_back(ev);
+        } else {
+            self.queue.push(Reverse(ev));
+        }
+    }
+
+    /// Dispatches the next event if it is due by `until`: the lane's head
+    /// or the heap's, whichever has the smaller `(at, seq)`. Returns
+    /// whether one ran.
+    fn dispatch_next(&mut self, until: Tick) -> bool {
+        let from_lane = match (self.lane.front(), self.queue.peek()) {
+            (Some(l), Some(Reverse(h))) => l < h,
+            (l, _) => l.is_some(),
+        };
+        let ev = if from_lane {
+            self.lane.pop_front_if(|ev| ev.at <= until)
+        } else {
+            match self.queue.peek() {
+                Some(Reverse(ev)) if ev.at <= until => self.queue.pop().map(|Reverse(ev)| ev),
+                _ => None,
+            }
+        };
+        let Some(ev) = ev else {
+            return false;
+        };
+        #[cfg(test)]
+        self.dispatched.push((ev.at, ev.seq));
+        let gap = ev.at.as_u64().saturating_sub(self.now.as_u64());
+        self.now = ev.at;
+        self.dispatch_profiled(ev, gap);
+        true
+    }
+
+    /// Adds the pending counts to their handles and sets the clock gauge
+    /// to the tick of the last dispatched event (`now`: every caller
+    /// flushes before the clock moves past it). Runs at the end of every
+    /// public call that can dispatch or send, so every read and export
+    /// sees the same values as recording per event would give. Counters
+    /// with nothing pending are not touched: a metric shows in exports
+    /// only once recorded.
+    fn flush_counts(&mut self) {
+        let PendingCounts {
+            events,
+            delivered,
+            sent,
+        } = std::mem::take(&mut self.pending);
+        if events == 0 && sent == 0 {
+            return;
+        }
+        let metrics = self.metrics.get();
+        if events > 0 {
+            metrics.events.add(events);
+            metrics
+                .now_ticks
+                .set(i64::try_from(self.now.as_u64()).unwrap_or(i64::MAX));
+        }
+        if delivered > 0 {
+            metrics.delivered.add(delivered);
+        }
+        if sent > 0 {
+            metrics.sent.add(sent);
+        }
     }
 
     /// Dispatches one event, attributing the tick gap that led up to it
@@ -566,11 +653,7 @@ impl Simulation {
     }
 
     fn dispatch(&mut self, ev: Event) {
-        let metrics = self.metrics.get();
-        metrics.events.incr();
-        metrics
-            .now_ticks
-            .set(i64::try_from(self.now.as_u64()).unwrap_or(i64::MAX));
+        self.pending.events += 1;
         match ev.kind {
             EventKind::Start { node } => {
                 if self.nodes[node.0 as usize].powered {
@@ -601,7 +684,7 @@ impl Simulation {
                     }
                     return;
                 }
-                self.metrics.get().delivered.incr();
+                self.pending.delivered += 1;
                 let at = self.now;
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEntry {
@@ -615,7 +698,7 @@ impl Simulation {
                     });
                 }
                 self.with_actor(to, Some(ctx), |actor, actor_ctx| {
-                    actor.on_packet(actor_ctx, from, &payload);
+                    actor.on_packet(actor_ctx, from, payload);
                 });
             }
             EventKind::Timer { node, key } => {
@@ -655,6 +738,7 @@ impl Simulation {
             let node = &mut self.nodes[id.0 as usize];
             let mut ctx = Ctx {
                 now: self.now,
+                traces: self.trace.is_some(),
                 rng: &mut self.rng,
                 effects: &mut effects,
             };
@@ -879,7 +963,7 @@ impl Simulation {
         quality: LinkQuality,
         ctx: TraceCtx,
     ) {
-        self.metrics.get().sent.incr();
+        self.pending.sent += 1;
         // The per-packet fault check (loss/latency/chaos sampling below)
         // is a zero-tick tally under whatever phase is open.
         self.profiler.tally("sim.fault_check", 0);
@@ -963,7 +1047,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &(self.lane.len() + self.queue.len()))
             .finish()
     }
 }
@@ -990,7 +1074,7 @@ mod tests {
     }
 
     impl Actor for Sink {
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
             self.received.push((from, payload.to_vec()));
         }
         fn on_timer(&mut self, _ctx: &mut Ctx<'_>, key: TimerKey) {
@@ -1279,7 +1363,7 @@ mod tests {
     fn nat_return_path_opens_after_outbound_traffic() {
         struct EchoServer;
         impl Actor for EchoServer {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
                 ctx.send(Dest::Unicast(from), payload.to_vec());
             }
         }
@@ -1293,7 +1377,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.send(Dest::Unicast(self.server), vec![1]);
             }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: Bytes) {
                 self.replies += 1;
             }
         }
@@ -1689,5 +1773,229 @@ mod tests {
         sim.set_pair_quality(b, a, None);
         sim.run_until(Tick(200));
         assert!(!sim.actor::<Sink>(a).unwrap().received.is_empty());
+    }
+
+    /// Every callback schedules a random mix drawn from the sim RNG:
+    /// timers due now, at the next tick and later, and sends to random
+    /// peers (on jittery links, under whatever chaos is in effect).
+    struct Churner {
+        peers: Vec<NodeId>,
+        budget: u32,
+    }
+
+    impl Churner {
+        fn churn(&mut self, ctx: &mut Ctx<'_>) {
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            for _ in 0..ctx.rng().range_u64(0, 3) {
+                match ctx.rng().range_u64(0, 2) {
+                    0 => ctx.set_timer(0, 0),
+                    1 => ctx.set_timer(1, 1),
+                    2 => {
+                        let delay = ctx.rng().range_u64(2, 9);
+                        ctx.set_timer(delay, 2);
+                    }
+                    _ => unreachable!("range_u64 is inclusive of 0..=2"),
+                }
+                if !self.peers.is_empty() && ctx.rng().chance(1, 2) {
+                    let i = ctx.rng().range_u64(0, self.peers.len() as u64 - 1) as usize;
+                    ctx.send(Dest::Unicast(self.peers[i]), vec![i as u8]);
+                }
+            }
+        }
+    }
+
+    impl Actor for Churner {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.churn(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, _payload: Bytes) {
+            self.churn(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _key: TimerKey) {
+            self.churn(ctx);
+        }
+        fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+            self.churn(ctx);
+        }
+    }
+
+    /// The dispatch order so far is a sort by `(at, seq)` of everything
+    /// ever scheduled: every event dispatched is the smallest of all
+    /// events not yet dispatched, and every event left is due after
+    /// `until`.
+    fn assert_sorted_dispatch(sim: &Simulation, until: Tick) {
+        let pending = sim
+            .lane
+            .iter()
+            .chain(sim.queue.iter().map(|Reverse(ev)| ev))
+            .map(|ev| (ev.at, ev.seq));
+        let mut reference: Vec<(Tick, u64)> =
+            sim.dispatched.iter().copied().chain(pending).collect();
+        reference.sort_unstable();
+        let seqs: Vec<u64> = {
+            let mut s: Vec<u64> = reference.iter().map(|&(_, seq)| seq).collect();
+            s.sort_unstable();
+            s
+        };
+        assert_eq!(seqs, (0..sim.seq).collect::<Vec<_>>(), "no event lost");
+        let done = sim.dispatched.len();
+        assert_eq!(sim.dispatched[..], reference[..done]);
+        assert!(reference[done..].iter().all(|&(at, _)| at > until));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dispatch_order_is_a_sort_by_at_then_seq(
+            seed in proptest::prelude::any::<u64>(),
+            nodes in 2usize..6,
+            latency_max in 1u64..4,
+            chaos_at in 0u64..40,
+            slices in proptest::collection::vec((1u64..30, 0usize..6), 1..8),
+        ) {
+            let wan = LinkQuality {
+                latency_min: 1,
+                latency_max,
+                drop_per_mille: 50,
+            };
+            let mut sim = Simulation::with_quality(seed, LinkQuality::perfect(), wan);
+            let ids: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
+            for i in 0..nodes {
+                let peers = ids.iter().copied().filter(|&p| p != ids[i]).collect();
+                sim.add_node(
+                    NodeConfig::wan_only(format!("n{i}")),
+                    Box::new(Churner { peers, budget: 40 }),
+                );
+            }
+            // Duplicates and reordering from a fault plan, a crash and a
+            // restart, and a chaos window that ends.
+            sim.apply_fault_plan(
+                &FaultPlan::new()
+                    .chaos_window(chaos_at, 60, 300, 300, 6)
+                    .crash_restart(ids[0], chaos_at + 1, 5)
+                    .at(1, Fault::Chaos { dup_per_mille: 200, reorder_per_mille: 0, reorder_extra_max: 0 }),
+            );
+            let mut until = sim.now();
+            for (delta, woken) in slices {
+                until = until.saturating_add(delta);
+                sim.run_until(until);
+                assert_sorted_dispatch(&sim, until);
+                // Wakes from outside, due at the next tick.
+                if let Some(&id) = ids.get(woken) {
+                    sim.actor_mut::<Churner>(id).unwrap().budget += 2;
+                }
+                sim.apply_fault_plan(&FaultPlan::new().at(until.as_u64() + 1, Fault::Chaos {
+                    dup_per_mille: 100,
+                    reorder_per_mille: 100,
+                    reorder_extra_max: 3,
+                }));
+            }
+            sim.run_until(until.saturating_add(1_000));
+            assert_sorted_dispatch(&sim, until.saturating_add(1_000));
+            assert!(sim.is_idle());
+        }
+    }
+
+    /// Sends one frame to `peer` at start and on every power-on.
+    struct PowerPinger {
+        peer: NodeId,
+    }
+
+    impl Actor for PowerPinger {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send(Dest::Unicast(self.peer), vec![1]);
+        }
+        fn on_power(&mut self, ctx: &mut Ctx<'_>, powered: bool) {
+            if powered {
+                ctx.send(Dest::Unicast(self.peer), vec![2]);
+            }
+        }
+    }
+
+    /// The simulator's counters and clock gauge as exported, next to what
+    /// recording per event gives: one event per dispatch, the clock at the
+    /// last one, and one delivery and one send per traced entry. A zero
+    /// count is absent, as a never-recorded counter is.
+    fn sim_metrics(sim: &Simulation, tele: &Telemetry) -> (Vec<(String, u64)>, Option<i64>) {
+        let registry = tele.snapshot();
+        let counted: Vec<(String, u64)> = registry
+            .counters()
+            .filter(|(name, _)| {
+                matches!(
+                    *name,
+                    "sim_events_total" | "sim_packets_delivered_total" | "sim_packets_sent_total"
+                )
+            })
+            .map(|(name, n)| (name.to_owned(), n))
+            .collect();
+        let traced =
+            |f: fn(&TraceEvent) -> bool| sim.trace().iter().filter(|e| f(&e.event)).count() as u64;
+        let expected: Vec<(String, u64)> = [
+            ("sim_events_total", sim.dispatched.len() as u64),
+            (
+                "sim_packets_delivered_total",
+                traced(|e| matches!(e, TraceEvent::Delivered { .. })),
+            ),
+            (
+                "sim_packets_sent_total",
+                traced(|e| matches!(e, TraceEvent::Sent { .. })),
+            ),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| (name.to_owned(), n))
+        .collect();
+        assert_eq!(counted, expected);
+        let gauge = registry.gauge("sim_now_ticks");
+        let last = sim.dispatched.last().map(|&(at, _)| at.as_u64() as i64);
+        assert_eq!(gauge, last, "the clock gauge reads the last event's tick");
+        (counted, gauge)
+    }
+
+    #[test]
+    fn counters_read_as_recorded_per_event_at_every_public_boundary() {
+        let mut sim = Simulation::with_quality(
+            50,
+            LinkQuality::perfect(),
+            LinkQuality {
+                latency_min: 1,
+                latency_max: 4,
+                drop_per_mille: 0,
+            },
+        );
+        sim.enable_trace();
+        let tele = Telemetry::new();
+        sim.set_telemetry(tele.clone());
+        assert_eq!(sim_metrics(&sim, &tele), (Vec::new(), None), "nothing yet");
+        let sink = sim.add_node(NodeConfig::wan_only("sink"), Box::new(Sink::new()));
+        let pinger = sim.add_node(
+            NodeConfig::wan_only("pinger"),
+            Box::new(PowerPinger { peer: sink }),
+        );
+        // Both starts run at tick 0; the ping is still in flight.
+        sim.run_for(0);
+        let (counted, _) = sim_metrics(&sim, &tele);
+        assert_eq!(counted.len(), 2, "events and sent, nothing delivered yet");
+        sim.run_until(Tick(10));
+        sim_metrics(&sim, &tele);
+        // A power-on sends from outside any event.
+        sim.set_power(pinger, false);
+        sim.set_power(pinger, true);
+        sim_metrics(&sim, &tele);
+        // One event at a time.
+        assert!(sim.step());
+        sim_metrics(&sim, &tele);
+        assert!(!sim.step());
+        sim_metrics(&sim, &tele);
+        // A run past the last event leaves the gauge at that event.
+        sim.run_until(Tick(100));
+        sim.run_for(0);
+        let (counted, gauge) = sim_metrics(&sim, &tele);
+        assert_eq!(counted.len(), 3);
+        assert!(gauge < Some(100));
     }
 }

@@ -26,7 +26,7 @@ impl Actor for Chatter {
             }
         }
     }
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: Bytes) {
         self.received += 1;
     }
 }

@@ -133,7 +133,7 @@ fn live_sim_marks_carry_the_delivered_context() {
                 ctx.send(Dest::Unicast(peer), vec![0xAB; 16]);
             }
         }
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, _payload: &Bytes) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, _payload: Bytes) {
             ctx.mark("got one");
         }
     }
@@ -167,7 +167,7 @@ fn causal_propagation_builds_request_reply_trees() {
 
     struct Echo;
     impl Actor for Echo {
-        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
             ctx.send(Dest::Unicast(from), payload.to_vec());
         }
     }

@@ -92,7 +92,7 @@ fn attacker_request(world: &mut World, corr: u64, msg: Message, wait: u64) -> Op
         .encode(),
     );
     world.run_for(wait);
-    for (_, bytes) in world.attacker_mut().take_inbox() {
+    for (_, bytes) in world.attacker_mut().drain_inbox() {
         if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode(&bytes) {
             if c == CorrId(corr) {
                 return Some(rsp);

@@ -34,15 +34,17 @@ impl RawEndpoint {
         self.outbox.push_back((dest, payload.into()));
     }
 
-    /// Drains and returns the inbox.
-    pub fn take_inbox(&mut self) -> Vec<(NodeId, Bytes)> {
-        std::mem::take(&mut self.inbox)
+    /// Drains the inbox in arrival order. The inbox keeps its capacity, so
+    /// an endpoint drained between runs does not regrow it; frames the
+    /// caller leaves unread are dropped with the iterator.
+    pub fn drain_inbox(&mut self) -> std::vec::Drain<'_, (NodeId, Bytes)> {
+        self.inbox.drain(..)
     }
 }
 
 impl Actor for RawEndpoint {
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-        self.inbox.push((from, payload.clone()));
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+        self.inbox.push((from, payload));
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
@@ -63,8 +65,8 @@ mod tests {
         sim.enable_trace();
         struct Echo;
         impl Actor for Echo {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &Bytes) {
-                ctx.send(Dest::Unicast(from), payload.clone());
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: Bytes) {
+                ctx.send(Dest::Unicast(from), payload);
             }
         }
         let echo = sim.add_node(NodeConfig::wan_only("echo"), Box::new(Echo));
@@ -92,7 +94,7 @@ mod tests {
         assert!(sent.iter().all(|&(at, _)| at == Tick(11)), "{sent:?}");
         assert_eq!(sent[0].1, sent[1].1, "one causal trace");
         let endpoint = sim.actor_mut::<RawEndpoint>(raw).unwrap();
-        let inbox = endpoint.take_inbox();
+        let inbox: Vec<_> = endpoint.drain_inbox().collect();
         assert_eq!(
             inbox,
             vec![
@@ -100,6 +102,39 @@ mod tests {
                 (echo, Bytes::from(vec![4]))
             ]
         );
-        assert!(endpoint.inbox.is_empty(), "take_inbox drains");
+        assert!(endpoint.inbox.is_empty(), "drain_inbox drains");
+        assert!(endpoint.inbox.capacity() >= 2, "and keeps the capacity");
+    }
+
+    #[test]
+    fn inbox_holds_the_delivered_buffer_itself() {
+        // The frame an actor sends is the buffer the endpoint stores: the
+        // simulator moves it into the delivery event, and `on_packet`
+        // takes it by value, so no byte is copied on the way.
+        struct Sender {
+            to: NodeId,
+            frame: Bytes,
+        }
+        impl Actor for Sender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send(Dest::Unicast(self.to), self.frame.clone());
+            }
+        }
+        let mut sim = Simulation::with_quality(2, LinkQuality::perfect(), LinkQuality::perfect());
+        let raw = sim.add_node(NodeConfig::wan_only("raw"), Box::new(RawEndpoint::new()));
+        let frame = Bytes::from(vec![7u8; 32]);
+        let data = frame.as_ptr();
+        sim.add_node(
+            NodeConfig::wan_only("sender"),
+            Box::new(Sender { to: raw, frame }),
+        );
+        sim.run_until(Tick(10));
+        let inbox: Vec<_> = sim
+            .actor_mut::<RawEndpoint>(raw)
+            .unwrap()
+            .drain_inbox()
+            .collect();
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].1.as_ptr(), data, "same data pointer");
     }
 }

@@ -9,11 +9,8 @@ use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
 /// How long (ticks) to wait for a response after sending a request.
 const DEFAULT_WAIT: u64 = 2_000;
 
-/// The attacker's account credentials (provisioned by the world builder —
-/// attackers can always sign up for their own account).
-pub const ATTACKER_ID: &str = "attacker@evil.example";
-/// The attacker's password.
-pub const ATTACKER_PW: &str = "attacker-pw";
+/// The attacker's account credentials, provisioned by the world builder.
+pub use rb_scenario::{ATTACKER_ID, ATTACKER_PW};
 
 /// A request/response client over the world's raw attacker endpoint.
 ///
@@ -60,13 +57,7 @@ impl Adversary {
     /// the matching response. Pushes received meanwhile are collected into
     /// `Adversary::pushes`.
     pub fn request_wait(&mut self, world: &mut World, msg: Message, wait: u64) -> Option<Response> {
-        self.corr += 1;
-        let corr = CorrId(self.corr);
-        let cloud = world.cloud;
-        world.attacker_mut().queue(
-            Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode(),
-        );
+        let corr = self.fire(world, msg);
         world.run_for(wait);
         self.drain(world, Some(corr))
     }

@@ -213,31 +213,6 @@ impl DeviceAgent {
         self.reset_queued = true;
     }
 
-    /// (Re)runs the local configuration a physically-present owner
-    /// performs: loads Wi-Fi credentials plus whatever pairing material
-    /// the design needs (a [`DevToken`], a [`BindToken`] capability, or
-    /// the account credentials), and clears the binding hint so the
-    /// device attempts its bind on the next registration — exactly like a
-    /// fresh setup, but without the AP-mode provisioning exchange.
-    /// Harnesses (e.g. rb-mc's counterexample replay) use this to drive
-    /// the life cycle directly; the cloud-visible behaviour is identical
-    /// to a normal setup.
-    pub fn sideload(
-        &mut self,
-        wifi: WifiCredentials,
-        dev_token: Option<DevToken>,
-        bind_token: Option<BindToken>,
-        user_creds: Option<(UserId, UserPw)>,
-    ) {
-        self.wifi = Some(wifi);
-        self.dev_token = dev_token;
-        self.bind_token = bind_token;
-        self.user_creds = user_creds;
-        self.bound_hint = false;
-        self.bind_retry.reset();
-        self.bind_tries_this_cycle = 0;
-    }
-
     /// Whether the firmware has everything the design needs before it can
     /// go online.
     fn fully_provisioned(&self) -> bool {
@@ -366,8 +341,15 @@ impl DeviceAgent {
         self.metrics.get().commands.incr();
     }
 
+    /// Takes the owner's local configuration: Wi-Fi credentials plus the
+    /// pairing material the design needs. A (re)configured device starts
+    /// a fresh bind cycle, so it binds with the new material on its next
+    /// registration even if it held a binding before.
     fn accept_provisioning(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: &ProvisionRequest) {
         self.wifi = Some(req.wifi.clone());
+        self.bound_hint = false;
+        self.bind_retry.reset();
+        self.bind_tries_this_cycle = 0;
         let PairingMaterial {
             dev_token,
             bind_token,

@@ -16,7 +16,7 @@ use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
 use rb_wire::envelope::Envelope;
 use rb_wire::ids::{DevId, MacAddr};
-use rb_wire::messages::{ControlAction, Message, Response, StatusKind};
+use rb_wire::messages::{BindPayload, ControlAction, Message, Response, StatusKind};
 use rb_wire::telemetry::ScheduleEntry;
 use rb_wire::tokens::SessionToken;
 
@@ -396,4 +396,56 @@ fn reboot_reregisters() {
     let device = sim.actor::<DeviceAgent>(dev).unwrap();
     assert!(device.is_registered(), "re-registered after reboot");
     assert!(device.stats.registers >= 2);
+}
+
+#[test]
+fn reprovisioning_a_bound_device_binds_with_the_new_material() {
+    let mut sim = sim();
+    let cloud = sim.add_node(NodeConfig::wan_only("cloud"), Box::new(MockCloud::new()));
+    let dev = sim.add_node(
+        NodeConfig::dual("device", LAN),
+        Box::new(DeviceAgent::new(device_config(vendors::tp_link(), cloud))),
+    );
+    let creds = |user: &str| PairingMaterial {
+        user_credentials: Some((user.into(), "pw".into())),
+        ..Default::default()
+    };
+    sim.add_node(
+        NodeConfig::dual("app", LAN),
+        Box::new(Script {
+            steps: vec![
+                (5, Dest::Unicast(dev), provision_packet(creds("first"))),
+                (700, Dest::Unicast(dev), provision_packet(creds("second"))),
+            ],
+        }),
+    );
+    let binds_for = |sim: &Simulation, user: &str| {
+        sim.actor::<MockCloud>(cloud)
+            .unwrap()
+            .requests
+            .iter()
+            .filter(|m| {
+                matches!(m, Message::Bind(BindPayload::AclDevice { user_id, .. })
+                    if user_id.as_str() == user)
+            })
+            .count()
+    };
+    // The first configuration registers and binds; the cloud's `Bound`
+    // leaves the device holding a binding hint.
+    sim.run_until(Tick(500));
+    assert_eq!(binds_for(&sim, "first"), 1);
+    // The owner power-cycles and reconfigures it with fresh material: it
+    // registers again and binds with the new credentials.
+    sim.set_power(dev, false);
+    sim.run_until(Tick(600));
+    sim.set_power(dev, true);
+    sim.run_until(Tick(1_000));
+    let device = sim.actor::<DeviceAgent>(dev).unwrap();
+    assert!(device.is_registered());
+    assert_eq!(device.stats.registers, 2);
+    assert_eq!(
+        binds_for(&sim, "second"),
+        1,
+        "re-bound with the new material"
+    );
 }

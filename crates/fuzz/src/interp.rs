@@ -4,7 +4,10 @@
 //!
 //! This reuses the model checker's replay machinery
 //! ([`rb_mc::replay::LiveSession`]) act for act: honest and adversarial
-//! product steps are realized as real packet exchanges, [`Act::Control`]
+//! product steps are realized as real packet exchanges (the owner
+//! configures the device with the app's AP-mode provisioning request and
+//! presses its button where the design asks for local proof, as setup
+//! does), [`Act::Control`]
 //! lets simulated time pass, and [`Act::Chaos`] injects the benign chaos
 //! envelope (duplication + reordering) that must never change an
 //! outcome. The interpreter is the expensive end of the pipeline, so the

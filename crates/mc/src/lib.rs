@@ -23,10 +23,10 @@
 //!   bounded checker, the static analyzer, and the linter's fired rules —
 //!   reporting any disagreement as `RB013`.
 //! * [`replay`] — the **witness compiler**: turns every counterexample
-//!   into a live `rb-scenario` schedule (sideloaded device material, a
-//!   victim proxy on the home LAN, real attacker clients) and asserts the
-//!   violated property on the simulated cloud, closing the loop between
-//!   model and implementation.
+//!   into a live `rb-scenario` schedule (a victim console on the home LAN
+//!   that provisions the device over AP mode, real attacker clients) and
+//!   asserts the violated property on the simulated cloud, closing the
+//!   loop between model and implementation.
 //!
 //! # Example
 //!

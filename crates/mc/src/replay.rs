@@ -8,11 +8,15 @@
 //! * **Honest acts** are driven through a *victim console* — a raw
 //!   endpoint on the home LAN sharing the home's NAT IP
 //!   ([`rb_scenario::World::add_home_console`]) — and through the real
-//!   device firmware. [`McAct::DevRegister`] sideloads the pairing
-//!   material a physically-present owner would configure
-//!   ([`rb_device::DeviceAgent::sideload`]) and power-cycles the device;
-//!   the firmware then registers and, on device-channel designs, attempts
-//!   its bind exactly as the product machine folds into the act.
+//!   device firmware. [`McAct::DevRegister`] power-cycles the device and
+//!   has the console send it the AP-mode `ProvisionRequest` the app's
+//!   provisioning step sends (Wi-Fi credentials plus the design's pairing
+//!   material), pressing the button where the design requires local proof
+//!   ([`rb_scenario::World::press_setup_button`], as setup does); the
+//!   firmware then registers and, on device-channel designs, attempts its
+//!   bind exactly as the product machine folds into the act. The console
+//!   stands in for the app because a witness may order the resident's
+//!   bind against the design's setup order, which the app never does.
 //! * **Adversarial acts** are sent by a real [`rb_attack::Adversary`]
 //!   client from the WAN, using only what the threat model grants it: the
 //!   device ID, its own account, and (where firmware is known) the
@@ -35,16 +39,16 @@
 
 use crate::explore::Property;
 use crate::model::{self, McAct, PState};
-use rb_attack::adversary::{ATTACKER_ID, ATTACKER_PW};
 use rb_attack::Adversary;
 use rb_core::design::{BindScheme, DeviceAuthScheme, VendorDesign};
 use rb_core::spec::{DeviceSrc, Party};
 use rb_device::HEARTBEAT_EVERY;
 use rb_netsim::{Dest, NodeId};
+use rb_provision::apmode::{PairingMaterial, ProvisionRequest};
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
-use rb_scenario::{RawEndpoint, World, WorldBuilder};
-use rb_wire::envelope::{CorrId, Envelope};
+use rb_scenario::{World, WorldBuilder, ATTACKER_ID, ATTACKER_PW};
+use rb_wire::envelope::CorrId;
 use rb_wire::ids::DevId;
 use rb_wire::messages::{
     BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
@@ -58,46 +62,8 @@ use rb_wire::tokens::{BindToken, DevToken, UserId, UserPw, UserToken};
 /// later act clears the binding.
 const BIND_RETRY_DRAIN: u64 = 15_000;
 
-/// The victim's request/response client: a raw endpoint on the home LAN
-/// behind the home NAT, driven synchronously between simulation runs.
-struct Console {
-    node: NodeId,
-    corr: u64,
-}
-
-impl Console {
-    fn endpoint<'w>(&self, world: &'w mut World) -> &'w mut RawEndpoint {
-        world
-            .sim
-            .actor_mut::<RawEndpoint>(self.node)
-            .unwrap_or_else(|| unreachable!("the console node is always a RawEndpoint"))
-    }
-
-    /// Sends `msg` to the cloud and waits for the matching response.
-    fn request(&mut self, world: &mut World, msg: Message, what: &str) -> Result<Response, String> {
-        self.corr += 1;
-        let corr = CorrId(self.corr);
-        let cloud = world.cloud;
-        self.endpoint(world).queue(
-            Dest::Unicast(cloud),
-            Envelope::Request { corr, msg }.encode(),
-        );
-        world.run_for(2_000);
-        for (_, bytes) in self.endpoint(world).drain_inbox() {
-            if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode(&bytes) {
-                if c == corr {
-                    return Ok(rsp);
-                }
-            }
-        }
-        Err(format!("no response to the console's {what}"))
-    }
-
-    /// Queues a LAN frame to `to` (delivered on the next run).
-    fn send_lan(&mut self, world: &mut World, to: NodeId, payload: Vec<u8>) {
-        self.endpoint(world).queue(Dest::Unicast(to), payload);
-    }
-}
+/// Ticks the console waits for the cloud's answer to one request.
+const CONSOLE_WAIT: u64 = 2_000;
 
 /// A forged device registration — all the attacker can construct on
 /// ID-authenticated designs.
@@ -109,8 +75,9 @@ fn forged_register(dev_id: &DevId) -> Message {
     ))
 }
 
-/// One live witness interpretation in flight: the simulated world plus
-/// the principals' clients and credentials.
+/// One live witness interpretation in flight: the simulated world, the
+/// resident's console and the attacker's client, and the victim's
+/// credentials.
 ///
 /// This is the machinery [`replay`] drives, exposed so other harnesses —
 /// the lifecycle fuzzer's interpreter in particular — can compile their
@@ -123,7 +90,11 @@ fn forged_register(dev_id: &DevId) -> Message {
 pub struct LiveSession {
     design: VendorDesign,
     world: World,
-    console: Console,
+    /// The resident's raw endpoint on the home LAN, behind the home NAT
+    /// ([`World::add_home_console`]).
+    console: NodeId,
+    /// The console's last request corr id.
+    console_corr: u64,
     adversary: Adversary,
     dev_id: DevId,
     victim_id: UserId,
@@ -151,9 +122,8 @@ impl LiveSession {
         let mut world = WorldBuilder::new(design.clone(), 0x5EED_0001)
             .victim_paused()
             .build();
-        let node = world.add_home_console(0);
+        let console = world.add_home_console(0);
         world.run_for(10);
-        let mut console = Console { node, corr: 0 };
         let dev_id = world.homes[0].dev_id.clone();
         let victim_id = world.homes[0].user_id.clone();
         let victim_pw = world.homes[0].user_pw.clone();
@@ -161,8 +131,8 @@ impl LiveSession {
             user_id: victim_id.clone(),
             user_pw: victim_pw.clone(),
         };
-        let victim_token = match console.request(&mut world, login, "login")? {
-            Response::LoginOk { user_token } => user_token,
+        let victim_token = match world.request_from(console, CorrId(1), login, CONSOLE_WAIT) {
+            Some(Response::LoginOk { user_token }) => user_token,
             other => return Err(format!("victim login answered {other:?}")),
         };
         let mut adversary = Adversary::new();
@@ -171,6 +141,7 @@ impl LiveSession {
             design: design.clone(),
             world,
             console,
+            console_corr: 1,
             adversary,
             dev_id,
             victim_id,
@@ -179,6 +150,24 @@ impl LiveSession {
             victim_dev_token: None,
             device_powered: false,
         })
+    }
+
+    /// Sends `msg` to the cloud from the console and returns the answer.
+    fn console_request(&mut self, msg: Message, what: &str) -> Result<Response, String> {
+        self.console_corr += 1;
+        let corr = CorrId(self.console_corr);
+        self.world
+            .request_from(self.console, corr, msg, CONSOLE_WAIT)
+            .ok_or_else(|| format!("no response to the console's {what}"))
+    }
+
+    /// Queues a LAN frame from the console to the device (delivered on
+    /// the next run).
+    fn console_to_device(&mut self, payload: Vec<u8>) {
+        let device = self.world.homes[0].device;
+        self.world
+            .endpoint_mut(self.console)
+            .queue(Dest::Unicast(device), payload);
     }
 
     fn set_device_power(&mut self, on: bool) {
@@ -204,10 +193,7 @@ impl LiveSession {
         let msg = Message::RequestDevToken {
             user_token: self.victim_token,
         };
-        match self
-            .console
-            .request(&mut self.world, msg, "device-token request")?
-        {
+        match self.console_request(msg, "device-token request")? {
             Response::DevTokenIssued { dev_token } => {
                 self.victim_dev_token = Some(dev_token);
                 Ok(dev_token)
@@ -222,37 +208,46 @@ impl LiveSession {
         let msg = Message::RequestBindToken {
             user_token: self.victim_token,
         };
-        match self
-            .console
-            .request(&mut self.world, msg, "bind-token request")?
-        {
+        match self.console_request(msg, "bind-token request")? {
             Response::BindTokenIssued { bind_token } => Ok(bind_token),
             other => Err(format!("bind-token request answered {other:?}")),
         }
     }
 
-    /// `McAct::DevRegister`: the owner (re)configures the device and
-    /// powers it on; it registers and, on device-channel designs,
+    /// `McAct::DevRegister`: the owner power-cycles the device, provisions
+    /// it over the home LAN with the pairing material the design needs
+    /// (the app's AP-mode request) and presses its button where the design
+    /// asks for local proof; it registers and, on device-channel designs,
     /// attempts the owner's bind.
     fn dev_register(&mut self, post: PState) -> Result<(), String> {
         self.set_device_power(false);
         let dev_token = if self.design.auth == DeviceAuthScheme::DevToken {
-            Some(self.victim_dev_token()?)
+            Some(*self.victim_dev_token()?.as_bytes())
         } else {
             None
         };
         let bind_token = if self.design.bind == BindScheme::Capability {
-            Some(self.fresh_bind_token()?)
+            Some(*self.fresh_bind_token()?.as_bytes())
         } else {
             None
         };
-        let user_creds = (self.design.bind == BindScheme::AclDevice)
-            .then(|| (self.victim_id.clone(), self.victim_pw.clone()));
-        let wifi = WifiCredentials::new("resident-wifi", "resident-psk");
-        self.world
-            .device_mut(0)
-            .sideload(wifi, dev_token, bind_token, user_creds);
+        let user_credentials = (self.design.bind == BindScheme::AclDevice).then(|| {
+            (
+                self.victim_id.as_str().to_owned(),
+                self.victim_pw.expose().to_owned(),
+            )
+        });
+        let provision = ProvisionRequest {
+            wifi: WifiCredentials::new("resident-wifi", "resident-psk"),
+            pairing: PairingMaterial {
+                dev_token,
+                bind_token,
+                user_credentials,
+            },
+        };
         self.set_device_power(true);
+        self.world.press_setup_button(0);
+        self.console_to_device(provision.encode());
         let dev_id = self.dev_id.clone();
         let want = self.owner_of(post.bound);
         let settled = self.world.try_run_until(4 * HEARTBEAT_EVERY + 4_000, |w| {
@@ -306,30 +301,27 @@ impl LiveSession {
 
     /// `McAct::UserBind`: the resident binds through the app channel.
     fn user_bind(&mut self, pre: PState) -> Result<(), String> {
-        if self.design.checks.bind_requires_local_proof {
-            // The model guard guarantees the real device is live to report
-            // the press; the cloud also checks the reporter shares the
-            // binder's NAT IP, which the console does.
-            self.world.device_mut(0).press_button();
+        // The model guard guarantees the real device is live to report
+        // the press; the cloud also checks the reporter shares the binder's
+        // NAT IP, which the console does.
+        if self.world.press_setup_button(0) {
             self.world.run_for(HEARTBEAT_EVERY + 500);
         }
         let msg = Message::Bind(BindPayload::AclApp {
             dev_id: self.dev_id.clone(),
             user_token: self.victim_token,
         });
-        match self.console.request(&mut self.world, msg, "app bind")? {
+        match self.console_request(msg, "app bind")? {
             Response::Bound { session } => {
                 if let Some(session) = session {
                     if pre.src.includes_real() {
                         // Post-binding designs: the resident delivers the
                         // session token over the LAN — the hop a WAN
                         // attacker cannot make.
-                        let device = self.world.homes[0].device;
                         let assign = LocalCtl::SessionAssign {
                             token: *session.as_bytes(),
                         };
-                        self.console
-                            .send_lan(&mut self.world, device, assign.encode());
+                        self.console_to_device(assign.encode());
                         self.world.run_for(50);
                     }
                 }
@@ -355,10 +347,7 @@ impl LiveSession {
                 dev_id: self.dev_id.clone(),
             }
         };
-        match self
-            .console
-            .request(&mut self.world, Message::Unbind(payload), "honest unbind")?
-        {
+        match self.console_request(Message::Unbind(payload), "honest unbind")? {
             Response::Unbound => Ok(()),
             other => Err(format!("honest unbind answered {other:?}")),
         }
@@ -598,10 +587,7 @@ impl LiveSession {
                 dev_id: self.dev_id.clone(),
                 user_token: self.victim_token,
             });
-            match self
-                .console
-                .request(&mut self.world, msg, "recovery unbind")?
-            {
+            match self.console_request(msg, "recovery unbind")? {
                 Response::Denied { .. } => {}
                 other => {
                     return Err(format!(
@@ -618,10 +604,7 @@ impl LiveSession {
                 dev_id: self.dev_id.clone(),
                 user_token: self.victim_token,
             });
-            match self
-                .console
-                .request(&mut self.world, msg, "recovery bind")?
-            {
+            match self.console_request(msg, "recovery bind")? {
                 Response::Denied { .. } => {}
                 other => {
                     return Err(format!(

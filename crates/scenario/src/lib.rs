@@ -28,4 +28,4 @@ pub use forensic::{capture, trace_run};
 pub use observe::{defended_metrics_run, metrics_run, metrics_run_with, monitor_run, MonitorRun};
 pub use prof::{prof_run, ProfRun};
 pub use raw::RawEndpoint;
-pub use world::{Home, World, WorldBuilder};
+pub use world::{Home, World, WorldBuilder, ATTACKER_ID, ATTACKER_PW};

@@ -17,15 +17,15 @@
 
 use rb_cloud::DefensePolicy;
 use rb_core::design::{BindScheme, VendorDesign};
-use rb_netsim::{Dest, Telemetry};
-use rb_wire::envelope::{CorrId, Envelope};
+use rb_netsim::Telemetry;
+use rb_wire::envelope::CorrId;
 use rb_wire::messages::{
     BindPayload, DeviceAttributes, Message, Response, StatusAuth, StatusPayload, UnbindPayload,
 };
 use rb_wire::tokens::{UserId, UserPw, UserToken};
 
 use crate::lifecycle::{run_lifecycle, PHASE_TICKS};
-use crate::{ChaosProfile, World, WorldBuilder};
+use crate::{ChaosProfile, World, WorldBuilder, ATTACKER_ID, ATTACKER_PW};
 
 /// Runs the canonical binding life cycle (setup, control, unbind, factory
 /// reset, re-bind, quiesce) on a pristine world and returns the shared
@@ -79,29 +79,6 @@ pub struct MonitorRun {
     pub converged: bool,
 }
 
-/// Sends one forged request from the world's raw attacker endpoint and
-/// waits for the matching reply.
-fn attacker_request(world: &mut World, corr: u64, msg: Message, wait: u64) -> Option<Response> {
-    let cloud = world.cloud;
-    world.attacker_mut().queue(
-        Dest::Unicast(cloud),
-        Envelope::Request {
-            corr: CorrId(corr),
-            msg,
-        }
-        .encode(),
-    );
-    world.run_for(wait);
-    for (_, bytes) in world.attacker_mut().drain_inbox() {
-        if let Ok(Envelope::Response { corr: c, rsp }) = Envelope::decode(&bytes) {
-            if c == CorrId(corr) {
-                return Some(rsp);
-            }
-        }
-    }
-    None
-}
-
 /// The canonical monitor-enabled scenario: one benign home plus a scripted
 /// WAN attacker, with the hardened [`DefensePolicy`] installed.
 ///
@@ -117,34 +94,29 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
         .build();
     let converged = world.try_run_setup(300_000);
     let dev_id = world.homes[0].dev_id.clone();
+    let attacker = world.attacker;
     let mut corr = 1_000;
-    let mut next = || {
+    let mut ask = |world: &mut World, msg: Message, wait: u64| {
         corr += 1;
-        corr
+        world.request_from(attacker, CorrId(corr), msg, wait)
     };
 
     // Attacker signs in with its own (legitimately created) account.
-    let token = match attacker_request(
-        &mut world,
-        next(),
-        Message::Login {
-            user_id: UserId::new("attacker@evil.example"),
-            user_pw: UserPw::new("attacker-pw"),
-        },
-        2_000,
-    ) {
-        Some(Response::LoginOk { user_token }) => Some(user_token),
-        _ => None,
+    let login = Message::Login {
+        user_id: UserId::new(ATTACKER_ID),
+        user_pw: UserPw::new(ATTACKER_PW),
     };
-    let token = token.unwrap_or_else(|| UserToken::from_entropy(0));
+    let token = match ask(&mut world, login, 2_000) {
+        Some(Response::LoginOk { user_token }) => user_token,
+        _ => UserToken::from_entropy(0),
+    };
 
     // ID-space sweep: ten probes against sequential (mostly unknown)
     // DevIds — the enumeration-rate signature.
     for i in 1..=10u64 {
         let probe = design.id_scheme.id_at(1_000 + i);
-        let _ = attacker_request(
+        let _ = ask(
             &mut world,
-            next(),
             Message::Unbind(UnbindPayload::DevIdUserToken {
                 dev_id: probe,
                 user_token: token,
@@ -155,9 +127,8 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
 
     // A forged device registration from the WAN (session move; on
     // register-reset designs also the impossible shadow transition).
-    let _ = attacker_request(
+    let _ = ask(
         &mut world,
-        next(),
         Message::Status(StatusPayload::register(
             StatusAuth::DevId(dev_id.clone()),
             dev_id.clone(),
@@ -177,7 +148,7 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
             user_token: token,
         }
     };
-    let _ = attacker_request(&mut world, next(), Message::Unbind(unbind), 2_000);
+    let _ = ask(&mut world, Message::Unbind(unbind), 2_000);
 
     // Repeated binds with the attacker's own account (contested-binding on
     // rejecting designs, displacement + remote-only-bind on replacing
@@ -190,14 +161,14 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
         }),
         BindScheme::AclDevice => Some(BindPayload::AclDevice {
             dev_id: dev_id.clone(),
-            user_id: UserId::new("attacker@evil.example"),
-            user_pw: UserPw::new("attacker-pw"),
+            user_id: UserId::new(ATTACKER_ID),
+            user_pw: UserPw::new(ATTACKER_PW),
         }),
         BindScheme::Capability => None,
     };
     if let Some(payload) = bind {
         for _ in 0..3 {
-            let _ = attacker_request(&mut world, next(), Message::Bind(payload.clone()), 1_000);
+            let _ = ask(&mut world, Message::Bind(payload.clone()), 1_000);
         }
     }
 

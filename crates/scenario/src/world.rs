@@ -6,12 +6,27 @@ use rb_core::design::{DeviceAuthScheme, SetupOrder, VendorDesign};
 use rb_core::shadow::ShadowState;
 use rb_device::{DeviceAgent, DeviceConfig};
 use rb_netsim::{
-    FaultPlan, LanId, LinkQuality, NodeConfig, NodeId, Profiler, SimRng, Simulation, Telemetry,
-    Tick,
+    Dest, FaultPlan, LanId, LinkQuality, NodeConfig, NodeId, Profiler, SimRng, Simulation,
+    Telemetry, Tick,
 };
-use rb_wire::envelope::WireFormat;
+use rb_wire::envelope::{CorrId, Envelope, WireFormat};
 use rb_wire::ids::DevId;
+use rb_wire::messages::{Message, Response};
 use rb_wire::tokens::{UserId, UserPw};
+
+use crate::RawEndpoint;
+
+/// The attacker's own cloud account, provisioned in every world (an
+/// attacker can always sign up for one).
+pub const ATTACKER_ID: &str = "attacker@evil.example";
+/// The attacker account's password.
+pub const ATTACKER_PW: &str = "attacker-pw";
+
+/// Home `i`'s public IP: the home NAT gives its app, device and any
+/// console one address.
+fn home_ip(i: usize) -> u32 {
+    1000 + i as u32
+}
 
 /// One home: a LAN with the user's phone and device.
 #[derive(Debug, Clone)]
@@ -166,10 +181,7 @@ impl WorldBuilder {
         // Forensic marks only make sense when there is a trace to attach
         // them to; untraced worlds skip the string formatting entirely.
         cloud_service.set_forensics(self.trace);
-        cloud_service.provision_account(
-            UserId::new("attacker@evil.example"),
-            UserPw::new("attacker-pw"),
-        );
+        cloud_service.provision_account(UserId::new(ATTACKER_ID), UserPw::new(ATTACKER_PW));
 
         // Manufacture one device per home plus a registry tail, so the ID
         // space looks like a real product series (the DoS experiment
@@ -238,8 +250,7 @@ impl WorldBuilder {
                 Box::new(app_agent),
             );
 
-            // NAT: the whole home shares one public IP.
-            let public_ip = 1000 + i as u32;
+            let public_ip = home_ip(i);
             let Some(cloud_actor) = sim.actor_mut::<CloudService>(cloud) else {
                 unreachable!("the cloud node is always a CloudService");
             };
@@ -265,7 +276,7 @@ impl WorldBuilder {
 
         let attacker = sim.add_node(
             NodeConfig::wan_only("attacker"),
-            Box::new(crate::RawEndpoint::new()),
+            Box::new(RawEndpoint::new()),
         );
         let Some(cloud_actor) = sim.actor_mut::<CloudService>(cloud) else {
             unreachable!("the cloud node is always a CloudService");
@@ -373,10 +384,53 @@ impl World {
     }
 
     /// The attacker endpoint (mutable: queue forged frames, read inbox).
-    pub fn attacker_mut(&mut self) -> &mut crate::RawEndpoint {
+    pub fn attacker_mut(&mut self) -> &mut RawEndpoint {
+        self.endpoint_mut(self.attacker)
+    }
+
+    /// The raw endpoint at `node`: the attacker or a
+    /// [`World::add_home_console`] node. Panics on any other node.
+    pub fn endpoint_mut(&mut self, node: NodeId) -> &mut RawEndpoint {
         self.sim
-            .actor_mut::<crate::RawEndpoint>(self.attacker)
-            .unwrap_or_else(|| unreachable!("the attacker node is always a RawEndpoint"))
+            .actor_mut::<RawEndpoint>(node)
+            .unwrap_or_else(|| unreachable!("{node:?} is not a RawEndpoint"))
+    }
+
+    /// Sends `msg` to the cloud from the raw endpoint `from` under `corr`,
+    /// runs the world for `wait` ticks and returns the response carrying
+    /// `corr`, if one arrived. Everything else the endpoint received in
+    /// the meantime is dropped.
+    pub fn request_from(
+        &mut self,
+        from: NodeId,
+        corr: CorrId,
+        msg: Message,
+        wait: u64,
+    ) -> Option<Response> {
+        let cloud = self.cloud;
+        self.endpoint_mut(from).queue(
+            Dest::Unicast(cloud),
+            Envelope::Request { corr, msg }.encode(),
+        );
+        self.sim.run_for(wait);
+        self.endpoint_mut(from)
+            .drain_inbox()
+            .find_map(|(_, bytes)| match Envelope::decode(&bytes) {
+                Ok(Envelope::Response { corr: c, rsp }) if c == corr => Some(rsp),
+                _ => None,
+            })
+    }
+
+    /// The owner's presence proof: on designs whose cloud binds only
+    /// after the device reports a local button press, presses home `i`'s
+    /// button (the press rides in the device's next status). Returns
+    /// whether the design asked for the press.
+    pub fn press_setup_button(&mut self, i: usize) -> bool {
+        let needed = self.design.checks.bind_requires_local_proof;
+        if needed {
+            self.device_mut(i).press_button();
+        }
+        needed
     }
 
     /// The shadow state of home `i`'s device.
@@ -407,16 +461,13 @@ impl World {
     /// when the setup does not converge within `max_ticks` — which is the
     /// *expected* result while a binding-DoS attack is in effect.
     pub fn try_run_setup(&mut self, max_ticks: u64) -> bool {
-        let needs_button = self.design.checks.bind_requires_local_proof;
         let deadline = self.sim.now().saturating_add(max_ticks);
         loop {
             // Keep the button freshly pressed through setup (the user is
             // standing next to the device as instructed by the app).
-            if needs_button {
-                for i in 0..self.homes.len() {
-                    if !self.app(i).is_bound() {
-                        self.device_mut(i).press_button();
-                    }
+            for i in 0..self.homes.len() {
+                if !self.app(i).is_bound() {
+                    self.press_setup_button(i);
                 }
             }
             self.sim.run_for(1_000);
@@ -460,17 +511,18 @@ impl World {
 
     /// Adds a raw endpoint on home `i`'s LAN that shares the home's
     /// public IP — a "console" harnesses use to drive the resident's
-    /// honest traffic (logins, binds, unbinds, local session delivery) as
-    /// explicit request/response exchanges, without the scripted app
-    /// agent. To the cloud it is indistinguishable from the home's app.
+    /// honest traffic (logins, binds, unbinds, AP-mode provisioning,
+    /// local session delivery) as explicit exchanges
+    /// ([`World::request_from`] for the cloud's), without the scripted
+    /// app agent. To the cloud it is indistinguishable from the home's
+    /// app.
     pub fn add_home_console(&mut self, i: usize) -> NodeId {
         let lan = self.homes[i].lan;
         let node = self.sim.add_node(
             NodeConfig::dual(format!("console{i}"), lan),
-            Box::new(crate::RawEndpoint::new()),
+            Box::new(RawEndpoint::new()),
         );
-        let public_ip = 1000 + i as u32;
-        self.cloud_mut().set_public_ip(node, public_ip);
+        self.cloud_mut().set_public_ip(node, home_ip(i));
         node
     }
 

@@ -297,7 +297,7 @@ impl AppAgent {
             polled_at: Tick::ZERO,
             armed: None,
             timer_gen: 0,
-            metrics: Handles::new(Telemetry::new(), AppMetrics::register),
+            metrics: Handles::unset(AppMetrics::register),
             setup_started: None,
             corr: 0,
             control_queue: VecDeque::new(),
@@ -392,10 +392,10 @@ impl AppAgent {
     /// Marks the binding as held: counts it and observes the setup time.
     fn note_bound(&mut self, now: Tick) {
         self.metrics.get().binds.incr();
-        if let Some(started) = self.setup_started.take() {
-            self.metrics
-                .telemetry()
-                .observe("span_ticks{name=\"app_setup\"}", now - started);
+        if let (Some(started), Some(telemetry)) =
+            (self.setup_started.take(), self.metrics.telemetry())
+        {
+            telemetry.observe("span_ticks{name=\"app_setup\"}", now - started);
         }
     }
 

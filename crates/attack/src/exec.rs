@@ -826,6 +826,11 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
         };
         probes.incr();
         adv.fire(world, bind);
+        // The victim presses the button through setup, as
+        // `World::try_run_setup` does, so local-proof designs can bind.
+        if !world.app(0).is_bound() {
+            world.press_setup_button(0);
+        }
         world.run_for(250);
         if let Some(Response::Bound { session }) = latest_bind_response(&mut adv, world) {
             adv.hijack_session = session;

@@ -9,15 +9,23 @@
 //! Components:
 //!
 //! * `accounts` — user accounts, password login, `UserToken` issuance;
-//! * [`registry`] — the manufacturer's device registry: known device IDs,
-//!   per-device factory secrets (for vendors whose channel we could not
-//!   inspect — the paper's "O"), and public keys for the AWS-style
-//!   reference design;
+//! * [`registry`] — what the manufacturer provisions per device: the
+//!   factory secret (for vendors whose channel we could not inspect — the
+//!   paper's "O") and, for the AWS-style reference design, a signing key,
+//!   indexed by key id in a key ring;
 //! * [`issued`] — issued `DevToken`s and `BindToken` capabilities;
-//! * `state` — device sessions and shadow records (the live
+//! * `state` — the device table and the source table. The device table
+//!   is one `DevId` index over one entry per manufactured device, holding
+//!   the manufacture record, the shadow record (the live
 //!   [`rb_core::shadow::Shadow`] plus schedules, telemetry, and binding
-//!   session tokens);
-//! * [`monitor`] — the streaming security monitor and the opt-in
+//!   session tokens), the live session and the monitor's per-device facts
+//!   (last device IP, quarantine). The source table holds one record per
+//!   node: NAT address, enumeration tracking, bind-rate window and the
+//!   node→device index. Each handler resolves its device and its source
+//!   once; unknown device IDs never get an entry;
+//! * [`monitor`] — the streaming security monitor (its alert log and the
+//!   pair-keyed contested-binding and retired-token tables; a read-only
+//!   [`Monitor`] view over it and both tables) and the opt-in
 //!   [`DefensePolicy`] it drives;
 //! * [`service`] — [`service::CloudService`]: the message handlers and the
 //!   [`rb_netsim::Actor`] implementation.

@@ -5,9 +5,10 @@
 //! module is the defensive counterpart — an **online** monitor inside the
 //! cloud, fed by the service handlers on every request and shadow
 //! transition as the world runs (no post-hoc trace scans). It keeps
-//! per-source / per-device counters, raises typed [`SecurityAlert`]s onto
-//! a tick-stamped alert log, and measures detection latency in simulation
-//! ticks. `rbsim monitor` and the defense bench read the log
+//! per-source and per-device facts in the cloud's source and device
+//! tables, raises typed [`SecurityAlert`]s onto a tick-stamped alert log,
+//! and measures detection latency in simulation ticks. `rbsim monitor`
+//! and the defense bench read the log through the [`Monitor`] view
 //! ([`Monitor::alert_log`], [`Monitor::render_alert_stream`]).
 //!
 //! Detection alone is the passive half. The active half is a per-vendor
@@ -26,11 +27,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use rb_netsim::hash::{HashMap, HashSet};
-use rb_netsim::telemetry::CounterTable;
+use rb_netsim::hash::HashMap;
+use rb_netsim::telemetry::{CounterTable, Handles};
 use rb_netsim::{NodeId, Telemetry, Tick};
 use rb_wire::ids::DevId;
 use rb_wire::tokens::{SessionToken, UserId};
+
+use crate::state::{DeviceEntry, DeviceState, DeviceTable, Slot, Source};
 
 /// A security-relevant anomaly observed by the cloud.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,46 +312,54 @@ pub(crate) const ENUMERATION_THRESHOLD: usize = 8;
 /// flagged as a contested binding.
 pub(crate) const CONTESTED_THRESHOLD: u32 = 3;
 
-/// The streaming monitor: fed observations by the service handlers as the
-/// world runs, keeps per-source statistics, and accumulates a tick-stamped
-/// alert log.
-///
-/// A source's distinct-ID set stops growing once it holds
-/// `ENUMERATION_THRESHOLD` IDs (the source is then flagged), but the
-/// table still holds one entry per source, and `retired` one entry per
-/// retired token: neither is bounded.
+/// One (device, challenger) pair: a challenger refused a binding another
+/// account holds.
 #[derive(Debug)]
-pub struct Monitor {
+struct Contest {
+    /// Tick of the first denial (latency evidence).
+    first: Tick,
+    /// `AlreadyBound` denials so far.
+    denials: u32,
+    /// Whether the pair was flagged (flag once).
+    flagged: bool,
+}
+
+/// A retired binding-session token of one device.
+#[derive(Debug)]
+struct Retired {
+    /// When it was retired (latency evidence).
+    at: Tick,
+    /// Whether a replay of it was flagged (flag once per token).
+    replay_flagged: bool,
+}
+
+/// The streaming monitor's own state: fed observations by the service
+/// handlers as the world runs, it accumulates a tick-stamped alert log.
+/// The facts it keeps per device (last IP, quarantine) and per source
+/// (enumeration tracking) live in the cloud's device and source tables,
+/// which the handlers pass in; only what is keyed by a pair stays here.
+///
+/// A source's touched list stops growing once it holds
+/// `ENUMERATION_THRESHOLD` IDs (the source is then flagged), but the
+/// source table still holds one record per source, and `retired` one
+/// entry per retired token: neither is bounded.
+#[derive(Debug)]
+pub(crate) struct Detector {
     /// The cumulative tick-stamped alert log, in raise order. Never
     /// drained; this is the byte-stable alert stream.
     log: Vec<(Tick, SecurityAlert)>,
     /// Position in `log` up to which defenses have already reacted.
     defense_cursor: usize,
-    /// Per source: the tick it first addressed a device ID, and the
-    /// distinct IDs it addressed until it was flagged.
-    touched: HashMap<NodeId, (Tick, HashSet<DevId>)>,
-    /// Sources already flagged for enumeration (flag once).
-    flagged: HashSet<NodeId>,
-    /// Device public IPs observed from device sessions.
-    device_ips: HashMap<DevId, u32>,
-    /// AlreadyBound denials per (device, challenger).
-    contested: HashMap<(DevId, UserId), u32>,
-    /// Tick of the first denial per contested pair (latency evidence).
-    contested_first: HashMap<(DevId, UserId), Tick>,
-    /// Contested pairs already flagged.
-    contested_flagged: HashSet<(DevId, UserId)>,
-    /// Retired binding-session tokens and their retirement tick.
-    retired: HashMap<(DevId, SessionToken), Tick>,
-    /// Replayed retired tokens already flagged (flag once per token).
-    replay_flagged: HashSet<(DevId, SessionToken)>,
-    /// Quarantined devices and the tick their quarantine expires.
-    quarantined: HashMap<DevId, Tick>,
+    /// `AlreadyBound` denials per (device, challenger).
+    contested: HashMap<(Slot, UserId), Contest>,
+    /// Retired binding-session tokens per (device, token).
+    retired: HashMap<(Slot, SessionToken), Retired>,
     /// Metrics sink: every raised alert also bumps
-    /// `cloud_alerts_total{kind="…"}` and feeds the
-    /// `monitor_detection_latency_ticks{kind="…"}` histogram.
-    telemetry: Telemetry,
-    /// `cloud_alerts_total{kind=…}`, indexed by [`SecurityAlert::kind_index`].
-    alerts: CounterTable<{ SecurityAlert::KINDS.len() }>,
+    /// `cloud_alerts_total{kind="…"}` (indexed by
+    /// [`SecurityAlert::kind_index`]) and feeds the
+    /// `monitor_detection_latency_ticks{kind="…"}` histogram. Records
+    /// nothing until the service points it at a registry.
+    alerts: Handles<CounterTable<{ SecurityAlert::KINDS.len() }>>,
 }
 
 fn alert_counters(telemetry: &Telemetry) -> CounterTable<{ SecurityAlert::KINDS.len() }> {
@@ -360,80 +371,22 @@ fn alert_counters(telemetry: &Telemetry) -> CounterTable<{ SecurityAlert::KINDS.
     })
 }
 
-impl Monitor {
-    /// An empty monitor with no alerts raised.
+impl Detector {
+    /// An empty monitor with no alerts raised and no registry.
     pub(crate) fn new() -> Self {
-        let telemetry = Telemetry::new();
-        Monitor {
+        Detector {
             log: Vec::new(),
             defense_cursor: 0,
-            touched: HashMap::default(),
-            flagged: HashSet::default(),
-            device_ips: HashMap::default(),
             contested: HashMap::default(),
-            contested_first: HashMap::default(),
-            contested_flagged: HashSet::default(),
             retired: HashMap::default(),
-            replay_flagged: HashSet::default(),
-            quarantined: HashMap::default(),
-            alerts: alert_counters(&telemetry),
-            telemetry,
+            alerts: Handles::unset(alert_counters),
         }
     }
 
     /// Points the monitor at a shared telemetry registry (normally the
     /// cloud service forwards its own handle here).
     pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.alerts = alert_counters(&telemetry);
-        self.telemetry = telemetry;
-    }
-
-    /// All alerts raised so far, in raise order (the log without ticks).
-    pub fn alerts(&self) -> Vec<&SecurityAlert> {
-        self.log.iter().map(|(_, alert)| alert).collect()
-    }
-
-    /// The cumulative tick-stamped alert log (never drained).
-    pub fn alert_log(&self) -> &[(Tick, SecurityAlert)] {
-        &self.log
-    }
-
-    /// The byte-stable rendering of the alert stream: one
-    /// `t=<tick> <kind> <detail>` line per alert, in raise order. The
-    /// thread-count determinism gates diff this exact string.
-    pub fn render_alert_stream(&self) -> String {
-        let mut out = String::new();
-        for (at, alert) in &self.log {
-            let _ = writeln!(out, "t={} {}", at.as_u64(), alert.describe());
-        }
-        out
-    }
-
-    /// A deterministic summary of the monitor's internal state: alert
-    /// totals per kind plus the sizes of every tracking table, rendered in
-    /// sorted order. Byte-identical across runs and thread counts.
-    pub fn render_state(&self) -> String {
-        let mut kinds: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for (_, alert) in &self.log {
-            *kinds.entry(alert.kind()).or_default() += 1;
-        }
-        let mut out = String::from("monitor-state\n");
-        for (kind, n) in kinds {
-            let _ = writeln!(out, "  alerts {kind}={n}");
-        }
-        let _ = writeln!(out, "  sources_tracked={}", self.touched.len());
-        let _ = writeln!(out, "  sources_flagged={}", self.flagged.len());
-        let _ = writeln!(out, "  device_ips={}", self.device_ips.len());
-        let _ = writeln!(out, "  contested_pairs={}", self.contested.len());
-        let _ = writeln!(out, "  retired_tokens={}", self.retired.len());
-        let mut quarantined: Vec<String> = self
-            .quarantined
-            .iter()
-            .map(|(dev, until)| format!("{dev}:{}", until.as_u64()))
-            .collect();
-        quarantined.sort_unstable();
-        let _ = writeln!(out, "  quarantined=[{}]", quarantined.join(", "));
-        out
+        self.alerts = Handles::new(telemetry, alert_counters);
     }
 
     /// Raises `alert` at `now` with detection evidence dating back to
@@ -446,9 +399,10 @@ impl Monitor {
         alert: SecurityAlert,
     ) {
         let kind = alert.kind_index();
-        self.alerts.incr(kind);
-        self.telemetry
-            .observe(SecurityAlert::LATENCY_HISTOGRAMS[kind], now - evidence_at);
+        self.alerts.get().incr(kind);
+        if let Some(telemetry) = self.alerts.telemetry() {
+            telemetry.observe(SecurityAlert::LATENCY_HISTOGRAMS[kind], now - evidence_at);
+        }
         self.log.push((now, alert));
     }
 
@@ -458,28 +412,30 @@ impl Monitor {
         self.raise_with_evidence(now, now, alert);
     }
 
-    /// Records that `source` addressed `dev_id`; raises the enumeration
-    /// alert, once, when the source's distinct-ID count reaches
-    /// [`ENUMERATION_THRESHOLD`]. Latency is measured from the source's
-    /// first touch. A flagged source's set is not grown further.
-    pub(crate) fn observe_target(&mut self, source: NodeId, dev_id: &DevId, now: Tick) {
-        if self.flagged.contains(&source) {
+    /// Records that `source` addressed `dev_id`, manufactured or not;
+    /// raises the enumeration alert, once, when the source's distinct-ID
+    /// count reaches [`ENUMERATION_THRESHOLD`]. Latency is measured from
+    /// the source's first touch. A flagged source's list is not grown
+    /// further.
+    pub(crate) fn observe_target(&mut self, source: &mut Source, dev_id: &DevId, now: Tick) {
+        if source.flagged {
             return;
         }
-        let (first_at, ids) = self
-            .touched
-            .entry(source)
-            .or_insert_with(|| (now, HashSet::default()));
-        if !ids.insert(dev_id.clone()) || ids.len() < ENUMERATION_THRESHOLD {
+        let first_at = *source.first_touch.get_or_insert(now);
+        if source.touched.contains(dev_id) {
             return;
         }
-        let (evidence, distinct_ids) = (*first_at, ids.len());
-        self.flagged.insert(source);
+        source.touched.push(dev_id.clone());
+        let distinct_ids = source.touched.len();
+        if distinct_ids < ENUMERATION_THRESHOLD {
+            return;
+        }
+        source.flagged = true;
         self.raise_with_evidence(
             now,
-            evidence,
+            first_at,
             SecurityAlert::EnumerationSuspected {
-                source,
+                source: source.node,
                 distinct_ids,
             },
         );
@@ -487,13 +443,13 @@ impl Monitor {
 
     /// Records the public IP a device session spoke from; raises
     /// [`SecurityAlert::SessionMoved`] on change.
-    pub(crate) fn observe_device_ip(&mut self, dev_id: &DevId, ip: u32, now: Tick) {
-        match self.device_ips.insert(dev_id.clone(), ip) {
+    pub(crate) fn observe_device_ip(&mut self, entry: &mut DeviceEntry, ip: u32, now: Tick) {
+        match entry.ip.replace(ip) {
             Some(old_ip) if old_ip != ip => {
                 self.raise(
                     now,
                     SecurityAlert::SessionMoved {
-                        dev_id: dev_id.clone(),
+                        dev_id: entry.dev_id.clone(),
                         old_ip,
                         new_ip: ip,
                     },
@@ -503,51 +459,53 @@ impl Monitor {
         }
     }
 
-    /// The last public IP a device session spoke from.
-    pub(crate) fn device_ip(&self, dev_id: &DevId) -> Option<u32> {
-        self.device_ips.get(dev_id).copied()
-    }
-
-    /// Records an `AlreadyBound` denial of `challenger` for a device held
-    /// by `holder`; flags the pair once the threshold is crossed. Latency
-    /// is measured from the pair's first denial.
+    /// Records an `AlreadyBound` denial of `challenger` for the device in
+    /// `slot`, held by `holder`; flags the pair once the threshold is
+    /// crossed. Latency is measured from the pair's first denial.
     pub(crate) fn observe_bind_denial(
         &mut self,
-        dev_id: &DevId,
+        devices: &DeviceTable,
+        slot: Slot,
         holder: &UserId,
         challenger: &UserId,
         now: Tick,
     ) {
-        let key = (dev_id.clone(), challenger.clone());
-        self.contested_first.entry(key.clone()).or_insert(now);
-        let n = self.contested.entry(key.clone()).or_default();
-        *n += 1;
-        let denials = *n;
-        if denials >= CONTESTED_THRESHOLD && self.contested_flagged.insert(key.clone()) {
-            let evidence = self.contested_first.get(&key).copied().unwrap_or(now);
-            self.raise_with_evidence(
-                now,
-                evidence,
-                SecurityAlert::ContestedBinding {
-                    dev_id: dev_id.clone(),
-                    holder: holder.clone(),
-                    challenger: challenger.clone(),
-                    denials,
-                },
-            );
+        let contest = self
+            .contested
+            .entry((slot, challenger.clone()))
+            .or_insert(Contest {
+                first: now,
+                denials: 0,
+                flagged: false,
+            });
+        contest.denials += 1;
+        if contest.denials < CONTESTED_THRESHOLD || contest.flagged {
+            return;
         }
+        contest.flagged = true;
+        let (evidence, denials) = (contest.first, contest.denials);
+        self.raise_with_evidence(
+            now,
+            evidence,
+            SecurityAlert::ContestedBinding {
+                dev_id: devices[slot].dev_id.clone(),
+                holder: holder.clone(),
+                challenger: challenger.clone(),
+                denials,
+            },
+        );
     }
 
     /// A status-family request from `from_ip` dropped the device's
     /// binding; raises [`SecurityAlert::ImpossibleTransition`] when the
     /// device is known to live at a different public IP.
-    pub(crate) fn observe_binding_drop(&mut self, dev_id: &DevId, from_ip: u32, now: Tick) {
-        if let Some(known_ip) = self.device_ip(dev_id) {
+    pub(crate) fn observe_binding_drop(&mut self, entry: &DeviceEntry, from_ip: u32, now: Tick) {
+        if let Some(known_ip) = entry.ip {
             if known_ip != from_ip {
                 self.raise(
                     now,
                     SecurityAlert::ImpossibleTransition {
-                        dev_id: dev_id.clone(),
+                        dev_id: entry.dev_id.clone(),
                         from_ip,
                         known_ip,
                     },
@@ -556,56 +514,45 @@ impl Monitor {
         }
     }
 
-    /// Marks a binding-session token as retired (unbind, reset, or
-    /// defensive rotation). A later presentation of the token from a
-    /// non-device IP is a stale-token replay.
-    pub(crate) fn retire_token(&mut self, dev_id: &DevId, token: SessionToken, now: Tick) {
-        self.retired.entry((dev_id.clone(), token)).or_insert(now);
+    /// Marks a binding-session token of the device in `slot` as retired
+    /// (unbind, reset, or defensive rotation). A later presentation of the
+    /// token from a non-device IP is a stale-token replay.
+    pub(crate) fn retire_token(&mut self, slot: Slot, token: SessionToken, now: Tick) {
+        self.retired.entry((slot, token)).or_insert(Retired {
+            at: now,
+            replay_flagged: false,
+        });
     }
 
-    /// Observes a presented binding-session token; raises
-    /// [`SecurityAlert::StaleTokenReplay`] (once per token) when the token
-    /// was retired and the presenter is not at the device's own IP.
-    /// Latency is measured from the retirement tick.
+    /// Observes a binding-session token presented for the device in
+    /// `slot`; raises [`SecurityAlert::StaleTokenReplay`] (once per token)
+    /// when the token was retired and the presenter is not at the device's
+    /// own IP. Latency is measured from the retirement tick.
     pub(crate) fn observe_presented_token(
         &mut self,
-        dev_id: &DevId,
+        devices: &DeviceTable,
+        slot: Slot,
         token: SessionToken,
         from_ip: u32,
         now: Tick,
     ) {
-        let key = (dev_id.clone(), token);
-        let Some(&retired_at) = self.retired.get(&key) else {
+        let Some(retired) = self.retired.get_mut(&(slot, token)) else {
             return;
         };
-        if self.device_ip(dev_id) == Some(from_ip) {
+        let entry = &devices[slot];
+        if entry.ip == Some(from_ip) || retired.replay_flagged {
             return;
         }
-        if self.replay_flagged.insert(key) {
-            self.raise_with_evidence(
-                now,
-                retired_at,
-                SecurityAlert::StaleTokenReplay {
-                    dev_id: dev_id.clone(),
-                    from_ip,
-                },
-            );
-        }
-    }
-
-    /// Places `dev_id` under quarantine until `until`.
-    pub(crate) fn quarantine(&mut self, dev_id: &DevId, until: Tick) {
-        let slot = self.quarantined.entry(dev_id.clone()).or_insert(until);
-        if *slot < until {
-            *slot = until;
-        }
-    }
-
-    /// Whether `dev_id` is under quarantine at `now`.
-    pub(crate) fn is_quarantined(&self, dev_id: &DevId, now: Tick) -> bool {
-        self.quarantined
-            .get(dev_id)
-            .is_some_and(|&until| now < until)
+        retired.replay_flagged = true;
+        let retired_at = retired.at;
+        self.raise_with_evidence(
+            now,
+            retired_at,
+            SecurityAlert::StaleTokenReplay {
+                dev_id: entry.dev_id.clone(),
+                from_ip,
+            },
+        );
     }
 
     /// The alerts raised since the last defense reaction, advancing the
@@ -618,21 +565,213 @@ impl Monitor {
     }
 }
 
-impl Default for Monitor {
-    fn default() -> Self {
-        Monitor::new()
+/// The streaming monitor as the cloud exposes it
+/// ([`CloudService::monitor`](crate::CloudService::monitor)): the alert
+/// log, plus the device and source tables it watches, read-only.
+#[derive(Debug, Clone, Copy)]
+pub struct Monitor<'a> {
+    detector: &'a Detector,
+    state: &'a DeviceState,
+}
+
+impl<'a> Monitor<'a> {
+    /// The monitor of a cloud whose state is `state`.
+    pub(crate) fn new(detector: &'a Detector, state: &'a DeviceState) -> Self {
+        Monitor { detector, state }
+    }
+
+    /// All alerts raised so far, in raise order (the log without ticks).
+    pub fn alerts(&self) -> Vec<&'a SecurityAlert> {
+        self.detector.log.iter().map(|(_, alert)| alert).collect()
+    }
+
+    /// The cumulative tick-stamped alert log (never drained).
+    pub fn alert_log(&self) -> &'a [(Tick, SecurityAlert)] {
+        &self.detector.log
+    }
+
+    /// The byte-stable rendering of the alert stream: one
+    /// `t=<tick> <kind> <detail>` line per alert, in raise order. The
+    /// thread-count determinism gates diff this exact string.
+    pub fn render_alert_stream(&self) -> String {
+        let mut out = String::new();
+        for (at, alert) in &self.detector.log {
+            let _ = writeln!(out, "t={} {}", at.as_u64(), alert.describe());
+        }
+        out
+    }
+
+    /// A deterministic summary of the monitor's internal state: alert
+    /// totals per kind plus the sizes of every tracking table, rendered in
+    /// sorted order. Byte-identical across runs and thread counts.
+    pub fn render_state(&self) -> String {
+        let mut kinds: BTreeMap<&'static str, usize> = BTreeMap::new();
+        for (_, alert) in &self.detector.log {
+            *kinds.entry(alert.kind()).or_default() += 1;
+        }
+        let (devices, sources) = (&self.state.devices, &self.state.sources);
+        let mut out = String::from("monitor-state\n");
+        for (kind, n) in kinds {
+            let _ = writeln!(out, "  alerts {kind}={n}");
+        }
+        let tracked = sources.iter().filter(|s| s.first_touch.is_some()).count();
+        let _ = writeln!(out, "  sources_tracked={tracked}");
+        let flagged = sources.iter().filter(|s| s.flagged).count();
+        let _ = writeln!(out, "  sources_flagged={flagged}");
+        let device_ips = devices.iter().filter(|e| e.ip.is_some()).count();
+        let _ = writeln!(out, "  device_ips={device_ips}");
+        let _ = writeln!(out, "  contested_pairs={}", self.detector.contested.len());
+        let _ = writeln!(out, "  retired_tokens={}", self.detector.retired.len());
+        let mut quarantined: Vec<String> = devices
+            .iter()
+            .filter_map(|e| {
+                let until = e.quarantined_until?;
+                Some(format!("{}:{}", e.dev_id, until.as_u64()))
+            })
+            .collect();
+        quarantined.sort_unstable();
+        let _ = writeln!(out, "  quarantined=[{}]", quarantined.join(", "));
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::DeviceRecord;
     use rb_wire::ids::{DevId, MacAddr};
 
-    impl Monitor {
+    /// A detector plus the tables the service would pass it, driven by
+    /// device ID and node as the handlers see requests. Devices are
+    /// manufactured on first mention.
+    struct Harness {
+        detector: Detector,
+        state: DeviceState,
+    }
+
+    impl Harness {
+        fn new() -> Self {
+            Harness {
+                detector: Detector::new(),
+                state: DeviceState::default(),
+            }
+        }
+
+        fn slot(&mut self, dev_id: &DevId) -> Slot {
+            match self.state.devices.slot(dev_id) {
+                Some(slot) => slot,
+                None => self.state.devices.manufacture(
+                    dev_id.clone(),
+                    DeviceRecord {
+                        factory_secret: 0,
+                        key: None,
+                    },
+                ),
+            }
+        }
+
+        fn set_telemetry(&mut self, telemetry: Telemetry) {
+            self.detector.set_telemetry(telemetry);
+        }
+
+        fn raise(&mut self, now: Tick, alert: SecurityAlert) {
+            self.detector.raise(now, alert);
+        }
+
+        fn drain_defense_alerts(&mut self) -> Vec<(Tick, SecurityAlert)> {
+            self.detector.drain_defense_alerts()
+        }
+
+        fn observe_target(&mut self, node: NodeId, dev_id: &DevId, now: Tick) {
+            let src = self.state.sources.resolve(node);
+            let source = &mut self.state.sources[src];
+            self.detector.observe_target(source, dev_id, now);
+        }
+
+        fn observe_device_ip(&mut self, dev_id: &DevId, ip: u32, now: Tick) {
+            let slot = self.slot(dev_id);
+            let entry = &mut self.state.devices[slot];
+            self.detector.observe_device_ip(entry, ip, now);
+        }
+
+        fn device_ip(&mut self, dev_id: &DevId) -> Option<u32> {
+            let slot = self.slot(dev_id);
+            self.state.devices[slot].ip
+        }
+
+        fn observe_binding_drop(&mut self, dev_id: &DevId, from_ip: u32, now: Tick) {
+            let slot = self.slot(dev_id);
+            let entry = &self.state.devices[slot];
+            self.detector.observe_binding_drop(entry, from_ip, now);
+        }
+
+        fn observe_bind_denial(
+            &mut self,
+            dev_id: &DevId,
+            holder: &UserId,
+            challenger: &UserId,
+            now: Tick,
+        ) {
+            let slot = self.slot(dev_id);
+            let devices = &self.state.devices;
+            self.detector
+                .observe_bind_denial(devices, slot, holder, challenger, now);
+        }
+
+        fn retire_token(&mut self, dev_id: &DevId, token: SessionToken, now: Tick) {
+            let slot = self.slot(dev_id);
+            self.detector.retire_token(slot, token, now);
+        }
+
+        fn observe_presented_token(
+            &mut self,
+            dev_id: &DevId,
+            token: SessionToken,
+            from_ip: u32,
+            now: Tick,
+        ) {
+            let slot = self.slot(dev_id);
+            let devices = &self.state.devices;
+            self.detector
+                .observe_presented_token(devices, slot, token, from_ip, now);
+        }
+
+        fn quarantine(&mut self, dev_id: &DevId, until: Tick) {
+            let slot = self.slot(dev_id);
+            self.state.devices[slot].quarantine(until);
+        }
+
+        fn is_quarantined(&mut self, dev_id: &DevId, now: Tick) -> bool {
+            let slot = self.slot(dev_id);
+            self.state.devices[slot].is_quarantined(now)
+        }
+
+        fn view(&self) -> Monitor<'_> {
+            Monitor::new(&self.detector, &self.state)
+        }
+
+        fn alerts(&self) -> Vec<&SecurityAlert> {
+            self.view().alerts()
+        }
+
+        fn alert_log(&self) -> &[(Tick, SecurityAlert)] {
+            self.view().alert_log()
+        }
+
+        fn render_alert_stream(&self) -> String {
+            self.view().render_alert_stream()
+        }
+
+        fn render_state(&self) -> String {
+            self.view().render_state()
+        }
+
         // Alerts of one kind over the whole run.
         fn count(&self, kind: &str) -> usize {
-            self.log.iter().filter(|(_, a)| a.kind() == kind).count()
+            self.alert_log()
+                .iter()
+                .filter(|(_, a)| a.kind() == kind)
+                .count()
         }
     }
 
@@ -659,7 +798,7 @@ mod tests {
 
     #[test]
     fn enumeration_flags_once_at_threshold() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         let below = ENUMERATION_THRESHOLD as u32 - 1;
         for i in 0..below {
             m.observe_target(NodeId(9), &probe(i), Tick(1));
@@ -679,7 +818,7 @@ mod tests {
     #[test]
     fn an_enumerating_source_is_flagged_once_and_holds_threshold_ids() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.set_telemetry(tele.clone());
         for i in 0..10_000u32 {
             m.observe_target(NodeId(9), &probe(i), Tick(100 + u64::from(i)));
@@ -697,14 +836,18 @@ mod tests {
             (1, Some(7)),
             "from the first touch"
         );
-        let held = m.touched.get(&NodeId(9)).map_or(0, |(_, ids)| ids.len());
+        let held = m
+            .state
+            .sources
+            .get(NodeId(9))
+            .map_or(0, |s| s.touched.len());
         assert!(held <= ENUMERATION_THRESHOLD, "{held} IDs held");
         assert!(m.render_state().contains("sources_tracked=1"));
     }
 
     #[test]
     fn session_move_detected_only_on_change() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.observe_device_ip(&id(1), 100, Tick(1));
         m.observe_device_ip(&id(1), 100, Tick(2));
         assert_eq!(m.count("session-moved"), 0);
@@ -715,7 +858,7 @@ mod tests {
 
     #[test]
     fn impossible_transition_requires_a_foreign_ip() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         // Unknown device IP: no basis for impossibility.
         m.observe_binding_drop(&id(1), 9_999, Tick(5));
         assert_eq!(m.count("impossible-transition"), 0);
@@ -730,7 +873,7 @@ mod tests {
 
     #[test]
     fn stale_token_replay_flags_foreign_presentations_once() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         let token = SessionToken::from_entropy(42);
         m.observe_device_ip(&id(1), 1_000, Tick(1));
         // Live token: nothing to flag.
@@ -750,7 +893,7 @@ mod tests {
     #[test]
     fn stale_token_latency_measures_from_retirement() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.set_telemetry(tele.clone());
         let token = SessionToken::from_entropy(7);
         m.retire_token(&id(1), token, Tick(100));
@@ -766,7 +909,7 @@ mod tests {
     fn take_alerts_drains_the_queue_not_the_log() {
         // The only queue left is the defense cursor over the log; draining
         // it leaves the log, `alerts()` and the per-kind counts intact.
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.raise(
             Tick(3),
             SecurityAlert::BareUnbind {
@@ -870,7 +1013,7 @@ mod tests {
 
     #[test]
     fn contested_binding_flags_once_at_threshold_per_challenger() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         let holder = UserId::new("owner");
         let mallory = UserId::new("mallory");
         for _ in 1..CONTESTED_THRESHOLD {
@@ -892,7 +1035,7 @@ mod tests {
     #[test]
     fn contested_latency_measures_from_the_first_denial() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.set_telemetry(tele.clone());
         assert_eq!(CONTESTED_THRESHOLD, 3, "three denials below");
         let holder = UserId::new("owner");
@@ -910,7 +1053,7 @@ mod tests {
     #[test]
     fn raise_emits_telemetry_counters_per_kind() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.set_telemetry(tele.clone());
         m.raise(
             Tick(1),
@@ -957,7 +1100,7 @@ mod tests {
     #[test]
     fn threshold_alerts_reach_telemetry_too() {
         let tele = Telemetry::new();
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.set_telemetry(tele.clone());
         for i in 0..ENUMERATION_THRESHOLD as u32 {
             m.observe_target(NodeId(9), &probe(i), Tick(1));
@@ -974,7 +1117,7 @@ mod tests {
     #[test]
     fn alert_stream_and_state_render_deterministically() {
         let run = || {
-            let mut m = Monitor::new();
+            let mut m = Harness::new();
             m.observe_device_ip(&id(1), 100, Tick(5));
             m.observe_device_ip(&id(1), 9_999, Tick(40));
             m.quarantine(&id(1), Tick(500));
@@ -993,7 +1136,7 @@ mod tests {
 
     #[test]
     fn quarantine_expires_and_extends() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.quarantine(&id(1), Tick(100));
         assert!(m.is_quarantined(&id(1), Tick(50)));
         assert!(!m.is_quarantined(&id(1), Tick(100)), "until is exclusive");
@@ -1006,7 +1149,7 @@ mod tests {
 
     #[test]
     fn defense_drain_sees_each_alert_once() {
-        let mut m = Monitor::new();
+        let mut m = Harness::new();
         m.raise(
             Tick(1),
             SecurityAlert::BareUnbind {

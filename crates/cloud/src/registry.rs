@@ -1,9 +1,11 @@
-//! The manufacturer's device registry.
+//! What the manufacturer provisions per device.
 //!
-//! IDs are provisioned at manufacture time; the registry also holds the
-//! per-device *factory secret* used to model vendor channels the paper's
-//! authors could not inspect ("O" cells), and the public keys of the
-//! AWS-style reference design.
+//! IDs are provisioned at manufacture time, each with a *factory secret*
+//! used to model vendor channels the paper's authors could not inspect
+//! ("O" cells) and, for the AWS-style reference design, a signing key.
+//! The per-device `DeviceRecord` lives in the device's slot of the
+//! cloud's device table; the `KeyRing` indexes the signing keys by key
+//! id, the handle a device presents.
 
 use rb_netsim::hash::HashMap;
 use rb_wire::ids::DevId;
@@ -24,35 +26,18 @@ pub(crate) struct DeviceRecord {
     pub(crate) key: Option<(u64, u128)>,
 }
 
-/// The registry of devices the vendor has manufactured.
+/// The signing keys of every manufactured device, by key id.
 #[derive(Debug, Default)]
-pub(crate) struct DeviceRegistry {
-    devices: HashMap<DevId, DeviceRecord>,
+pub(crate) struct KeyRing {
     keys: HashMap<u64, u128>,
 }
 
-impl DeviceRegistry {
-    /// An empty registry.
-    pub(crate) fn new() -> Self {
-        DeviceRegistry::default()
-    }
-
-    /// Registers a manufactured device.
-    pub(crate) fn add(&mut self, dev_id: DevId, record: DeviceRecord) {
+impl KeyRing {
+    /// Learns the key of a freshly manufactured device, if it has one.
+    pub(crate) fn add(&mut self, record: &DeviceRecord) {
         if let Some((key_id, secret)) = record.key {
             self.keys.insert(key_id, secret);
         }
-        self.devices.insert(dev_id, record);
-    }
-
-    /// Whether the ID belongs to a manufactured device.
-    pub(crate) fn knows(&self, dev_id: &DevId) -> bool {
-        self.devices.contains_key(dev_id)
-    }
-
-    /// The factory secret of a device.
-    pub(crate) fn factory_secret(&self, dev_id: &DevId) -> Option<u128> {
-        self.devices.get(dev_id).map(|r| r.factory_secret)
     }
 
     /// Verifies a public-key signature for `key_id` over `dev_id`.
@@ -62,57 +47,51 @@ impl DeviceRegistry {
             None => false,
         }
     }
-
-    /// Number of registered devices.
-    pub(crate) fn len(&self) -> usize {
-        self.devices.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::DeviceTable;
     use rb_wire::ids::MacAddr;
 
     fn id(n: u8) -> DevId {
         DevId::Mac(MacAddr::new([n, 0, 0, 0, 0, 1]))
     }
 
+    fn record(factory_secret: u128, key: Option<(u64, u128)>) -> DeviceRecord {
+        DeviceRecord {
+            factory_secret,
+            key,
+        }
+    }
+
     #[test]
     fn add_and_lookup() {
-        let mut reg = DeviceRegistry::new();
-        assert_eq!(reg.len(), 0);
-        reg.add(
-            id(1),
-            DeviceRecord {
-                factory_secret: 42,
-                key: None,
-            },
-        );
-        assert!(reg.knows(&id(1)));
-        assert!(!reg.knows(&id(2)));
-        assert_eq!(reg.factory_secret(&id(1)), Some(42));
-        assert_eq!(reg.factory_secret(&id(2)), None);
-        assert_eq!(reg.len(), 1);
+        let mut devices = DeviceTable::default();
+        assert_eq!(devices.len(), 0);
+        let slot = devices.manufacture(id(1), record(42, None));
+        assert_eq!(devices.slot(&id(1)), Some(slot));
+        assert_eq!(devices.slot(&id(2)), None);
+        assert_eq!(devices[slot].made.factory_secret, 42);
+        assert_eq!(devices.len(), 1);
+        // Manufacturing the same ID again replaces its record, not its slot.
+        assert_eq!(devices.manufacture(id(1), record(43, None)), slot);
+        assert_eq!(devices[slot].made.factory_secret, 43);
+        assert_eq!(devices.len(), 1);
     }
 
     #[test]
     fn signature_verification() {
-        let mut reg = DeviceRegistry::new();
+        let mut keys = KeyRing::default();
         let secret = 0xdead_beef_cafe_babe_0123_4567_89ab_cdef;
-        reg.add(
-            id(1),
-            DeviceRecord {
-                factory_secret: 1,
-                key: Some((7, secret)),
-            },
-        );
+        keys.add(&record(1, Some((7, secret))));
         let sig = sign(secret, &id(1));
-        assert!(reg.verify_signature(7, &id(1), sig));
+        assert!(keys.verify_signature(7, &id(1), sig));
         // Wrong key id, wrong signature, wrong device all fail.
-        assert!(!reg.verify_signature(8, &id(1), sig));
-        assert!(!reg.verify_signature(7, &id(1), sig ^ 1));
-        assert!(!reg.verify_signature(7, &id(2), sig));
+        assert!(!keys.verify_signature(8, &id(1), sig));
+        assert!(!keys.verify_signature(7, &id(1), sig ^ 1));
+        assert!(!keys.verify_signature(7, &id(2), sig));
     }
 
     #[test]

@@ -22,9 +22,9 @@ use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
 
 use crate::accounts::AccountStore;
 use crate::issued::{BindTokenLedger, DevTokenLedger};
-use crate::monitor::{DefensePolicy, Monitor, SecurityAlert};
-use crate::registry::{DeviceRecord, DeviceRegistry};
-use crate::state::DeviceState;
+use crate::monitor::{DefensePolicy, Detector, Monitor, SecurityAlert};
+use crate::registry::{DeviceRecord, KeyRing};
+use crate::state::{DeviceState, Slot, SourceSlot};
 
 /// The defensive interventions counted by
 /// `cloud_mitigations_total{action=…}`.
@@ -171,15 +171,15 @@ const TIMER_EXPIRE: u64 = 1;
 pub struct CloudService {
     config: CloudConfig,
     accounts: AccountStore,
-    registry: DeviceRegistry,
+    /// Signing keys of the manufactured devices, by key id.
+    keys: KeyRing,
     dev_tokens: DevTokenLedger,
     bind_tokens: BindTokenLedger,
+    /// The device table (one slot per manufactured device) and the source
+    /// table (one record per node).
     state: DeviceState,
-    nat: HashMap<NodeId, u32>,
     rules: HashMap<rb_wire::tokens::UserId, Vec<AutomationRule>>,
-    /// Per-source `Bind` windows for the defense policy's bind limiter.
-    bind_rate: HashMap<NodeId, (Tick, u32)>,
-    monitor: Monitor,
+    monitor: Detector,
     metrics: Handles<CloudMetrics>,
     /// Phase profiler: disabled by default (one branch per request); a
     /// recording handle tallies the codec round-trip and dispatch under
@@ -198,15 +198,13 @@ impl CloudService {
         CloudService {
             config,
             accounts: AccountStore::new(),
-            registry: DeviceRegistry::new(),
+            keys: KeyRing::default(),
             dev_tokens: DevTokenLedger::new(),
             bind_tokens: BindTokenLedger::new(),
-            state: DeviceState::new(),
-            nat: HashMap::default(),
+            state: DeviceState::default(),
             rules: HashMap::default(),
-            bind_rate: HashMap::default(),
-            monitor: Monitor::new(),
-            metrics: Handles::new(Telemetry::new(), CloudMetrics::register),
+            monitor: Detector::new(),
+            metrics: Handles::unset(CloudMetrics::register),
             profiler: Profiler::disabled(),
             forensics: false,
             forensic_marks: Vec::new(),
@@ -227,13 +225,7 @@ impl CloudService {
     /// binding-lifecycle histograms, timed from the episode marks kept on
     /// the device's record — and, when forensics is on, a
     /// `shadow dev=… from=… to=…` mark tied to the causing message.
-    fn track_transition(
-        &mut self,
-        dev_id: &DevId,
-        before: ShadowState,
-        after: ShadowState,
-        now: Tick,
-    ) {
+    fn track_transition(&mut self, slot: Slot, before: ShadowState, after: ShadowState, now: Tick) {
         if before == after {
             return;
         }
@@ -242,13 +234,18 @@ impl CloudService {
             .get()
             .transitions
             .incr(before as usize * 4 + after as usize);
-        let telemetry = self.metrics.telemetry();
-        if let Some(record) = self.state.record_mut_existing(dev_id) {
+        let observe = |name: &str, value: u64| {
+            if let Some(telemetry) = self.metrics.telemetry() {
+                telemetry.observe(name, value);
+            }
+        };
+        let entry = &mut self.state.devices[slot];
+        if let Some(record) = entry.record.as_mut() {
             match (before.is_online(), after.is_online()) {
                 (false, true) => {
                     record.online_at.get_or_insert(now);
                     if !std::mem::replace(&mut record.ever_online, true) {
-                        telemetry.observe("binding_initial_to_online_ticks", now.as_u64());
+                        observe("binding_initial_to_online_ticks", now.as_u64());
                     }
                 }
                 (true, false) => record.online_at = None,
@@ -257,10 +254,10 @@ impl CloudService {
             match (before.is_bound(), after.is_bound()) {
                 (false, true) => {
                     if let Some(at) = record.online_at {
-                        telemetry.observe("binding_online_to_bound_ticks", now - at);
+                        observe("binding_online_to_bound_ticks", now - at);
                     }
                     if let Some(at) = record.unbound_at.take() {
-                        telemetry.observe("binding_unbind_to_rebind_ticks", now - at);
+                        observe("binding_unbind_to_rebind_ticks", now - at);
                     }
                 }
                 (true, false) => record.unbound_at = Some(now),
@@ -268,6 +265,7 @@ impl CloudService {
             }
         }
         if self.forensics {
+            let dev_id = &entry.dev_id;
             self.forensic_marks
                 .push(format!("shadow dev={dev_id} from={before} to={after}"));
         }
@@ -320,30 +318,26 @@ impl CloudService {
     /// Manufactures a device: registers its ID, factory secret, and
     /// (optionally) a signing key.
     pub fn manufacture(&mut self, dev_id: DevId, factory_secret: u128, key: Option<(u64, u128)>) {
-        self.registry.add(
-            dev_id,
-            DeviceRecord {
-                factory_secret,
-                key,
-            },
-        );
+        let made = DeviceRecord {
+            factory_secret,
+            key,
+        };
+        self.keys.add(&made);
+        self.state.devices.manufacture(dev_id, made);
     }
 
     /// Declares the public IP (NAT identity) a node's traffic arrives from.
     /// Nodes sharing a home router share an IP; used by the Hue-style
     /// source-IP comparison.
     pub fn set_public_ip(&mut self, node: NodeId, ip: u32) {
-        self.nat.insert(node, ip);
+        let src = self.state.sources.resolve(node);
+        self.state.sources[src].nat_ip = Some(ip);
     }
 
-    fn public_ip(&self, node: NodeId) -> u32 {
-        // Unmapped nodes get a unique synthetic address.
-        self.nat.get(&node).copied().unwrap_or(0xffff_0000 | node.0)
-    }
-
-    /// The passive security monitor.
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+    /// The passive security monitor: its alert log and the device and
+    /// source tables it watches, read-only.
+    pub fn monitor(&self) -> Monitor<'_> {
+        Monitor::new(&self.monitor, &self.state)
     }
 
     /// Installs an active-response policy. The default policy is disabled;
@@ -355,20 +349,23 @@ impl CloudService {
 
     /// Diagnostic access to a device's shadow state.
     pub fn shadow_state(&self, dev_id: &DevId) -> ShadowState {
-        self.state.shadow_state(dev_id)
+        self.state
+            .devices
+            .get(dev_id)
+            .map_or(ShadowState::Initial, |entry| entry.shadow_state())
     }
 
     /// Diagnostic access to the bound user of a device.
     pub fn bound_user(&self, dev_id: &DevId) -> Option<UserId> {
-        self.state
-            .record(dev_id)
-            .and_then(|r| r.shadow.bound_user().cloned())
+        self.state.devices.get(dev_id)?.bound_user().cloned()
     }
 
     /// Diagnostic access to the nodes currently speaking as a device.
     pub fn device_nodes(&self, dev_id: &DevId) -> Vec<NodeId> {
         self.state
-            .session(dev_id)
+            .devices
+            .get(dev_id)
+            .and_then(|entry| entry.session.as_ref())
             .map(|s| s.nodes.clone())
             .unwrap_or_default()
     }
@@ -420,16 +417,16 @@ impl CloudService {
 
     /// Whether this `Bind` request from `from` exceeds the defense policy's
     /// bind limiter (and counts it against the window).
-    fn defense_bind_limited(&mut self, from: NodeId, now: Tick) -> bool {
+    fn defense_bind_limited(&mut self, src: SourceSlot, now: Tick) -> bool {
         let Some(limit) = self.config.defense.bind_limit else {
             return false;
         };
-        let entry = self.bind_rate.entry(from).or_insert((now, 0));
-        if now - entry.0 >= limit.window {
-            *entry = (now, 0);
+        let window = self.state.sources[src].bind_window.get_or_insert((now, 0));
+        if now - window.0 >= limit.window {
+            *window = (now, 0);
         }
-        entry.1 += 1;
-        entry.1 > limit.max
+        window.1 += 1;
+        window.1 > limit.max
     }
 
     /// Records one mitigation: the `cloud_mitigations_total{action="…"}`
@@ -454,7 +451,7 @@ impl CloudService {
         let mut pushes = Vec::new();
         for (_, alert) in self.monitor.drain_defense_alerts() {
             let kind = alert.kind();
-            let Some(dev_id) = alert.dev_id().cloned() else {
+            let Some(slot) = alert.dev_id().and_then(|d| self.state.devices.slot(d)) else {
                 continue;
             };
             if policy.rotate_tokens
@@ -463,7 +460,7 @@ impl CloudService {
                     "binding-replaced" | "session-moved" | "stale-token-replay"
                 )
             {
-                self.rotate_binding_token(&dev_id, now, rng, kind);
+                self.rotate_binding_token(slot, now, rng, kind);
             }
             if policy.quarantine_ticks > 0
                 && matches!(
@@ -476,7 +473,7 @@ impl CloudService {
                         | "binding-replaced"
                 )
             {
-                pushes.extend(self.quarantine_device(&dev_id, now, policy.quarantine_ticks, kind));
+                pushes.extend(self.quarantine_device(slot, now, policy.quarantine_ticks, kind));
             }
         }
         pushes
@@ -485,9 +482,10 @@ impl CloudService {
     /// Rotates a bound device's binding-session token, retiring the old
     /// token so any stolen copy becomes replay-detectable and useless for
     /// session-gated control.
-    fn rotate_binding_token(&mut self, dev_id: &DevId, now: Tick, rng: &mut SimRng, trigger: &str) {
+    fn rotate_binding_token(&mut self, slot: Slot, now: Tick, rng: &mut SimRng, trigger: &str) {
         let fresh = SessionToken::from_entropy(rng.entropy128());
-        let Some(record) = self.state.record_mut_existing(dev_id) else {
+        let entry = &mut self.state.devices[slot];
+        let Some(record) = entry.record.as_mut() else {
             return;
         };
         if !record.shadow.state().is_bound() {
@@ -497,7 +495,8 @@ impl CloudService {
             record.binding_session = None;
             return;
         };
-        self.monitor.retire_token(dev_id, old, now);
+        self.monitor.retire_token(slot, old, now);
+        let dev_id = entry.dev_id.clone();
         self.record_mitigation(
             Mitigation::RotateToken,
             format_args!("dev={dev_id}"),
@@ -510,19 +509,21 @@ impl CloudService {
     /// device is revoked on the spot. Returns the revocation push, if any.
     fn quarantine_device(
         &mut self,
-        dev_id: &DevId,
+        slot: Slot,
         now: Tick,
         ticks: u64,
         trigger: &str,
     ) -> Vec<(NodeId, Response)> {
-        if self.monitor.is_quarantined(dev_id, now) {
+        let entry = &mut self.state.devices[slot];
+        if entry.is_quarantined(now) {
             return Vec::new();
         }
-        self.monitor.quarantine(dev_id, now + ticks);
-        let dev_ip = self.monitor.device_ip(dev_id);
+        entry.quarantine(now + ticks);
+        let dev_ip = entry.ip;
+        let dev_id = entry.dev_id.clone();
         let mut pushes = Vec::new();
         let mut revoked_user = None;
-        if let Some(record) = self.state.record_mut_existing(dev_id) {
+        if let Some(record) = entry.record.as_mut() {
             let colocated = matches!((record.binding_ip, dev_ip), (Some(b), Some(d)) if b == d);
             if record.shadow.state().is_bound() && (record.remote_bind_flagged || !colocated) {
                 let before = record.shadow.state();
@@ -530,9 +531,9 @@ impl CloudService {
                 let after = record.shadow.state();
                 let old = record.binding_session.take();
                 record.guests.clear();
-                self.track_transition(dev_id, before, after, now);
+                self.track_transition(slot, before, after, now);
                 if let Some(tok) = old {
-                    self.monitor.retire_token(dev_id, tok, now);
+                    self.monitor.retire_token(slot, tok, now);
                 }
                 if let Some(user) = revoked {
                     if let Some(node) = self.accounts.node_of(&user) {
@@ -562,13 +563,13 @@ impl CloudService {
     /// driven by the actor timer; exposed for direct-drive tests.
     pub fn expire(&mut self, now: Tick) -> Vec<DevId> {
         let mut expired = self.state.expire_sessions(now, HEARTBEAT_TIMEOUT);
-        expired.extend(self.state.expire_half_open(now, HEARTBEAT_TIMEOUT));
-        for dev_id in &expired {
+        expired.extend(self.state.devices.expire_half_open(now, HEARTBEAT_TIMEOUT));
+        for &slot in &expired {
             // Expiry always moves an online shadow offline; the post-state
             // tells us whether it was Online→Initial or Control→Bound.
-            let after = self.state.shadow_state(dev_id);
+            let after = self.state.devices[slot].shadow_state();
             let before = ShadowState::from_flags(true, after.is_bound());
-            self.track_transition(dev_id, before, after, now);
+            self.track_transition(slot, before, after, now);
         }
         if !expired.is_empty() {
             self.metrics
@@ -577,6 +578,9 @@ impl CloudService {
                 .add(expired.len() as u64);
         }
         expired
+            .into_iter()
+            .map(|slot| self.state.devices[slot].dev_id.clone())
+            .collect()
     }
 
     fn dispatch(&mut self, from: NodeId, now: Tick, msg: &Message, rng: &mut SimRng) -> Outcome {
@@ -624,7 +628,7 @@ impl CloudService {
                 grantee,
             } => self.handle_share(dev_id, user_token, grantee, false),
             Message::QueryShadow { dev_id } => {
-                let state = self.state.shadow_state(dev_id);
+                let state = self.shadow_state(dev_id);
                 Outcome::reply(Response::ShadowState {
                     online: state.is_online(),
                     bound: state.is_bound(),
@@ -635,7 +639,11 @@ impl CloudService {
 
     // -- Status ------------------------------------------------------------
 
-    fn authenticate_status(&self, payload: &StatusPayload) -> Result<Option<UserId>, DenyReason> {
+    fn authenticate_status(
+        &self,
+        slot: Slot,
+        payload: &StatusPayload,
+    ) -> Result<Option<UserId>, DenyReason> {
         match self.config.design.auth {
             DeviceAuthScheme::DevToken => match &payload.auth {
                 StatusAuth::DevToken(token) => Ok(Some(self.dev_tokens.verify(token)?.clone())),
@@ -648,7 +656,7 @@ impl CloudService {
             DeviceAuthScheme::PublicKey => match &payload.auth {
                 StatusAuth::PublicKey { key_id, signature } => {
                     if self
-                        .registry
+                        .keys
                         .verify_signature(*key_id, &payload.dev_id, *signature)
                     {
                         Ok(None)
@@ -662,7 +670,7 @@ impl CloudService {
             // per-device factory secret only the real firmware holds.
             DeviceAuthScheme::Opaque => match &payload.auth {
                 StatusAuth::DevToken(token)
-                    if Some(token.to_u128()) == self.registry.factory_secret(&payload.dev_id) =>
+                    if token.to_u128() == self.state.devices[slot].made.factory_secret =>
                 {
                     Ok(None)
                 }
@@ -672,22 +680,24 @@ impl CloudService {
     }
 
     fn handle_status(&mut self, from: NodeId, now: Tick, payload: &StatusPayload) -> Outcome {
-        self.monitor.observe_target(from, &payload.dev_id, now);
-        if !self.registry.knows(&payload.dev_id) {
+        let src = self.state.sources.resolve(from);
+        let dev_id = &payload.dev_id;
+        self.monitor
+            .observe_target(&mut self.state.sources[src], dev_id, now);
+        let Some(slot) = self.state.devices.slot(dev_id) else {
             return Outcome::deny(DenyReason::UnknownDevice);
-        }
-        let auth_user = match self.authenticate_status(payload) {
+        };
+        let auth_user = match self.authenticate_status(slot, payload) {
             Ok(u) => u,
             Err(reason) => return Outcome::deny(reason),
         };
         // Heartbeats are only valid within an established device session;
         // a new source must register first (TCP-connection semantics).
         if payload.kind == StatusKind::Heartbeat {
-            let member = self
-                .state
-                .session(&payload.dev_id)
-                .map(|s| s.nodes.contains(&from))
-                .unwrap_or(false);
+            let member = self.state.devices[slot]
+                .session
+                .as_ref()
+                .is_some_and(|s| s.nodes.contains(&from));
             if !member {
                 return Outcome::deny(DenyReason::DeviceAuthFailed);
             }
@@ -700,25 +710,25 @@ impl CloudService {
         // revoking any existing binding (attack surface A3-4).
         if design.checks.register_resets_binding
             && payload.kind == StatusKind::Register
-            && self.state.shadow_state(&payload.dev_id).is_bound()
+            && self.state.devices[slot].shadow_state().is_bound()
         {
             // A bound shadow dropping on a Register from an address the
             // device has never lived at is the impossible-transition
             // signature (A3-4); the monitor's IP guard keeps genuine
             // factory resets (same NAT) silent.
-            let reset_ip = self.public_ip(from);
-            self.monitor
-                .observe_binding_drop(&payload.dev_id, reset_ip, now);
-            let record = self.state.record_mut(&payload.dev_id);
+            let reset_ip = self.state.sources[src].public_ip();
+            let entry = &mut self.state.devices[slot];
+            self.monitor.observe_binding_drop(entry, reset_ip, now);
+            let record = entry.record_mut();
             let before = record.shadow.state();
             let revoked = record.shadow.on_unbind();
             let after = record.shadow.state();
             let old_session = record.binding_session.take();
             record.guests.clear();
             if let Some(tok) = old_session {
-                self.monitor.retire_token(&payload.dev_id, tok, now);
+                self.monitor.retire_token(slot, tok, now);
             }
-            self.track_transition(&payload.dev_id, before, after, now);
+            self.track_transition(slot, before, after, now);
             if let Some(user) = revoked {
                 if let Some(node) = self.accounts.node_of(&user) {
                     pushes.push((node, Response::BindingRevoked));
@@ -727,53 +737,49 @@ impl CloudService {
         }
 
         let _displaced = self.state.touch_session(
-            &payload.dev_id,
-            from,
+            slot,
+            src,
             auth_user.clone(),
             payload.session,
             now,
             design.checks.concurrent_device_sessions,
         );
 
-        let from_ip = self.public_ip(from);
+        let from_ip = self.state.sources[src].public_ip();
         // Replay check runs against the *pre-update* device IP: an attacker
         // forging a device session with a stolen-but-retired token must not
         // first overwrite the co-location evidence that convicts it.
         if let Some(tok) = payload.session {
             self.monitor
-                .observe_presented_token(&payload.dev_id, tok, from_ip, now);
+                .observe_presented_token(&self.state.devices, slot, tok, from_ip, now);
         }
-        self.monitor
-            .observe_device_ip(&payload.dev_id, from_ip, now);
+        let entry = &mut self.state.devices[slot];
+        self.monitor.observe_device_ip(entry, from_ip, now);
         // Retroactive co-location check: a binding created before the
         // device ever connected is flagged once the device's real IP shows
         // up somewhere else (the pre-emptive A2 occupation signature).
-        {
-            let record = self.state.record_mut(&payload.dev_id);
-            if !record.remote_bind_flagged {
-                if let (Some(holder), Some(bind_ip)) =
-                    (record.shadow.bound_user().cloned(), record.binding_ip)
-                {
-                    if bind_ip != from_ip {
-                        record.remote_bind_flagged = true;
-                        self.monitor.raise(
-                            now,
-                            SecurityAlert::RemoteOnlyBind {
-                                dev_id: payload.dev_id.clone(),
-                                holder,
-                                from_ip: bind_ip,
-                            },
-                        );
-                    }
+        let record = entry.record_mut();
+        if !record.remote_bind_flagged {
+            if let (Some(holder), Some(bind_ip)) = (record.shadow.bound_user(), record.binding_ip) {
+                if bind_ip != from_ip {
+                    let holder = holder.clone();
+                    record.remote_bind_flagged = true;
+                    self.monitor.raise(
+                        now,
+                        SecurityAlert::RemoteOnlyBind {
+                            dev_id: dev_id.clone(),
+                            holder,
+                            from_ip: bind_ip,
+                        },
+                    );
                 }
             }
         }
-        let record = self.state.record_mut(&payload.dev_id);
         let before = record.shadow.state();
         record.shadow.on_status(now.as_u64());
         let after = record.shadow.state();
-        self.track_transition(&payload.dev_id, before, after, now);
-        let record = self.state.record_mut(&payload.dev_id);
+        self.track_transition(slot, before, after, now);
+        let record = self.state.devices[slot].record_mut();
         if payload.button_pressed {
             record.button_at = Some(now);
             record.button_ip = Some(from_ip);
@@ -787,7 +793,7 @@ impl CloudService {
                     pushes.push((
                         node,
                         Response::TelemetryPush {
-                            dev_id: Box::new(payload.dev_id.clone()),
+                            dev_id: Box::new(dev_id.clone()),
                             telemetry: payload.telemetry.clone(),
                         },
                     ));
@@ -800,7 +806,7 @@ impl CloudService {
         // makes A1 injection consequential (§V-B).
         if !payload.telemetry.is_empty() {
             if let Some(owner) = &bound_user {
-                pushes.extend(self.fire_rules(owner.clone(), &payload.dev_id, &payload.telemetry));
+                pushes.extend(self.fire_rules(owner.clone(), dev_id, &payload.telemetry));
             }
         }
 
@@ -829,12 +835,13 @@ impl CloudService {
         rng: &mut SimRng,
     ) -> Outcome {
         let design = self.knobs();
+        let src = self.state.sources.resolve(from);
         // Resolve the requesting user and target device per the design's
-        // accepted bind shape.
-        let (dev_id, user) = match (design.bind, payload) {
+        // accepted bind shape: the device's slot, or the unknown ID named.
+        let (target, user) = match (design.bind, payload) {
             (BindScheme::AclApp, BindPayload::AclApp { dev_id, user_token }) => {
                 match self.accounts.verify_token(user_token) {
-                    Ok(u) => (dev_id.clone(), u.clone()),
+                    Ok(u) => (self.state.devices.slot(dev_id).ok_or(dev_id), u.clone()),
                     Err(reason) => return Outcome::deny(reason),
                 }
             }
@@ -849,29 +856,37 @@ impl CloudService {
                 if let Err(reason) = self.accounts.verify_password(user_id, user_pw) {
                     return Outcome::deny(reason);
                 }
-                (dev_id.clone(), user_id.clone())
+                (
+                    self.state.devices.slot(dev_id).ok_or(dev_id),
+                    user_id.clone(),
+                )
             }
             (BindScheme::Capability, BindPayload::Capability { bind_token }) => {
                 // The capability must be submitted by an authenticated
                 // device session — that round trip through the device is
                 // the ownership proof.
-                let Some(dev_id) = self.device_of_node(from) else {
+                let Some(slot) = self.state.sources[src].device() else {
                     return Outcome::deny(DenyReason::DeviceAuthFailed);
                 };
                 match self.bind_tokens.consume(bind_token) {
-                    Ok(u) => (dev_id, u),
+                    Ok(u) => (Ok(slot), u),
                     Err(reason) => return Outcome::deny(reason),
                 }
             }
             _ => return Outcome::deny(DenyReason::UnsupportedOperation),
         };
 
-        self.monitor.observe_target(from, &dev_id, now);
+        let dev_id = match target {
+            Ok(slot) => &self.state.devices[slot].dev_id,
+            Err(dev_id) => dev_id,
+        };
+        self.monitor
+            .observe_target(&mut self.state.sources[src], dev_id, now);
         // Defense interventions on the bind path. Both are no-ops under the
         // disabled policy (no limit configured, nothing ever quarantined).
         // The limiter runs before the existence check so ID-space sweeps
         // (which mostly hit unknown IDs) are priced out too.
-        if self.defense_bind_limited(from, now) {
+        if self.defense_bind_limited(src, now) {
             self.record_mitigation(
                 Mitigation::RateLimitBind,
                 format_args!("from={from}"),
@@ -879,41 +894,34 @@ impl CloudService {
             );
             return Outcome::deny(DenyReason::RateLimited);
         }
-        if !self.registry.knows(&dev_id) {
+        let Ok(slot) = target else {
             return Outcome::deny(DenyReason::UnknownDevice);
-        }
-        if self.monitor.is_quarantined(&dev_id, now)
-            && self.monitor.device_ip(&dev_id) != Some(self.public_ip(from))
-        {
+        };
+        let bind_ip = self.state.sources[src].public_ip();
+        let entry = &self.state.devices[slot];
+        if entry.is_quarantined(now) && entry.ip != Some(bind_ip) {
             // Only a requester co-located with the device may bind a
             // quarantined DevId; everyone else waits out the window.
             return Outcome::deny(DenyReason::RateLimited);
         }
-        if design.checks.bind_requires_online_device
-            && !self.state.shadow_state(&dev_id).is_online()
-        {
+        if design.checks.bind_requires_online_device && !entry.shadow_state().is_online() {
             return Outcome::deny(DenyReason::DeviceOffline);
         }
         if design.checks.bind_requires_local_proof {
-            let requester_ip = self.public_ip(from);
-            let record = self.state.record_mut(&dev_id);
+            let record = self.state.devices[slot].record_mut();
             let fresh_button = record.button_at.is_some_and(|at| now - at <= BUTTON_WINDOW);
-            let same_ip = record.button_ip == Some(requester_ip);
+            let same_ip = record.button_ip == Some(bind_ip);
             if !(fresh_button && same_ip) {
                 return Outcome::deny(DenyReason::OwnershipProofFailed);
             }
         }
-        let shadow_bound = self.state.shadow_state(&dev_id).is_bound();
-        if design.checks.reject_bind_when_bound && shadow_bound {
-            let holder = self
-                .state
-                .record(&dev_id)
-                .and_then(|r| r.shadow.bound_user())
-                .cloned();
-            if holder.as_ref() != Some(&user) {
+        let entry = &self.state.devices[slot];
+        if design.checks.reject_bind_when_bound && entry.shadow_state().is_bound() {
+            let holder = entry.bound_user();
+            if holder != Some(&user) {
                 if let Some(holder) = holder {
                     self.monitor
-                        .observe_bind_denial(&dev_id, &holder, &user, now);
+                        .observe_bind_denial(&self.state.devices, slot, holder, &user, now);
                 }
                 return Outcome::deny(DenyReason::AlreadyBound);
             }
@@ -925,15 +933,16 @@ impl CloudService {
         } else {
             None
         };
-        let bind_ip = self.public_ip(from);
-        let record = self.state.record_mut(&dev_id);
+        let record = self.state.devices[slot].record_mut();
         let before = record.shadow.state();
         let displaced = record.shadow.on_bind(user.clone());
         let after = record.shadow.state();
-        self.track_transition(&dev_id, before, after, now);
+        self.track_transition(slot, before, after, now);
         if displaced.is_some() {
             self.metrics.get().bindings_replaced.incr();
         }
+        let entry = &mut self.state.devices[slot];
+        let dev_id = &entry.dev_id;
         if self.forensics {
             let prev = displaced
                 .as_ref()
@@ -941,7 +950,9 @@ impl CloudService {
             self.forensic_marks
                 .push(format!("bind dev={dev_id} user={user} displaced={prev}"));
         }
-        let record = self.state.record_mut(&dev_id);
+        let dev_id = dev_id.clone();
+        let dev_ip = entry.ip;
+        let record = entry.record_mut();
         let old_session = record.binding_session;
         record.binding_session = session;
         record.binding_ip = Some(bind_ip);
@@ -954,7 +965,7 @@ impl CloudService {
         // replay.
         if let Some(old) = old_session {
             if Some(old) != session {
-                self.monitor.retire_token(&dev_id, old, now);
+                self.monitor.retire_token(slot, old, now);
             }
         }
         if let Some(prev) = &displaced {
@@ -970,17 +981,17 @@ impl CloudService {
         // A bind whose source IP has never been co-located with the device
         // is the pre-emptive-occupation signature. If the device has not
         // connected yet, the check re-runs when it does (handle_status).
-        if let Some(dev_ip) = self.monitor.device_ip(&dev_id) {
+        if let Some(dev_ip) = dev_ip {
             if dev_ip != bind_ip {
                 self.monitor.raise(
                     now,
                     SecurityAlert::RemoteOnlyBind {
-                        dev_id: dev_id.clone(),
+                        dev_id,
                         holder: user.clone(),
                         from_ip: bind_ip,
                     },
                 );
-                self.state.record_mut(&dev_id).remote_bind_flagged = true;
+                record.remote_bind_flagged = true;
             }
         }
         let mut pushes = Vec::new();
@@ -992,11 +1003,7 @@ impl CloudService {
         // In the capability flow the bind arrives from the *device*; the
         // user learns the outcome (and the session token) through a push.
         if design.bind == BindScheme::Capability {
-            let binder = self
-                .state
-                .record(&dev_id)
-                .and_then(|r| r.shadow.bound_user().cloned());
-            if let Some(node) = binder.as_ref().and_then(|u| self.accounts.node_of(u)) {
+            if let Some(node) = self.accounts.node_of(&user) {
                 pushes.push((node, Response::Bound { session }));
             }
         }
@@ -1006,21 +1013,17 @@ impl CloudService {
         }
     }
 
-    fn device_of_node(&self, node: NodeId) -> Option<DevId> {
-        // O(1) through the session reverse index; used to scan every shadow
-        // record on each capability bind.
-        self.state.device_of_node(node).cloned()
-    }
-
     // -- Unbind ---------------------------------------------------------------
 
     fn handle_unbind(&mut self, from: NodeId, now: Tick, payload: &UnbindPayload) -> Outcome {
         let design = self.knobs();
-        let dev_id = payload.dev_id().clone();
-        self.monitor.observe_target(from, &dev_id, now);
-        if !self.registry.knows(&dev_id) {
+        let src = self.state.sources.resolve(from);
+        let dev_id = payload.dev_id();
+        self.monitor
+            .observe_target(&mut self.state.sources[src], dev_id, now);
+        let Some(slot) = self.state.devices.slot(dev_id) else {
             return Outcome::deny(DenyReason::UnknownDevice);
-        }
+        };
         let mut requester: Option<UserId> = None;
         match payload {
             UnbindPayload::DevIdUserToken { user_token, .. } => {
@@ -1031,11 +1034,7 @@ impl CloudService {
                     Ok(u) => u.clone(),
                     Err(reason) => return Outcome::deny(reason),
                 };
-                let bound = self
-                    .state
-                    .record(&dev_id)
-                    .and_then(|r| r.shadow.bound_user());
-                let Some(bound) = bound else {
+                let Some(bound) = self.state.devices[slot].bound_user() else {
                     return Outcome::deny(DenyReason::NotBound);
                 };
                 if design.checks.verify_unbind_is_bound_user && *bound != user {
@@ -1047,22 +1046,24 @@ impl CloudService {
                 if !design.unbind.dev_id_only {
                     return Outcome::deny(DenyReason::UnsupportedOperation);
                 }
-                if !self.state.shadow_state(&dev_id).is_bound() {
+                if !self.state.devices[slot].shadow_state().is_bound() {
                     return Outcome::deny(DenyReason::NotBound);
                 }
             }
         }
-        let from_ip = self.public_ip(from);
-        let record = self.state.record_mut(&dev_id);
+        let from_ip = self.state.sources[src].public_ip();
+        let entry = &mut self.state.devices[slot];
+        let dev_ip = entry.ip;
+        let record = entry.record_mut();
         let before = record.shadow.state();
         let revoked = record.shadow.on_unbind();
         let after = record.shadow.state();
         let old_session = record.binding_session.take();
         record.guests.clear();
         if let Some(tok) = old_session {
-            self.monitor.retire_token(&dev_id, tok, now);
+            self.monitor.retire_token(slot, tok, now);
         }
-        self.track_transition(&dev_id, before, after, now);
+        self.track_transition(slot, before, after, now);
         if self.forensics {
             let who = revoked
                 .as_ref()
@@ -1073,9 +1074,7 @@ impl CloudService {
         match (payload, &revoked, &requester) {
             // Legitimate resets come from the device's own NAT; a bare
             // unbind from anywhere else is the A3-1 signature.
-            (UnbindPayload::DevIdOnly { .. }, _, _)
-                if self.monitor.device_ip(&dev_id) != Some(from_ip) =>
-            {
+            (UnbindPayload::DevIdOnly { .. }, _, _) if dev_ip != Some(from_ip) => {
                 self.monitor.raise(
                     now,
                     SecurityAlert::BareUnbind {
@@ -1122,20 +1121,28 @@ impl CloudService {
         action: &ControlAction,
     ) -> Outcome {
         let design = self.knobs();
-        self.monitor.observe_target(from, dev_id, now);
+        let src = self.state.sources.resolve(from);
+        self.monitor
+            .observe_target(&mut self.state.sources[src], dev_id, now);
+        let slot = self.state.devices.slot(dev_id);
         // A retired binding token presented on the control path from an
         // address that is not the device's own is the stale-token-replay
-        // signature (the paper's stolen-session A1 follow-up).
-        if let Some(tok) = session {
-            let from_ip = self.public_ip(from);
+        // signature (the paper's stolen-session A1 follow-up). Only a
+        // manufactured device has tokens to retire.
+        if let (Some(tok), Some(slot)) = (session, slot) {
+            let from_ip = self.state.sources[src].public_ip();
             self.monitor
-                .observe_presented_token(dev_id, tok, from_ip, now);
+                .observe_presented_token(&self.state.devices, slot, tok, from_ip, now);
         }
         let user = match self.accounts.verify_token(user_token) {
             Ok(u) => u.clone(),
             Err(reason) => return Outcome::deny(reason),
         };
-        let Some(record) = self.state.record(dev_id) else {
+        let Some(slot) = slot else {
+            return Outcome::deny(DenyReason::UnknownDevice);
+        };
+        let entry = &self.state.devices[slot];
+        let Some(record) = entry.record.as_ref() else {
             return Outcome::deny(DenyReason::UnknownDevice);
         };
         let Some(bound) = record.shadow.bound_user() else {
@@ -1154,7 +1161,7 @@ impl CloudService {
             // presents it in the request, the device must have presented it
             // in a status message after receiving it over the local
             // channel. A hijacker can satisfy neither for the real device.
-            let device_session = self.state.session(dev_id).and_then(|s| s.presented_session);
+            let device_session = entry.session.as_ref().and_then(|s| s.presented_session);
             if session != binding_session || device_session != binding_session {
                 return Outcome::deny(DenyReason::BadSession);
             }
@@ -1164,17 +1171,17 @@ impl CloudService {
             // authenticated with; a binding by anyone else gets no relay.
             // Guests are covered by the owner's grant, so the comparison is
             // against the *owner*.
-            let owner = self
-                .state
-                .record(dev_id)
-                .and_then(|r| r.shadow.bound_user().cloned());
-            let session_user = self.state.session(dev_id).and_then(|s| s.auth_user.clone());
-            if session_user != owner {
+            let session_user = entry.session.as_ref().and_then(|s| s.auth_user.as_ref());
+            if session_user != Some(bound) {
                 return Outcome::deny(DenyReason::BadSession);
             }
         }
 
-        let device_nodes = self.device_nodes(dev_id);
+        let device_nodes = entry
+            .session
+            .as_ref()
+            .map(|s| s.nodes.clone())
+            .unwrap_or_default();
         let mut pushes = Vec::new();
         let reply = match action {
             ControlAction::TurnOn | ControlAction::TurnOff | ControlAction::SetBrightness(_) => {
@@ -1193,7 +1200,7 @@ impl CloudService {
                 }
             }
             ControlAction::SetSchedule(entry) => {
-                let record = self.state.record_mut(dev_id);
+                let record = self.state.devices[slot].record_mut();
                 record.schedule.push(entry.clone());
                 // The schedule is pushed to the device so it can run
                 // offline — the channel a forged device session exfiltrates
@@ -1239,10 +1246,10 @@ impl CloudService {
             Ok(u) => u.clone(),
             Err(reason) => return Outcome::deny(reason),
         };
-        if !self.registry.knows(dev_id) {
+        let Some(slot) = self.state.devices.slot(dev_id) else {
             return Outcome::deny(DenyReason::UnknownDevice);
-        }
-        let Some(record) = self.state.record(dev_id) else {
+        };
+        let Some(record) = self.state.devices[slot].record.as_mut() else {
             return Outcome::deny(DenyReason::NotBound);
         };
         let Some(bound) = record.shadow.bound_user() else {
@@ -1254,22 +1261,12 @@ impl CloudService {
         if grant && !self.accounts.exists(grantee) {
             return Outcome::deny(DenyReason::UnknownUser);
         }
-        if grant && *grantee == user {
-            // Owner already has full access; treat as a no-op grant.
-            let Some(record) = self.state.record(dev_id) else {
-                return Outcome::deny(DenyReason::NotBound);
-            };
-            return Outcome::reply(Response::ShareOk {
-                session: record.binding_session,
-                guests: record.guests.len() as u16,
-            });
-        }
-        let record = self.state.record_mut(dev_id);
-        if grant {
+        // The owner already has full access: granting to them is a no-op.
+        if grant && *grantee != user {
             if !record.guests.contains(grantee) {
                 record.guests.push(grantee.clone());
             }
-        } else {
+        } else if !grant {
             record.guests.retain(|g| g != grantee);
         }
         Outcome::reply(Response::ShareOk {
@@ -1281,7 +1278,9 @@ impl CloudService {
     /// Diagnostic access to a device's guest list.
     pub fn guests(&self, dev_id: &DevId) -> Vec<UserId> {
         self.state
-            .record(dev_id)
+            .devices
+            .get(dev_id)
+            .and_then(|entry| entry.record.as_ref())
             .map(|r| r.guests.clone())
             .unwrap_or_default()
     }
@@ -1297,12 +1296,12 @@ impl CloudService {
             Err(reason) => return Outcome::deny(reason),
         };
         for dev in [&rule.trigger_dev, &rule.action_dev] {
-            if !self.registry.knows(dev) {
+            let Some(entry) = self.state.devices.get(dev) else {
                 return Outcome::deny(DenyReason::UnknownDevice);
-            }
-            let authorized = self
-                .state
-                .record(dev)
+            };
+            let authorized = entry
+                .record
+                .as_ref()
                 .is_some_and(|r| r.shadow.bound_user() == Some(&user) || r.guests.contains(&user));
             if !authorized {
                 return Outcome::deny(DenyReason::NotBoundUser);
@@ -1321,7 +1320,7 @@ impl CloudService {
     /// Evaluates the owner's rules against fresh telemetry from
     /// `trigger_dev`; returns the control pushes for fired actions.
     fn fire_rules(
-        &mut self,
+        &self,
         owner: UserId,
         trigger_dev: &DevId,
         telemetry: &[rb_wire::telemetry::TelemetryFrame],
@@ -1329,34 +1328,28 @@ impl CloudService {
         let Some(rules) = self.rules.get(&owner) else {
             return Vec::new();
         };
-        let fired: Vec<AutomationRule> = rules
-            .iter()
-            .filter(|r| {
-                r.trigger_dev == *trigger_dev && telemetry.iter().any(|f| r.trigger.matches(f))
-            })
-            .cloned()
-            .collect();
         let mut pushes = Vec::new();
+        let fired = rules.iter().filter(|r| {
+            r.trigger_dev == *trigger_dev && telemetry.iter().any(|f| r.trigger.matches(f))
+        });
         for rule in fired {
             // Re-check authorization at fire time: the action device must
             // still belong to the rule owner.
-            let still_owned = self
-                .state
-                .record(&rule.action_dev)
-                .is_some_and(|r| r.shadow.bound_user() == Some(&owner));
-            if !still_owned {
+            let Some(entry) = self.state.devices.get(&rule.action_dev) else {
+                continue;
+            };
+            let Some(record) = entry.record.as_ref() else {
+                continue;
+            };
+            if record.shadow.bound_user() != Some(&owner) {
                 continue;
             }
-            let session = self
-                .state
-                .record(&rule.action_dev)
-                .and_then(|r| r.binding_session);
-            for node in self.device_nodes(&rule.action_dev) {
+            for &node in entry.session.iter().flat_map(|s| &s.nodes) {
                 pushes.push((
                     node,
                     Response::ControlPush {
                         action: rule.action.clone(),
-                        session,
+                        session: record.binding_session,
                     },
                 ));
             }
@@ -1437,7 +1430,7 @@ impl std::fmt::Debug for CloudService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CloudService")
             .field("vendor", &self.config.design.vendor)
-            .field("devices", &self.registry.len())
+            .field("devices", &self.state.devices.len())
             .finish()
     }
 }

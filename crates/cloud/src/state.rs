@@ -1,4 +1,20 @@
-//! Device sessions and shadow records.
+//! The cloud's device and source tables.
+//!
+//! The paper's cloud keeps one shadow per device ID (Fig. 2). Here that
+//! shadow is one [`DeviceEntry`] of the [`DeviceTable`]: the manufacture
+//! record, the shadow record, the live session and the monitor's
+//! per-device facts, all behind one `DevId` lookup. A handler resolves the
+//! request's device to a [`Slot`] once and reaches everything else through
+//! it. Per source node, one [`Source`] of the [`SourceTable`] holds the
+//! NAT address, the enumeration tracking, the bind-rate window and the
+//! node→device index.
+//!
+//! Only manufactured devices have a slot. An unknown ID is denied before
+//! anything is stored for it, so an ID-space sweep grows no table but the
+//! sweeping source's touched list, which enumeration detection needs and
+//! which stops growing once the source is flagged.
+
+use std::ops::{Index, IndexMut};
 
 use rb_core::shadow::{Shadow, ShadowState};
 use rb_netsim::hash::HashMap;
@@ -6,6 +22,8 @@ use rb_netsim::{NodeId, Tick};
 use rb_wire::ids::DevId;
 use rb_wire::telemetry::{ScheduleEntry, TelemetryFrame};
 use rb_wire::tokens::{SessionToken, UserId};
+
+use crate::registry::DeviceRecord;
 
 /// A live, authenticated device connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,7 +40,7 @@ pub(crate) struct DeviceSession {
     pub(crate) last_seen: Tick,
 }
 
-/// Everything the cloud stores per device.
+/// The shadow of a device: its binding state and what hangs off it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShadowRecord {
     /// The state machine instance.
@@ -57,84 +75,285 @@ pub(crate) struct ShadowRecord {
     pub(crate) unbound_at: Option<Tick>,
 }
 
-/// The cloud's per-device state: sessions and shadow records.
-///
-/// A reverse index maps each live node to the device(s) it currently
-/// speaks for, so resolving "which device is this connection?" — the
-/// capability-bind ownership check — is O(1) instead of a scan over every
-/// record the cloud has ever seen.
+/// A manufactured device's position in the [`DeviceTable`], fixed for the
+/// cloud's life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Slot(usize);
+
+/// Everything the cloud stores per manufactured device.
+#[derive(Debug)]
+pub(crate) struct DeviceEntry {
+    /// The device's ID.
+    pub(crate) dev_id: DevId,
+    /// What the manufacturer provisioned (factory secret, signing key).
+    pub(crate) made: DeviceRecord,
+    /// The shadow record, created by the first request that touches it:
+    /// until then the device reads as `Initial` and, to `Control`, as
+    /// unknown.
+    pub(crate) record: Option<ShadowRecord>,
+    /// The live session, while the device has one.
+    pub(crate) session: Option<DeviceSession>,
+    /// The public IP the device's session last spoke from (the monitor's
+    /// co-location evidence).
+    pub(crate) ip: Option<u32>,
+    /// The tick the device's quarantine expires (kept after it has).
+    pub(crate) quarantined_until: Option<Tick>,
+}
+
+impl DeviceEntry {
+    /// The shadow record, created on first touch.
+    pub(crate) fn record_mut(&mut self) -> &mut ShadowRecord {
+        self.record.get_or_insert_with(ShadowRecord::default)
+    }
+
+    /// Current shadow state (initial if never touched).
+    pub(crate) fn shadow_state(&self) -> ShadowState {
+        self.record
+            .as_ref()
+            .map_or(ShadowState::Initial, |r| r.shadow.state())
+    }
+
+    /// The bound user, if any.
+    pub(crate) fn bound_user(&self) -> Option<&UserId> {
+        self.record.as_ref().and_then(|r| r.shadow.bound_user())
+    }
+
+    /// Quarantines the device until `until`; a later deadline extends a
+    /// running quarantine, an earlier one is ignored.
+    pub(crate) fn quarantine(&mut self, until: Tick) {
+        let deadline = self.quarantined_until.get_or_insert(until);
+        if *deadline < until {
+            *deadline = until;
+        }
+    }
+
+    /// Whether the device is under quarantine at `now`.
+    pub(crate) fn is_quarantined(&self, now: Tick) -> bool {
+        self.quarantined_until.is_some_and(|until| now < until)
+    }
+}
+
+/// The manufactured devices: a `DevId` index over entries kept in
+/// manufacture order.
+#[derive(Debug, Default)]
+pub(crate) struct DeviceTable {
+    index: HashMap<DevId, Slot>,
+    entries: Vec<DeviceEntry>,
+}
+
+impl DeviceTable {
+    /// Registers a manufactured device and returns its slot. Manufacturing
+    /// an ID again replaces its record and keeps everything else.
+    pub(crate) fn manufacture(&mut self, dev_id: DevId, made: DeviceRecord) -> Slot {
+        if let Some(slot) = self.slot(&dev_id) {
+            self[slot].made = made;
+            return slot;
+        }
+        let slot = Slot(self.entries.len());
+        self.index.insert(dev_id.clone(), slot);
+        self.entries.push(DeviceEntry {
+            dev_id,
+            made,
+            record: None,
+            session: None,
+            ip: None,
+            quarantined_until: None,
+        });
+        slot
+    }
+
+    /// The slot of a manufactured device; `None` for an unknown ID.
+    pub(crate) fn slot(&self, dev_id: &DevId) -> Option<Slot> {
+        self.index.get(dev_id).copied()
+    }
+
+    /// The entry of a manufactured device.
+    pub(crate) fn get(&self, dev_id: &DevId) -> Option<&DeviceEntry> {
+        self.slot(dev_id).map(|slot| &self[slot])
+    }
+
+    /// Number of manufactured devices.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Every entry, in slot order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, DeviceEntry> {
+        self.entries.iter()
+    }
+
+    /// Sorts slots by device ID, so what a caller derives from a sweep is
+    /// a function of the run, not of manufacture order.
+    fn sort_by_id(&self, slots: &mut [Slot]) {
+        slots.sort_unstable_by(|a, b| self[*a].dev_id.cmp(&self[*b].dev_id));
+    }
+
+    /// Expires half-open shadows: records still marked `Online`/`Control`
+    /// although the device has no live session (displaced or lost without
+    /// an observed close), or whose last accepted status is older than
+    /// `timeout`. Without this sweep a partition can strand a shadow in
+    /// `Control` forever. Returns the affected slots in device-ID order.
+    pub(crate) fn expire_half_open(&mut self, now: Tick, timeout: u64) -> Vec<Slot> {
+        let mut expired = Vec::new();
+        for (i, entry) in self.entries.iter_mut().enumerate() {
+            let Some(rec) = entry.record.as_mut() else {
+                continue;
+            };
+            if !rec.shadow.state().is_online() {
+                continue;
+            }
+            if entry.session.is_none() {
+                rec.shadow.force_offline();
+                expired.push(Slot(i));
+            } else if rec.shadow.expire(now.as_u64(), timeout) {
+                expired.push(Slot(i));
+            }
+        }
+        self.sort_by_id(&mut expired);
+        expired
+    }
+}
+
+impl Index<Slot> for DeviceTable {
+    type Output = DeviceEntry;
+
+    fn index(&self, slot: Slot) -> &DeviceEntry {
+        &self.entries[slot.0]
+    }
+}
+
+impl IndexMut<Slot> for DeviceTable {
+    fn index_mut(&mut self, slot: Slot) -> &mut DeviceEntry {
+        &mut self.entries[slot.0]
+    }
+}
+
+/// A source node's position in the [`SourceTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SourceSlot(usize);
+
+/// Everything the cloud stores per source node.
+#[derive(Debug)]
+pub(crate) struct Source {
+    /// The node.
+    pub(crate) node: NodeId,
+    /// The public IP (NAT identity) declared for the node.
+    pub(crate) nat_ip: Option<u32>,
+    /// When the node first addressed a device ID (`None` until then).
+    pub(crate) first_touch: Option<Tick>,
+    /// The distinct device IDs the node addressed until it was flagged,
+    /// manufactured or not.
+    pub(crate) touched: Vec<DevId>,
+    /// Whether the node was flagged for enumeration (flag once).
+    pub(crate) flagged: bool,
+    /// The defense policy's bind-limiter window: its start and the binds
+    /// counted in it.
+    pub(crate) bind_window: Option<(Tick, u32)>,
+    /// Devices whose session contains the node, in authentication order
+    /// (most recent last). Usually one; more only when a node
+    /// impersonates several devices concurrently.
+    devices: Vec<Slot>,
+}
+
+impl Source {
+    /// The public IP the node's traffic arrives from. Unmapped nodes get
+    /// a unique synthetic address.
+    pub(crate) fn public_ip(&self) -> u32 {
+        self.nat_ip.unwrap_or(0xffff_0000 | self.node.0)
+    }
+
+    /// The device the node's session speaks for (the most recently
+    /// authenticated one when it impersonates several).
+    pub(crate) fn device(&self) -> Option<Slot> {
+        self.devices.last().copied()
+    }
+}
+
+/// The source nodes the cloud has heard from or been told about: a
+/// `NodeId` index over records kept in arrival order.
+#[derive(Debug, Default)]
+pub(crate) struct SourceTable {
+    index: HashMap<NodeId, SourceSlot>,
+    sources: Vec<Source>,
+}
+
+impl SourceTable {
+    /// The node's slot, added on first sight.
+    pub(crate) fn resolve(&mut self, node: NodeId) -> SourceSlot {
+        if let Some(&src) = self.index.get(&node) {
+            return src;
+        }
+        let src = SourceSlot(self.sources.len());
+        self.index.insert(node, src);
+        self.sources.push(Source {
+            node,
+            nat_ip: None,
+            first_touch: None,
+            touched: Vec::new(),
+            flagged: false,
+            bind_window: None,
+            devices: Vec::new(),
+        });
+        src
+    }
+
+    /// The record of a node, if it has one.
+    #[cfg(test)]
+    pub(crate) fn get(&self, node: NodeId) -> Option<&Source> {
+        self.index.get(&node).map(|&src| &self[src])
+    }
+
+    /// Every source, in arrival order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Source> {
+        self.sources.iter()
+    }
+
+    /// Drops `slot` from the devices `node` speaks for.
+    fn unlink(&mut self, node: NodeId, slot: Slot) {
+        if let Some(&src) = self.index.get(&node) {
+            self[src].devices.retain(|&s| s != slot);
+        }
+    }
+}
+
+impl Index<SourceSlot> for SourceTable {
+    type Output = Source;
+
+    fn index(&self, src: SourceSlot) -> &Source {
+        &self.sources[src.0]
+    }
+}
+
+impl IndexMut<SourceSlot> for SourceTable {
+    fn index_mut(&mut self, src: SourceSlot) -> &mut Source {
+        &mut self.sources[src.0]
+    }
+}
+
+/// The cloud's per-device and per-source state.
 #[derive(Debug, Default)]
 pub(crate) struct DeviceState {
-    sessions: HashMap<DevId, DeviceSession>,
-    records: HashMap<DevId, ShadowRecord>,
-    /// node → devices whose session contains it, in authentication order
-    /// (most recent last). Usually one entry; more only when a node
-    /// impersonates several devices concurrently.
-    node_index: HashMap<NodeId, Vec<DevId>>,
+    /// One entry per manufactured device.
+    pub(crate) devices: DeviceTable,
+    /// One record per source node.
+    pub(crate) sources: SourceTable,
 }
 
 impl DeviceState {
-    /// Empty state.
-    pub(crate) fn new() -> Self {
-        DeviceState::default()
-    }
-
-    fn index_add(&mut self, node: NodeId, dev_id: &DevId) {
-        let devs = self.node_index.entry(node).or_default();
-        if !devs.contains(dev_id) {
-            devs.push(dev_id.clone());
-        }
-    }
-
-    fn index_remove(&mut self, node: NodeId, dev_id: &DevId) {
-        if let Some(devs) = self.node_index.get_mut(&node) {
-            devs.retain(|d| d != dev_id);
-            if devs.is_empty() {
-                self.node_index.remove(&node);
-            }
-        }
-    }
-
-    /// The device a node's session speaks for (the most recently
-    /// authenticated one when a node impersonates several).
-    pub(crate) fn device_of_node(&self, node: NodeId) -> Option<&DevId> {
-        self.node_index.get(&node).and_then(|devs| devs.last())
-    }
-
-    /// The shadow record for a device, created on first touch.
-    pub(crate) fn record_mut(&mut self, dev_id: &DevId) -> &mut ShadowRecord {
-        self.records.entry(dev_id.clone()).or_default()
-    }
-
-    /// Read-only access to a record.
-    pub(crate) fn record(&self, dev_id: &DevId) -> Option<&ShadowRecord> {
-        self.records.get(dev_id)
-    }
-
-    /// Mutable access to a record *without* creating it — for maintenance
-    /// paths (defense mitigations) that must not materialize shadows for
-    /// devices the cloud never heard from.
-    pub(crate) fn record_mut_existing(&mut self, dev_id: &DevId) -> Option<&mut ShadowRecord> {
-        self.records.get_mut(dev_id)
-    }
-
-    /// The session for a device, if any.
-    pub(crate) fn session(&self, dev_id: &DevId) -> Option<&DeviceSession> {
-        self.sessions.get(dev_id)
-    }
-
-    /// Records an authenticated status source. Returns the displaced nodes
-    /// (empty when none, or when concurrency is tolerated).
+    /// Records an authenticated status from `src` for the device in
+    /// `slot`. Returns the displaced nodes (empty when none, or when
+    /// concurrency is tolerated).
     pub(crate) fn touch_session(
         &mut self,
-        dev_id: &DevId,
-        node: NodeId,
+        slot: Slot,
+        src: SourceSlot,
         auth_user: Option<UserId>,
         presented_session: Option<SessionToken>,
         now: Tick,
         concurrent_allowed: bool,
     ) -> Vec<NodeId> {
-        let displaced = match self.sessions.get_mut(dev_id) {
+        let node = self.sources[src].node;
+        let displaced = match &mut self.devices[slot].session {
             Some(session) => {
                 session.last_seen = now;
                 if let Some(s) = presented_session {
@@ -157,85 +376,46 @@ impl DeviceState {
                     displaced
                 }
             }
-            None => {
-                self.sessions.insert(
-                    dev_id.clone(),
-                    DeviceSession {
-                        nodes: vec![node],
-                        auth_user,
-                        presented_session,
-                        last_seen: now,
-                    },
-                );
+            none => {
+                *none = Some(DeviceSession {
+                    nodes: vec![node],
+                    auth_user,
+                    presented_session,
+                    last_seen: now,
+                });
                 Vec::new()
             }
         };
-        self.index_add(node, dev_id);
+        let devices = &mut self.sources[src].devices;
+        if !devices.contains(&slot) {
+            devices.push(slot);
+        }
         for old in &displaced {
-            self.index_remove(*old, dev_id);
+            self.sources.unlink(*old, slot);
         }
         displaced
     }
 
     /// Expires sessions whose last status is older than `timeout`,
-    /// transitioning their shadows offline. Returns the affected device
-    /// IDs in ascending order, not map order, so the marks and metrics
-    /// the caller derives from them are a function of the run alone.
-    pub(crate) fn expire_sessions(&mut self, now: Tick, timeout: u64) -> Vec<DevId> {
+    /// transitioning their shadows offline. Returns the affected slots in
+    /// device-ID order.
+    pub(crate) fn expire_sessions(&mut self, now: Tick, timeout: u64) -> Vec<Slot> {
         let mut expired = Vec::new();
-        let mut dropped_nodes = Vec::new();
-        self.sessions.retain(|dev_id, session| {
-            if now - session.last_seen > timeout {
-                expired.push(dev_id.clone());
-                for node in &session.nodes {
-                    dropped_nodes.push((*node, dev_id.clone()));
-                }
-                false
-            } else {
-                true
-            }
-        });
-        for (node, dev_id) in dropped_nodes {
-            self.index_remove(node, &dev_id);
-        }
-        for dev_id in &expired {
-            if let Some(rec) = self.records.get_mut(dev_id) {
-                rec.shadow.force_offline();
-            }
-        }
-        expired.sort_unstable();
-        expired
-    }
-
-    /// Expires half-open shadows: records still marked `Online`/`Control`
-    /// although the device has no live session (displaced or lost without
-    /// an observed close), or whose last accepted status is older than
-    /// `timeout`. Without this sweep a partition can strand a shadow in
-    /// `Control` forever. Returns the affected device IDs in ascending
-    /// order.
-    pub(crate) fn expire_half_open(&mut self, now: Tick, timeout: u64) -> Vec<DevId> {
-        let mut expired = Vec::new();
-        for (dev_id, rec) in self.records.iter_mut() {
-            if !rec.shadow.state().is_online() {
+        for (i, entry) in self.devices.entries.iter_mut().enumerate() {
+            let slot = Slot(i);
+            let Some(session) = entry.session.take_if(|s| now - s.last_seen > timeout) else {
                 continue;
+            };
+            for node in session.nodes {
+                self.sources.unlink(node, slot);
             }
-            if !self.sessions.contains_key(dev_id) {
+            if let Some(rec) = entry.record.as_mut() {
                 rec.shadow.force_offline();
-                expired.push(dev_id.clone());
-            } else if rec.shadow.expire(now.as_u64(), timeout) {
-                expired.push(dev_id.clone());
             }
+            expired.push(slot);
         }
-        expired.sort_unstable();
+        self.devices.sort_by_id(&mut expired);
         expired
-    }
-
-    /// Current shadow state of a device (initial if never seen).
-    pub(crate) fn shadow_state(&self, dev_id: &DevId) -> ShadowState {
-        self.records
-            .get(dev_id)
-            .map(|r| r.shadow.state())
-            .unwrap_or(ShadowState::Initial)
     }
 }
 
@@ -249,56 +429,117 @@ mod tests {
         DevId::Mac(MacAddr::new([1, 1, 1, 1, 1, 1]))
     }
 
+    /// A state with `ids` manufactured, in order.
+    fn state_of(ids: &[DevId]) -> DeviceState {
+        let mut st = DeviceState::default();
+        for dev_id in ids {
+            st.devices.manufacture(
+                dev_id.clone(),
+                DeviceRecord {
+                    factory_secret: 0,
+                    key: None,
+                },
+            );
+        }
+        st
+    }
+
+    impl DeviceState {
+        fn slot(&self, dev_id: &DevId) -> Slot {
+            self.devices.slot(dev_id).unwrap()
+        }
+
+        fn touch(
+            &mut self,
+            dev_id: &DevId,
+            node: NodeId,
+            presented: Option<SessionToken>,
+            now: Tick,
+            concurrent: bool,
+        ) -> Vec<NodeId> {
+            let (slot, src) = (self.slot(dev_id), self.sources.resolve(node));
+            let auth = Some(UserId::new("u"));
+            self.touch_session(slot, src, auth, presented, now, concurrent)
+        }
+
+        fn session(&self, dev_id: &DevId) -> Option<&DeviceSession> {
+            self.devices.get(dev_id)?.session.as_ref()
+        }
+
+        fn record_mut(&mut self, dev_id: &DevId) -> &mut ShadowRecord {
+            let slot = self.slot(dev_id);
+            self.devices[slot].record_mut()
+        }
+
+        fn shadow_state(&self, dev_id: &DevId) -> ShadowState {
+            self.devices
+                .get(dev_id)
+                .map_or(ShadowState::Initial, DeviceEntry::shadow_state)
+        }
+
+        fn device_of_node(&self, node: NodeId) -> Option<&DevId> {
+            let slot = self.sources.get(node)?.device()?;
+            Some(&self.devices[slot].dev_id)
+        }
+
+        fn ids(&self, slots: Vec<Slot>) -> Vec<DevId> {
+            slots
+                .into_iter()
+                .map(|s| self.devices[s].dev_id.clone())
+                .collect()
+        }
+    }
+
     #[test]
     fn touch_creates_then_refreshes() {
-        let mut st = DeviceState::new();
-        let displaced = st.touch_session(&id(), NodeId(1), None, None, Tick(5), false);
+        let mut st = state_of(&[id()]);
+        let displaced = st.touch(&id(), NodeId(1), None, Tick(5), false);
         assert!(displaced.is_empty());
-        let displaced = st.touch_session(&id(), NodeId(1), None, None, Tick(9), false);
+        let displaced = st.touch(&id(), NodeId(1), None, Tick(9), false);
         assert!(displaced.is_empty());
         assert_eq!(st.session(&id()).unwrap().last_seen, Tick(9));
     }
 
     #[test]
     fn new_source_displaces_old_when_not_concurrent() {
-        let mut st = DeviceState::new();
-        st.touch_session(&id(), NodeId(1), None, None, Tick(1), false);
-        let displaced = st.touch_session(&id(), NodeId(2), None, None, Tick(2), false);
+        let mut st = state_of(&[id()]);
+        st.touch(&id(), NodeId(1), None, Tick(1), false);
+        let displaced = st.touch(&id(), NodeId(2), None, Tick(2), false);
         assert_eq!(displaced, vec![NodeId(1)]);
         assert_eq!(st.session(&id()).unwrap().nodes, vec![NodeId(2)]);
     }
 
     #[test]
     fn concurrent_mode_keeps_both_sources() {
-        let mut st = DeviceState::new();
-        st.touch_session(&id(), NodeId(1), None, None, Tick(1), true);
-        let displaced = st.touch_session(&id(), NodeId(2), None, None, Tick(2), true);
+        let mut st = state_of(&[id()]);
+        st.touch(&id(), NodeId(1), None, Tick(1), true);
+        let displaced = st.touch(&id(), NodeId(2), None, Tick(2), true);
         assert!(displaced.is_empty());
         assert_eq!(st.session(&id()).unwrap().nodes, vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn expiry_forces_shadow_offline() {
-        let mut st = DeviceState::new();
+        let mut st = state_of(&[id()]);
         st.record_mut(&id()).shadow.on_status(10);
-        st.touch_session(&id(), NodeId(1), None, None, Tick(10), false);
+        st.touch(&id(), NodeId(1), None, Tick(10), false);
         assert_eq!(st.shadow_state(&id()), ShadowState::Online);
         let expired = st.expire_sessions(Tick(100), 50);
-        assert_eq!(expired, vec![id()]);
+        assert_eq!(st.ids(expired), vec![id()]);
         assert_eq!(st.shadow_state(&id()), ShadowState::Initial);
         assert!(st.session(&id()).is_none());
     }
 
     #[test]
     fn half_open_shadow_without_session_is_forced_offline() {
-        let mut st = DeviceState::new();
+        let mut st = state_of(&[id()]);
         // A shadow driven Online+Bound (Control) with no session — the
         // half-open state a partition can leave behind.
         st.record_mut(&id()).shadow.on_status(10);
         st.record_mut(&id()).shadow.on_bind(UserId::new("u"));
         assert_eq!(st.shadow_state(&id()), ShadowState::Control);
-        let expired = st.expire_half_open(Tick(11), 1_000);
-        assert_eq!(expired, vec![id()]);
+        let expired = st.devices.expire_half_open(Tick(11), 1_000);
+        assert_eq!(st.ids(expired), vec![id()]);
         assert_eq!(
             st.shadow_state(&id()),
             ShadowState::Bound,
@@ -308,67 +549,76 @@ mod tests {
 
     #[test]
     fn half_open_sweep_spares_live_sessions() {
-        let mut st = DeviceState::new();
+        let mut st = state_of(&[id()]);
         st.record_mut(&id()).shadow.on_status(10);
-        st.touch_session(&id(), NodeId(1), None, None, Tick(10), false);
-        assert!(st.expire_half_open(Tick(20), 1_000).is_empty());
+        st.touch(&id(), NodeId(1), None, Tick(10), false);
+        assert!(st.devices.expire_half_open(Tick(20), 1_000).is_empty());
         assert_eq!(st.shadow_state(&id()), ShadowState::Online);
         // …but a stale last-status is expired even with a session entry.
-        assert_eq!(st.expire_half_open(Tick(5_000), 1_000), vec![id()]);
+        let expired = st.devices.expire_half_open(Tick(5_000), 1_000);
+        assert_eq!(st.ids(expired), vec![id()]);
         assert_eq!(st.shadow_state(&id()), ShadowState::Initial);
     }
 
     #[test]
     fn unknown_device_is_initial() {
-        let st = DeviceState::new();
+        let mut st = state_of(&[]);
         assert_eq!(st.shadow_state(&id()), ShadowState::Initial);
-        assert!(st.record(&id()).is_none());
+        assert!(st.devices.get(&id()).is_none());
+        // A manufactured device has a slot but no record until touched.
+        let mut made = state_of(&[id()]);
+        assert!(made.devices.get(&id()).unwrap().record.is_none());
+        assert_eq!(made.shadow_state(&id()), ShadowState::Initial);
+        made.record_mut(&id());
+        assert!(made.devices.get(&id()).unwrap().record.is_some());
+        // Addressing an unknown ID adds a source, never a slot.
+        st.sources.resolve(NodeId(4));
+        assert_eq!(st.devices.len(), 0);
     }
 
     #[test]
     fn presented_session_is_remembered() {
-        let mut st = DeviceState::new();
+        let mut st = state_of(&[id()]);
         let s = SessionToken::from_entropy(9);
-        st.touch_session(&id(), NodeId(1), None, Some(s), Tick(1), false);
+        st.touch(&id(), NodeId(1), Some(s), Tick(1), false);
         assert_eq!(st.session(&id()).unwrap().presented_session, Some(s));
         // A later status without a session keeps the old one.
-        st.touch_session(&id(), NodeId(1), None, None, Tick(2), false);
+        st.touch(&id(), NodeId(1), None, Tick(2), false);
         assert_eq!(st.session(&id()).unwrap().presented_session, Some(s));
     }
 
     // Regression pins for the indexed lookups: the per-request
-    // `device_of_node` lookup is a node → device reverse index, not a scan
-    // over every shadow record. These pin the indexed answers against the
-    // O(N) reference scan across session churn, so a refactor that forgets
-    // to maintain the index fails loudly instead of mis-attributing
-    // capability binds.
+    // `device_of_node` lookup is a node → device index kept on the source
+    // record, not a scan over every device. These pin the indexed answers
+    // against the O(N) reference scan across session churn, so a refactor
+    // that forgets to maintain the index fails loudly instead of
+    // mis-attributing capability binds.
 
     fn dev(n: u8) -> DevId {
         DevId::Mac(MacAddr::new([2, 0, 0, 0, 1, n]))
     }
 
-    /// The pre-index reference: scan every record and inspect its session.
-    /// This is a verbatim port of the old `CloudService::device_of_node`.
+    /// The unindexed reference: scan every device and inspect its session.
     fn device_of_node_scan(state: &DeviceState, node: NodeId) -> Option<DevId> {
         state
-            .records
-            .keys()
-            .find(|id| {
-                state
-                    .session(id)
-                    .map(|s| s.nodes.contains(&node))
-                    .unwrap_or(false)
+            .devices
+            .iter()
+            .find(|entry| {
+                entry
+                    .session
+                    .as_ref()
+                    .is_some_and(|s| s.nodes.contains(&node))
             })
-            .cloned()
+            .map(|entry| entry.dev_id.clone())
     }
 
     /// Drives a deterministic churn of touch / expire operations and
-    /// checks the reverse index against the linear scan after every step.
+    /// checks the node index against the linear scan after every step.
     #[test]
     fn node_index_matches_linear_scan_under_churn() {
         let mut rng = SimRng::new(7);
-        let mut state = DeviceState::new();
         let devices: Vec<DevId> = (0..12).map(dev).collect();
+        let mut state = state_of(&devices);
         // Ensure every device has a record, as real traffic would.
         for d in &devices {
             state.record_mut(d).shadow.on_status(0);
@@ -380,7 +630,7 @@ mod tests {
             let node = NodeId(rng.range_u64(0, 30) as u32);
             if rng.range_u64(0, 9) < 8 {
                 let concurrent = rng.chance(1, 3);
-                state.touch_session(d, node, Some(UserId::new("u")), None, now, concurrent);
+                state.touch(d, node, None, now, concurrent);
             } else {
                 state.expire_sessions(now, 120);
             }
@@ -394,10 +644,11 @@ mod tests {
                 match (&scanned, &indexed) {
                     (None, None) => {}
                     (Some(_), Some(_)) => {
-                        // Both found membership; with HashMap iteration the
-                        // scan's pick among several devices was arbitrary, so
-                        // only assert that the indexed answer really holds the
-                        // node — strictly stronger than what the scan promised.
+                        // Both found membership; the scan's pick among
+                        // several devices is by slot, not recency, so only
+                        // assert that the indexed answer really holds the
+                        // node — strictly stronger than what the scan
+                        // promised.
                         let held = indexed
                             .as_ref()
                             .and_then(|d| state.session(d))
@@ -418,17 +669,17 @@ mod tests {
     /// and a node speaking for two devices resolves to the most recent one.
     #[test]
     fn index_tracks_displacement_and_multi_device_nodes() {
-        let mut state = DeviceState::new();
+        let mut state = state_of(&[dev(1), dev(2)]);
         state.record_mut(&dev(1)).shadow.on_status(0);
         state.record_mut(&dev(2)).shadow.on_status(0);
 
         // Node 5 authenticates as device 1, then as device 2 (impersonation).
-        state.touch_session(&dev(1), NodeId(5), None, None, Tick(1), false);
-        state.touch_session(&dev(2), NodeId(5), None, None, Tick(2), false);
+        state.touch(&dev(1), NodeId(5), None, Tick(1), false);
+        state.touch(&dev(2), NodeId(5), None, Tick(2), false);
         assert_eq!(state.device_of_node(NodeId(5)), Some(&dev(2)));
 
         // Node 6 displaces node 5 from device 2; node 5 falls back to device 1.
-        state.touch_session(&dev(2), NodeId(6), None, None, Tick(3), false);
+        state.touch(&dev(2), NodeId(6), None, Tick(3), false);
         assert_eq!(state.device_of_node(NodeId(5)), Some(&dev(1)));
         assert_eq!(state.device_of_node(NodeId(6)), Some(&dev(2)));
 

@@ -149,7 +149,7 @@ impl DeviceAgent {
             hb_gen: 0,
             bind_retry: Retry::new(RetryPolicy::new(25, 800)),
             bind_tries_this_cycle: 0,
-            metrics: Handles::new(Telemetry::new(), DeviceMetrics::register),
+            metrics: Handles::unset(DeviceMetrics::register),
             stats: DeviceStats::default(),
         }
     }

@@ -280,7 +280,7 @@ impl Simulation {
             reorder_extra_max: 0,
             next_trace_id: 1,
             next_span_id: 1,
-            metrics: Handles::new(Telemetry::new(), SimMetrics::register),
+            metrics: Handles::unset(SimMetrics::register),
             pending: PendingCounts::default(),
             profiler: Profiler::disabled(),
             effects: Vec::new(),

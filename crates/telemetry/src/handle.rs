@@ -158,14 +158,15 @@ impl<const N: usize> Default for CounterTable<N> {
 
 /// A component's telemetry handle plus its set of metric handles `M`,
 /// registered on first use rather than at construction. Components are
-/// built with a private registry and then pointed at a shared one (or a
-/// disabled one, as fleet sweeps do), so registering up front would fill
-/// registries nobody reads. Replacing the `Handles` re-registers. On a
-/// disabled handle the set is `M::default()`: dead handles, and no name
-/// is ever built.
+/// built [unset](Handles::unset) and then pointed at a shared registry (or
+/// a disabled one, as fleet sweeps do), so registering up front would fill
+/// registries nobody reads. Replacing the `Handles` re-registers. While
+/// unset, or on a disabled handle, the set is `M::default()`: dead
+/// handles, and no name is ever built.
 #[derive(Debug)]
 pub struct Handles<M> {
-    telemetry: Telemetry,
+    /// `None` while unset: no registry exists to record into.
+    telemetry: Option<Telemetry>,
     register: fn(&Telemetry) -> M,
     set: OnceLock<M>,
 }
@@ -174,7 +175,18 @@ impl<M: Default> Handles<M> {
     /// Handles of `telemetry`, registered by `register` when first read.
     pub fn new(telemetry: Telemetry, register: fn(&Telemetry) -> M) -> Self {
         Handles {
-            telemetry,
+            telemetry: Some(telemetry),
+            register,
+            set: OnceLock::new(),
+        }
+    }
+
+    /// Handles of no registry: every record is dropped, and nothing is
+    /// allocated, until the component is pointed at one with
+    /// [`Handles::new`].
+    pub fn unset(register: fn(&Telemetry) -> M) -> Self {
+        Handles {
+            telemetry: None,
             register,
             set: OnceLock::new(),
         }
@@ -183,19 +195,16 @@ impl<M: Default> Handles<M> {
     /// The registered handle set.
     #[inline]
     pub fn get(&self) -> &M {
-        self.set.get_or_init(|| {
-            if self.telemetry.is_enabled() {
-                (self.register)(&self.telemetry)
-            } else {
-                M::default()
-            }
+        self.set.get_or_init(|| match &self.telemetry {
+            Some(telemetry) if telemetry.is_enabled() => (self.register)(telemetry),
+            _ => M::default(),
         })
     }
 }
 
 impl<M> Handles<M> {
-    /// The telemetry handle the set registers into.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The telemetry handle the set registers into; `None` while unset.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_ref()
     }
 }

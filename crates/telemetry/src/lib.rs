@@ -383,4 +383,16 @@ mod tests {
         assert_eq!(REGISTRATIONS.load(Ordering::Relaxed), 1);
         assert_eq!(t.counter("hits_total"), 2);
     }
+
+    #[test]
+    fn unset_handles_record_nothing_and_never_register() {
+        #[derive(Default)]
+        struct Set {
+            hits: Counter,
+        }
+        let handles: Handles<Set> =
+            Handles::unset(|_| unreachable!("unset handles never register"));
+        handles.get().hits.incr();
+        assert!(handles.telemetry().is_none());
+    }
 }

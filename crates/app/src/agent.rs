@@ -9,6 +9,7 @@ use rb_provision::apmode::{PairingMaterial, ProvisionReply, ProvisionRequest};
 use rb_provision::discovery::{SearchRequest, SearchResponse, SearchTarget};
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
+use rb_wire::codec::Frame;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::DevId;
 use rb_wire::messages::{BindPayload, ControlAction, DenyReason, Message, Response, UnbindPayload};
@@ -797,14 +798,13 @@ impl AppAgent {
 
     fn handle_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &bytes::Bytes) {
         if from == self.config.cloud {
-            match Envelope::decode(payload) {
-                Ok(Envelope::Response {
-                    corr: CorrId(0),
-                    rsp,
-                }) => {
+            // Header first, then the response kind its tag names; a request
+            // frame fails there (request and response tags are disjoint).
+            match Frame::read(payload).and_then(|f| Ok((f.corr, f.response()?))) {
+                Ok((CorrId(0), rsp)) => {
                     self.handle_push(ctx, rsp);
                 }
-                Ok(Envelope::Response { corr, rsp }) => {
+                Ok((corr, rsp)) => {
                     if self.awaiting == Await::Response(corr) {
                         // An answer — even a denial — means the path works;
                         // only consecutive silence burns the retry budget. A

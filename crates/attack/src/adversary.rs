@@ -2,6 +2,7 @@
 
 use rb_netsim::Dest;
 use rb_scenario::World;
+use rb_wire::codec::Frame;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::messages::{Message, Response};
 use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
@@ -85,7 +86,8 @@ impl Adversary {
     pub fn drain(&mut self, world: &mut World, want: Option<CorrId>) -> Option<Response> {
         let mut found = None;
         for (_, bytes) in world.attacker_mut().drain_inbox() {
-            if let Ok(Envelope::Response { corr, rsp }) = Envelope::decode(&bytes) {
+            // Header first, then the response kind its tag names.
+            if let Ok((corr, rsp)) = Frame::read(&bytes).and_then(|f| Ok((f.corr, f.response()?))) {
                 if corr == CorrId(0) {
                     self.pushes.push(rsp);
                 } else if Some(corr) == want && found.is_none() {

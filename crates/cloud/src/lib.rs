@@ -33,7 +33,11 @@
 //! The service can be driven two ways: through the network simulator (the
 //! scenario crate does this), or directly via
 //! [`service::CloudService::handle_message`] for protocol-level unit tests.
-//! Either way, each decision is counted in the
+//! Through the simulator, a frame is read header first
+//! ([`rb_wire::codec::Frame`]): a response or garbage is dropped at the
+//! header, and a request's body is decoded whole by the decoder of the
+//! kind its tag names before that kind's handler touches any state. Both
+//! ways reach the same handlers, and each decision is counted in the
 //! `cloud_{requests,denials}_total{kind=…}` telemetry counters and, with
 //! forensics on, recorded as an `rpc <primitive> dev=… outcome=…` mark
 //! (see [`service::CloudService::take_forensic_marks`]).

@@ -12,11 +12,12 @@ use rb_core::shadow::ShadowState;
 use rb_netsim::hash::HashMap;
 use rb_netsim::telemetry::{Counter, CounterTable, Handles};
 use rb_netsim::{Actor, Ctx, Dest, NodeId, Profiler, SimRng, Telemetry, Tick};
+use rb_wire::codec::Frame;
 use rb_wire::envelope::Envelope;
 use rb_wire::ids::DevId;
 use rb_wire::messages::{
-    AutomationRule, BindPayload, ControlAction, DenyReason, Message, Response, StatusAuth,
-    StatusKind, StatusPayload, UnbindPayload,
+    AutomationRule, BindPayload, ControlAction, DenyReason, Message, MessageKind, Response,
+    StatusAuth, StatusKind, StatusPayload, UnbindPayload,
 };
 use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
 
@@ -52,7 +53,7 @@ impl Mitigation {
 }
 
 /// The cloud's counters: per-kind requests and denials (indexed by
-/// [`Message::kind_index`]), shadow transitions (indexed by `from * 4 +
+/// [`MessageKind`]), shadow transitions (indexed by `from * 4 +
 /// to`, positions in [`ShadowState::ALL`]), mitigations and the rarer
 /// events.
 #[derive(Debug, Default)]
@@ -371,7 +372,8 @@ impl CloudService {
     }
 
     /// Handles one request, returning the reply and pushes. This is the
-    /// transport-independent core; the [`Actor`] impl wraps it.
+    /// transport-independent core; the [`Actor`] impl reaches the same
+    /// handlers from a frame's header and its kind's body decoder.
     pub fn handle_message(
         &mut self,
         from: NodeId,
@@ -379,22 +381,35 @@ impl CloudService {
         msg: &Message,
         rng: &mut SimRng,
     ) -> Outcome {
-        let mut outcome = self.dispatch(from, now, msg, rng);
-        // Active responses run on the request path, right after the
-        // handler: whatever alerts this request raised are reacted to
-        // before the reply leaves, and any defensive revocation push rides
-        // the same outcome.
+        let outcome = self.dispatch(from, now, msg, rng);
+        self.conclude(now, rng, msg.kind(), outcome, || msg.clone())
+    }
+
+    /// The tail every request shares, after its handler. Active responses
+    /// run on the request path: whatever alerts this request raised are
+    /// reacted to before the reply leaves, and any defensive revocation
+    /// push rides the same outcome. Then the per-kind counters, and on a
+    /// forensic cloud the `rpc` mark, for which `msg` rebuilds the request
+    /// (only then).
+    fn conclude(
+        &mut self,
+        now: Tick,
+        rng: &mut SimRng,
+        kind: MessageKind,
+        mut outcome: Outcome,
+        msg: impl FnOnce() -> Message,
+    ) -> Outcome {
         if self.config.defense.is_enabled() {
             let pushes = self.apply_defenses(now, rng);
             outcome.pushes.extend(pushes);
         }
         let metrics = self.metrics.get();
-        let kind = msg.kind_index();
-        metrics.requests.incr(kind);
+        metrics.requests.incr(kind as usize);
         if matches!(outcome.reply, Response::Denied { .. }) {
-            metrics.denials.incr(kind);
+            metrics.denials.incr(kind as usize);
         }
         if self.forensics {
+            let msg = msg();
             let dev = msg
                 .dev_id()
                 .map_or_else(|| "-".to_string(), ToString::to_string);
@@ -405,6 +420,128 @@ impl CloudService {
             ));
         }
         outcome
+    }
+
+    /// Serves a request frame whose header named `kind`: decodes that
+    /// kind's whole body, then runs its handler and the shared tail.
+    /// `None` if the body is malformed; the request is then dropped before
+    /// it touches any state or the shared random stream.
+    fn serve(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        kind: MessageKind,
+        frame: Frame<'_>,
+    ) -> Option<Outcome> {
+        let now = ctx.now();
+        Some(match kind {
+            MessageKind::Login => {
+                let Ok((user_id, user_pw)) = frame.login() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome = self.handle_login(from, &user_id, &user_pw, rng);
+                self.conclude(now, rng, kind, outcome, || Message::Login {
+                    user_id,
+                    user_pw,
+                })
+            }
+            MessageKind::RequestDevToken | MessageKind::RequestBindToken => {
+                let Ok(user_token) = frame.user_token() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let bind = kind == MessageKind::RequestBindToken;
+                let outcome = self.handle_token_request(&user_token, bind, rng);
+                self.conclude(now, rng, kind, outcome, || {
+                    if bind {
+                        Message::RequestBindToken { user_token }
+                    } else {
+                        Message::RequestDevToken { user_token }
+                    }
+                })
+            }
+            MessageKind::Status => {
+                let Ok(payload) = frame.status() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome = self.handle_status(from, now, &payload);
+                self.conclude(now, rng, kind, outcome, || Message::Status(payload.clone()))
+            }
+            MessageKind::Bind => {
+                let Ok(payload) = frame.bind() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome = self.handle_bind(from, now, &payload, rng);
+                self.conclude(now, rng, kind, outcome, || Message::Bind(payload.clone()))
+            }
+            MessageKind::Unbind => {
+                let Ok(payload) = frame.unbind() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome = self.handle_unbind(from, now, &payload);
+                self.conclude(now, rng, kind, outcome, || Message::Unbind(payload.clone()))
+            }
+            MessageKind::Control => {
+                let Ok((dev_id, user_token, action, session)) = frame.control() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome =
+                    self.handle_control(from, now, &dev_id, &user_token, session, &action);
+                self.conclude(now, rng, kind, outcome, || Message::Control {
+                    dev_id,
+                    user_token,
+                    session,
+                    action,
+                })
+            }
+            MessageKind::QueryShadow => {
+                let Ok(dev_id) = frame.dev_id() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome = self.handle_query_shadow(&dev_id);
+                self.conclude(now, rng, kind, outcome, || Message::QueryShadow { dev_id })
+            }
+            MessageKind::Share | MessageKind::Unshare => {
+                let Ok((dev_id, user_token, grantee)) = frame.share() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let grant = kind == MessageKind::Share;
+                let outcome = self.handle_share(&dev_id, &user_token, &grantee, grant);
+                self.conclude(now, rng, kind, outcome, || {
+                    if grant {
+                        Message::Share {
+                            dev_id,
+                            user_token,
+                            grantee,
+                        }
+                    } else {
+                        Message::Unshare {
+                            dev_id,
+                            user_token,
+                            grantee,
+                        }
+                    }
+                })
+            }
+            MessageKind::SetRule => {
+                let Ok((user_token, rule)) = frame.set_rule() else {
+                    return None;
+                };
+                let rng = &mut ctx.rng().fork();
+                let outcome = self.handle_set_rule(&user_token, &rule);
+                self.conclude(now, rng, kind, outcome, || Message::SetRule {
+                    user_token,
+                    rule,
+                })
+            }
+        })
     }
 
     /// Drains the forensic marks accumulated since the last drain (empty
@@ -585,27 +722,12 @@ impl CloudService {
 
     fn dispatch(&mut self, from: NodeId, now: Tick, msg: &Message, rng: &mut SimRng) -> Outcome {
         match msg {
-            Message::Login { user_id, user_pw } => {
-                match self.accounts.login(user_id, user_pw, from, rng) {
-                    Ok(user_token) => Outcome::reply(Response::LoginOk { user_token }),
-                    Err(reason) => Outcome::deny(reason),
-                }
-            }
+            Message::Login { user_id, user_pw } => self.handle_login(from, user_id, user_pw, rng),
             Message::RequestDevToken { user_token } => {
-                let user = match self.accounts.verify_token(user_token) {
-                    Ok(u) => u.clone(),
-                    Err(reason) => return Outcome::deny(reason),
-                };
-                let dev_token = self.dev_tokens.issue(user, rng);
-                Outcome::reply(Response::DevTokenIssued { dev_token })
+                self.handle_token_request(user_token, false, rng)
             }
             Message::RequestBindToken { user_token } => {
-                let user = match self.accounts.verify_token(user_token) {
-                    Ok(u) => u.clone(),
-                    Err(reason) => return Outcome::deny(reason),
-                };
-                let bind_token = self.bind_tokens.issue(user, rng);
-                Outcome::reply(Response::BindTokenIssued { bind_token })
+                self.handle_token_request(user_token, true, rng)
             }
             Message::Status(payload) => self.handle_status(from, now, payload),
             Message::Bind(payload) => self.handle_bind(from, now, payload, rng),
@@ -627,14 +749,53 @@ impl CloudService {
                 user_token,
                 grantee,
             } => self.handle_share(dev_id, user_token, grantee, false),
-            Message::QueryShadow { dev_id } => {
-                let state = self.shadow_state(dev_id);
-                Outcome::reply(Response::ShadowState {
-                    online: state.is_online(),
-                    bound: state.is_bound(),
-                })
-            }
+            Message::QueryShadow { dev_id } => self.handle_query_shadow(dev_id),
         }
+    }
+
+    // -- Accounts and tokens ---------------------------------------------------
+
+    fn handle_login(
+        &mut self,
+        from: NodeId,
+        user_id: &UserId,
+        user_pw: &UserPw,
+        rng: &mut SimRng,
+    ) -> Outcome {
+        match self.accounts.login(user_id, user_pw, from, rng) {
+            Ok(user_token) => Outcome::reply(Response::LoginOk { user_token }),
+            Err(reason) => Outcome::deny(reason),
+        }
+    }
+
+    /// Issues a bind token (`bind`) or a device token to a logged-in user.
+    fn handle_token_request(
+        &mut self,
+        user_token: &UserToken,
+        bind: bool,
+        rng: &mut SimRng,
+    ) -> Outcome {
+        let user = match self.accounts.verify_token(user_token) {
+            Ok(u) => u.clone(),
+            Err(reason) => return Outcome::deny(reason),
+        };
+        Outcome::reply(if bind {
+            Response::BindTokenIssued {
+                bind_token: self.bind_tokens.issue(user, rng),
+            }
+        } else {
+            Response::DevTokenIssued {
+                dev_token: self.dev_tokens.issue(user, rng),
+            }
+        })
+    }
+
+    fn handle_query_shadow(&self, dev_id: &DevId) -> Outcome {
+        let state = self.shadow_state(dev_id);
+        Outcome::reply(Response::ShadowState {
+            online: state.is_online(),
+            bound: state.is_bound(),
+        })
     }
 
     // -- Status ------------------------------------------------------------
@@ -1372,19 +1533,19 @@ impl Actor for CloudService {
         // One tally per wire-level decode attempt, garbage included: the
         // codec leg of the request round-trip.
         self.profiler.tally("cloud.decode", 0);
-        let Ok(Envelope::Request { corr, msg }) = Envelope::decode(&payload) else {
-            // Responses and garbage are ignored; a real cloud would log.
+        // Header first: responses and garbage are dropped here, before any
+        // body is read; a real cloud would log.
+        let Ok(frame) = Frame::read(&payload) else {
             return;
         };
-        let now = ctx.now();
-        // Split the borrow: effects buffer lives in ctx, rng is shared.
-        let outcome = {
-            let rng = ctx.rng();
-            // Fork keeps determinism while avoiding aliasing ctx.
-            let mut local = rng.fork();
-            self.profiler.tally("cloud.dispatch", 0);
-            self.handle_message(from, now, &msg, &mut local)
+        let (corr, Some(kind)) = (frame.corr, frame.request) else {
+            return;
         };
+        let Some(outcome) = self.serve(ctx, from, kind, frame) else {
+            return;
+        };
+        // One tally per served request: a rejected body was dropped above.
+        self.profiler.tally("cloud.dispatch", 0);
         if self.forensics {
             for (node, rsp) in &outcome.pushes {
                 self.forensic_marks

@@ -4,7 +4,9 @@
 //! bytes, or a valid request with one byte flipped or its tail cut off —
 //! the cloud must not panic, every frame it sends must decode as a
 //! response, a frame that is not a request must get no answer at all, and
-//! a request must get exactly one reply.
+//! a request must get exactly one reply. A request the decoder rejects
+//! must change nothing: the cloud reads the header first and decodes the
+//! whole body of the kind it names before any handler touches state.
 
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -12,15 +14,18 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use rb_cloud::{CloudConfig, CloudService};
+use rb_cloud::{CloudConfig, CloudService, DefensePolicy};
 use rb_core::design::VendorDesign;
 use rb_core::vendors;
-use rb_netsim::{Actor, Ctx, Dest, LinkQuality, NodeConfig, NodeId, Simulation, TimerKey};
+use rb_netsim::{
+    Actor, Ctx, Dest, LinkQuality, NodeConfig, NodeId, Simulation, Telemetry, TimerKey,
+};
+use rb_wire::codec::Frame;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::{DevId, MacAddr};
 use rb_wire::messages::{
-    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
-    UnbindPayload,
+    BindPayload, ControlAction, DeviceAttributes, Message, MessageKind, Response, StatusAuth,
+    StatusPayload, UnbindPayload,
 };
 use rb_wire::telemetry::TelemetryFrame;
 use rb_wire::tokens::{BindToken, DevToken, UserId, UserPw};
@@ -72,12 +77,21 @@ impl Actor for Forger {
 /// two forgers behind the same home NAT.
 struct Harness {
     sim: Simulation,
+    cloud: NodeId,
+    telemetry: Telemetry,
     forgers: [NodeId; 2],
 }
 
 impl Harness {
     fn new(design: VendorDesign, seed: u64) -> Self {
+        Harness::with_policy(design, seed, DefensePolicy::disabled())
+    }
+
+    fn with_policy(design: VendorDesign, seed: u64, policy: DefensePolicy) -> Self {
         let mut cloud = CloudService::new(CloudConfig::new(design));
+        cloud.set_defense(policy);
+        let telemetry = Telemetry::new();
+        cloud.set_telemetry(telemetry.clone());
         cloud.provision_account(UserId::new("victim"), UserPw::new("victim-pw"));
         cloud.manufacture(dev_id(), 0xfeed, None);
         let mut sim =
@@ -96,7 +110,30 @@ impl Harness {
         for node in forgers {
             service.set_public_ip(node, 100);
         }
-        Harness { sim, forgers }
+        Harness {
+            sim,
+            cloud,
+            telemetry,
+            forgers,
+        }
+    }
+
+    /// Everything a request can change, rendered: the monitor's state and
+    /// alert stream, the Prometheus export, and the device's shadow,
+    /// binding, session nodes and guests.
+    fn cloud_state(&self) -> String {
+        let cloud = self.sim.actor::<CloudService>(self.cloud).unwrap();
+        let monitor = cloud.monitor();
+        format!(
+            "{}{}{}shadow={:?} bound={:?} nodes={:?} guests={:?}",
+            monitor.render_state(),
+            monitor.render_alert_stream(),
+            self.telemetry.to_prometheus(),
+            cloud.shadow_state(&dev_id()),
+            cloud.bound_user(&dev_id()),
+            cloud.device_nodes(&dev_id()),
+            cloud.guests(&dev_id()),
+        )
     }
 
     fn inbox(&self, forger: usize) -> &[Bytes] {
@@ -321,6 +358,73 @@ proptest! {
         let valid = honest_session(&mut h);
         for (sender, input) in inputs {
             h.exchange(sender, input.frame(&valid));
+        }
+    }
+}
+
+/// Every cut and every byte flip (three masks per position) of `frame`
+/// that the decoder rejects.
+fn rejected_variants(frame: &Bytes) -> Vec<Bytes> {
+    let cuts = (0..frame.len()).map(|cut| frame.slice(..cut));
+    let flips = (0..frame.len()).flat_map(|at| {
+        [0x01u8, 0x40, 0xff].map(|mask| {
+            let mut raw = frame.to_vec();
+            raw[at] ^= mask;
+            Bytes::from(raw)
+        })
+    });
+    cuts.chain(flips)
+        .filter(|bytes| Envelope::decode(bytes).is_err())
+        .collect()
+}
+
+/// Login, Status, Bind, Unbind and Control frames of the honest session,
+/// cut or flipped until the decoder rejects them, leave the cloud exactly
+/// as they found it, and get no answer. Every design, both defense
+/// policies; each kind must also reach its body decoder with a header
+/// the cloud dispatches on.
+#[test]
+fn a_rejected_request_changes_nothing() {
+    const KINDS: [MessageKind; 5] = [
+        MessageKind::Login,
+        MessageKind::Status,
+        MessageKind::Bind,
+        MessageKind::Unbind,
+        MessageKind::Control,
+    ];
+    for (seed, design) in designs().into_iter().enumerate() {
+        for policy in [DefensePolicy::disabled(), DefensePolicy::hardened()] {
+            let mut h = Harness::with_policy(design.clone(), seed as u64, policy);
+            let valid = honest_session(&mut h);
+            let mut body_rejections = [0usize; KINDS.len()];
+            for (sender, frame) in valid {
+                let kind = Frame::read(&frame).unwrap().request.unwrap();
+                let Some(k) = KINDS.iter().position(|&x| x == kind) else {
+                    continue;
+                };
+                for forged in rejected_variants(&frame) {
+                    if matches!(Frame::read(&forged), Ok(f) if f.request == Some(kind)) {
+                        body_rejections[k] += 1;
+                    }
+                    let before = h.cloud_state();
+                    // `exchange` asserts that a rejected frame is not
+                    // answered: nothing is sent, to anyone.
+                    h.exchange(sender, forged.clone());
+                    assert_eq!(
+                        h.cloud_state(),
+                        before,
+                        "{}: rejected {kind:?} frame {forged:?} changed the cloud",
+                        design.vendor
+                    );
+                }
+            }
+            for (kind, n) in KINDS.iter().zip(body_rejections) {
+                assert!(
+                    n > 0,
+                    "{}: no {kind:?} frame reached its body decoder",
+                    design.vendor
+                );
+            }
         }
     }
 }

@@ -8,6 +8,7 @@ use rb_provision::discovery::{SearchRequest, SearchResponse};
 use rb_provision::label::DeviceLabel;
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
+use rb_wire::codec::Frame;
 use rb_wire::crypto::sign_dev_id;
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::DevId;
@@ -474,7 +475,8 @@ impl Actor for DeviceAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: bytes::Bytes) {
         // Cloud traffic.
         if from == self.config.cloud {
-            if let Ok(Envelope::Response { rsp, .. }) = Envelope::decode(&payload) {
+            // Header first, then the response kind its tag names.
+            if let Ok(rsp) = Frame::read(&payload).and_then(Frame::response) {
                 self.handle_cloud_response(ctx, rsp);
             }
             return;

@@ -9,6 +9,7 @@ use rb_netsim::{
     Dest, FaultPlan, LanId, LinkQuality, NodeConfig, NodeId, Profiler, SimRng, Simulation,
     Telemetry, Tick,
 };
+use rb_wire::codec::Frame;
 use rb_wire::envelope::{CorrId, Envelope, WireFormat};
 use rb_wire::ids::DevId;
 use rb_wire::messages::{Message, Response};
@@ -415,9 +416,12 @@ impl World {
         self.sim.run_for(wait);
         self.endpoint_mut(from)
             .drain_inbox()
-            .find_map(|(_, bytes)| match Envelope::decode(&bytes) {
-                Ok(Envelope::Response { corr: c, rsp }) if c == corr => Some(rsp),
-                _ => None,
+            .find_map(|(_, bytes)| {
+                let frame = Frame::read(&bytes).ok()?;
+                if frame.corr != corr {
+                    return None;
+                }
+                frame.response().ok()
             })
     }
 

@@ -90,12 +90,6 @@ impl Deref for ByteStr {
     }
 }
 
-impl AsRef<str> for ByteStr {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl Borrow<str> for ByteStr {
     fn borrow(&self) -> &str {
         self.as_str()

@@ -52,8 +52,8 @@ use crate::envelope::{CorrId, Envelope};
 use crate::error::WireError;
 use crate::ids::{DevId, MacAddr};
 use crate::messages::{
-    AutomationRule, BindPayload, ControlAction, DenyReason, DeviceAttributes, Message, Response,
-    StatusAuth, StatusKind, StatusPayload, UnbindPayload,
+    AutomationRule, BindPayload, ControlAction, DenyReason, DeviceAttributes, Message, MessageKind,
+    Response, StatusAuth, StatusKind, StatusPayload, UnbindPayload,
 };
 use crate::telemetry::{RuleTrigger, ScheduleEntry, TelemetryFrame};
 use crate::tokens::{BindToken, DevToken, SessionToken, UserId, UserPw, UserToken};
@@ -131,23 +131,9 @@ const RSP_DENIED: u8 = 0x2b;
 const RSP_SHARE_OK: u8 = 0x2c;
 const RSP_RULE_SET: u8 = 0x2d;
 
+/// A deny reason's wire value: its discriminant.
 fn deny_to_u8(d: DenyReason) -> u8 {
-    match d {
-        DenyReason::UnknownUser => 13,
-        DenyReason::BadCredentials => 0,
-        DenyReason::InvalidUserToken => 1,
-        DenyReason::DeviceAuthFailed => 2,
-        DenyReason::AlreadyBound => 3,
-        DenyReason::NotBoundUser => 4,
-        DenyReason::NotBound => 5,
-        DenyReason::InvalidBindToken => 6,
-        DenyReason::BadSession => 7,
-        DenyReason::OwnershipProofFailed => 8,
-        DenyReason::DeviceOffline => 9,
-        DenyReason::UnknownDevice => 10,
-        DenyReason::UnsupportedOperation => 11,
-        DenyReason::RateLimited => 12,
-    }
+    d as u8
 }
 
 fn deny_from_u8(v: u8) -> Result<DenyReason, WireError> {
@@ -166,12 +152,7 @@ fn deny_from_u8(v: u8) -> Result<DenyReason, WireError> {
         11 => DenyReason::UnsupportedOperation,
         12 => DenyReason::RateLimited,
         13 => DenyReason::UnknownUser,
-        tag => {
-            return Err(WireError::UnknownTag {
-                context: "DenyReason",
-                tag,
-            })
-        }
+        tag => return unknown("DenyReason", tag),
     })
 }
 
@@ -179,6 +160,11 @@ fn deny_from_u8(v: u8) -> Result<DenyReason, WireError> {
 const DIR_REQUEST: u8 = 0xC1;
 /// Envelope direction byte: response.
 const DIR_RESPONSE: u8 = 0xC2;
+
+/// The error for a tag byte that selects no variant of `context`.
+fn unknown<T>(context: &'static str, tag: u8) -> Result<T, WireError> {
+    Err(WireError::UnknownTag { context, tag })
+}
 
 // ---------------------------------------------------------------------------
 // Varints.
@@ -212,6 +198,7 @@ fn unzigzag(n: u64) -> i32 {
 // a string field that becomes a `ByteStr` slices the buffer.
 // ---------------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 struct CReader<'a> {
     /// The packet, for slicing string fields out of it.
     buf: &'a Bytes,
@@ -222,6 +209,7 @@ struct CReader<'a> {
 }
 
 impl<'a> CReader<'a> {
+    #[inline]
     fn new(buf: &'a Bytes) -> Self {
         CReader {
             buf,
@@ -235,6 +223,7 @@ impl<'a> CReader<'a> {
         self.end - self.pos
     }
 
+    #[inline]
     fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
         if self.pos == self.end {
             return Err(WireError::Truncated { context });
@@ -248,12 +237,13 @@ impl<'a> CReader<'a> {
         match self.u8(context)? {
             0 => Ok(false),
             1 => Ok(true),
-            tag => Err(WireError::UnknownTag { context, tag }),
+            tag => unknown(context, tag),
         }
     }
 
     /// Canonical LEB128: overlong encodings (a multi-byte encoding whose
     /// final group is zero, or one overflowing 64 bits) are rejected.
+    #[inline]
     fn varint(&mut self, context: &'static str) -> Result<u64, WireError> {
         let mut value = 0u64;
         let mut shift = 0u32;
@@ -291,6 +281,7 @@ impl<'a> CReader<'a> {
         Ok(unzigzag(self.varint_max(context, u64::from(u32::MAX))?))
     }
 
+    #[inline]
     fn bytes16(&mut self, context: &'static str) -> Result<[u8; 16], WireError> {
         if self.remaining() < 16 {
             return Err(WireError::Truncated { context });
@@ -316,6 +307,16 @@ impl<'a> CReader<'a> {
         })
     }
 
+    /// The rest of the window as a reader of its own; this one ends spent.
+    fn rest(&mut self) -> CReader<'a> {
+        let start = self.pos;
+        self.pos = self.end;
+        CReader {
+            pos: start,
+            ..*self
+        }
+    }
+
     /// The rest of the window as a UTF-8 string borrowed from the packet
     /// buffer — a refcount bump.
     fn rest_str(self, context: &'static str) -> Result<ByteStr, WireError> {
@@ -336,6 +337,7 @@ impl<'a> CReader<'a> {
         self.sub(len as usize, context)?.rest_str(context)
     }
 
+    #[inline]
     fn expect_end(&self) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::TrailingBytes {
@@ -396,27 +398,27 @@ impl<'a> Fields<'a> {
         Ok(())
     }
 
-    /// Consumes the next field if it carries `id`, returning a reader
-    /// bounded to its value.
-    fn take(&mut self, id: u8) -> Result<Option<CReader<'a>>, WireError> {
-        let matches = matches!(self.pending, Some((pid, _)) if pid == id);
-        if matches {
-            if let Some((_, value)) = self.pending.take() {
+    /// The next field if it carries `id`, parsed by `parse`, which must
+    /// consume its value fully; `None` if it is absent.
+    fn get<T>(
+        &mut self,
+        id: u8,
+        parse: impl FnOnce(&mut CReader<'a>) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        match self.pending {
+            Some((pending, v)) if pending == id => {
                 self.advance()?;
-                return Ok(Some(value));
+                value(v, parse).map(Some)
             }
+            _ => Ok(None),
         }
-        Ok(None)
     }
 
     /// All expected fields have been taken; anything left is unknown.
     fn finish(self) -> Result<(), WireError> {
         match self.pending {
             None => Ok(()),
-            Some((id, _)) => Err(WireError::UnknownTag {
-                context: self.context,
-                tag: id,
-            }),
+            Some((id, _)) => unknown(self.context, id),
         }
     }
 }
@@ -443,38 +445,28 @@ fn str_value(r: CReader<'_>, context: &'static str) -> Result<ByteStr, WireError
     r.rest_str(context)
 }
 
-fn session_field(
-    f: &mut Fields<'_>,
-    id: u8,
+fn telemetry(r: &mut CReader<'_>) -> Result<Vec<TelemetryFrame>, WireError> {
+    get_seq(r, "telemetry", get_telemetry)
+}
+
+fn session(r: &mut CReader<'_>) -> Result<SessionToken, WireError> {
+    Ok(SessionToken::from_bytes(r.bytes16("SessionToken")?))
+}
+
+/// A tail whose one field is a session token (id 1).
+fn session_tail(
+    r: &mut CReader<'_>,
     context: &'static str,
 ) -> Result<Option<SessionToken>, WireError> {
-    match f.take(id)? {
-        None => Ok(None),
-        Some(v) => Ok(Some(SessionToken::from_bytes(value(v, |r| {
-            r.bytes16(context)
-        })?))),
-    }
+    let mut f = Fields::new(r.rest(), context)?;
+    let session = f.get(1, session)?;
+    f.finish()?;
+    Ok(session)
 }
 
-fn bool_field(f: &mut Fields<'_>, id: u8, context: &'static str) -> Result<bool, WireError> {
-    match f.take(id)? {
-        None => Ok(false),
-        Some(v) => value(v, |r| r.bool(context)),
-    }
-}
-
-fn str_field(f: &mut Fields<'_>, id: u8, context: &'static str) -> Result<ByteStr, WireError> {
-    match f.take(id)? {
-        None => Ok(ByteStr::default()),
-        Some(v) => str_value(v, context),
-    }
-}
-
-fn telemetry_field(f: &mut Fields<'_>, id: u8) -> Result<Vec<TelemetryFrame>, WireError> {
-    match f.take(id)? {
-        None => Ok(Vec::new()),
-        Some(v) => value(v, get_telemetry_vec),
-    }
+#[inline]
+fn user_token(r: &mut CReader<'_>) -> Result<UserToken, WireError> {
+    Ok(UserToken::from_bytes(r.bytes16("UserToken")?))
 }
 
 // ---------------------------------------------------------------------------
@@ -575,6 +567,7 @@ fn put_dev_id(out: &mut Vec<u8>, id: &DevId) {
     }
 }
 
+#[inline]
 fn get_dev_id(r: &mut CReader<'_>) -> Result<DevId, WireError> {
     match r.u8("DevId tag")? {
         DEVID_MAC => {
@@ -597,10 +590,7 @@ fn get_dev_id(r: &mut CReader<'_>) -> Result<DevId, WireError> {
             Ok(id)
         }
         DEVID_UUID => Ok(DevId::Uuid(u128::from_be_bytes(r.bytes16("DevId::Uuid")?))),
-        tag => Err(WireError::UnknownTag {
-            context: "DevId",
-            tag,
-        }),
+        tag => unknown("DevId", tag),
     }
 }
 
@@ -632,10 +622,7 @@ fn get_status_auth(r: &mut CReader<'_>) -> Result<StatusAuth, WireError> {
             key_id: r.varint("PublicKey key_id")?,
             signature: u128::from_be_bytes(r.bytes16("PublicKey signature")?),
         }),
-        tag => Err(WireError::UnknownTag {
-            context: "StatusAuth",
-            tag,
-        }),
+        tag => unknown("StatusAuth", tag),
     }
 }
 
@@ -693,25 +680,32 @@ fn get_telemetry(r: &mut CReader<'_>) -> Result<TelemetryFrame, WireError> {
         TEL_ALARM => Ok(TelemetryFrame::Alarm {
             triggered: r.bool("Alarm")?,
         }),
-        tag => Err(WireError::UnknownTag {
-            context: "TelemetryFrame",
-            tag,
-        }),
+        tag => unknown("TelemetryFrame", tag),
+    }
+}
+
+/// A sequence: a varint count, then each item. The count is capped at
+/// [`MAX_SEQ`]: items past it are not written.
+fn put_seq<T>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_varint(out, items.len().min(MAX_SEQ) as u64);
+    for item in items.iter().take(MAX_SEQ) {
+        put(out, item);
     }
 }
 
 fn put_telemetry_vec(out: &mut Vec<u8>, tel: &[TelemetryFrame]) {
-    put_varint(out, tel.len().min(MAX_SEQ) as u64);
-    for t in tel.iter().take(MAX_SEQ) {
-        put_telemetry(out, t);
-    }
+    put_seq(out, tel, put_telemetry);
 }
 
-fn get_telemetry_vec(r: &mut CReader<'_>) -> Result<Vec<TelemetryFrame>, WireError> {
-    let n = r.varint_max("telemetry", MAX_SEQ as u64)? as usize;
+fn get_seq<'a, T>(
+    r: &mut CReader<'a>,
+    context: &'static str,
+    get: impl Fn(&mut CReader<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = r.varint_max(context, MAX_SEQ as u64)? as usize;
     let mut out = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
-        out.push(get_telemetry(r)?);
+        out.push(get(r)?);
     }
     Ok(out)
 }
@@ -726,22 +720,6 @@ fn get_schedule_entry(r: &mut CReader<'_>) -> Result<ScheduleEntry, WireError> {
         at_tick: r.varint("ScheduleEntry at_tick")?,
         turn_on: r.bool("ScheduleEntry turn_on")?,
     })
-}
-
-fn put_schedule_vec(out: &mut Vec<u8>, entries: &[ScheduleEntry]) {
-    put_varint(out, entries.len().min(MAX_SEQ) as u64);
-    for e in entries.iter().take(MAX_SEQ) {
-        put_schedule_entry(out, e);
-    }
-}
-
-fn get_schedule_vec(r: &mut CReader<'_>) -> Result<Vec<ScheduleEntry>, WireError> {
-    let n = r.varint_max("schedule", MAX_SEQ as u64)? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        out.push(get_schedule_entry(r)?);
-    }
-    Ok(out)
 }
 
 fn put_action(out: &mut Vec<u8>, a: &ControlAction) {
@@ -769,10 +747,7 @@ fn get_action(r: &mut CReader<'_>) -> Result<ControlAction, WireError> {
         ACT_SET_SCHED => Ok(ControlAction::SetSchedule(get_schedule_entry(r)?)),
         ACT_QUERY_SCHED => Ok(ControlAction::QuerySchedule),
         ACT_QUERY_TEL => Ok(ControlAction::QueryTelemetry),
-        tag => Err(WireError::UnknownTag {
-            context: "ControlAction",
-            tag,
-        }),
+        tag => unknown("ControlAction", tag),
     }
 }
 
@@ -809,15 +784,12 @@ fn get_trigger(r: &mut CReader<'_>) -> Result<RuleTrigger, WireError> {
         TRG_ALARM => Ok(RuleTrigger::AlarmTriggered),
         TRG_MOTION => Ok(RuleTrigger::MotionAtLeast(r.u8("MotionAtLeast")?)),
         TRG_POWER => Ok(RuleTrigger::PowerAbove(r.varint("PowerAbove")?)),
-        tag => Err(WireError::UnknownTag {
-            context: "RuleTrigger",
-            tag,
-        }),
+        tag => unknown("RuleTrigger", tag),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Message encode/decode.
+// Encoders: message, response and envelope.
 // ---------------------------------------------------------------------------
 
 fn encode_message_into(w: &mut W, msg: &Message) {
@@ -827,12 +799,13 @@ fn encode_message_into(w: &mut W, msg: &Message) {
             put_string(&mut w.out, user_id.as_bytes());
             put_string(&mut w.out, user_pw.as_bytes());
         }
-        Message::RequestDevToken { user_token } => {
-            w.out.push(MSG_REQ_DEVTOKEN);
-            w.out.extend_from_slice(user_token.as_bytes());
-        }
-        Message::RequestBindToken { user_token } => {
-            w.out.push(MSG_REQ_BINDTOKEN);
+        Message::RequestDevToken { user_token } | Message::RequestBindToken { user_token } => {
+            let dev = matches!(msg, Message::RequestDevToken { .. });
+            w.out.push(if dev {
+                MSG_REQ_DEVTOKEN
+            } else {
+                MSG_REQ_BINDTOKEN
+            });
             w.out.extend_from_slice(user_token.as_bytes());
         }
         Message::Status(s) => {
@@ -909,18 +882,14 @@ fn encode_message_into(w: &mut W, msg: &Message) {
             dev_id,
             user_token,
             grantee,
-        } => {
-            w.out.push(MSG_SHARE);
-            put_dev_id(&mut w.out, dev_id);
-            w.out.extend_from_slice(user_token.as_bytes());
-            put_string(&mut w.out, grantee.as_bytes());
         }
-        Message::Unshare {
+        | Message::Unshare {
             dev_id,
             user_token,
             grantee,
         } => {
-            w.out.push(MSG_UNSHARE);
+            let share = matches!(msg, Message::Share { .. });
+            w.out.push(if share { MSG_SHARE } else { MSG_UNSHARE });
             put_dev_id(&mut w.out, dev_id);
             w.out.extend_from_slice(user_token.as_bytes());
             put_string(&mut w.out, grantee.as_bytes());
@@ -943,170 +912,6 @@ pub fn encode_message(msg: &Message) -> Bytes {
     Bytes::from(w.out)
 }
 
-/// Decodes a [`Message`]; string fields borrow `bytes`.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on truncation, unknown tags, invalid UTF-8,
-/// out-of-range values, or trailing bytes.
-pub fn decode_message(bytes: &Bytes) -> Result<Message, WireError> {
-    get_message(CReader::new(bytes))
-}
-
-fn get_message(mut r: CReader<'_>) -> Result<Message, WireError> {
-    match r.u8("Message tag")? {
-        MSG_LOGIN => {
-            let user_id = UserId::from_bytestr(r.string("UserId")?);
-            let user_pw = UserPw::from_bytestr(r.string("UserPw")?);
-            r.expect_end()?;
-            Ok(Message::Login { user_id, user_pw })
-        }
-        MSG_REQ_DEVTOKEN => {
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            r.expect_end()?;
-            Ok(Message::RequestDevToken { user_token })
-        }
-        MSG_REQ_BINDTOKEN => {
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            r.expect_end()?;
-            Ok(Message::RequestBindToken { user_token })
-        }
-        MSG_STATUS => {
-            let auth = get_status_auth(&mut r)?;
-            let dev_id = get_dev_id(&mut r)?;
-            let kind = match r.u8("StatusKind")? {
-                0 => StatusKind::Register,
-                1 => StatusKind::Heartbeat,
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        context: "StatusKind",
-                        tag,
-                    })
-                }
-            };
-            let mut f = Fields::new(r, "Status fields")?;
-            let model = str_field(&mut f, 1, "attributes.model")?;
-            let firmware = str_field(&mut f, 2, "attributes.firmware")?;
-            let session = session_field(&mut f, 3, "SessionToken")?;
-            let telemetry = telemetry_field(&mut f, 4)?;
-            let button_pressed = bool_field(&mut f, 5, "button_pressed")?;
-            f.finish()?;
-            Ok(Message::Status(StatusPayload {
-                auth,
-                dev_id,
-                kind,
-                attributes: DeviceAttributes { model, firmware },
-                session,
-                telemetry,
-                button_pressed,
-            }))
-        }
-        MSG_BIND => {
-            let payload = match r.u8("BindPayload tag")? {
-                BIND_ACL_APP => BindPayload::AclApp {
-                    dev_id: get_dev_id(&mut r)?,
-                    user_token: UserToken::from_bytes(r.bytes16("UserToken")?),
-                },
-                BIND_ACL_DEVICE => BindPayload::AclDevice {
-                    dev_id: get_dev_id(&mut r)?,
-                    user_id: UserId::from_bytestr(r.string("UserId")?),
-                    user_pw: UserPw::from_bytestr(r.string("UserPw")?),
-                },
-                BIND_CAPABILITY => BindPayload::Capability {
-                    bind_token: BindToken::from_bytes(r.bytes16("BindToken")?),
-                },
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        context: "BindPayload",
-                        tag,
-                    })
-                }
-            };
-            r.expect_end()?;
-            Ok(Message::Bind(payload))
-        }
-        MSG_UNBIND => {
-            let payload = match r.u8("UnbindPayload tag")? {
-                UNBIND_ID_TOKEN => UnbindPayload::DevIdUserToken {
-                    dev_id: get_dev_id(&mut r)?,
-                    user_token: UserToken::from_bytes(r.bytes16("UserToken")?),
-                },
-                UNBIND_ID_ONLY => UnbindPayload::DevIdOnly {
-                    dev_id: get_dev_id(&mut r)?,
-                },
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        context: "UnbindPayload",
-                        tag,
-                    })
-                }
-            };
-            r.expect_end()?;
-            Ok(Message::Unbind(payload))
-        }
-        MSG_CONTROL => {
-            let dev_id = get_dev_id(&mut r)?;
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            let action = get_action(&mut r)?;
-            let mut f = Fields::new(r, "Control fields")?;
-            let session = session_field(&mut f, 1, "SessionToken")?;
-            f.finish()?;
-            Ok(Message::Control {
-                dev_id,
-                user_token,
-                session,
-                action,
-            })
-        }
-        MSG_QUERY_SHADOW => {
-            let dev_id = get_dev_id(&mut r)?;
-            r.expect_end()?;
-            Ok(Message::QueryShadow { dev_id })
-        }
-        MSG_SHARE => {
-            let dev_id = get_dev_id(&mut r)?;
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            let grantee = UserId::from_bytestr(r.string("grantee")?);
-            r.expect_end()?;
-            Ok(Message::Share {
-                dev_id,
-                user_token,
-                grantee,
-            })
-        }
-        MSG_UNSHARE => {
-            let dev_id = get_dev_id(&mut r)?;
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            let grantee = UserId::from_bytestr(r.string("grantee")?);
-            r.expect_end()?;
-            Ok(Message::Unshare {
-                dev_id,
-                user_token,
-                grantee,
-            })
-        }
-        MSG_SET_RULE => {
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            let rule = AutomationRule {
-                trigger_dev: get_dev_id(&mut r)?,
-                trigger: get_trigger(&mut r)?,
-                action_dev: get_dev_id(&mut r)?,
-                action: get_action(&mut r)?,
-            };
-            r.expect_end()?;
-            Ok(Message::SetRule { user_token, rule })
-        }
-        tag => Err(WireError::UnknownTag {
-            context: "Message",
-            tag,
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Response encode/decode.
-// ---------------------------------------------------------------------------
-
 fn encode_response_into(w: &mut W, rsp: &Response) {
     match rsp {
         Response::LoginOk { user_token } => {
@@ -1121,12 +926,13 @@ fn encode_response_into(w: &mut W, rsp: &Response) {
             w.out.push(RSP_BINDTOKEN);
             w.out.extend_from_slice(bind_token.as_bytes());
         }
-        Response::StatusAccepted { session } => {
-            w.out.push(RSP_STATUS_ACCEPTED);
-            w.field_session(1, session);
-        }
-        Response::Bound { session } => {
-            w.out.push(RSP_BOUND);
+        Response::StatusAccepted { session } | Response::Bound { session } => {
+            let bound = matches!(rsp, Response::Bound { .. });
+            w.out.push(if bound {
+                RSP_BOUND
+            } else {
+                RSP_STATUS_ACCEPTED
+            });
             w.field_session(1, session);
         }
         Response::Unbound => w.out.push(RSP_UNBOUND),
@@ -1136,7 +942,7 @@ fn encode_response_into(w: &mut W, rsp: &Response) {
         } => {
             w.out.push(RSP_CONTROL_OK);
             if !schedule.is_empty() {
-                w.field_with(1, |o| put_schedule_vec(o, schedule));
+                w.field_with(1, |o| put_seq(o, schedule, put_schedule_entry));
             }
             if !telemetry.is_empty() {
                 w.field_with(2, |o| put_telemetry_vec(o, telemetry));
@@ -1183,115 +989,6 @@ pub fn encode_response(rsp: &Response) -> Bytes {
     Bytes::from(w.out)
 }
 
-/// Decodes a [`Response`]; string fields borrow `bytes`.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on truncation, unknown tags, invalid UTF-8,
-/// out-of-range values, or trailing bytes.
-pub fn decode_response(bytes: &Bytes) -> Result<Response, WireError> {
-    get_response(CReader::new(bytes))
-}
-
-fn get_response(mut r: CReader<'_>) -> Result<Response, WireError> {
-    match r.u8("Response tag")? {
-        RSP_LOGIN_OK => {
-            let user_token = UserToken::from_bytes(r.bytes16("UserToken")?);
-            r.expect_end()?;
-            Ok(Response::LoginOk { user_token })
-        }
-        RSP_DEVTOKEN => {
-            let dev_token = DevToken::from_bytes(r.bytes16("DevToken")?);
-            r.expect_end()?;
-            Ok(Response::DevTokenIssued { dev_token })
-        }
-        RSP_BINDTOKEN => {
-            let bind_token = BindToken::from_bytes(r.bytes16("BindToken")?);
-            r.expect_end()?;
-            Ok(Response::BindTokenIssued { bind_token })
-        }
-        RSP_STATUS_ACCEPTED => {
-            let mut f = Fields::new(r, "StatusAccepted fields")?;
-            let session = session_field(&mut f, 1, "SessionToken")?;
-            f.finish()?;
-            Ok(Response::StatusAccepted { session })
-        }
-        RSP_BOUND => {
-            let mut f = Fields::new(r, "Bound fields")?;
-            let session = session_field(&mut f, 1, "SessionToken")?;
-            f.finish()?;
-            Ok(Response::Bound { session })
-        }
-        RSP_UNBOUND => {
-            r.expect_end()?;
-            Ok(Response::Unbound)
-        }
-        RSP_CONTROL_OK => {
-            let mut f = Fields::new(r, "ControlOk fields")?;
-            let schedule = match f.take(1)? {
-                None => Vec::new(),
-                Some(v) => value(v, get_schedule_vec)?,
-            };
-            let telemetry = telemetry_field(&mut f, 2)?;
-            f.finish()?;
-            Ok(Response::ControlOk {
-                schedule: schedule.into_boxed_slice(),
-                telemetry: telemetry.into_boxed_slice(),
-            })
-        }
-        RSP_SHADOW => {
-            let mut f = Fields::new(r, "ShadowState fields")?;
-            let online = bool_field(&mut f, 1, "ShadowState online")?;
-            let bound = bool_field(&mut f, 2, "ShadowState bound")?;
-            f.finish()?;
-            Ok(Response::ShadowState { online, bound })
-        }
-        RSP_TEL_PUSH => {
-            let dev_id = Box::new(get_dev_id(&mut r)?);
-            let mut f = Fields::new(r, "TelemetryPush fields")?;
-            let telemetry = telemetry_field(&mut f, 1)?;
-            f.finish()?;
-            Ok(Response::TelemetryPush { dev_id, telemetry })
-        }
-        RSP_CTRL_PUSH => {
-            let action = get_action(&mut r)?;
-            let mut f = Fields::new(r, "ControlPush fields")?;
-            let session = session_field(&mut f, 1, "SessionToken")?;
-            f.finish()?;
-            Ok(Response::ControlPush { action, session })
-        }
-        RSP_REVOKED => {
-            r.expect_end()?;
-            Ok(Response::BindingRevoked)
-        }
-        RSP_RULE_SET => {
-            let count = r.varint_max("RuleSet count", u64::from(u16::MAX))? as u16;
-            r.expect_end()?;
-            Ok(Response::RuleSet { count })
-        }
-        RSP_SHARE_OK => {
-            let guests = r.varint_max("ShareOk guests", u64::from(u16::MAX))? as u16;
-            let mut f = Fields::new(r, "ShareOk fields")?;
-            let session = session_field(&mut f, 1, "SessionToken")?;
-            f.finish()?;
-            Ok(Response::ShareOk { session, guests })
-        }
-        RSP_DENIED => {
-            let reason = deny_from_u8(r.u8("DenyReason")?)?;
-            r.expect_end()?;
-            Ok(Response::Denied { reason })
-        }
-        tag => Err(WireError::UnknownTag {
-            context: "Response",
-            tag,
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Envelope encode/decode.
-// ---------------------------------------------------------------------------
-
 /// Encodes an [`Envelope`]: direction byte, varint correlation id, body.
 pub(crate) fn encode_envelope(env: &Envelope) -> Bytes {
     let mut w;
@@ -1314,25 +1011,347 @@ pub(crate) fn encode_envelope(env: &Envelope) -> Bytes {
     Bytes::from(w.out)
 }
 
-/// Decodes an [`Envelope`]; the body is read in place, and string fields
-/// borrow `bytes`.
-pub(crate) fn decode_envelope(bytes: &Bytes) -> Result<Envelope, WireError> {
-    let mut r = CReader::new(bytes);
-    let dir = r.u8("Envelope header")?;
-    let corr = CorrId(r.varint("Envelope corr")?);
-    match dir {
-        DIR_REQUEST => Ok(Envelope::Request {
+// ---------------------------------------------------------------------------
+// Decoders, header first: the header, then the body decoder of its kind.
+// ---------------------------------------------------------------------------
+
+/// Decodes a [`Message`]; string fields borrow `bytes`.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on truncation, unknown tags, invalid UTF-8,
+/// out-of-range values, or trailing bytes.
+pub fn decode_message(bytes: &Bytes) -> Result<Message, WireError> {
+    Frame::body(CReader::new(bytes), CorrId(0), true)?.message()
+}
+
+/// Decodes a [`Response`]; string fields borrow `bytes`.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on truncation, unknown tags, invalid UTF-8,
+/// out-of-range values, or trailing bytes.
+pub fn decode_response(bytes: &Bytes) -> Result<Response, WireError> {
+    Frame::body(CReader::new(bytes), CorrId(0), false)?.response()
+}
+
+/// An envelope read up to its body: the correlation id and the body's
+/// kind, with the body unread in its window over the packet. Each kind's
+/// body decoder checks all [`Envelope::decode`] checks, which is
+/// [`Frame::read`] plus the decoder of the kind the header names. The
+/// header read, the hot decoders and the readers under them are
+/// `#[inline]`: a caller in another crate inlines them without LTO.
+pub struct Frame<'a> {
+    /// The correlation id.
+    pub corr: CorrId,
+    /// The request's kind; `None` for a response or push, whose kind
+    /// [`Frame::response`] reads.
+    pub request: Option<MessageKind>,
+    /// The body's tag byte.
+    tag: u8,
+    /// The body after its tag.
+    body: CReader<'a>,
+}
+
+impl<'a> Frame<'a> {
+    /// Reads an envelope's header: direction byte, varint correlation id
+    /// and the body's tag, which on a request must name a [`MessageKind`].
+    /// Fails with the [`WireError`] [`Envelope::decode`] gives the header.
+    #[inline]
+    pub fn read(bytes: &'a Bytes) -> Result<Self, WireError> {
+        let mut r = CReader::new(bytes);
+        let dir = r.u8("Envelope header")?;
+        let corr = CorrId(r.varint("Envelope corr")?);
+        match dir {
+            DIR_REQUEST | DIR_RESPONSE => Frame::body(r, corr, dir == DIR_REQUEST),
+            tag => unknown("Envelope direction", tag),
+        }
+    }
+
+    /// Reads a body's tag.
+    #[inline]
+    fn body(mut body: CReader<'a>, corr: CorrId, request: bool) -> Result<Self, WireError> {
+        let context = if request {
+            "Message tag"
+        } else {
+            "Response tag"
+        };
+        let tag = body.u8(context)?;
+        let kind = match tag {
+            _ if !request => None,
+            MSG_LOGIN => Some(MessageKind::Login),
+            MSG_REQ_DEVTOKEN => Some(MessageKind::RequestDevToken),
+            MSG_REQ_BINDTOKEN => Some(MessageKind::RequestBindToken),
+            MSG_STATUS => Some(MessageKind::Status),
+            MSG_BIND => Some(MessageKind::Bind),
+            MSG_UNBIND => Some(MessageKind::Unbind),
+            MSG_CONTROL => Some(MessageKind::Control),
+            MSG_QUERY_SHADOW => Some(MessageKind::QueryShadow),
+            MSG_SHARE => Some(MessageKind::Share),
+            MSG_UNSHARE => Some(MessageKind::Unshare),
+            MSG_SET_RULE => Some(MessageKind::SetRule),
+            tag => return unknown("Message", tag),
+        };
+        Ok(Frame {
             corr,
-            msg: get_message(r)?,
-        }),
-        DIR_RESPONSE => Ok(Envelope::Response {
-            corr,
-            rsp: get_response(r)?,
-        }),
-        tag => Err(WireError::UnknownTag {
-            context: "Envelope direction",
+            request: kind,
             tag,
-        }),
+            body,
+        })
+    }
+
+    /// A request body as a [`Message`], through its kind's decoder.
+    pub(crate) fn message(self) -> Result<Message, WireError> {
+        let Some(kind) = self.request else {
+            return unknown("Message", self.tag);
+        };
+        Ok(match kind {
+            MessageKind::Login => {
+                let (user_id, user_pw) = self.login()?;
+                Message::Login { user_id, user_pw }
+            }
+            MessageKind::RequestDevToken => Message::RequestDevToken {
+                user_token: self.user_token()?,
+            },
+            MessageKind::RequestBindToken => Message::RequestBindToken {
+                user_token: self.user_token()?,
+            },
+            MessageKind::Status => Message::Status(self.status()?),
+            MessageKind::Bind => Message::Bind(self.bind()?),
+            MessageKind::Unbind => Message::Unbind(self.unbind()?),
+            MessageKind::Control => {
+                let (dev_id, user_token, action, session) = self.control()?;
+                Message::Control {
+                    dev_id,
+                    user_token,
+                    session,
+                    action,
+                }
+            }
+            MessageKind::QueryShadow => Message::QueryShadow {
+                dev_id: self.dev_id()?,
+            },
+            MessageKind::Share => {
+                let (dev_id, user_token, grantee) = self.share()?;
+                Message::Share {
+                    dev_id,
+                    user_token,
+                    grantee,
+                }
+            }
+            MessageKind::Unshare => {
+                let (dev_id, user_token, grantee) = self.share()?;
+                Message::Unshare {
+                    dev_id,
+                    user_token,
+                    grantee,
+                }
+            }
+            MessageKind::SetRule => {
+                let (user_token, rule) = self.set_rule()?;
+                Message::SetRule { user_token, rule }
+            }
+        })
+    }
+
+    /// A `Login` body: the account's id and password.
+    pub fn login(self) -> Result<(UserId, UserPw), WireError> {
+        value(self.body, |r| {
+            let user_id = UserId::from_bytestr(r.string("UserId")?);
+            Ok((user_id, UserPw::from_bytestr(r.string("UserPw")?)))
+        })
+    }
+
+    /// A `RequestDevToken` or `RequestBindToken` body.
+    pub fn user_token(self) -> Result<UserToken, WireError> {
+        value(self.body, user_token)
+    }
+
+    /// A `Status` body.
+    #[inline]
+    pub fn status(self) -> Result<StatusPayload, WireError> {
+        value(self.body, |r| {
+            let auth = get_status_auth(r)?;
+            let dev_id = get_dev_id(r)?;
+            let kind = match r.u8("StatusKind")? {
+                0 => StatusKind::Register,
+                1 => StatusKind::Heartbeat,
+                tag => return unknown("StatusKind", tag),
+            };
+            let mut f = Fields::new(r.rest(), "Status fields")?;
+            let model = f.get(1, |r| str_value(r.rest(), "attributes.model"))?;
+            let firmware = f.get(2, |r| str_value(r.rest(), "attributes.firmware"))?;
+            let session = f.get(3, session)?;
+            let telemetry = f.get(4, telemetry)?.unwrap_or_default();
+            let button_pressed = f.get(5, |r| r.bool("button_pressed"))?.unwrap_or(false);
+            f.finish()?;
+            let attributes = DeviceAttributes {
+                model: model.unwrap_or_default(),
+                firmware: firmware.unwrap_or_default(),
+            };
+            Ok(StatusPayload {
+                auth,
+                dev_id,
+                kind,
+                attributes,
+                session,
+                telemetry,
+                button_pressed,
+            })
+        })
+    }
+
+    /// A `Bind` body.
+    #[inline]
+    pub fn bind(self) -> Result<BindPayload, WireError> {
+        value(self.body, |r| match r.u8("BindPayload tag")? {
+            BIND_ACL_APP => Ok(BindPayload::AclApp {
+                dev_id: get_dev_id(r)?,
+                user_token: user_token(r)?,
+            }),
+            BIND_ACL_DEVICE => Ok(BindPayload::AclDevice {
+                dev_id: get_dev_id(r)?,
+                user_id: UserId::from_bytestr(r.string("UserId")?),
+                user_pw: UserPw::from_bytestr(r.string("UserPw")?),
+            }),
+            BIND_CAPABILITY => Ok(BindPayload::Capability {
+                bind_token: BindToken::from_bytes(r.bytes16("BindToken")?),
+            }),
+            tag => unknown("BindPayload", tag),
+        })
+    }
+
+    /// An `Unbind` body.
+    pub fn unbind(self) -> Result<UnbindPayload, WireError> {
+        value(self.body, |r| match r.u8("UnbindPayload tag")? {
+            UNBIND_ID_TOKEN => Ok(UnbindPayload::DevIdUserToken {
+                dev_id: get_dev_id(r)?,
+                user_token: user_token(r)?,
+            }),
+            UNBIND_ID_ONLY => Ok(UnbindPayload::DevIdOnly {
+                dev_id: get_dev_id(r)?,
+            }),
+            tag => unknown("UnbindPayload", tag),
+        })
+    }
+
+    /// A `Control` body: device, user token, action and session.
+    pub fn control(
+        self,
+    ) -> Result<(DevId, UserToken, ControlAction, Option<SessionToken>), WireError> {
+        value(self.body, |r| {
+            let dev_id = get_dev_id(r)?;
+            let user_token = user_token(r)?;
+            let action = get_action(r)?;
+            Ok((
+                dev_id,
+                user_token,
+                action,
+                session_tail(r, "Control fields")?,
+            ))
+        })
+    }
+
+    /// A `QueryShadow` body: the device asked about.
+    pub fn dev_id(self) -> Result<DevId, WireError> {
+        value(self.body, get_dev_id)
+    }
+
+    /// A `Share` or `Unshare` body: device, owner's token and grantee.
+    pub fn share(self) -> Result<(DevId, UserToken, UserId), WireError> {
+        value(self.body, |r| {
+            let dev_id = get_dev_id(r)?;
+            let user_token = user_token(r)?;
+            Ok((
+                dev_id,
+                user_token,
+                UserId::from_bytestr(r.string("grantee")?),
+            ))
+        })
+    }
+
+    /// A `SetRule` body: the owner's token and the rule.
+    pub fn set_rule(self) -> Result<(UserToken, AutomationRule), WireError> {
+        value(self.body, |r| {
+            let user_token = user_token(r)?;
+            let rule = AutomationRule {
+                trigger_dev: get_dev_id(r)?,
+                trigger: get_trigger(r)?,
+                action_dev: get_dev_id(r)?,
+                action: get_action(r)?,
+            };
+            Ok((user_token, rule))
+        })
+    }
+
+    /// A response or push body, read per the kind its tag names. On a
+    /// request frame it fails: request and response tags are disjoint.
+    #[inline]
+    pub fn response(self) -> Result<Response, WireError> {
+        let tag = self.tag;
+        value(self.body, |r| {
+            Ok(match tag {
+                RSP_LOGIN_OK => Response::LoginOk {
+                    user_token: user_token(r)?,
+                },
+                RSP_DEVTOKEN => Response::DevTokenIssued {
+                    dev_token: DevToken::from_bytes(r.bytes16("DevToken")?),
+                },
+                RSP_BINDTOKEN => Response::BindTokenIssued {
+                    bind_token: BindToken::from_bytes(r.bytes16("BindToken")?),
+                },
+                RSP_STATUS_ACCEPTED => Response::StatusAccepted {
+                    session: session_tail(r, "StatusAccepted fields")?,
+                },
+                RSP_BOUND => Response::Bound {
+                    session: session_tail(r, "Bound fields")?,
+                },
+                RSP_UNBOUND => Response::Unbound,
+                RSP_CONTROL_OK => {
+                    let mut f = Fields::new(r.rest(), "ControlOk fields")?;
+                    let schedule = f.get(1, |r| get_seq(r, "schedule", get_schedule_entry))?;
+                    let telemetry = f.get(2, telemetry)?;
+                    f.finish()?;
+                    Response::ControlOk {
+                        schedule: schedule.unwrap_or_default().into_boxed_slice(),
+                        telemetry: telemetry.unwrap_or_default().into_boxed_slice(),
+                    }
+                }
+                RSP_SHADOW => {
+                    let mut f = Fields::new(r.rest(), "ShadowState fields")?;
+                    let online = f.get(1, |r| r.bool("ShadowState online"))?;
+                    let bound = f.get(2, |r| r.bool("ShadowState bound"))?;
+                    f.finish()?;
+                    Response::ShadowState {
+                        online: online.unwrap_or(false),
+                        bound: bound.unwrap_or(false),
+                    }
+                }
+                RSP_TEL_PUSH => {
+                    let dev_id = Box::new(get_dev_id(r)?);
+                    let mut f = Fields::new(r.rest(), "TelemetryPush fields")?;
+                    let telemetry = f.get(1, telemetry)?.unwrap_or_default();
+                    f.finish()?;
+                    Response::TelemetryPush { dev_id, telemetry }
+                }
+                RSP_CTRL_PUSH => Response::ControlPush {
+                    action: get_action(r)?,
+                    session: session_tail(r, "ControlPush fields")?,
+                },
+                RSP_REVOKED => Response::BindingRevoked,
+                RSP_RULE_SET => Response::RuleSet {
+                    count: r.varint_max("RuleSet count", u64::from(u16::MAX))? as u16,
+                },
+                RSP_SHARE_OK => Response::ShareOk {
+                    guests: r.varint_max("ShareOk guests", u64::from(u16::MAX))? as u16,
+                    session: session_tail(r, "ShareOk fields")?,
+                },
+                RSP_DENIED => Response::Denied {
+                    reason: deny_from_u8(r.u8("DenyReason")?)?,
+                },
+                tag => return unknown("Response", tag),
+            })
+        })
     }
 }
 
@@ -1529,11 +1548,11 @@ mod tests {
                 msg,
             };
             let bytes = encode_envelope(&env);
-            assert_eq!(decode_envelope(&bytes).unwrap(), env);
+            assert_eq!(Envelope::decode(&bytes).unwrap(), env);
         }
         let push = Envelope::push(Response::BindingRevoked);
         let bytes = encode_envelope(&push);
-        let back = decode_envelope(&bytes).unwrap();
+        let back = Envelope::decode(&bytes).unwrap();
         assert_eq!(back, push);
     }
 
@@ -1547,7 +1566,7 @@ mod tests {
             },
         };
         let packet = encode_envelope(&env);
-        let decoded = decode_envelope(&packet).unwrap();
+        let decoded = Envelope::decode(&packet).unwrap();
         let Envelope::Request {
             msg: Message::Login { user_id, .. },
             ..
@@ -1569,7 +1588,7 @@ mod tests {
         // corr = 0 encoded in two bytes (0x80 0x00) is non-canonical.
         let bytes = Bytes::from(vec![DIR_REQUEST, 0x80, 0x00, MSG_QUERY_SHADOW]);
         assert_eq!(
-            decode_envelope(&bytes),
+            Envelope::decode(&bytes),
             Err(WireError::ValueOutOfRange {
                 context: "Envelope corr"
             })
@@ -1583,7 +1602,7 @@ mod tests {
         raw.extend_from_slice(&[0xff; 10]);
         raw.push(0x01);
         assert_eq!(
-            decode_envelope(&Bytes::from(raw)),
+            Envelope::decode(&Bytes::from(raw)),
             Err(WireError::ValueOutOfRange {
                 context: "Envelope corr"
             })
@@ -1740,7 +1759,7 @@ mod tests {
             // be a valid *shorter* message — but then it must be canonical:
             // it re-encodes to exactly the bytes we decoded. Every other
             // cut must fail cleanly, never panic.
-            match decode_envelope(&prefix) {
+            match Envelope::decode(&prefix) {
                 Err(_) => {}
                 Ok(decoded) => {
                     assert_eq!(

@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{decode_envelope, encode_envelope};
+use crate::codec::{encode_envelope, Frame};
 use crate::error::WireError;
 use crate::messages::{Message, Response};
 
@@ -51,14 +51,26 @@ impl Envelope {
         encode_envelope(self)
     }
 
-    /// Deserializes an envelope. String fields borrow `bytes`, so the
-    /// caller hands over the shared packet buffer rather than a slice.
+    /// Deserializes an envelope: its header, then the body decoder of the
+    /// kind the header names ([`Frame`]). String fields borrow `bytes`, so
+    /// the caller hands over the shared packet buffer rather than a slice.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if the frame is malformed.
     pub fn decode(bytes: &Bytes) -> Result<Self, WireError> {
-        decode_envelope(bytes)
+        let frame = Frame::read(bytes)?;
+        let corr = frame.corr;
+        Ok(match frame.request {
+            Some(_) => Envelope::Request {
+                corr,
+                msg: frame.message()?,
+            },
+            None => Envelope::Response {
+                corr,
+                rsp: frame.response()?,
+            },
+        })
     }
 
     /// Same as [`Envelope::encode`]; `format` selects nothing.

@@ -36,14 +36,8 @@ impl MacAddr {
     /// Panics if `nic` does not fit in 24 bits.
     pub fn from_oui(oui: [u8; 3], nic: u32) -> Self {
         assert!(nic <= 0x00ff_ffff, "nic suffix must fit in 24 bits");
-        MacAddr([
-            oui[0],
-            oui[1],
-            oui[2],
-            (nic >> 16) as u8,
-            (nic >> 8) as u8,
-            nic as u8,
-        ])
+        let ([a, b, c], [_, d, e, f]) = (oui, nic.to_be_bytes());
+        MacAddr([a, b, c, d, e, f])
     }
 
     /// The raw bytes of the address.
@@ -140,12 +134,6 @@ impl fmt::Display for DevId {
     }
 }
 
-impl From<MacAddr> for DevId {
-    fn from(mac: MacAddr) -> Self {
-        DevId::Mac(mac)
-    }
-}
-
 /// How a vendor allocates device IDs across its product line.
 ///
 /// The scheme determines the attacker's search space (Section III-A); the
@@ -178,10 +166,7 @@ pub enum IdScheme {
 
 impl IdScheme {
     /// Number of distinct IDs the scheme can produce — the attacker's
-    /// worst-case search space.
-    ///
-    /// Returns `None` for spaces that overflow `u128` (never happens for the
-    /// supported schemes, but keeps the API total).
+    /// worst-case search space (saturating at `u128::MAX`).
     pub fn search_space(&self) -> u128 {
         match self {
             IdScheme::MacWithOui { .. } => 1 << 24,

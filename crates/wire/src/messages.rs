@@ -36,8 +36,6 @@ pub enum StatusAuth {
     },
 }
 
-impl StatusAuth {}
-
 /// Whether a `Status` message is the initial registration or a keep-alive.
 ///
 /// The paper notes both "share the same functionality: they change the
@@ -121,13 +119,9 @@ impl StatusPayload {
     /// A registration message with attributes.
     pub fn register(auth: StatusAuth, dev_id: DevId, attributes: DeviceAttributes) -> Self {
         StatusPayload {
-            auth,
-            dev_id,
             kind: StatusKind::Register,
             attributes,
-            session: None,
-            telemetry: Vec::new(),
-            button_pressed: false,
+            ..StatusPayload::heartbeat(auth, dev_id)
         }
     }
 }
@@ -328,43 +322,42 @@ pub enum Message {
     },
 }
 
-impl Message {
-    /// Every [`Message::kind_str`], indexed by [`Message::kind_index`].
-    pub const KINDS: [&'static str; 11] = [
-        "Login",
-        "RequestDevToken",
-        "RequestBindToken",
-        "Status",
-        "Bind",
-        "Unbind",
-        "Control",
-        "QueryShadow",
-        "Share",
-        "SetRule",
-        "Unshare",
-    ];
-
-    /// This message's position in [`Message::KINDS`], for tables kept per
-    /// kind.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Message::Login { .. } => 0,
-            Message::RequestDevToken { .. } => 1,
-            Message::RequestBindToken { .. } => 2,
-            Message::Status(_) => 3,
-            Message::Bind(_) => 4,
-            Message::Unbind(_) => 5,
-            Message::Control { .. } => 6,
-            Message::QueryShadow { .. } => 7,
-            Message::Share { .. } => 8,
-            Message::SetRule { .. } => 9,
-            Message::Unshare { .. } => 10,
+/// Declares [`MessageKind`] and [`Message::KINDS`] from one list of the
+/// [`Message`] variants, so a kind, its name and its variant cannot drift.
+macro_rules! message_kinds {
+    ($($kind:ident),* $(,)?) => {
+        /// A request's kind, one per [`Message`] variant: what a frame's
+        /// header names before its body is read (`rb_wire::codec::Frame`).
+        /// `kind as usize` indexes [`Message::KINDS`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum MessageKind {
+            $(#[doc = concat!("[`Message::", stringify!($kind), "`].")] $kind,)*
         }
-    }
 
+        impl Message {
+            /// Every [`Message::kind_str`], indexed by [`MessageKind`].
+            pub const KINDS: [&'static str; [$(stringify!($kind)),*].len()] =
+                [$(stringify!($kind)),*];
+
+            /// This message's kind.
+            pub fn kind(&self) -> MessageKind {
+                match self {
+                    $(Message::$kind { .. } => MessageKind::$kind,)*
+                }
+            }
+        }
+    };
+}
+
+message_kinds! {
+    Login, RequestDevToken, RequestBindToken, Status, Bind, Unbind, Control, QueryShadow, Share,
+    SetRule, Unshare,
+}
+
+impl Message {
     /// A short tag for traces.
     pub fn kind_str(&self) -> &'static str {
-        Self::KINDS[self.kind_index()]
+        Self::KINDS[self.kind() as usize]
     }
 
     /// A fine-grained tag naming the exact primitive *shape* (Figures 3
@@ -421,37 +414,38 @@ impl fmt::Display for Message {
 }
 
 /// Why a request was denied. Mirrors the checks in `rb-cloud::policy`; the
-/// attack engine uses the reason to classify failures.
+/// attack engine uses the reason to classify failures. A discriminant is the
+/// reason's wire value (`WIRE-FORMAT.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DenyReason {
     /// Unknown user or wrong password.
-    BadCredentials,
+    BadCredentials = 0,
     /// The user token was not issued or has been revoked.
-    InvalidUserToken,
+    InvalidUserToken = 1,
     /// Device authentication failed (bad DevToken / signature / unknown id).
-    DeviceAuthFailed,
+    DeviceAuthFailed = 2,
     /// The device is already bound and the policy rejects re-binding.
-    AlreadyBound,
+    AlreadyBound = 3,
     /// The requester is not the user bound to the device.
-    NotBoundUser,
+    NotBoundUser = 4,
     /// The named account does not exist (sharing with a ghost).
-    UnknownUser,
+    UnknownUser = 13,
     /// The device is not bound to anyone.
-    NotBound,
+    NotBound = 5,
     /// The capability token was not issued or was already consumed.
-    InvalidBindToken,
+    InvalidBindToken = 6,
     /// Required post-binding session token missing or wrong.
-    BadSession,
+    BadSession = 7,
     /// Ownership proof failed (button press / source-IP match required).
-    OwnershipProofFailed,
+    OwnershipProofFailed = 8,
     /// The design requires the device to be online for this operation.
-    DeviceOffline,
+    DeviceOffline = 9,
     /// Unknown device ID.
-    UnknownDevice,
+    UnknownDevice = 10,
     /// The message shape is not supported by this vendor's design.
-    UnsupportedOperation,
+    UnsupportedOperation = 11,
     /// Too many requests from this source (rate limiting).
-    RateLimited,
+    RateLimited = 12,
 }
 
 impl fmt::Display for DenyReason {

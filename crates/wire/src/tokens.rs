@@ -131,12 +131,6 @@ impl fmt::Display for UserId {
     }
 }
 
-impl From<&str> for UserId {
-    fn from(s: &str) -> Self {
-        UserId::new(s)
-    }
-}
-
 /// `UserPw`: the account password. Display/Debug are redacted; the paper's
 /// fourth lesson is that this credential "should never be delivered to the
 /// device", which device-initiated ACL binding violates.

@@ -2,7 +2,9 @@
 //!
 //! Every generated message/response/envelope must round-trip, and the
 //! decoder must survive garbage, truncation, and mutation without
-//! panicking.
+//! panicking. Reading a frame header first and then through the body
+//! decoder of the kind it names must agree with the whole-envelope decode
+//! on every input: the same value or the same error.
 
 // Test code: panicking on unexpected state is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -10,15 +12,16 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use rb_wire::codec::{decode_message, decode_response, encode_message, encode_response};
+use rb_wire::codec::{decode_message, decode_response, encode_message, encode_response, Frame};
 use rb_wire::envelope::{CorrId, Envelope};
 use rb_wire::ids::{DevId, MacAddr};
 use rb_wire::messages::{
-    AutomationRule, BindPayload, ControlAction, DenyReason, DeviceAttributes, Message, Response,
-    StatusAuth, StatusKind, StatusPayload, UnbindPayload,
+    AutomationRule, BindPayload, ControlAction, DenyReason, DeviceAttributes, Message, MessageKind,
+    Response, StatusAuth, StatusKind, StatusPayload, UnbindPayload,
 };
 use rb_wire::telemetry::{RuleTrigger, ScheduleEntry, TelemetryFrame};
 use rb_wire::tokens::{BindToken, DevToken, SessionToken, UserId, UserPw, UserToken};
+use rb_wire::WireError;
 
 fn arb_dev_id() -> impl Strategy<Value = DevId> {
     prop_oneof![
@@ -349,6 +352,129 @@ proptest! {
             prop_assert_ne!(a.short(), b.short(), "{:?} vs {:?}", a, b);
         } else {
             prop_assert_eq!(a.short(), b.short());
+        }
+    }
+}
+
+/// Reads `bytes` header first, then through the public body decoder of the
+/// kind the header names: the way the cloud and the agents read a frame.
+fn read_per_kind(bytes: &Bytes) -> Result<Envelope, WireError> {
+    let frame = Frame::read(bytes)?;
+    let corr = frame.corr;
+    let Some(kind) = frame.request else {
+        let rsp = frame.response()?;
+        return Ok(Envelope::Response { corr, rsp });
+    };
+    let msg = match kind {
+        MessageKind::Login => {
+            let (user_id, user_pw) = frame.login()?;
+            Message::Login { user_id, user_pw }
+        }
+        MessageKind::RequestDevToken => Message::RequestDevToken {
+            user_token: frame.user_token()?,
+        },
+        MessageKind::RequestBindToken => Message::RequestBindToken {
+            user_token: frame.user_token()?,
+        },
+        MessageKind::Status => Message::Status(frame.status()?),
+        MessageKind::Bind => Message::Bind(frame.bind()?),
+        MessageKind::Unbind => Message::Unbind(frame.unbind()?),
+        MessageKind::Control => {
+            let (dev_id, user_token, action, session) = frame.control()?;
+            Message::Control {
+                dev_id,
+                user_token,
+                session,
+                action,
+            }
+        }
+        MessageKind::QueryShadow => Message::QueryShadow {
+            dev_id: frame.dev_id()?,
+        },
+        MessageKind::Share => {
+            let (dev_id, user_token, grantee) = frame.share()?;
+            Message::Share {
+                dev_id,
+                user_token,
+                grantee,
+            }
+        }
+        MessageKind::Unshare => {
+            let (dev_id, user_token, grantee) = frame.share()?;
+            Message::Unshare {
+                dev_id,
+                user_token,
+                grantee,
+            }
+        }
+        MessageKind::SetRule => {
+            let (user_token, rule) = frame.set_rule()?;
+            Message::SetRule { user_token, rule }
+        }
+    };
+    Ok(Envelope::Request { corr, msg })
+}
+
+fn arb_envelope() -> impl Strategy<Value = Envelope> {
+    prop_oneof![
+        (any::<u64>(), arb_message()).prop_map(|(corr, msg)| Envelope::Request {
+            corr: CorrId(corr),
+            msg
+        }),
+        (any::<u64>(), arb_response()).prop_map(|(corr, rsp)| Envelope::Response {
+            corr: CorrId(corr),
+            rsp
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Header first on arbitrary bytes: the same value or the same
+    /// `WireError` as `Envelope::decode`.
+    #[test]
+    fn header_first_agrees_with_envelope_decode_on_garbage(
+        raw in proptest::collection::vec(any::<u8>(), 0..256),
+        dir in 0u8..3,
+    ) {
+        // Most random frames die at the direction byte; a third keep a
+        // request and a third a response direction, so bodies are reached.
+        let mut raw = raw;
+        match (raw.first_mut(), dir) {
+            (Some(first), 1) => *first = 0xC1,
+            (Some(first), 2) => *first = 0xC2,
+            _ => {}
+        }
+        let bytes = Bytes::from(raw);
+        prop_assert_eq!(read_per_kind(&bytes), Envelope::decode(&bytes));
+    }
+
+    /// Every truncation of an envelope, from empty to whole.
+    #[test]
+    fn header_first_agrees_with_envelope_decode_on_every_truncation(env in arb_envelope()) {
+        let full = env.encode();
+        prop_assert_eq!(read_per_kind(&full), Ok(env));
+        for cut in 0..full.len() {
+            let prefix = full.slice(..cut);
+            prop_assert_eq!(read_per_kind(&prefix), Envelope::decode(&prefix));
+        }
+    }
+
+    /// Every single-byte mutation of an envelope: each position, each of
+    /// the 255 other values.
+    #[test]
+    fn header_first_agrees_with_envelope_decode_on_every_single_byte_mutation(
+        env in arb_envelope(),
+    ) {
+        let full = env.encode().to_vec();
+        for pos in 0..full.len() {
+            for flip in 1..=255u8 {
+                let mut mutated = full.clone();
+                mutated[pos] ^= flip;
+                let bytes = Bytes::from(mutated);
+                prop_assert_eq!(read_per_kind(&bytes), Envelope::decode(&bytes));
+            }
         }
     }
 }

@@ -1,7 +1,10 @@
 //! EXP-SPACE — exhaustive design-space exploration (extension): analyze
 //! every coherent remote-binding design and report which attacks are
 //! generic, which defenses are load-bearing, and how rare secure designs
-//! are — the paper's systematic program, completed.
+//! are — the paper's systematic program, completed. Every count is a
+//! total over the rows of one `rb_mc::conformance` pass; the five global
+//! theorems are each row's `theorem_violations`. Exits 1 on a theorem
+//! violation.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin exp_design_space
@@ -11,24 +14,25 @@ use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
 use rb_core::analyzer::analyze;
 use rb_core::attacks::AttackId;
-use rb_core::explore::{all_designs, check_theorems, minimal_secure_design, survey};
+use rb_core::explore::minimal_secure_design;
+use rb_core::par::available_threads;
+use rb_mc::conformance::{attack_counts, space};
 
 fn main() {
     println!("EXP-SPACE: exhaustive exploration of the remote-binding design space\n");
-    let stats = survey();
+    let rows = space(available_threads());
+    let total = rows.len();
     println!(
-        "coherent designs analyzed: {} (4 auth × 3 bind × 4 unbind × 2^7 checks × 2 orders × 2 firmware, minus incoherent)",
-        stats.total
+        "coherent designs analyzed: {total} (4 auth × 3 bind × 4 unbind × 2^7 checks × 2 orders × 2 firmware, minus incoherent)"
     );
 
-    let mut rows = Vec::new();
+    let mut table = Vec::new();
     for id in AttackId::ALL {
-        let feasible = stats.feasible_counts.get(&id).copied().unwrap_or(0);
-        let unconfirmed = stats.unconfirmable_counts.get(&id).copied().unwrap_or(0);
-        rows.push(vec![
+        let (feasible, unconfirmed) = attack_counts(&rows, id);
+        table.push(vec![
             id.to_string(),
             feasible.to_string(),
-            format!("{:.1}%", 100.0 * feasible as f64 / stats.total as f64),
+            format!("{:.1}%", 100.0 * feasible as f64 / total as f64),
             unconfirmed.to_string(),
         ]);
     }
@@ -36,23 +40,23 @@ fn main() {
         "{}",
         render_table(
             &["attack", "designs vulnerable", "share", "unconfirmable"],
-            &rows
+            &table
         )
     );
 
+    let fully_secure = rows.iter().filter(|r| r.fully_secure()).count();
+    let provably_secure = rows.iter().filter(|r| r.provably_secure()).count();
     println!(
-        "fully secure designs (no feasible attack): {} ({:.1}%)",
-        stats.fully_secure,
-        100.0 * stats.fully_secure as f64 / stats.total as f64
+        "fully secure designs (no feasible attack): {fully_secure} ({:.1}%)",
+        100.0 * fully_secure as f64 / total as f64
     );
     println!(
-        "provably secure (no feasible, no unconfirmable): {} ({:.1}%)",
-        stats.provably_secure,
-        100.0 * stats.provably_secure as f64 / stats.total as f64
+        "provably secure (no feasible, no unconfirmable): {provably_secure} ({:.1}%)",
+        100.0 * provably_secure as f64 / total as f64
     );
 
     // The global theorems.
-    let violations = check_theorems();
+    let violations: Vec<&String> = rows.iter().flat_map(|r| &r.theorem_violations).collect();
     if violations.is_empty() {
         println!("\nall five global theorems hold over the whole space:");
         println!("  T1 capability binding blocks A2/A3-3/A4-1/A4-2");
@@ -96,21 +100,18 @@ fn main() {
     println!(
         "\nof the paper's ten real vendors, {secure_vendors} fall in the fully-secure region (paper: 1 — Philips Hue)"
     );
-    let _ = all_designs();
 
     // The machine-readable artifact (exhaustive static sweep).
     let mut report = BenchReport::new("exp_design_space");
     report
-        .metric_u64("designs_total", stats.total as u64)
-        .metric_u64("fully_secure", stats.fully_secure as u64)
-        .metric_u64("provably_secure", stats.provably_secure as u64)
+        .metric_u64("designs_total", total as u64)
+        .metric_u64("fully_secure", fully_secure as u64)
+        .metric_u64("provably_secure", provably_secure as u64)
         .metric_u64("theorem_violations", violations.len() as u64)
         .metric_u64("secure_vendors", secure_vendors as u64);
     for id in AttackId::ALL {
-        report.metric_u64(
-            &format!("{id}.feasible_designs"),
-            stats.feasible_counts.get(&id).copied().unwrap_or(0) as u64,
-        );
+        let (feasible, _) = attack_counts(&rows, id);
+        report.metric_u64(&format!("{id}.feasible_designs"), feasible as u64);
     }
     emit(&report, std::env::args().nth(1).as_deref());
 }

@@ -21,9 +21,12 @@
 //! cargo run --release -p rb-bench --bin exp_mc -- --threads 4 out.json
 //! ```
 //!
-//! The sweep maps over the designs on `--threads` workers (default: the
-//! detected core count). Throughput (`states_per_sec`, `designs_per_sec`)
-//! and `replay_secs` are wall-clock and machine-dependent;
+//! Gates 2 and 3 read the rows of one `rb_mc::conformance` pass, which
+//! verifies each design and replays its witnesses on `--threads` workers
+//! (default: the detected core count). The pass prints one more line, the
+//! model-checker⇔analyzer verdict split; it is not gated. Throughput
+//! (`states_per_sec`, `designs_per_sec`) and `sweep_secs`/`replay_secs`
+//! (both the one pass's wall time) are wall-clock and machine-dependent;
 //! `deterministic`, `disagreements`, and `replay_failures` are the fields
 //! with pinned expectations (true / 0 / 0), and `witnesses_replayed` must
 //! equal `witnesses`. Exits nonzero if any gate fails.
@@ -31,57 +34,10 @@
 use std::time::Instant;
 
 use rb_bench::report::{emit, BenchReport};
-use rb_core::design::VendorDesign;
-use rb_core::explore::all_designs;
-use rb_core::par::{available_threads, par_map};
+use rb_core::par::available_threads;
 use rb_core::vendors::vendor_designs;
-use rb_mc::diag::verify_design;
+use rb_mc::conformance::{space, sweep, Split};
 use rb_mc::explore::{explore, Property};
-use rb_mc::replay::replay;
-
-/// Per-design verdict counts, summed in design order.
-#[derive(Default, Clone)]
-struct SweepTotals {
-    states: usize,
-    transitions: usize,
-    violations: [usize; 5],
-    secure: usize,
-    disagreements: usize,
-    shadow_coverage_sum: f64,
-}
-
-impl SweepTotals {
-    fn absorb(&mut self, other: &SweepTotals) {
-        self.states += other.states;
-        self.transitions += other.transitions;
-        for (a, b) in self.violations.iter_mut().zip(other.violations) {
-            *a += b;
-        }
-        self.secure += other.secure;
-        self.disagreements += other.disagreements;
-        self.shadow_coverage_sum += other.shadow_coverage_sum;
-    }
-}
-
-/// Verifies one design (the explorer itself runs single-threaded here;
-/// parallelism comes from mapping over the designs).
-fn verify_totals(design: &VendorDesign) -> SweepTotals {
-    let v = verify_design(design, 1);
-    let mut t = SweepTotals {
-        states: v.mc.reachable,
-        transitions: v.mc.transitions,
-        secure: usize::from(v.mc.is_secure()),
-        disagreements: v.disagreements.len(),
-        shadow_coverage_sum: v.mc.shadow_coverage_percent(),
-        ..SweepTotals::default()
-    };
-    for (i, property) in Property::ALL.into_iter().enumerate() {
-        if v.mc.witness(property).is_some() {
-            t.violations[i] += 1;
-        }
-    }
-    t
-}
 
 fn main() {
     let mut threads = available_threads();
@@ -115,97 +71,97 @@ fn main() {
         vendor_designs().len()
     );
 
-    // Gate 2: the agreement sweep.
-    let designs = if vendors_only {
-        vendor_designs()
+    // Gates 2 and 3 read one conformance pass: each row holds a design's
+    // verification and the live replay of each of its witnesses.
+    let started = Instant::now();
+    let rows = if vendors_only {
+        sweep(&vendor_designs(), threads)
     } else {
-        all_designs()
+        space(threads)
     };
+    let sweep_secs = started.elapsed().as_secs_f64();
     println!(
         "EXP-MC: agreement sweep over {} design(s), {threads} worker(s)...",
-        designs.len()
+        rows.len()
     );
-    let started = Instant::now();
-    let per_design = par_map(&designs, threads, verify_totals);
-    let sweep_secs = started.elapsed().as_secs_f64();
-    let mut totals = SweepTotals::default();
-    for t in &per_design {
-        totals.absorb(t);
-    }
-    let states_per_sec = totals.states as f64 / sweep_secs.max(1e-9);
-    let designs_per_sec = designs.len() as f64 / sweep_secs.max(1e-9);
-    let avg_coverage = totals.shadow_coverage_sum / designs.len().max(1) as f64;
+    let mcs = || rows.iter().map(|r| &r.verified.mc);
+    let states: usize = mcs().map(|mc| mc.reachable).sum();
+    let transitions: usize = mcs().map(|mc| mc.transitions).sum();
+    let violations = Property::ALL.map(|p| mcs().filter(|mc| mc.witness(p).is_some()).count());
+    let secure = mcs().filter(|mc| mc.is_secure()).count();
+    let disagreements: usize = rows.iter().map(|r| r.verified.disagreements.len()).sum();
+    let coverage_sum: f64 = mcs().map(|mc| mc.shadow_coverage_percent()).sum();
+    let states_per_sec = states as f64 / sweep_secs.max(1e-9);
+    let designs_per_sec = rows.len() as f64 / sweep_secs.max(1e-9);
+    let avg_coverage = coverage_sum / rows.len().max(1) as f64;
     println!(
-        "  {} states, {} transitions in {sweep_secs:.2}s ({states_per_sec:.0} states/s, \
-         {designs_per_sec:.0} designs/s)",
-        totals.states, totals.transitions
+        "  {states} states, {transitions} transitions in {sweep_secs:.2}s ({states_per_sec:.0} \
+         states/s, {designs_per_sec:.0} designs/s)"
     );
-    for (i, property) in Property::ALL.into_iter().enumerate() {
-        println!(
-            "  {:17} violated on {:5} design(s)",
-            property.to_string(),
-            totals.violations[i]
-        );
+    for (property, n) in Property::ALL.into_iter().zip(violations) {
+        println!("  {:17} violated on {n:5} design(s)", property.to_string());
     }
+    println!("  secure designs: {secure} | mean shadow edge coverage: {avg_coverage:.1}%");
+    let split = |s: Split| rows.iter().filter(|r| r.split() == s).count();
     println!(
-        "  secure designs: {} | mean shadow edge coverage: {avg_coverage:.1}%",
-        totals.secure
+        "  checker vs analyzer: {} both secure, {} both insecure, {} analyzer only, {} \
+         checker only",
+        split(Split::BothSecure),
+        split(Split::BothInsecure),
+        split(Split::AnalyzerOnly),
+        split(Split::CheckerOnly)
     );
-    println!("  cross-tool disagreements: {}\n", totals.disagreements);
+    println!("  cross-tool disagreements: {disagreements}\n");
 
-    // Gate 3: every counterexample of the swept designs reproduces in the
-    // simulator, and the replays cover every witness the sweep found.
+    // Gate 3: every counterexample reproduces in the simulator, and the
+    // replays cover every witness the sweep found. They ran inside the
+    // one pass, so `replay_secs` is that pass's wall time.
     println!("EXP-MC: replay gate (every witness into the live simulator)...");
-    let started = Instant::now();
-    let outcomes: Vec<Result<(), String>> = par_map(&designs, threads, |design| {
-        let report = explore(design, 1);
-        let replays = report.violations().into_iter().map(|(property, witness)| {
-            replay(design, property, witness)
-                .map_err(|e| format!("{}: {property}: {e}", design.vendor))
-        });
-        replays.collect::<Vec<_>>()
-    })
-    .concat();
-    let replay_secs = started.elapsed().as_secs_f64();
-    let witnesses: usize = totals.violations.iter().sum();
-    let failures: Vec<&String> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
-    for failure in &failures {
-        eprintln!("  REPLAY FAILED: {failure}");
+    let witnesses: usize = violations.iter().sum();
+    let (mut replayed, mut replay_failures) = (0, 0);
+    for row in &rows {
+        for (property, outcome) in &row.replays {
+            if let Err(e) = outcome {
+                eprintln!("  REPLAY FAILED: {}: {property}: {e}", row.design.vendor);
+                replay_failures += 1;
+            } else {
+                replayed += 1;
+            }
+        }
     }
-    let (replay_failures, replayed) = (failures.len(), outcomes.len() - failures.len());
     println!(
         "  {replayed} of {witnesses} witness(es) reproduced live, {replay_failures} \
-         failure(s) in {replay_secs:.2}s\n"
+         failure(s) in {sweep_secs:.2}s\n"
     );
-    // A design the replay pass skipped must not read as a pass.
-    let replay_complete = outcomes.len() == witnesses;
+    // A design whose replays were skipped must not read as a pass.
+    let replay_complete = replayed + replay_failures == witnesses;
 
     // The machine-readable artifact: the unified schema-versioned report.
     let mut report = BenchReport::new("exp_mc");
     report
         .meta("vendors_only", vendors_only)
         .meta("threads", threads)
-        .metric_u64("designs", designs.len() as u64)
-        .metric_u64("states_total", totals.states as u64)
-        .metric_u64("transitions_total", totals.transitions as u64)
-        .metric_u64("attacker_bound", totals.violations[0] as u64)
-        .metric_u64("attacker_control", totals.violations[1] as u64)
-        .metric_u64("user_disconnect", totals.violations[2] as u64)
-        .metric_u64("stale_session", totals.violations[3] as u64)
-        .metric_u64("rebind_livelock", totals.violations[4] as u64)
-        .metric_u64("secure_designs", totals.secure as u64)
+        .metric_u64("designs", rows.len() as u64)
+        .metric_u64("states_total", states as u64)
+        .metric_u64("transitions_total", transitions as u64)
+        .metric_u64("attacker_bound", violations[0] as u64)
+        .metric_u64("attacker_control", violations[1] as u64)
+        .metric_u64("user_disconnect", violations[2] as u64)
+        .metric_u64("stale_session", violations[3] as u64)
+        .metric_u64("rebind_livelock", violations[4] as u64)
+        .metric_u64("secure_designs", secure as u64)
         .metric_f64("sweep_secs", sweep_secs)
         .metric_f64("states_per_sec", states_per_sec)
         .metric_f64("designs_per_sec", designs_per_sec)
         .metric_f64("shadow_coverage_mean_pct", avg_coverage)
         .metric_bool("deterministic", deterministic)
-        .metric_u64("disagreements", totals.disagreements as u64)
+        .metric_u64("disagreements", disagreements as u64)
         .metric_u64("witnesses", witnesses as u64)
         .metric_u64("witnesses_replayed", replayed as u64)
         .metric_u64("replay_failures", replay_failures as u64)
-        .metric_f64("replay_secs", replay_secs);
+        .metric_f64("replay_secs", sweep_secs);
     emit(&report, out_path.as_deref());
-    if !deterministic || totals.disagreements > 0 || replay_failures > 0 || !replay_complete {
+    if !deterministic || disagreements > 0 || replay_failures > 0 || !replay_complete {
         eprintln!("exp_mc: a verification gate failed");
         std::process::exit(1);
     }

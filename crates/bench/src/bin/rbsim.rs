@@ -39,7 +39,7 @@ use rb_bench::render_table;
 use rb_core::analyzer::{analyze, taxonomy, taxonomy_witnesses};
 use rb_core::attacks::{AttackFamily, AttackId};
 use rb_core::design::VendorDesign;
-use rb_core::explore::survey;
+use rb_core::par::available_threads;
 use rb_core::recommend::recommendations;
 use rb_core::vendors::{
     capability_reference, public_key_reference, vendor_designs, weakest_design,
@@ -47,6 +47,7 @@ use rb_core::vendors::{
 use rb_lint::diagnostic::Severity;
 use rb_lint::emit::{render_human, render_json, render_sarif};
 use rb_lint::rules::lint_design;
+use rb_mc::conformance::{attack_counts, space};
 use rb_mc::diag::verify_design;
 use rb_mc::explore::Property;
 use rb_mc::replay::replay;
@@ -708,20 +709,19 @@ fn cmd_table3() {
 }
 
 fn cmd_space() {
-    let stats = survey();
-    outln!("designs analyzed: {}", stats.total);
+    let rows = space(available_threads());
+    outln!("designs analyzed: {}", rows.len());
     for id in AttackId::ALL {
+        let (feasible, unconfirmable) = attack_counts(&rows, id);
         outln!(
-            "  {:5} feasible on {:5} designs, unconfirmable on {}",
-            id.to_string(),
-            stats.feasible_counts.get(&id).copied().unwrap_or(0),
-            stats.unconfirmable_counts.get(&id).copied().unwrap_or(0),
+            "  {:5} feasible on {feasible:5} designs, unconfirmable on {unconfirmable}",
+            id.to_string()
         );
     }
     outln!(
         "fully secure: {} | provably secure: {}",
-        stats.fully_secure,
-        stats.provably_secure
+        rows.iter().filter(|r| r.fully_secure()).count(),
+        rows.iter().filter(|r| r.provably_secure()).count()
     );
 }
 

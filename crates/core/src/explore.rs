@@ -1,18 +1,18 @@
 //! Exhaustive design-space exploration.
 //!
 //! The paper examines ten observed design points; this module pushes the
-//! same systematic program to completion: enumerate *every* coherent
-//! combination of authentication scheme, binding scheme, unbinding support,
-//! cloud-side checks, setup order, and firmware knowledge, analyze each,
-//! and derive population-level facts — which attacks are generic, which
-//! defenses are load-bearing, and what the minimal secure designs look
-//! like.
+//! same systematic program to completion: [`all_designs`] enumerates
+//! *every* coherent combination of authentication scheme, binding scheme,
+//! unbinding support, cloud-side checks, setup order, and firmware
+//! knowledge, and [`theorem_violations`] states the five global theorems
+//! as a predicate on one design's analyzer report. The whole-space sweep
+//! that analyzes every design once and derives the population-level facts
+//! (which attacks are generic, which defenses are load-bearing, how rare
+//! secure designs are) is `rb_mc::conformance`, which computes every
+//! semantics of a design in one pass.
 
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-use crate::analyzer::analyze;
-use crate::attacks::{AttackId, Feasibility};
+use crate::analyzer::AnalysisReport;
+use crate::attacks::AttackId;
 use crate::design::{
     BindScheme, CloudChecks, DeviceAuthScheme, DeviceKind, FirmwareKnowledge, SetupOrder,
     UnbindSupport, VendorDesign,
@@ -86,119 +86,62 @@ pub fn all_designs() -> Vec<VendorDesign> {
     out
 }
 
-/// Population-level statistics over the design space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpaceStats {
-    /// Number of coherent designs analyzed.
-    pub total: usize,
-    /// Designs on which each attack is feasible.
-    pub feasible_counts: BTreeMap<AttackId, usize>,
-    /// Designs on which each attack is unconfirmable.
-    pub unconfirmable_counts: BTreeMap<AttackId, usize>,
-    /// Designs with no feasible attack at all.
-    pub fully_secure: usize,
-    /// Designs with no feasible **and no unconfirmable** verdict — provably
-    /// secure under the model.
-    pub provably_secure: usize,
-}
-
-/// Analyzes the entire space.
-pub fn survey() -> SpaceStats {
-    let designs = all_designs();
-    let mut feasible_counts: BTreeMap<AttackId, usize> = BTreeMap::new();
-    let mut unconfirmable_counts: BTreeMap<AttackId, usize> = BTreeMap::new();
-    let mut fully_secure = 0;
-    let mut provably_secure = 0;
-    for design in &designs {
-        let report = analyze(design);
-        let mut any_feasible = false;
-        let mut any_unconfirmed = false;
-        for id in AttackId::ALL {
-            match report.verdict(id) {
-                Feasibility::Feasible => {
-                    *feasible_counts.entry(id).or_default() += 1;
-                    any_feasible = true;
-                }
-                Feasibility::Unconfirmable { .. } => {
-                    *unconfirmable_counts.entry(id).or_default() += 1;
-                    any_unconfirmed = true;
-                }
-                Feasibility::Infeasible { .. } => {}
-            }
-        }
-        if !any_feasible {
-            fully_secure += 1;
-            if !any_unconfirmed {
-                provably_secure += 1;
-            }
-        }
-    }
-    SpaceStats {
-        total: designs.len(),
-        feasible_counts,
-        unconfirmable_counts,
-        fully_secure,
-        provably_secure,
-    }
-}
-
-/// The global theorems the exploration verifies. Returns violations (empty
-/// = all theorems hold over the whole space).
-pub fn check_theorems() -> Vec<String> {
+/// The five global theorems the exploration verifies, checked on one
+/// design against its analyzer report (`analysis` must be
+/// `analyze(design)`). Returns the violations: empty on every design means
+/// every theorem holds over the whole space.
+pub fn theorem_violations(design: &VendorDesign, analysis: &AnalysisReport) -> Vec<String> {
     let mut violations = Vec::new();
-    for design in all_designs() {
-        let report = analyze(&design);
-        // T1: capability binding blocks every bind-forgery attack.
-        if design.bind == BindScheme::Capability {
-            for id in [AttackId::A2, AttackId::A3_3, AttackId::A4_1, AttackId::A4_2] {
-                if report.feasible(id) {
-                    violations.push(format!("{}: {id} feasible under capability", design.vendor));
-                }
+    // T1: capability binding blocks every bind-forgery attack.
+    if design.bind == BindScheme::Capability {
+        for id in [AttackId::A2, AttackId::A3_3, AttackId::A4_1, AttackId::A4_2] {
+            if analysis.feasible(id) {
+                violations.push(format!("{}: {id} feasible under capability", design.vendor));
             }
         }
-        // T2: post-binding sessions block all hijacks.
-        if design.checks.post_binding_session {
-            for id in [AttackId::A4_1, AttackId::A4_2, AttackId::A4_3] {
-                if report.feasible(id) {
-                    violations.push(format!("{}: {id} despite sessions", design.vendor));
-                }
+    }
+    // T2: post-binding sessions block all hijacks.
+    if design.checks.post_binding_session {
+        for id in [AttackId::A4_1, AttackId::A4_2, AttackId::A4_3] {
+            if analysis.feasible(id) {
+                violations.push(format!("{}: {id} despite sessions", design.vendor));
             }
         }
-        // T3: static-ID auth with known firmware always admits status
-        // forgery in one form: A1 when registrations are benign, A3-4 when
-        // they reset.
-        if design.auth == DeviceAuthScheme::DevId && design.firmware == FirmwareKnowledge::Known {
-            let one_of = report.feasible(AttackId::A1) || report.feasible(AttackId::A3_4);
-            if !one_of {
-                violations.push(format!(
-                    "{}: DevId+firmware admits neither A1 nor A3-4",
-                    design.vendor
-                ));
-            }
-        }
-        // T4: a bare Unbind:DevId always admits A3-1.
-        if design.unbind.dev_id_only && !report.feasible(AttackId::A3_1) {
+    }
+    // T3: static-ID auth with known firmware always admits status
+    // forgery in one form: A1 when registrations are benign, A3-4 when
+    // they reset.
+    if design.auth == DeviceAuthScheme::DevId && design.firmware == FirmwareKnowledge::Known {
+        let one_of = analysis.feasible(AttackId::A1) || analysis.feasible(AttackId::A3_4);
+        if !one_of {
             violations.push(format!(
-                "{}: Unbind:DevId accepted but A3-1 blocked",
+                "{}: DevId+firmware admits neither A1 nor A3-4",
                 design.vendor
             ));
         }
-        // T5: DevToken auth never yields a feasible hijack — its session is
-        // keyed to the user. (Public keys do NOT give this property: they
-        // authenticate the device, not the binding.)
-        if design.auth == DeviceAuthScheme::DevToken {
-            for id in [AttackId::A4_1, AttackId::A4_2, AttackId::A4_3] {
-                if report.feasible(id) {
-                    violations.push(format!("{}: {id} under DevToken auth", design.vendor));
-                }
+    }
+    // T4: a bare Unbind:DevId always admits A3-1.
+    if design.unbind.dev_id_only && !analysis.feasible(AttackId::A3_1) {
+        violations.push(format!(
+            "{}: Unbind:DevId accepted but A3-1 blocked",
+            design.vendor
+        ));
+    }
+    // T5: DevToken auth never yields a feasible hijack — its session is
+    // keyed to the user. (Public keys do NOT give this property: they
+    // authenticate the device, not the binding.)
+    if design.auth == DeviceAuthScheme::DevToken {
+        for id in [AttackId::A4_1, AttackId::A4_2, AttackId::A4_3] {
+            if analysis.feasible(id) {
+                violations.push(format!("{}: {id} under DevToken auth", design.vendor));
             }
         }
     }
     violations
 }
 
-/// A minimal secure recipe: the weakest set of choices the survey finds
-/// sufficient for zero feasible and zero unconfirmable attacks.
+/// A minimal secure recipe: the weakest set of choices the exploration
+/// finds sufficient for zero feasible and zero unconfirmable attacks.
 pub fn minimal_secure_design() -> VendorDesign {
     VendorDesign {
         vendor: "minimal-secure".into(),
@@ -224,6 +167,8 @@ pub fn minimal_secure_design() -> VendorDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::analyze;
+    use crate::attacks::Feasibility;
 
     #[test]
     fn space_is_large_and_coherent() {
@@ -232,33 +177,6 @@ mod tests {
         for d in designs.iter().take(500) {
             assert!(d.validate().is_ok());
         }
-    }
-
-    #[test]
-    fn survey_counts_are_sane() {
-        let stats = survey();
-        assert_eq!(stats.total, all_designs().len());
-        // Attacks exist somewhere in the space.
-        for id in AttackId::ALL {
-            assert!(
-                stats.feasible_counts.get(&id).copied().unwrap_or(0) > 0,
-                "{id} never feasible anywhere?"
-            );
-        }
-        // And secure designs exist too.
-        assert!(stats.provably_secure > 0);
-        assert!(stats.fully_secure >= stats.provably_secure);
-        assert!(stats.fully_secure < stats.total);
-    }
-
-    #[test]
-    fn all_theorems_hold_over_the_space() {
-        let violations = check_theorems();
-        assert!(
-            violations.is_empty(),
-            "first violations: {:?}",
-            &violations[..violations.len().min(5)]
-        );
     }
 
     #[test]

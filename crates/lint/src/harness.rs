@@ -1,8 +1,7 @@
-//! The soundness / precision harness.
+//! The soundness / precision predicates.
 //!
 //! The linter's rules are syntactic pattern checks; the analyzer is the
-//! semantic ground truth. This module proves, by exhausting the coherent
-//! design space of `rb_core::explore`, that the two agree:
+//! semantic ground truth. The two must agree:
 //!
 //! * **soundness** — on every design, every attack the analyzer finds
 //!   *feasible* appears in the `related_attacks` of at least one fired
@@ -11,79 +10,26 @@
 //!   (the linter does not cry wolf on the design the paper's lessons
 //!   converge to).
 //!
-//! [`sweep`] returns counts plus the first violations, so both the test
-//! suite and the `exp_lint` experiment binary can assert on it.
+//! [`unflagged_attacks`] checks soundness on one design. The sweep that
+//! applies it to every coherent design of `rb_core::explore` is
+//! `rb_mc::conformance`, whose rows `exp_lint` totals.
 
-use rb_core::analyzer::analyze;
+use rb_core::analyzer::AnalysisReport;
 use rb_core::attacks::AttackId;
-use rb_core::design::VendorDesign;
-use rb_core::explore::{all_designs, minimal_secure_design};
+use rb_core::diagnostic::LintReport;
+use rb_core::explore::minimal_secure_design;
 
 use crate::rules::lint_design;
 
-/// Outcome of the full-space sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepOutcome {
-    /// Designs swept.
-    pub designs: usize,
-    /// Designs with at least one finding.
-    pub flagged: usize,
-    /// Designs with zero findings.
-    pub clean: usize,
-    /// Total `(design, feasible attack)` pairs checked.
-    pub feasible_pairs: usize,
-    /// Soundness violations: a feasible attack no fired finding relates to
-    /// (`vendor: attack`). Empty iff the linter is sound over the space.
-    pub violations: Vec<String>,
-}
-
-impl SweepOutcome {
-    /// Whether the sweep proves soundness.
-    pub fn is_sound(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Checks one design: returns the feasible attacks that no finding
-/// relates to (empty = the linter is sound on this design).
-pub fn unflagged_attacks(design: &VendorDesign) -> Vec<AttackId> {
-    let analysis = analyze(design);
-    let report = lint_design(design);
+/// Checks one design: returns the feasible attacks of `analysis` that no
+/// finding of `lint` (the design's lint report) relates to (empty = the
+/// linter is sound on this design).
+pub fn unflagged_attacks(analysis: &AnalysisReport, lint: &LintReport) -> Vec<AttackId> {
     AttackId::ALL
         .iter()
         .copied()
-        .filter(|&attack| analysis.feasible(attack) && !report.flags_attack(attack))
+        .filter(|&attack| analysis.feasible(attack) && !lint.flags_attack(attack))
         .collect()
-}
-
-/// Sweeps every coherent design in the space.
-pub fn sweep() -> SweepOutcome {
-    let designs = all_designs();
-    let mut flagged = 0;
-    let mut feasible_pairs = 0;
-    let mut violations = Vec::new();
-    for design in &designs {
-        let analysis = analyze(design);
-        let report = lint_design(design);
-        if !report.is_clean() {
-            flagged += 1;
-        }
-        for attack in AttackId::ALL {
-            if analysis.feasible(attack) {
-                feasible_pairs += 1;
-                if !report.flags_attack(attack) {
-                    violations.push(format!("{}: {attack}", design.vendor));
-                }
-            }
-        }
-    }
-    SweepOutcome {
-        designs: designs.len(),
-        flagged,
-        clean: designs.len() - flagged,
-        feasible_pairs,
-        violations,
-    }
 }
 
 /// Precision check: findings the linter raises on the minimal secure
@@ -99,14 +45,15 @@ pub fn false_alarms_on_minimal_secure() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rb_core::analyzer::analyze;
     use rb_core::vendors::vendor_designs;
 
     #[test]
     fn every_table_iii_vendor_is_sound() {
-        // Cheap subset of the full-space sweep (which runs as an
-        // integration test): the ten studied vendors.
+        // Cheap subset of the full-space sweep (rb-mc's conformance
+        // test): the ten studied vendors.
         for design in vendor_designs() {
-            let missed = unflagged_attacks(&design);
+            let missed = unflagged_attacks(&analyze(&design), &lint_design(&design));
             assert!(missed.is_empty(), "{}: {missed:?} unflagged", design.vendor);
         }
     }

@@ -21,10 +21,10 @@
 //!   pattern held down by other defenses is a `warning`; and
 //!   [`rules::lint_design`], the rules pass plus the fix-its.
 //! * [`emit`] — deterministic human, JSON, and SARIF 2.1.0 renderings.
-//! * [`harness`] — the exhaustive soundness/precision sweep: over every
-//!   coherent design in the space, every feasible attack is related to at
-//!   least one fired finding, and the minimal secure recipe fires
-//!   nothing.
+//! * [`harness`] — the soundness/precision predicates: on a design,
+//!   every feasible attack is related to at least one fired finding, and
+//!   the minimal secure recipe fires nothing. `rb_mc::conformance`
+//!   applies the first to every coherent design in the space.
 //!
 //! # Example
 //!

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use rb_core::analyzer::analyze;
 use rb_core::design::{
     BindScheme, CloudChecks, DeviceAuthScheme, DeviceKind, FirmwareKnowledge, SetupOrder,
     UnbindSupport, VendorDesign,
@@ -79,7 +80,7 @@ proptest! {
     #[test]
     fn linter_agrees_with_analyzer(design in arb_design()) {
         prop_assert!(design.validate().is_ok());
-        let missed = unflagged_attacks(&design);
+        let missed = unflagged_attacks(&analyze(&design), &lint_design(&design));
         prop_assert!(missed.is_empty(), "{:?} unflagged on {:?}", missed, design);
     }
 

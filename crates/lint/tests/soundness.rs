@@ -1,39 +1,12 @@
-//! The exhaustive soundness/precision sweep (EXP-LINT).
+//! The linter's precision (EXP-LINT).
 //!
-//! Sweeps every coherent design in the `rb_core::explore` space and
-//! proves the two headline properties of the linter:
-//!
-//! * every attack the analyzer confirms feasible is related to at least
-//!   one fired finding (soundness — no confirmed attack escapes);
-//! * the minimal secure recipe fires zero diagnostics (precision — the
-//!   linter does not cry wolf on the recommended design).
+//! The minimal secure recipe fires zero diagnostics: the linter does not
+//! cry wolf on the recommended design. Soundness over the whole space
+//! (every attack the analyzer confirms feasible is related to at least
+//! one fired finding) is asserted by rb-mc's `conformance` test, which
+//! computes every design's lint report once.
 
-use rb_core::explore::all_designs;
-use rb_lint::harness::{false_alarms_on_minimal_secure, sweep};
-
-#[test]
-fn sweep_is_sound_over_the_whole_space() {
-    let outcome = sweep();
-    assert_eq!(outcome.designs, all_designs().len());
-    assert!(
-        outcome.is_sound(),
-        "{} soundness violations, first: {:?}",
-        outcome.violations.len(),
-        &outcome.violations[..outcome.violations.len().min(5)]
-    );
-    // The sweep is not vacuous: the space contains designs with feasible
-    // attacks, and the linter flags real populations of them.
-    assert!(
-        outcome.feasible_pairs > 10_000,
-        "{} pairs",
-        outcome.feasible_pairs
-    );
-    assert!(
-        outcome.flagged > outcome.clean,
-        "most designs have at least one finding"
-    );
-    assert!(outcome.clean > 0, "and some designs are genuinely clean");
-}
+use rb_lint::harness::false_alarms_on_minimal_secure;
 
 #[test]
 fn minimal_secure_recipe_is_diagnostic_free() {

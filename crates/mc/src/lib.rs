@@ -27,6 +27,11 @@
 //!   that provisions the device over AP mode, real attacker clients) and
 //!   asserts the violated property on the simulated cloud, closing the
 //!   loop between model and implementation.
+//! * [`conformance`] — the **one whole-space sweep**: every semantics of a
+//!   design (analyzer, bounded checker, model checker, linter, global
+//!   theorems, live replay of each witness) computed once into one row
+//!   per design; the design-space experiments read their tables from the
+//!   rows.
 //!
 //! # Example
 //!
@@ -43,6 +48,7 @@
 //! rb_mc::replay::replay(&vendors::e_link(), Property::AttackerControl, witness).unwrap();
 //! ```
 
+pub mod conformance;
 pub mod diag;
 pub mod explore;
 pub mod model;

@@ -3,7 +3,7 @@
 //! checker, and the linter, and every minimal counterexample replays in
 //! the packet-level simulator reproducing its violation — the
 //! `examples/formal_verification.rs` demonstration as a checked invariant.
-//! (`crates/mc/tests/replay_space.rs` replays every witness of the whole
+//! (`crates/mc/tests/conformance.rs` replays every witness of the whole
 //! design space; this test keeps the vendor slice at the facade.)
 
 use iot_remote_binding::core_model::explore::minimal_secure_design;

@@ -180,6 +180,53 @@ mod tests {
     }
 
     #[test]
+    fn survey_counts_are_sane() {
+        let designs = all_designs();
+        let (mut fully_secure, mut provably_secure) = (0, 0);
+        let mut feasible_somewhere = Vec::new();
+        for design in &designs {
+            let report = analyze(design);
+            let feasible: Vec<_> = AttackId::ALL
+                .into_iter()
+                .filter(|&id| report.feasible(id))
+                .collect();
+            feasible_somewhere.extend(feasible.iter().copied());
+            if feasible.is_empty() {
+                fully_secure += 1;
+                provably_secure += usize::from(
+                    AttackId::ALL
+                        .into_iter()
+                        .all(|id| matches!(report.verdict(id), Feasibility::Infeasible { .. })),
+                );
+            }
+        }
+        // Attacks exist somewhere in the space.
+        for id in AttackId::ALL {
+            assert!(
+                feasible_somewhere.contains(&id),
+                "{id} never feasible anywhere?"
+            );
+        }
+        // And secure designs exist too.
+        assert!(provably_secure > 0);
+        assert!(fully_secure >= provably_secure);
+        assert!(fully_secure < designs.len());
+    }
+
+    #[test]
+    fn all_theorems_hold_over_the_space() {
+        let violations: Vec<String> = all_designs()
+            .iter()
+            .flat_map(|design| theorem_violations(design, &analyze(design)))
+            .collect();
+        assert!(
+            violations.is_empty(),
+            "first violations: {:?}",
+            &violations[..violations.len().min(5)]
+        );
+    }
+
+    #[test]
     fn minimal_secure_design_is_clean() {
         let design = minimal_secure_design();
         design.validate().unwrap();

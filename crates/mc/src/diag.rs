@@ -323,4 +323,22 @@ mod tests {
         assert!(control[0].message.contains("atk-bind"));
         assert!(!control[0].related_attacks.is_empty());
     }
+
+    #[test]
+    fn a_sampled_slice_of_the_space_has_no_disagreements() {
+        // The full 17,920-design sweep runs in the conformance test; a
+        // strided sample keeps the unit suite fast while still crossing
+        // every scheme.
+        let sample: Vec<_> = rb_core::explore::all_designs()
+            .into_iter()
+            .step_by(7)
+            .collect();
+        let disagreements = cross_check(&sample, 1);
+        assert!(
+            disagreements.is_empty(),
+            "{} disagreements, first: {:?}",
+            disagreements.len(),
+            disagreements.first()
+        );
+    }
 }

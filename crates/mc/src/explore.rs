@@ -449,6 +449,18 @@ mod tests {
     }
 
     #[test]
+    fn stale_session_acceptance_is_unreachable_everywhere() {
+        for design in rb_core::explore::all_designs().into_iter().step_by(13) {
+            let report = explore(&design, 2);
+            assert!(
+                report.stale_session.is_none(),
+                "{}: stale mint accepted",
+                design.vendor
+            );
+        }
+    }
+
+    #[test]
     fn a_fully_sticky_forgeable_design_livelocks() {
         // Forgeable app bind, sticky cloud, ownership-checked unbind, no
         // bare unbind, no register reset: hijack once, locked out forever.

@@ -1,18 +1,39 @@
-//! Act adapters: the nine Table II executors as abstract adversarial
-//! step sequences.
+//! The forger: every message the WAN attacker sends, built in one place.
 //!
-//! Each live executor in [`crate::exec`] drives a fixed playbook of
-//! forged primitives against the cloud. This module exposes those
-//! playbooks *symbolically* — as sequences of [`AtkStep`]s — so
-//! model-level harnesses (the lifecycle fuzzer's DSL in particular) can
-//! draw their attacker actions from the same nine attacks the live
-//! executors implement, instead of inventing a parallel vocabulary. The
-//! mapping is pinned against [`AttackId::forged_primitives`] by test:
-//! every playbook forges exactly the primitives Table II lists for its
-//! attack, in order.
+//! The paper's remote attacker (§III, Table II) holds three things: the
+//! victim's device ID, their own account and, where the firmware was
+//! reverse engineered, the message formats. With them they forge the
+//! three primitives. [`AtkStep`] names the four forged message classes
+//! and [`AtkStep::forge`] builds each one for a design. Two messages lie
+//! outside the step vocabulary: A1's forged telemetry heartbeat
+//! (`forged_heartbeat`) and a hijacker's `Control` with the stolen
+//! session ([`forged_control`]).
+//!
+//! Every live harness sends these messages and no others: the Table II
+//! executors in [`crate::exec`], the scripted monitor attacker
+//! ([`crate::monitor_run`]), rb-mc's witness replayer and the bench
+//! binaries. The forger only builds messages; what the attacker *knows*
+//! (the executors' firmware-knowledge gates) is decided by the caller.
+//!
+//! [`playbooks`] lists the steps each executor sends, in order, and
+//! model-level harnesses (the lifecycle fuzzer's DSL in particular)
+//! draw their attacker actions from it. Two tests pin it: every playbook
+//! forges exactly the primitives [`AttackId::forged_primitives`] lists
+//! for its attack, in order, and every feasible executor run sends the
+//! steps of one of its attack's playbooks (`exec.rs`).
 
 use rb_core::attacks::AttackId;
+use rb_core::design::{BindScheme, VendorDesign};
+use rb_wire::ids::DevId;
+use rb_wire::messages::{
+    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
+    UnbindPayload,
+};
+use rb_wire::telemetry::TelemetryFrame;
+use rb_wire::tokens::{SessionToken, UserId, UserPw, UserToken};
 use std::fmt;
+
+use crate::adversary::{ATTACKER_ID, ATTACKER_PW};
 
 /// One abstract adversarial step: a forged message class the WAN attacker
 /// can construct from the device ID, their own account, and (where the
@@ -29,6 +50,78 @@ pub enum AtkStep {
     UnbindToken,
     /// A forged bare unbind, `Unbind:DevId` — the reset-channel message.
     UnbindBare,
+}
+
+impl AtkStep {
+    /// The message this step sends against `dev_id` on `design`, signed
+    /// with the attacker's own `user_token` where the shape needs one.
+    /// `None` only where no such message exists: a capability bind (the
+    /// `BindToken` never leaves the victim's LAN), or a token-carrying
+    /// shape before the attacker logged in.
+    pub fn forge(
+        self,
+        design: &VendorDesign,
+        dev_id: &DevId,
+        user_token: Option<UserToken>,
+    ) -> Option<Message> {
+        let dev_id = dev_id.clone();
+        Some(match self {
+            AtkStep::Register => Message::Status(StatusPayload::register(
+                StatusAuth::DevId(dev_id.clone()),
+                dev_id,
+                DeviceAttributes::new("forged", "0.0.0"),
+            )),
+            AtkStep::Bind => Message::Bind(match design.bind {
+                BindScheme::AclApp => BindPayload::AclApp {
+                    dev_id,
+                    user_token: user_token?,
+                },
+                BindScheme::AclDevice => BindPayload::AclDevice {
+                    dev_id,
+                    user_id: UserId::new(ATTACKER_ID),
+                    user_pw: UserPw::new(ATTACKER_PW),
+                },
+                BindScheme::Capability => return None,
+            }),
+            AtkStep::UnbindToken => Message::Unbind(UnbindPayload::DevIdUserToken {
+                dev_id,
+                user_token: user_token?,
+            }),
+            AtkStep::UnbindBare => Message::Unbind(UnbindPayload::DevIdOnly { dev_id }),
+        })
+    }
+
+    /// Whether `rsp` is the cloud accepting this step's forgery.
+    pub fn accepted_by(self, rsp: &Response) -> bool {
+        match self {
+            AtkStep::Register => matches!(rsp, Response::StatusAccepted { .. }),
+            AtkStep::Bind => matches!(rsp, Response::Bound { .. }),
+            AtkStep::UnbindToken | AtkStep::UnbindBare => matches!(rsp, Response::Unbound),
+        }
+    }
+}
+
+/// A forged heartbeat for `dev_id` carrying `telemetry` — A1's data
+/// injection over a forged device session.
+pub(crate) fn forged_heartbeat(dev_id: &DevId, telemetry: Vec<TelemetryFrame>) -> Message {
+    let mut payload = StatusPayload::heartbeat(StatusAuth::DevId(dev_id.clone()), dev_id.clone());
+    payload.telemetry = telemetry;
+    Message::Status(payload)
+}
+
+/// The hijacker's `TurnOn` for `dev_id`, presenting whatever session
+/// token came with the stolen binding, exactly as the protocol demands.
+pub fn forged_control(
+    dev_id: &DevId,
+    user_token: UserToken,
+    session: Option<SessionToken>,
+) -> Message {
+    Message::Control {
+        dev_id: dev_id.clone(),
+        user_token,
+        session,
+        action: ControlAction::TurnOn,
+    }
 }
 
 impl fmt::Display for AtkStep {
@@ -100,6 +193,40 @@ mod tests {
                 );
                 assert!(!playbook.is_empty(), "{id}: empty playbook");
             }
+        }
+    }
+
+    #[test]
+    fn the_forger_refuses_only_capability_binds_and_tokenless_shapes() {
+        use rb_core::vendors::{belkin, capability_reference, tp_link};
+        use rb_wire::tokens::UserToken;
+        let steps = [
+            AtkStep::Register,
+            AtkStep::Bind,
+            AtkStep::UnbindToken,
+            AtkStep::UnbindBare,
+        ];
+        let token = Some(UserToken::from_entropy(7));
+        // Belkin binds over the app channel (the attacker's token), TP-LINK
+        // over the device channel (the attacker's password).
+        for (design, tokenless_bind) in [(belkin(), false), (tp_link(), true)] {
+            let dev_id = design.id_scheme.id_at(1);
+            for step in steps {
+                assert!(step.forge(&design, &dev_id, token).is_some(), "{step}");
+                let tokenless = step.forge(&design, &dev_id, None).is_some();
+                let expected = match step {
+                    AtkStep::Register | AtkStep::UnbindBare => true,
+                    AtkStep::Bind => tokenless_bind,
+                    AtkStep::UnbindToken => false,
+                };
+                assert_eq!(tokenless, expected, "{} {step}", design.vendor);
+            }
+        }
+        let design = capability_reference();
+        let dev_id = design.id_scheme.id_at(1);
+        for step in steps {
+            let forged = step.forge(&design, &dev_id, token);
+            assert_eq!(forged.is_none(), step == AtkStep::Bind, "{step}");
         }
     }
 

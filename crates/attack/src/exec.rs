@@ -6,6 +6,10 @@
 //! methodology as the paper's Section VI (response messages and end-to-end
 //! effects), including the honesty rule that attacks requiring unknown
 //! device-message formats are reported `O` (unconfirmable), not guessed.
+//!
+//! Every message an executor sends comes from the forger
+//! ([`crate::acts`]); the executors decide only what the attacker knows
+//! (the knowledge gates), when to send, and what the replies prove.
 
 use rb_cloud::DefensePolicy;
 use rb_core::attacks::{AttackId, Feasibility};
@@ -14,14 +18,12 @@ use rb_core::shadow::ShadowState;
 use rb_forensics::Capture;
 use rb_netsim::{FaultPlan, Telemetry};
 use rb_scenario::{World, WorldBuilder};
-use rb_wire::messages::{
-    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
-    UnbindPayload,
-};
+use rb_wire::messages::{ControlAction, Response};
 use rb_wire::telemetry::{ScheduleEntry, TelemetryFrame};
-use rb_wire::tokens::{UserId, UserPw};
+use rb_wire::tokens::UserId;
 
-use crate::adversary::{Adversary, ATTACKER_ID, ATTACKER_PW};
+use crate::acts::{forged_control, forged_heartbeat, AtkStep};
+use crate::adversary::{Adversary, ATTACKER_ID};
 
 /// The record of one executed (or refused) attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,34 +45,26 @@ pub struct AttackRun {
 }
 
 impl AttackRun {
-    fn feasible(id: AttackId, evidence: Vec<String>) -> Self {
+    fn new(id: AttackId, outcome: Feasibility, evidence: Vec<String>) -> Self {
         AttackRun {
             id,
-            outcome: Feasibility::Feasible,
+            outcome,
             evidence,
             capture: None,
             mitigations: 0,
         }
+    }
+
+    fn feasible(id: AttackId, evidence: Vec<String>) -> Self {
+        AttackRun::new(id, Feasibility::Feasible, evidence)
     }
 
     fn blocked(id: AttackId, by: impl Into<String>, evidence: Vec<String>) -> Self {
-        AttackRun {
-            id,
-            outcome: Feasibility::blocked(by),
-            evidence,
-            capture: None,
-            mitigations: 0,
-        }
+        AttackRun::new(id, Feasibility::blocked(by), evidence)
     }
 
     fn unconfirmable(id: AttackId, reason: impl Into<String>) -> Self {
-        AttackRun {
-            id,
-            outcome: Feasibility::unconfirmable(reason),
-            evidence: Vec::new(),
-            capture: None,
-            mitigations: 0,
-        }
+        AttackRun::new(id, Feasibility::unconfirmable(reason), Vec::new())
     }
 
     /// Whether the victim cloud's online defenses intervened.
@@ -217,7 +211,7 @@ pub fn run_attack_opts(
     // executors — so the forensic capture wraps the *whole* run.
     let paused = matches!(id, AttackId::A2 | AttackId::A4_2);
     let mut world = build_world(design, seed, opts, paused);
-    let mut run = match id {
+    let (Ok(mut run) | Err(mut run)) = match id {
         AttackId::A1 => run_a1(design, &mut world),
         AttackId::A2 => run_a2(design, &mut world),
         AttackId::A3_1 => run_a3_1(design, &mut world),
@@ -285,36 +279,68 @@ fn status_forgery_gate(design: &VendorDesign, id: AttackId) -> Option<AttackRun>
     }
 }
 
-/// Builds the bind forgery for this design, or explains why none exists.
-fn forged_bind(
-    design: &VendorDesign,
-    world: &World,
-    adv: &Adversary,
-) -> Result<Message, Feasibility> {
-    let dev_id = world.homes[0].dev_id.clone();
+/// Knowledge gate for bind forgery: the ✗-or-O verdict when the attacker
+/// cannot construct the design's bind message.
+fn bind_forgery_gate(design: &VendorDesign) -> Option<Feasibility> {
     match design.bind {
-        BindScheme::AclApp => {
-            let Some(user_token) = adv.user_token else {
-                unreachable!("the adversary logs in before forging binds")
-            };
-            Ok(Message::Bind(BindPayload::AclApp { dev_id, user_token }))
-        }
-        BindScheme::AclDevice => {
-            if design.firmware == FirmwareKnowledge::Opaque {
-                return Err(Feasibility::unconfirmable(
-                    "device-sent bind format unknown without firmware",
-                ));
-            }
-            Ok(Message::Bind(BindPayload::AclDevice {
-                dev_id,
-                user_id: UserId::new(ATTACKER_ID),
-                user_pw: UserPw::new(ATTACKER_PW),
-            }))
-        }
-        BindScheme::Capability => Err(Feasibility::blocked(
+        BindScheme::AclApp => None,
+        BindScheme::AclDevice if design.firmware == FirmwareKnowledge::Opaque => Some(
+            Feasibility::unconfirmable("device-sent bind format unknown without firmware"),
+        ),
+        BindScheme::AclDevice => None,
+        BindScheme::Capability => Some(Feasibility::blocked(
             "capability-based binding: the BindToken never leaves the victim's LAN",
         )),
     }
+}
+
+/// `attack_forged_*_total`: the counter one forged `step` increments.
+fn forged_counter(step: AtkStep) -> &'static str {
+    match step {
+        AtkStep::Register => "attack_forged_registers_total",
+        AtkStep::Bind => "attack_forged_binds_total",
+        AtkStep::UnbindToken | AtkStep::UnbindBare => "attack_forged_unbinds_total",
+    }
+}
+
+/// Forges `step` against the victim's device, counts it, sends it and
+/// returns the accepting reply. A bind the attacker cannot construct ends
+/// the run with [`bind_forgery_gate`]'s verdict before anything is sent;
+/// any other reply ends it blocked, with the note `"{denied}: {reason}"`
+/// for a denial or `"{other}{reply:?}"` for anything else. Either way the
+/// run keeps the evidence so far. A bound reply hands its session token
+/// to the adversary.
+fn forged_exchange(
+    world: &mut World,
+    adv: &mut Adversary,
+    id: AttackId,
+    step: AtkStep,
+    [denied, other]: [&str; 2],
+    evidence: &mut Vec<String>,
+) -> Result<Response, AttackRun> {
+    if step == AtkStep::Bind {
+        if let Some(outcome) = bind_forgery_gate(&world.design) {
+            return Err(AttackRun::new(id, outcome, std::mem::take(evidence)));
+        }
+    }
+    let Some(msg) = step.forge(&world.design, &world.homes[0].dev_id, adv.user_token) else {
+        unreachable!("{id}: the knowledge gates and the login precede every {step}")
+    };
+    world
+        .telemetry()
+        .register_counter(forged_counter(step))
+        .incr();
+    let note = match adv.request(world, msg) {
+        Some(rsp) if step.accepted_by(&rsp) => {
+            if let Response::Bound { session } = rsp {
+                adv.hijack_session = session;
+            }
+            return Ok(rsp);
+        }
+        Some(Response::Denied { reason }) => format!("{denied}: {reason}"),
+        reply => format!("{other}{reply:?}"),
+    };
+    Err(AttackRun::blocked(id, note, std::mem::take(evidence)))
 }
 
 /// Summarizes the alerts the victim cloud's passive monitor raised during
@@ -348,22 +374,6 @@ fn control_feasibility(design: &VendorDesign, works: bool, blocked_note: &str) -
     }
 }
 
-fn forged_register(world: &World) -> Message {
-    let dev_id = world.homes[0].dev_id.clone();
-    Message::Status(StatusPayload::register(
-        StatusAuth::DevId(dev_id.clone()),
-        dev_id,
-        DeviceAttributes::new("forged", "0.0.0"),
-    ))
-}
-
-fn forged_heartbeat(world: &World, telemetry: Vec<TelemetryFrame>) -> Message {
-    let dev_id = world.homes[0].dev_id.clone();
-    let mut payload = StatusPayload::heartbeat(StatusAuth::DevId(dev_id.clone()), dev_id);
-    payload.telemetry = telemetry;
-    Message::Status(payload)
-}
-
 /// The attacker attempts to actually drive the device after acquiring a
 /// binding: sends `TurnOn` and checks the physical relay.
 fn control_check(world: &mut World, adv: &mut Adversary, evidence: &mut Vec<String>) -> bool {
@@ -371,22 +381,11 @@ fn control_check(world: &mut World, adv: &mut Adversary, evidence: &mut Vec<Stri
         .telemetry()
         .register_counter("attack_control_attempts_total")
         .incr();
-    let dev_id = world.homes[0].dev_id.clone();
     let Some(user_token) = adv.user_token else {
         unreachable!("the adversary logs in before attempting control")
     };
-    // A hijacker presents whatever session token came with the stolen
-    // binding, exactly as the protocol demands.
-    let session = adv.hijack_session;
-    let rsp = adv.request(
-        world,
-        Message::Control {
-            dev_id,
-            user_token,
-            session,
-            action: ControlAction::TurnOn,
-        },
-    );
+    let control = forged_control(&world.homes[0].dev_id, user_token, adv.hijack_session);
+    let rsp = adv.request(world, control);
     world.run_for(5_000);
     match rsp {
         Some(Response::ControlOk { .. }) => {
@@ -413,14 +412,17 @@ fn control_check(world: &mut World, adv: &mut Adversary, evidence: &mut Vec<Stri
     }
 }
 
+/// The executors' bodies return the blocked run early through `?`.
+type Exec = Result<AttackRun, AttackRun>;
+
 // ---------------------------------------------------------------------------
 // A1: data injection and stealing.
 // ---------------------------------------------------------------------------
 
-fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a1(design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A1;
     if let Some(run) = status_forgery_gate(design, ID) {
-        return run;
+        return Ok(run);
     }
     world.run_setup();
     let mut adv = Adversary::new();
@@ -428,40 +430,29 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
     let mut evidence = Vec::new();
 
     // Open a forged device session.
-    let register = forged_register(world);
-    world
-        .telemetry()
-        .register_counter("attack_forged_registers_total")
-        .incr();
-    match adv.request(world, register) {
-        Some(Response::StatusAccepted { .. }) => {
-            evidence.push("forged registration accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(
-                ID,
-                format!("forged registration denied: {reason}"),
-                evidence,
-            );
-        }
-        other => {
-            return AttackRun::blocked(ID, format!("no registration response: {other:?}"), evidence)
-        }
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        AtkStep::Register,
+        ["forged registration denied", "no registration response: "],
+        &mut evidence,
+    )?;
+    evidence.push("forged registration accepted".into());
     // If the registration nuked the binding, there is no user left to
     // deceive (TP-LINK: the forgery lands as A3-4 instead).
     if world.cloud().bound_user(&world.homes[0].dev_id) != Some(world.homes[0].user_id.clone()) {
-        return AttackRun::blocked(
+        return Ok(AttackRun::blocked(
             ID,
             "registration reset the binding; no bound user left to deceive (see A3-4)",
             evidence,
-        );
+        ));
     }
 
     // Injection: report an absurd power reading and check it reaches the
     // victim's app.
     let marker = TelemetryFrame::PowerMilliwatts(999_000_000);
-    let heartbeat = forged_heartbeat(world, vec![marker.clone()]);
+    let heartbeat = forged_heartbeat(&world.homes[0].dev_id, vec![marker.clone()]);
     world
         .telemetry()
         .register_counter("attack_forged_heartbeats_total")
@@ -493,7 +484,7 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
     ));
 
     evidence.push(alert_summary(world));
-    if injected && stolen {
+    Ok(if injected && stolen {
         AttackRun::feasible(ID, evidence)
     } else {
         AttackRun::blocked(
@@ -501,14 +492,14 @@ fn run_a1(design: &VendorDesign, world: &mut World) -> AttackRun {
             "forged session did not carry user data both ways",
             evidence,
         )
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // A2: binding denial-of-service.
 // ---------------------------------------------------------------------------
 
-fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a2(_design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A2;
     // The world arrives paused: the device is manufactured and its ID
     // leaked, but the victim has not set it up yet (the *initial* state).
@@ -516,32 +507,15 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
     adv.login(world);
     let mut evidence = Vec::new();
 
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
-    };
-    world
-        .telemetry()
-        .register_counter("attack_forged_binds_total")
-        .incr();
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("attacker's pre-emptive binding accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("pre-emptive bind denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("no bind response: {other:?}"), evidence),
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        AtkStep::Bind,
+        ["pre-emptive bind denied", "no bind response: "],
+        &mut evidence,
+    )?;
+    evidence.push("attacker's pre-emptive binding accepted".into());
 
     // Now the victim unboxes the device and tries to set it up.
     world.resume_victims();
@@ -551,7 +525,7 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
         "victim setup converged: {converged}; binding holder: {holder:?}"
     ));
     evidence.push(alert_summary(world));
-    if !converged && holder == Some(UserId::new(ATTACKER_ID)) {
+    Ok(if !converged && holder == Some(UserId::new(ATTACKER_ID)) {
         AttackRun::feasible(ID, evidence)
     } else {
         AttackRun::blocked(
@@ -559,82 +533,62 @@ fn run_a2(design: &VendorDesign, world: &mut World) -> AttackRun {
             "the victim completed binding anyway (replacement semantics or re-bind)",
             evidence,
         )
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // A3-1 / A3-2: device unbinding by forged unbind messages.
 // ---------------------------------------------------------------------------
 
-fn run_a3_1(_design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a3_1(_design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A3_1;
     world.run_setup();
     let mut adv = Adversary::new();
     let mut evidence = Vec::new();
-    let dev_id = world.homes[0].dev_id.clone();
-    world
-        .telemetry()
-        .register_counter("attack_forged_unbinds_total")
-        .incr();
-    match adv.request(
+    forged_exchange(
         world,
-        Message::Unbind(UnbindPayload::DevIdOnly {
-            dev_id: dev_id.clone(),
-        }),
-    ) {
-        Some(Response::Unbound) => {
-            let unbound = world.cloud().bound_user(&dev_id).is_none();
-            evidence.push(format!(
-                "cloud accepted Unbind:DevId; binding revoked: {unbound}"
-            ));
-            evidence.push(alert_summary(world));
-            if unbound {
-                AttackRun::feasible(ID, evidence)
-            } else {
-                AttackRun::blocked(ID, "binding survived", evidence)
-            }
-        }
-        Some(Response::Denied { reason }) => {
-            AttackRun::blocked(ID, format!("denied: {reason}"), evidence)
-        }
-        other => AttackRun::blocked(ID, format!("no response: {other:?}"), evidence),
-    }
+        &mut adv,
+        ID,
+        AtkStep::UnbindBare,
+        ["denied", "no response: "],
+        &mut evidence,
+    )?;
+    let unbound = world.cloud().bound_user(&world.homes[0].dev_id).is_none();
+    evidence.push(format!(
+        "cloud accepted Unbind:DevId; binding revoked: {unbound}"
+    ));
+    Ok(revoked(world, ID, unbound, evidence))
 }
 
-fn run_a3_2(_design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a3_2(_design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A3_2;
     world.run_setup();
     let mut adv = Adversary::new();
-    let user_token = adv.login(world);
+    adv.login(world);
     let mut evidence = Vec::new();
-    let dev_id = world.homes[0].dev_id.clone();
-    world
-        .telemetry()
-        .register_counter("attack_forged_unbinds_total")
-        .incr();
-    match adv.request(
+    forged_exchange(
         world,
-        Message::Unbind(UnbindPayload::DevIdUserToken {
-            dev_id: dev_id.clone(),
-            user_token,
-        }),
-    ) {
-        Some(Response::Unbound) => {
-            let unbound = world.cloud().bound_user(&dev_id).is_none();
-            evidence.push(format!(
-                "cloud accepted the attacker's token on unbind; binding revoked: {unbound}"
-            ));
-            evidence.push(alert_summary(world));
-            if unbound {
-                AttackRun::feasible(ID, evidence)
-            } else {
-                AttackRun::blocked(ID, "binding survived", evidence)
-            }
-        }
-        Some(Response::Denied { reason }) => {
-            AttackRun::blocked(ID, format!("denied: {reason}"), evidence)
-        }
-        other => AttackRun::blocked(ID, format!("no response: {other:?}"), evidence),
+        &mut adv,
+        ID,
+        AtkStep::UnbindToken,
+        ["denied", "no response: "],
+        &mut evidence,
+    )?;
+    let unbound = world.cloud().bound_user(&world.homes[0].dev_id).is_none();
+    evidence.push(format!(
+        "cloud accepted the attacker's token on unbind; binding revoked: {unbound}"
+    ));
+    Ok(revoked(world, ID, unbound, evidence))
+}
+
+/// The verdict of an accepted forged unbind: feasible iff the binding is
+/// really gone.
+fn revoked(world: &World, id: AttackId, unbound: bool, mut evidence: Vec<String>) -> AttackRun {
+    evidence.push(alert_summary(world));
+    if unbound {
+        AttackRun::feasible(id, evidence)
+    } else {
+        AttackRun::blocked(id, "binding survived", evidence)
     }
 }
 
@@ -642,51 +596,34 @@ fn run_a3_2(_design: &VendorDesign, world: &mut World) -> AttackRun {
 // A3-3: device unbinding via replacing bind (no control).
 // ---------------------------------------------------------------------------
 
-fn run_a3_3(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a3_3(design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A3_3;
     world.run_setup();
     let mut adv = Adversary::new();
     adv.login(world);
     let mut evidence = Vec::new();
 
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
-    };
-    world
-        .telemetry()
-        .register_counter("attack_forged_binds_total")
-        .incr();
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("attacker's replacing bind accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("replacing bind denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("no bind response: {other:?}"), evidence),
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        AtkStep::Bind,
+        ["replacing bind denied", "no bind response: "],
+        &mut evidence,
+    )?;
+    evidence.push("attacker's replacing bind accepted".into());
     world.run_for(5_000);
     let victim_disconnected = !world.app(0).is_bound();
     evidence.push(format!(
         "victim app lost its binding: {victim_disconnected}"
     ));
     if !victim_disconnected {
-        return AttackRun::blocked(ID, "victim binding survived", evidence);
+        return Ok(AttackRun::blocked(ID, "victim binding survived", evidence));
     }
     // If the replacement also yields *confirmed* control, the stronger
     // A4-1 classification applies and this run does not count as A3-3.
     let works = control_check(world, &mut adv, &mut evidence);
-    if works && design.auth != DeviceAuthScheme::Opaque {
+    Ok(if works && design.auth != DeviceAuthScheme::Opaque {
         AttackRun::blocked(
             ID,
             "subsumed by A4-1: the replacement yields control",
@@ -694,44 +631,35 @@ fn run_a3_3(design: &VendorDesign, world: &mut World) -> AttackRun {
         )
     } else {
         AttackRun::feasible(ID, evidence)
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // A3-4: device unbinding via forged status.
 // ---------------------------------------------------------------------------
 
-fn run_a3_4(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a3_4(design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A3_4;
     if let Some(run) = status_forgery_gate(design, ID) {
-        return run;
+        return Ok(run);
     }
     world.run_setup();
     let mut adv = Adversary::new();
     let mut evidence = Vec::new();
-    let register = forged_register(world);
-    world
-        .telemetry()
-        .register_counter("attack_forged_registers_total")
-        .incr();
-    match adv.request(world, register) {
-        Some(Response::StatusAccepted { .. }) => {
-            evidence.push("forged registration accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(
-                ID,
-                format!("forged registration denied: {reason}"),
-                evidence,
-            );
-        }
-        other => return AttackRun::blocked(ID, format!("no response: {other:?}"), evidence),
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        AtkStep::Register,
+        ["forged registration denied", "no response: "],
+        &mut evidence,
+    )?;
+    evidence.push("forged registration accepted".into());
     world.run_for(2_000);
     let unbound = world.cloud().bound_user(&world.homes[0].dev_id).is_none();
     evidence.push(format!("binding revoked by the registration: {unbound}"));
     evidence.push(alert_summary(world));
-    if unbound {
+    Ok(if unbound {
         AttackRun::feasible(ID, evidence)
     } else {
         AttackRun::blocked(
@@ -739,62 +667,39 @@ fn run_a3_4(design: &VendorDesign, world: &mut World) -> AttackRun {
             "a fresh registration does not reset the binding",
             evidence,
         )
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // A4-1: hijack via replacing bind in the control state.
 // ---------------------------------------------------------------------------
 
-fn run_a4_1(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a4_1(design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A4_1;
     world.run_setup();
     let mut adv = Adversary::new();
     adv.login(world);
     let mut evidence = Vec::new();
 
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
-    };
-    world
-        .telemetry()
-        .register_counter("attack_forged_binds_total")
-        .incr();
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("attacker's replacing bind accepted".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("replacing bind denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("no bind response: {other:?}"), evidence),
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        AtkStep::Bind,
+        ["replacing bind denied", "no bind response: "],
+        &mut evidence,
+    )?;
+    evidence.push("attacker's replacing bind accepted".into());
     let works = control_check(world, &mut adv, &mut evidence);
     let outcome = control_feasibility(design, works, "binding replaced but control is not relayed");
-    AttackRun {
-        id: ID,
-        outcome,
-        evidence,
-        capture: None,
-        mitigations: 0,
-    }
+    Ok(AttackRun::new(ID, outcome, evidence))
 }
 
 // ---------------------------------------------------------------------------
 // A4-2: hijack by racing the setup window.
 // ---------------------------------------------------------------------------
 
-fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a4_2(design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A4_2;
     // The world arrives paused (the setup has not happened yet).
     let mut adv = Adversary::new();
@@ -802,15 +707,12 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     let mut evidence = Vec::new();
 
     // Can the attacker even construct a bind?
-    if let Err(f) = forged_bind(design, world, &adv) {
-        return AttackRun {
-            id: ID,
-            outcome: f,
-            evidence,
-            capture: None,
-            mitigations: 0,
-        };
+    if let Some(outcome) = bind_forgery_gate(design) {
+        return Ok(AttackRun::new(ID, outcome, evidence));
     }
+    let Some(bind) = AtkStep::Bind.forge(design, &world.homes[0].dev_id, adv.user_token) else {
+        unreachable!("the bind gate passes only forgeable binds")
+    };
 
     // The victim starts setting up; the attacker fires binds blindly at a
     // realistic probe cadence, hoping to land inside the online-unbound
@@ -821,11 +723,8 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
         .telemetry()
         .register_counter("attack_window_probes_total");
     for _round in 0..600 {
-        let Ok(bind) = forged_bind(design, world, &adv) else {
-            unreachable!("forgeability was checked before the probe loop")
-        };
         probes.incr();
-        adv.fire(world, bind);
+        adv.fire(world, bind.clone());
         // The victim presses the button through setup, as
         // `World::try_run_setup` does, so local-proof designs can bind.
         if !world.app(0).is_bound() {
@@ -846,7 +745,11 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     }
     if !occupied {
         evidence.push("never landed inside the online-unbound window".into());
-        return AttackRun::blocked(ID, "setup window unexploitable", evidence);
+        return Ok(AttackRun::blocked(
+            ID,
+            "setup window unexploitable",
+            evidence,
+        ));
     }
     evidence.push("bound inside the setup window".into());
     // Let the victim finish flailing; with sticky semantics their binds are
@@ -855,17 +758,15 @@ fn run_a4_2(design: &VendorDesign, world: &mut World) -> AttackRun {
     let holder = world.cloud().bound_user(&world.homes[0].dev_id);
     evidence.push(format!("final binding holder: {holder:?}"));
     if holder != Some(UserId::new(ATTACKER_ID)) {
-        return AttackRun::blocked(ID, "the victim displaced the attacker's binding", evidence);
+        return Ok(AttackRun::blocked(
+            ID,
+            "the victim displaced the attacker's binding",
+            evidence,
+        ));
     }
     let works = control_check(world, &mut adv, &mut evidence);
     let outcome = control_feasibility(design, works, "window won but control is not relayed");
-    AttackRun {
-        id: ID,
-        outcome,
-        evidence,
-        capture: None,
-        mitigations: 0,
-    }
+    Ok(AttackRun::new(ID, outcome, evidence))
 }
 
 /// The newest `Bound` reply among those the drain adds to the stash. The
@@ -886,64 +787,40 @@ fn latest_bind_response(adv: &mut Adversary, world: &mut World) -> Option<Respon
 // A4-3: hijack by unbind-then-bind.
 // ---------------------------------------------------------------------------
 
-fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
+fn run_a4_3(design: &VendorDesign, world: &mut World) -> Exec {
     const ID: AttackId = AttackId::A4_3;
     world.run_setup();
     let mut adv = Adversary::new();
-    let user_token = adv.login(world);
+    adv.login(world);
     let mut evidence = Vec::new();
-    let dev_id = world.homes[0].dev_id.clone();
 
-    // Step 1: revoke the victim's binding.
+    // Step 1: revoke the victim's binding over the reset channel where
+    // the design has one, else with the attacker's own token.
     let unbind = if design.unbind.dev_id_only {
-        Message::Unbind(UnbindPayload::DevIdOnly {
-            dev_id: dev_id.clone(),
-        })
+        AtkStep::UnbindBare
     } else {
-        Message::Unbind(UnbindPayload::DevIdUserToken {
-            dev_id: dev_id.clone(),
-            user_token,
-        })
+        AtkStep::UnbindToken
     };
-    world
-        .telemetry()
-        .register_counter("attack_forged_unbinds_total")
-        .incr();
-    match adv.request(world, unbind) {
-        Some(Response::Unbound) => evidence.push("step 1: victim unbound".into()),
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("step 1 (unbind) denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("step 1 got {other:?}"), evidence),
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        unbind,
+        ["step 1 (unbind) denied", "step 1 got "],
+        &mut evidence,
+    )?;
+    evidence.push("step 1: victim unbound".into());
 
     // Step 2: bind the now-unbound device to the attacker.
-    let bind = match forged_bind(design, world, &adv) {
-        Ok(m) => m,
-        Err(f) => {
-            return AttackRun {
-                id: ID,
-                outcome: f,
-                evidence,
-                capture: None,
-                mitigations: 0,
-            }
-        }
-    };
-    world
-        .telemetry()
-        .register_counter("attack_forged_binds_total")
-        .incr();
-    match adv.request(world, bind) {
-        Some(Response::Bound { session }) => {
-            adv.hijack_session = session;
-            evidence.push("step 2: attacker bound".into());
-        }
-        Some(Response::Denied { reason }) => {
-            return AttackRun::blocked(ID, format!("step 2 (bind) denied: {reason}"), evidence);
-        }
-        other => return AttackRun::blocked(ID, format!("step 2 got {other:?}"), evidence),
-    }
+    forged_exchange(
+        world,
+        &mut adv,
+        ID,
+        AtkStep::Bind,
+        ["step 2 (bind) denied", "step 2 got "],
+        &mut evidence,
+    )?;
+    evidence.push("step 2: attacker bound".into());
 
     // Step 3: absolute control.
     let works = control_check(world, &mut adv, &mut evidence);
@@ -952,19 +829,50 @@ fn run_a4_3(design: &VendorDesign, world: &mut World) -> AttackRun {
         works,
         "bound but control is not relayed to the device",
     );
-    AttackRun {
-        id: ID,
-        outcome,
-        evidence,
-        capture: None,
-        mitigations: 0,
-    }
+    Ok(AttackRun::new(ID, outcome, evidence))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acts::playbooks;
     use rb_core::attacks::AttackFamily;
+    use rb_core::vendors::vendor_designs;
+
+    #[test]
+    fn every_feasible_run_forges_one_of_its_playbooks() {
+        let mut checked = 0;
+        for design in vendor_designs() {
+            for id in AttackId::ALL {
+                let opts = AttackOpts::default();
+                if run_attack_opts(&design, id, 1, &opts).outcome != Feasibility::Feasible {
+                    continue;
+                }
+                let sent = |name: &str| opts.telemetry.counter(name);
+                // A4-2 fires its one bind again and again as window probes.
+                let probed = u64::from(sent("attack_window_probes_total") > 0);
+                let counts = [
+                    sent(forged_counter(AtkStep::Register)),
+                    sent(forged_counter(AtkStep::Bind)) + probed,
+                    sent(forged_counter(AtkStep::UnbindBare)),
+                ];
+                let matches = playbooks(id).iter().any(|book| {
+                    let steps = |kinds: &[AtkStep]| {
+                        book.iter().filter(|s| kinds.contains(s)).count() as u64
+                    };
+                    counts
+                        == [
+                            steps(&[AtkStep::Register]),
+                            steps(&[AtkStep::Bind]),
+                            steps(&[AtkStep::UnbindBare, AtkStep::UnbindToken]),
+                        ]
+                });
+                assert!(matches, "{} {id}: forged {counts:?}", design.vendor);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 15, "the fifteen feasible Table III cells");
+    }
 
     #[test]
     fn counter_tables_name_the_labels_they_replace() {

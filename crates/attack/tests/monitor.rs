@@ -5,9 +5,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use rb_attack::monitor_run;
 use rb_core::par::par_map;
 use rb_core::vendors;
-use rb_scenario::monitor_run;
 
 /// The little vendor × seed matrix the determinism sweep runs. Small on
 /// purpose: the full grid belongs to `exp_defense`.
@@ -82,7 +82,7 @@ fn monitor_run_detects_and_mitigates_the_scripted_attacker() {
 /// Golden monitor-enabled Prometheus export: the canonical TP-LINK seed-7
 /// `monitor_run` is pinned byte-for-byte, alert and mitigation families
 /// included. Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test -p rb-scenario --test monitor golden`.
+/// `UPDATE_GOLDEN=1 cargo test -p rb-attack --test monitor golden`.
 #[test]
 fn golden_monitor_prometheus_export_is_pinned() {
     let run = monitor_run(&vendors::tp_link(), 7);

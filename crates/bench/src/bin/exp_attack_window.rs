@@ -15,6 +15,7 @@
 //! cargo run -p rb-bench --bin exp_attack_window [seeds-per-point]
 //! ```
 
+use rb_attack::acts::{forged_control, AtkStep};
 use rb_attack::Adversary;
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
@@ -23,7 +24,7 @@ use rb_core::par::{available_threads, par_map};
 use rb_core::vendors;
 use rb_netsim::Telemetry;
 use rb_scenario::WorldBuilder;
-use rb_wire::messages::{BindPayload, ControlAction, Message, Response};
+use rb_wire::messages::Response;
 use rb_wire::tokens::UserId;
 
 /// One race: attacker fires binds every `probe_every` ticks while the
@@ -44,15 +45,15 @@ fn race(
         .build();
     let mut adv = Adversary::new();
     let user_token = adv.login(&mut world);
+    let dev_id = world.homes[0].dev_id.clone();
+    let Some(bind) = AtkStep::Bind.forge(design, &dev_id, Some(user_token)) else {
+        return false; // a capability bind cannot be forged at all
+    };
     world.resume_victims();
 
     let deadline = world.now().saturating_add(window + 120_000);
     while world.now() < deadline {
-        let dev_id = world.homes[0].dev_id.clone();
-        adv.fire(
-            &mut world,
-            Message::Bind(BindPayload::AclApp { dev_id, user_token }),
-        );
+        adv.fire(&mut world, bind.clone());
         world.run_for(probe_every);
         adv.drain(&mut world, None);
         if adv
@@ -81,16 +82,7 @@ fn race(
             _ => None,
         })
         .flatten();
-    let dev_id = world.homes[0].dev_id.clone();
-    adv.request(
-        &mut world,
-        Message::Control {
-            dev_id,
-            user_token,
-            session,
-            action: ControlAction::TurnOn,
-        },
-    );
+    adv.request(&mut world, forged_control(&dev_id, user_token, session));
     world.run_for(5_000);
     world.device(0).is_on()
 }

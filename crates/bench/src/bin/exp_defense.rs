@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use rb_attack::{run_attack, run_attack_opts, AttackOpts};
+use rb_attack::{monitor_run, run_attack, run_attack_opts, AttackOpts};
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
 use rb_cloud::DefensePolicy;
@@ -38,7 +38,7 @@ use rb_core::attacks::{AttackId, Feasibility};
 use rb_core::par::par_map;
 use rb_core::vendors::{self, vendor_designs};
 use rb_netsim::{Telemetry, TraceEvent};
-use rb_scenario::{defended_metrics_run, monitor_run, ChaosProfile};
+use rb_scenario::{defended_metrics_run, ChaosProfile};
 
 /// The one seed of the attack grid (worlds are deterministic in it).
 const SEED: u64 = 0xDEF_2019;

@@ -5,11 +5,14 @@
 //! The paper's attacks succeed silently on real clouds; this experiment
 //! shows that *every successful attack leaves a detectable signature*
 //! without any protocol change — the operational counterpart of §VII's
-//! design lessons.
+//! design lessons. The signature key it prints (which alert kinds each
+//! attack raises) is computed from the same runs.
 //!
 //! ```text
 //! cargo run -p rb-bench --bin exp_detection
 //! ```
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use rb_attack::campaign::run_all_parallel;
 use rb_bench::render_table;
@@ -23,6 +26,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut silent_successes = 0;
     let mut noisy_successes = 0;
+    // Alert kind → the attacks whose feasible runs raised it.
+    let mut signatures: BTreeMap<String, BTreeSet<AttackId>> = BTreeMap::new();
     for campaign in &campaigns {
         for id in AttackId::ALL {
             let run = &campaign.runs[&id];
@@ -43,6 +48,10 @@ fn main() {
                 silent_successes += 1;
             } else {
                 noisy_successes += 1;
+                for part in alerts.split(", ") {
+                    let kind = part.split('×').next().unwrap_or(part).to_owned();
+                    signatures.entry(kind).or_default().insert(id);
+                }
             }
             rows.push(vec![campaign.design.vendor.clone(), id.to_string(), alerts]);
         }
@@ -59,9 +68,12 @@ fn main() {
          (silent: {silent_successes})",
         noisy_successes + silent_successes
     );
-    println!("\nsignature key: foreign-unbind = A3-2 | bare-unbind = A3-1 | binding-replaced =");
-    println!("A3-3/A4-1 | session-moved = status forgery (A1/A3-4) | remote-only-bind = A2/A4-2");
-    println!("| enumeration = §V-C sweeps. No protocol change required — the monitor is passive.");
+    println!("\nsignature key (alert kind → the successful attacks that raised it):");
+    for (kind, ids) in &signatures {
+        let ids: Vec<String> = ids.iter().map(ToString::to_string).collect();
+        println!("  {kind} = {}", ids.join("/"));
+    }
+    println!("No protocol change required — the monitor is passive.");
 
     // The machine-readable artifact (deterministic campaign-derived counts).
     let mut report = BenchReport::new("exp_detection");

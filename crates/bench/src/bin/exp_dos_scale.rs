@@ -23,6 +23,7 @@
 
 use std::time::Instant;
 
+use rb_attack::acts::AtkStep;
 use rb_attack::Adversary;
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
@@ -31,7 +32,7 @@ use rb_core::vendors;
 use rb_prof::{AllocScope, CountingAlloc, Profiler};
 use rb_scenario::WorldBuilder;
 use rb_wire::ids::IdScheme;
-use rb_wire::messages::{BindPayload, Message, Response};
+use rb_wire::messages::Response;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -55,16 +56,15 @@ fn dos_series(
 
     // Enumerate the ID space in allocation order (sequential IDs!) and fire
     // a bind for each candidate — the attacker does not even know which IDs
-    // were sold.
+    // were sold. A capability series has no bind to forge: nothing is sent.
     let mut occupied = 0;
     let budget = (homes as u64) * 2; // sweep a window of the sequence
     for i in 0..budget {
         let dev_id = design.id_scheme.id_at(i);
-        let rsp = adv.request_wait(
-            &mut world,
-            Message::Bind(BindPayload::AclApp { dev_id, user_token }),
-            300,
-        );
+        let Some(bind) = AtkStep::Bind.forge(design, &dev_id, Some(user_token)) else {
+            break;
+        };
+        let rsp = adv.request_wait(&mut world, bind, 300);
         if matches!(rsp, Some(Response::Bound { .. })) {
             occupied += 1;
         }

@@ -23,17 +23,6 @@ use rb_core::analyzer::analyze;
 use rb_core::attacks::AttackId;
 use rb_core::design::VendorDesign;
 use rb_mc::explore::Property;
-use rb_mc::model::McAct;
-
-fn step_kind(act: McAct) -> Option<AtkStep> {
-    match act {
-        McAct::AtkRegister => Some(AtkStep::Register),
-        McAct::AtkBind => Some(AtkStep::Bind),
-        McAct::AtkUnbindToken => Some(AtkStep::UnbindToken),
-        McAct::AtkUnbindBare => Some(AtkStep::UnbindBare),
-        _ => None,
-    }
-}
 
 fn is_disconnect_cell(id: AttackId) -> bool {
     rb_mc::diag::DISCONNECT_ATTACKS.contains(&id)
@@ -66,7 +55,7 @@ pub(crate) fn classify(
         // The act's realized shape: the forged-step kinds and the shadow
         // state it launched from.
         let kinds: Option<Vec<AtkStep>> =
-            c.steps.iter().map(|&(act, _, _)| step_kind(act)).collect();
+            c.steps.iter().map(|&(act, _, _)| act.atk_step()).collect();
         let kinds = kinds?;
         let launch = shadow_of(c.steps.first()?.1);
         let candidates: Vec<AttackId> = AttackId::ALL
@@ -118,7 +107,7 @@ pub(crate) fn classify_composite(
             continue;
         }
         for &(act, pre, post) in &c.steps {
-            kinds.push(step_kind(act)?);
+            kinds.push(act.atk_step()?);
             if check_step(design, traps, pre, act, post).contains(&property) {
                 violated = true;
             }

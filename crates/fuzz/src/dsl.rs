@@ -17,7 +17,7 @@
 //! established user binding). The generator only emits legal
 //! interleavings; the shrinker only keeps candidates that stay legal.
 
-use rb_attack::acts::{playbooks, AtkStep};
+use rb_attack::acts::playbooks;
 use rb_core::attacks::AttackId;
 use rb_core::design::{BindScheme, VendorDesign};
 use rb_core::shadow::ShadowState;
@@ -159,15 +159,6 @@ pub(crate) fn shadow_of(s: PState) -> ShadowState {
     ShadowState::from_flags(s.src.online(), s.bound.is_some())
 }
 
-fn atk_mcact(step: AtkStep) -> McAct {
-    match step {
-        AtkStep::Register => McAct::AtkRegister,
-        AtkStep::Bind => McAct::AtkBind,
-        AtkStep::UnbindToken => McAct::AtkUnbindToken,
-        AtkStep::UnbindBare => McAct::AtkUnbindBare,
-    }
-}
-
 /// Compiles `act` in state `s`. `None` when the act is illegal there;
 /// otherwise the compiled steps (possibly empty for model no-ops).
 pub(crate) fn compile_act(design: &VendorDesign, s: PState, act: Act) -> Option<CompiledAct> {
@@ -231,7 +222,7 @@ pub(crate) fn compile_act(design: &VendorDesign, s: PState, act: Act) -> Option<
                     let mut trial_steps = Vec::new();
                     let all_enabled = playbook
                         .iter()
-                        .all(|&step| push(design, &mut trial_steps, &mut trial, atk_mcact(step)));
+                        .all(|&step| push(design, &mut trial_steps, &mut trial, step.into()));
                     if all_enabled {
                         steps = trial_steps;
                         cur = trial;

@@ -33,6 +33,7 @@
 //! what a WAN attacker holding the device ID (and, where firmware is
 //! known, the message formats) can forge.
 
+use rb_attack::acts::AtkStep;
 use rb_core::design::{BindScheme, VendorDesign};
 use rb_core::spec::{self, AbsState, DeviceSrc, Party};
 use serde::{Deserialize, Serialize};
@@ -192,6 +193,30 @@ impl McAct {
             McAct::AtkBind => spec::Act::AtkBind,
             McAct::AtkUnbindToken => spec::Act::AtkUnbindToken,
             McAct::AtkUnbindBare => spec::Act::AtkUnbindBare,
+        }
+    }
+
+    /// The forged step an adversarial action sends (`None` for the honest
+    /// actions); the inverse of `McAct::from(AtkStep)`.
+    pub fn atk_step(self) -> Option<AtkStep> {
+        match self {
+            McAct::AtkRegister => Some(AtkStep::Register),
+            McAct::AtkBind => Some(AtkStep::Bind),
+            McAct::AtkUnbindToken => Some(AtkStep::UnbindToken),
+            McAct::AtkUnbindBare => Some(AtkStep::UnbindBare),
+            McAct::DevRegister | McAct::DevOffline | McAct::UserBind | McAct::UserUnbind => None,
+        }
+    }
+}
+
+/// The adversarial action that forges `step`.
+impl From<AtkStep> for McAct {
+    fn from(step: AtkStep) -> McAct {
+        match step {
+            AtkStep::Register => McAct::AtkRegister,
+            AtkStep::Bind => McAct::AtkBind,
+            AtkStep::UnbindToken => McAct::AtkUnbindToken,
+            AtkStep::UnbindBare => McAct::AtkUnbindBare,
         }
     }
 }
@@ -396,6 +421,19 @@ fn mint_comparison_skipped(_design: &VendorDesign) -> bool {
 mod tests {
     use super::*;
     use rb_core::vendors::*;
+
+    #[test]
+    fn adversarial_acts_and_forged_steps_map_one_to_one() {
+        for act in McAct::ALL {
+            match act.atk_step() {
+                Some(step) => {
+                    assert_eq!(McAct::from(step), act);
+                    assert_eq!(step.to_string(), act.to_string());
+                }
+                None => assert!(McAct::HONEST.contains(&act), "{act}"),
+            }
+        }
+    }
 
     #[test]
     fn keys_round_trip_every_state() {

@@ -17,10 +17,11 @@
 //!   bind exactly as the product machine folds into the act. The console
 //!   stands in for the app because a witness may order the resident's
 //!   bind against the design's setup order, which the app never does.
-//! * **Adversarial acts** are sent by a real [`rb_attack::Adversary`]
-//!   client from the WAN, using only what the threat model grants it: the
-//!   device ID, its own account, and (where firmware is known) the
-//!   message formats.
+//! * **Adversarial acts** are the forger's messages
+//!   ([`rb_attack::acts::AtkStep::forge`], the ones the Table II
+//!   executors send), sent by a real [`rb_attack::Adversary`] client from
+//!   the WAN, using only what the threat model grants it: the device ID,
+//!   its own account, and (where firmware is known) the message formats.
 //!
 //! After *every* act the replayer asserts that the cloud's observable
 //! state — the bound user and the online bit — matches the product
@@ -39,6 +40,7 @@
 
 use crate::explore::Property;
 use crate::model::{self, McAct, PState};
+use rb_attack::acts::{forged_control, AtkStep};
 use rb_attack::Adversary;
 use rb_core::design::{BindScheme, DeviceAuthScheme, VendorDesign};
 use rb_core::spec::{DeviceSrc, Party};
@@ -47,13 +49,10 @@ use rb_netsim::{Dest, NodeId};
 use rb_provision::apmode::{PairingMaterial, ProvisionRequest};
 use rb_provision::localctl::LocalCtl;
 use rb_provision::WifiCredentials;
-use rb_scenario::{World, WorldBuilder, ATTACKER_ID, ATTACKER_PW};
+use rb_scenario::{World, WorldBuilder, ATTACKER_ID};
 use rb_wire::envelope::CorrId;
 use rb_wire::ids::DevId;
-use rb_wire::messages::{
-    BindPayload, ControlAction, DeviceAttributes, Message, Response, StatusAuth, StatusPayload,
-    UnbindPayload,
-};
+use rb_wire::messages::{BindPayload, Message, Response, UnbindPayload};
 use rb_wire::tokens::{BindToken, DevToken, UserId, UserPw, UserToken};
 
 /// Ticks to wait after a denied device-channel bind: the firmware retries
@@ -64,16 +63,6 @@ const BIND_RETRY_DRAIN: u64 = 15_000;
 
 /// Ticks the console waits for the cloud's answer to one request.
 const CONSOLE_WAIT: u64 = 2_000;
-
-/// A forged device registration — all the attacker can construct on
-/// ID-authenticated designs.
-fn forged_register(dev_id: &DevId) -> Message {
-    Message::Status(StatusPayload::register(
-        StatusAuth::DevId(dev_id.clone()),
-        dev_id.clone(),
-        DeviceAttributes::default(),
-    ))
-}
 
 /// One live witness interpretation in flight: the simulated world, the
 /// resident's console and the attacker's client, and the victim's
@@ -288,11 +277,8 @@ impl LiveSession {
         }
         for _ in 0..6 {
             if keepalive {
-                let _ = self.adversary.request_wait(
-                    &mut self.world,
-                    forged_register(&self.dev_id),
-                    100,
-                );
+                let register = self.forge(AtkStep::Register)?;
+                let _ = self.adversary.request_wait(&mut self.world, register, 100);
             }
             self.world.run_for(10_000);
         }
@@ -353,76 +339,33 @@ impl LiveSession {
         }
     }
 
-    /// `McAct::AtkRegister`: the attacker forges a registration. When the
-    /// forgery displaces the real session, the device is silenced first —
-    /// the attacker times the forgery between heartbeats, and silencing
-    /// realizes that window deterministically.
-    fn atk_register(&mut self, pre: PState, post: PState) -> Result<(), String> {
-        if pre.src.includes_real() && !post.src.includes_real() {
+    /// The attacker's forgery of `step` on this design, from the device
+    /// ID and their own account alone.
+    fn forge(&self, step: AtkStep) -> Result<Message, String> {
+        step.forge(&self.design, &self.dev_id, self.adversary.user_token)
+            .ok_or_else(|| {
+                format!("{step} is not forgeable here; the checker should never emit this act")
+            })
+    }
+
+    /// An adversarial act: the attacker forges `step` and the cloud must
+    /// accept it. When a forged registration displaces the real session,
+    /// the device is silenced first — the attacker times the forgery
+    /// between heartbeats, and silencing realizes that window
+    /// deterministically.
+    fn atk(&mut self, step: AtkStep, pre: PState, post: PState) -> Result<(), String> {
+        if step == AtkStep::Register && pre.src.includes_real() && !post.src.includes_real() {
             self.set_device_power(false);
         }
-        match self
-            .adversary
-            .request(&mut self.world, forged_register(&self.dev_id))
-        {
-            Some(Response::StatusAccepted { .. }) => Ok(()),
-            other => Err(format!("forged registration answered {other:?}")),
-        }
-    }
-
-    /// `McAct::AtkBind`: the attacker forges the binding message for the
-    /// design's accepted shape, using only their own account.
-    fn atk_bind(&mut self) -> Result<(), String> {
-        let atk_token = self
-            .adversary
-            .user_token
-            .ok_or_else(|| "attacker not logged in".to_owned())?;
-        let msg =
-            match self.design.bind {
-                BindScheme::AclApp => Message::Bind(BindPayload::AclApp {
-                    dev_id: self.dev_id.clone(),
-                    user_token: atk_token,
-                }),
-                BindScheme::AclDevice => Message::Bind(BindPayload::AclDevice {
-                    dev_id: self.dev_id.clone(),
-                    user_id: UserId::new(ATTACKER_ID),
-                    user_pw: UserPw::new(ATTACKER_PW),
-                }),
-                BindScheme::Capability => return Err(
-                    "capability binds are not forgeable; the checker should never emit this act"
-                        .into(),
-                ),
-            };
+        let msg = self.forge(step)?;
         match self.adversary.request(&mut self.world, msg) {
-            Some(Response::Bound { session }) => {
-                self.adversary.hijack_session = session;
+            Some(rsp) if step.accepted_by(&rsp) => {
+                if let Response::Bound { session } = rsp {
+                    self.adversary.hijack_session = session;
+                }
                 Ok(())
             }
-            other => Err(format!("forged bind answered {other:?}")),
-        }
-    }
-
-    /// `McAct::AtkUnbindToken` / `McAct::AtkUnbindBare`.
-    fn atk_unbind(&mut self, bare: bool) -> Result<(), String> {
-        let payload = if bare {
-            UnbindPayload::DevIdOnly {
-                dev_id: self.dev_id.clone(),
-            }
-        } else {
-            UnbindPayload::DevIdUserToken {
-                dev_id: self.dev_id.clone(),
-                user_token: self
-                    .adversary
-                    .user_token
-                    .ok_or_else(|| "attacker not logged in".to_owned())?,
-            }
-        };
-        match self
-            .adversary
-            .request(&mut self.world, Message::Unbind(payload))
-        {
-            Some(Response::Unbound) => Ok(()),
-            other => Err(format!("forged unbind answered {other:?}")),
+            other => Err(format!("forged {step} answered {other:?}")),
         }
     }
 
@@ -442,10 +385,12 @@ impl LiveSession {
             McAct::DevOffline => self.dev_offline(post),
             McAct::UserBind => self.user_bind(pre),
             McAct::UserUnbind => self.user_unbind(pre),
-            McAct::AtkRegister => self.atk_register(pre, post),
-            McAct::AtkBind => self.atk_bind(),
-            McAct::AtkUnbindToken => self.atk_unbind(false),
-            McAct::AtkUnbindBare => self.atk_unbind(true),
+            McAct::AtkRegister | McAct::AtkBind | McAct::AtkUnbindToken | McAct::AtkUnbindBare => {
+                match act.atk_step() {
+                    Some(step) => self.atk(step, pre, post),
+                    None => unreachable!("{act} is adversarial"),
+                }
+            }
         }
     }
 
@@ -509,15 +454,11 @@ impl LiveSession {
                 Ok(())
             }
             Property::AttackerControl => {
-                let msg = Message::Control {
-                    dev_id: self.dev_id.clone(),
-                    user_token: self
-                        .adversary
-                        .user_token
-                        .ok_or_else(|| "attacker not logged in".to_owned())?,
-                    session: self.adversary.hijack_session,
-                    action: ControlAction::TurnOn,
-                };
+                let user_token = self
+                    .adversary
+                    .user_token
+                    .ok_or_else(|| "attacker not logged in".to_owned())?;
+                let msg = forged_control(&self.dev_id, user_token, self.adversary.hijack_session);
                 match self.adversary.request(&mut self.world, msg) {
                     Some(Response::ControlOk { .. }) => {}
                     other => return Err(format!("attacker control answered {other:?}")),

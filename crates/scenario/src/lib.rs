@@ -6,6 +6,10 @@
 //! (Section VI-A), with the adversary model enforced by the network
 //! simulator.
 //!
+//! This crate builds worlds and forges nothing: every message the
+//! attacker sends, and the scripted monitor scenario
+//! (`rb_attack::monitor_run`), live in rb-attack.
+//!
 //! ```rust
 //! use rb_core::vendors;
 //! use rb_scenario::WorldBuilder;
@@ -25,7 +29,7 @@ mod world;
 
 pub use chaos::ChaosProfile;
 pub use forensic::{capture, trace_run};
-pub use observe::{defended_metrics_run, metrics_run, metrics_run_with, monitor_run, MonitorRun};
+pub use observe::{defended_metrics_run, metrics_run, metrics_run_with};
 pub use prof::{prof_run, ProfRun};
 pub use raw::RawEndpoint;
 pub use world::{Home, World, WorldBuilder, ATTACKER_ID, ATTACKER_PW};

@@ -3,48 +3,46 @@
 //! checker, and the linter, and every minimal counterexample replays in
 //! the packet-level simulator reproducing its violation — the
 //! `examples/formal_verification.rs` demonstration as a checked invariant.
-//! (`crates/mc/tests/conformance.rs` replays every witness of the whole
-//! design space; this test keeps the vendor slice at the facade.)
+//! Both checks read `rb_mc::conformance` rows, the same sweep
+//! `crates/mc/tests/conformance.rs` runs over the whole design space; this
+//! test keeps the vendor slice at the facade.
 
 use iot_remote_binding::core_model::explore::minimal_secure_design;
 use iot_remote_binding::core_model::vendors::{
     capability_reference, public_key_reference, vendor_designs,
 };
-use iot_remote_binding::mc::diag::verify_design;
+use iot_remote_binding::mc::conformance::sweep;
 use iot_remote_binding::mc::explore::explore;
-use iot_remote_binding::mc::replay::replay;
 
 #[test]
 fn every_vendor_agrees_and_every_witness_replays() {
-    for design in vendor_designs() {
-        let v = verify_design(&design, 2);
+    for row in sweep(&vendor_designs(), 2) {
+        let vendor = &row.design.vendor;
+        let v = &row.verified;
         assert!(
             v.disagreements.is_empty(),
-            "{}: {:#?}",
-            design.vendor,
+            "{vendor}: {:#?}",
             v.disagreements
         );
-        for (property, witness) in v.mc.violations() {
-            replay(&design, property, witness).unwrap_or_else(|e| {
-                panic!(
-                    "{}: {property} witness did not reproduce live: {e}",
-                    design.vendor
-                )
-            });
+        for (property, replayed) in &row.replays {
+            if let Err(e) = replayed {
+                panic!("{vendor}: {property} witness did not reproduce live: {e}");
+            }
         }
     }
 }
 
 #[test]
 fn reference_and_minimal_secure_designs_verify_clean() {
-    for design in [
+    let designs = [
         capability_reference(),
         public_key_reference(),
         minimal_secure_design(),
-    ] {
-        let v = verify_design(&design, 2);
-        assert!(v.mc.is_secure(), "{}", design.vendor);
-        assert!(v.findings.is_clean(), "{}", design.vendor);
+    ];
+    for row in sweep(&designs, 2) {
+        let v = &row.verified;
+        assert!(v.mc.is_secure(), "{}", row.design.vendor);
+        assert!(v.findings.is_clean(), "{}", row.design.vendor);
         assert!(v.disagreements.is_empty(), "{:#?}", v.disagreements);
     }
 }

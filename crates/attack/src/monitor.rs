@@ -8,15 +8,11 @@
 use rb_cloud::DefensePolicy;
 use rb_core::design::VendorDesign;
 use rb_netsim::Telemetry;
-use rb_scenario::{World, WorldBuilder};
+use rb_scenario::{World, WorldBuilder, PHASE_TICKS};
 use rb_wire::ids::DevId;
 
 use crate::acts::AtkStep;
 use crate::adversary::Adversary;
-
-/// How long the world quiesces after the script (one life-cycle phase):
-/// the victim's device keeps heartbeating and defenses settle.
-const QUIESCE_TICKS: u64 = 10_000;
 
 /// The artifacts of one [`monitor_run`]: byte-stable renders of the
 /// streaming monitor's output plus the shared metrics registry. Two runs
@@ -91,7 +87,9 @@ pub fn monitor_run(design: &VendorDesign, seed: u64) -> MonitorRun {
         send(&mut world, AtkStep::Bind, &dev_id, 1_000);
     }
 
-    world.run_for(QUIESCE_TICKS);
+    // Quiesce for one life-cycle phase: the victim's device keeps
+    // heartbeating and defenses settle.
+    world.run_for(PHASE_TICKS);
 
     let monitor = world.cloud().monitor();
     MonitorRun {

@@ -19,7 +19,7 @@ use rb_attack::acts::{forged_control, AtkStep};
 use rb_attack::Adversary;
 use rb_bench::render_table;
 use rb_bench::report::{emit, BenchReport};
-use rb_core::design::VendorDesign;
+use rb_core::design::{BindScheme, FirmwareKnowledge, VendorDesign};
 use rb_core::par::{available_threads, par_map};
 use rb_core::vendors;
 use rb_netsim::Telemetry;
@@ -46,6 +46,9 @@ fn race(
     let mut adv = Adversary::new();
     let user_token = adv.login(&mut world);
     let dev_id = world.homes[0].dev_id.clone();
+    if design.bind == BindScheme::AclDevice && design.firmware == FirmwareKnowledge::Opaque {
+        return false; // the device-channel bind format is unknown without firmware
+    }
     let Some(bind) = AtkStep::Bind.forge(design, &dev_id, Some(user_token)) else {
         return false; // a capability bind cannot be forged at all
     };

@@ -38,9 +38,13 @@ use rb_wire::messages::Response;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Occupies every enumerable device of a series pre-setup, then lets the
-/// victims try. Returns (bindings occupied, victims locked out).
+/// victims try. The attacker fires the bind `forge_as` accepts: a
+/// capability series has no bind to forge, so it is probed with the ACL
+/// series' app-channel bind, which its cloud must refuse on its merits.
+/// Returns (bindings occupied, victims locked out).
 fn dos_series(
     design: &VendorDesign,
+    forge_as: &VendorDesign,
     homes: usize,
     seed: u64,
     profiler: &Profiler,
@@ -56,13 +60,13 @@ fn dos_series(
 
     // Enumerate the ID space in allocation order (sequential IDs!) and fire
     // a bind for each candidate — the attacker does not even know which IDs
-    // were sold. A capability series has no bind to forge: nothing is sent.
+    // were sold.
     let mut occupied = 0;
     let budget = (homes as u64) * 2; // sweep a window of the sequence
     for i in 0..budget {
         let dev_id = design.id_scheme.id_at(i);
-        let Some(bind) = AtkStep::Bind.forge(design, &dev_id, Some(user_token)) else {
-            break;
+        let Some(bind) = AtkStep::Bind.forge(forge_as, &dev_id, Some(user_token)) else {
+            unreachable!("an ACL bind is forgeable after login");
         };
         let rsp = adv.request_wait(&mut world, bind, 300);
         if matches!(rsp, Some(Response::Bound { .. })) {
@@ -100,8 +104,15 @@ fn main() {
     let mut shape_violations = Vec::new();
     let mut homes_total = 0usize;
     for homes in [1usize, 2, 4, 8, 16] {
-        let (occ_v, lock_v) = dos_series(&vulnerable, homes, 7_000 + homes as u64, &profiler);
-        let (occ_s, lock_s) = dos_series(&secure, homes, 9_000 + homes as u64, &profiler);
+        let (occ_v, lock_v) = dos_series(
+            &vulnerable,
+            &vulnerable,
+            homes,
+            7_000 + homes as u64,
+            &profiler,
+        );
+        let (occ_s, lock_s) =
+            dos_series(&secure, &vulnerable, homes, 9_000 + homes as u64, &profiler);
         homes_total += homes * 2;
         if (occ_v, lock_v) != (homes, homes) {
             shape_violations.push(format!(

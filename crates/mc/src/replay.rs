@@ -385,11 +385,11 @@ impl LiveSession {
             McAct::DevOffline => self.dev_offline(post),
             McAct::UserBind => self.user_bind(pre),
             McAct::UserUnbind => self.user_unbind(pre),
-            McAct::AtkRegister | McAct::AtkBind | McAct::AtkUnbindToken | McAct::AtkUnbindBare => {
-                match act.atk_step() {
-                    Some(step) => self.atk(step, pre, post),
-                    None => unreachable!("{act} is adversarial"),
-                }
+            act => {
+                let step = act
+                    .atk_step()
+                    .ok_or_else(|| format!("{act} forges nothing"))?;
+                self.atk(step, pre, post)
             }
         }
     }

@@ -29,6 +29,7 @@ mod world;
 
 pub use chaos::ChaosProfile;
 pub use forensic::{capture, trace_run};
+pub use lifecycle::PHASE_TICKS;
 pub use observe::{defended_metrics_run, metrics_run, metrics_run_with};
 pub use prof::{prof_run, ProfRun};
 pub use raw::RawEndpoint;

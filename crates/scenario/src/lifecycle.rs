@@ -13,8 +13,9 @@ use rb_wire::messages::ControlAction;
 
 use crate::{ChaosProfile, World};
 
-/// How long each post-setup phase of the canonical life cycle runs.
-pub(crate) const PHASE_TICKS: u64 = 10_000;
+/// How long each post-setup phase of the canonical life cycle runs (the
+/// monitor scenario in rb-attack quiesces for one phase too).
+pub const PHASE_TICKS: u64 = 10_000;
 
 /// Tick budget for a setup (and the re-bind) to converge.
 const SETUP_TICKS: u64 = 300_000;
